@@ -36,7 +36,7 @@ const RULES_PER_PROFILE: usize = 4;
 fn distinct_profiles(n: usize) -> Vec<Profile> {
     (0..n)
         .map(|i| {
-            let mut profile = Profile::new(&format!("p{i}"));
+            let mut profile = Profile::new(format!("p{i}"));
             for r in 0..RULES_PER_PROFILE {
                 profile.path_rules.push(
                     PathRule::allow(

@@ -60,13 +60,71 @@ impl fmt::Display for AuditRecord {
     }
 }
 
+/// A denial as the hook sees it, borrowed from the hook's context.
+/// [`AuditLog::push_denial`] copies it into the ring.
+#[derive(Debug, Clone, Copy)]
+pub struct Denial<'a> {
+    /// Simulated time of the denial.
+    pub at: Duration,
+    /// Denied task.
+    pub pid: Pid,
+    /// Denied task's uid.
+    pub uid: u32,
+    /// Executable of the task, if it had exec'd.
+    pub exe: Option<&'a str>,
+    /// Object path.
+    pub path: &'a str,
+    /// Requested permissions.
+    pub requested: FilePerms,
+    /// Situation state at denial time.
+    pub state: &'a str,
+}
+
+impl Denial<'_> {
+    fn to_record(self, seq: u64) -> AuditRecord {
+        AuditRecord {
+            seq,
+            at: self.at,
+            pid: self.pid,
+            uid: self.uid,
+            exe: self.exe.map(str::to_string),
+            path: self.path.to_string(),
+            requested: self.requested,
+            state: self.state.to_string(),
+        }
+    }
+
+    /// Overwrites `record` with this denial, reusing its string buffers.
+    fn write_into(&self, seq: u64, record: &mut AuditRecord) {
+        record.seq = seq;
+        record.at = self.at;
+        record.pid = self.pid;
+        record.uid = self.uid;
+        match (self.exe, &mut record.exe) {
+            (Some(exe), Some(buf)) => copy_into(buf, exe),
+            (exe, slot) => *slot = exe.map(str::to_string),
+        }
+        copy_into(&mut record.path, self.path);
+        record.requested = self.requested;
+        copy_into(&mut record.state, self.state);
+    }
+}
+
+fn copy_into(buf: &mut String, text: &str) {
+    buf.clear();
+    buf.push_str(text);
+}
+
 /// Bounded denial ring.
+///
+/// Once full, each push recycles the evicted record's string buffers, so a
+/// steady stream of denials allocates only when a field outgrows the buffer
+/// it lands in.
 #[derive(Debug)]
 pub struct AuditLog {
     ring: Mutex<VecDeque<AuditRecord>>,
     capacity: usize,
     total: std::sync::atomic::AtomicU64,
-    lost: std::sync::atomic::AtomicU64,
 }
 
 impl AuditLog {
@@ -86,25 +144,41 @@ impl AuditLog {
             ring: Mutex::new(VecDeque::with_capacity(capacity)),
             capacity,
             total: std::sync::atomic::AtomicU64::new(0),
-            lost: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
-    /// Appends a record, evicting the oldest when full. Assigns and returns
-    /// the record's monotonic sequence number; the sequence is allocated
-    /// under the ring lock so retained records are always seq-ordered and
-    /// contiguous.
-    pub fn push(&self, mut record: AuditRecord) -> u64 {
+    /// Appends an owned record; see [`AuditLog::push_denial`]. The record's
+    /// `seq` is ignored.
+    pub fn push(&self, record: AuditRecord) -> u64 {
+        self.push_denial(&Denial {
+            at: record.at,
+            pid: record.pid,
+            uid: record.uid,
+            exe: record.exe.as_deref(),
+            path: &record.path,
+            requested: record.requested,
+            state: &record.state,
+        })
+    }
+
+    /// Appends a denial, evicting the oldest record when full. Assigns and
+    /// returns the record's monotonic sequence number; the sequence is
+    /// allocated under the ring lock so retained records are always
+    /// seq-ordered and contiguous.
+    pub fn push_denial(&self, denial: &Denial<'_>) -> u64 {
         let mut ring = self.ring.lock();
-        let seq = self
-            .total
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        record.seq = seq;
+        // Writers are serialized by the ring lock; the atomic only lets
+        // readers load `total` without it.
+        let seq = self.total.load(std::sync::atomic::Ordering::Relaxed);
+        self.total
+            .store(seq + 1, std::sync::atomic::Ordering::Relaxed);
         if ring.len() == self.capacity {
-            ring.pop_front();
-            self.lost.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let mut record = ring.pop_front().expect("full ring has a front");
+            denial.write_into(seq, &mut record);
+            ring.push_back(record);
+        } else {
+            ring.push_back(denial.to_record(seq));
         }
-        ring.push_back(record);
         seq
     }
 
@@ -118,9 +192,10 @@ impl AuditLog {
         self.total.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Records evicted from the ring before anyone could read them.
+    /// Records evicted from the ring before anyone could read them: the
+    /// ring never shrinks, so every push past `capacity` evicts one.
     pub fn lost_records(&self) -> u64 {
-        self.lost.load(std::sync::atomic::Ordering::Relaxed)
+        self.total().saturating_sub(self.capacity as u64)
     }
 
     /// Number of retained records.
@@ -257,6 +332,99 @@ mod tests {
             log.render(),
             "# audit total=0 lost=0 seq_first=- seq_last=-\n"
         );
+    }
+
+    /// A log that never recycles a buffer: every record is a fresh owned
+    /// copy, rendered the way the `audit` node documents.
+    struct ReferenceLog {
+        records: VecDeque<AuditRecord>,
+        capacity: usize,
+        total: u64,
+    }
+
+    impl ReferenceLog {
+        fn push(&mut self, d: &Denial<'_>) -> u64 {
+            let seq = self.total;
+            self.total += 1;
+            if self.records.len() == self.capacity {
+                self.records.pop_front();
+            }
+            self.records.push_back(AuditRecord {
+                seq,
+                at: d.at,
+                pid: d.pid,
+                uid: d.uid,
+                exe: d.exe.map(String::from),
+                path: d.path.to_owned(),
+                requested: d.requested,
+                state: d.state.to_owned(),
+            });
+            seq
+        }
+
+        fn render(&self) -> String {
+            let seq = |r: Option<&AuditRecord>| r.map_or("-".to_string(), |r| r.seq.to_string());
+            let mut out = format!(
+                "# audit total={} lost={} seq_first={} seq_last={}\n",
+                self.total,
+                self.total - self.records.len() as u64,
+                seq(self.records.front()),
+                seq(self.records.back())
+            );
+            for r in &self.records {
+                out.push_str(&format!("{r}\n"));
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn recycled_ring_matches_a_log_that_never_recycles() {
+        const CAP: usize = 5;
+        let log = AuditLog::with_capacity(CAP);
+        let mut reference = ReferenceLog {
+            records: VecDeque::new(),
+            capacity: CAP,
+            total: 0,
+        };
+        let exes = [
+            Some("/usr/lib/vehicle/long-running-infotainment-daemon"),
+            None,
+            Some("/bin/sh"),
+            Some("/usr/bin/navi"),
+            None,
+            None,
+        ];
+        let states = [
+            "normal",
+            "emergency",
+            "parked_with_engine_off_and_doors_locked",
+            "p",
+        ];
+        let perms = [
+            FilePerms::READ,
+            FilePerms::WRITE,
+            FilePerms::READ | FilePerms::WRITE,
+        ];
+        // Path lengths sweep long → short and back so recycled buffers are
+        // both shrunk and regrown.
+        for i in 0..(CAP * 40) {
+            let path = format!("/dev/car/{}", "seg/".repeat((i * 7) % 23));
+            let denial = Denial {
+                at: Duration::from_micros(i as u64 * 13),
+                pid: Pid(100 + (i % 9) as u32),
+                uid: 1000 + (i % 4) as u32,
+                exe: exes[i % exes.len()],
+                path: &path,
+                requested: perms[i % perms.len()],
+                state: states[(i / 3) % states.len()],
+            };
+            assert_eq!(log.push_denial(&denial), reference.push(&denial));
+            assert_eq!(log.records(), Vec::from(reference.records.clone()));
+            assert_eq!(log.render(), reference.render());
+        }
+        assert_eq!(log.total(), (CAP * 40) as u64);
+        assert_eq!(log.lost_records(), (CAP * 39) as u64);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod trace;
 
-pub use audit::{AuditLog, AuditRecord};
+pub use audit::{AuditLog, AuditRecord, Denial};
 pub use cache::{
     current_cpu, current_cpu_in, CachedOutcome, DecisionCache, DecisionCacheIn, DecisionKey,
     PerCpuCache, PerCpuCacheIn, CPU_INSTANCES,

@@ -19,7 +19,7 @@ use sack_kernel::sync::Rcu;
 use sack_kernel::trace::{TraceEvent, TraceHub};
 use sack_kernel::types::Pid;
 
-use crate::audit::{AuditLog, AuditRecord};
+use crate::audit::{AuditLog, Denial};
 use crate::cache::{CachedOutcome, DecisionKey, PerCpuCache};
 use crate::enhance::{validate_for_enhancement, AppArmorEnhancer, EnhanceError};
 use crate::eventplane::{BackpressurePolicy, EventPlane};
@@ -190,8 +190,10 @@ pub struct Sack {
     profile_oracle: Rcu<Option<Arc<AppArmor>>>,
     stats: SackStats,
     audit: AuditLog,
-    /// Set at [`Sack::attach`]; used to timestamp audit records.
-    kernel: Rcu<Option<std::sync::Weak<Kernel>>>,
+    /// Set once at [`Sack::attach`]; used to timestamp audit records. A
+    /// `OnceLock` rather than an `Rcu` for the same reason as `tracing`:
+    /// every denial reads it.
+    kernel: OnceLock<std::sync::Weak<Kernel>>,
     /// Global decision epoch: bumped on policy reload, oracle rewiring and
     /// situation transitions. Folded into every [`DecisionKey`], so cached
     /// decisions from before any such change self-invalidate.
@@ -236,7 +238,7 @@ impl Sack {
             profile_oracle: Rcu::new(None),
             stats: SackStats::default(),
             audit: AuditLog::new(),
-            kernel: Rcu::new(None),
+            kernel: OnceLock::new(),
             policy_epoch: AtomicU64::new(0),
             cache_enabled: AtomicBool::new(true),
             dfa_enabled: AtomicBool::new(true),
@@ -271,7 +273,7 @@ impl Sack {
             profile_oracle: Rcu::new(None),
             stats: SackStats::default(),
             audit: AuditLog::new(),
-            kernel: Rcu::new(None),
+            kernel: OnceLock::new(),
             policy_epoch: AtomicU64::new(0),
             cache_enabled: AtomicBool::new(true),
             dfa_enabled: AtomicBool::new(true),
@@ -391,7 +393,7 @@ impl Sack {
         tracing.set_instance(kernel.instance().0);
         self.install_event_plane(EventPlane::DEFAULT_CAPACITY, BackpressurePolicy::DropOldest);
         crate::sackfs::register(self, kernel)?;
-        self.kernel.store(Some(Arc::downgrade(kernel)));
+        let _ = self.kernel.set(Arc::downgrade(kernel));
         Ok(())
     }
 
@@ -461,8 +463,8 @@ impl Sack {
     }
 
     pub(crate) fn now(&self) -> std::time::Duration {
-        (*self.kernel.read())
-            .as_ref()
+        self.kernel
+            .get()
             .and_then(std::sync::Weak::upgrade)
             .map(|k| k.clock().now())
             .unwrap_or(std::time::Duration::ZERO)
@@ -792,15 +794,14 @@ impl Sack {
             Ok(())
         } else {
             self.stats.denials.fetch_add(1, Ordering::Relaxed);
-            let seq = self.audit.push(AuditRecord {
-                seq: 0, // assigned by push
+            let seq = self.audit.push_denial(&Denial {
                 at: self.now(),
                 pid: ctx.pid,
                 uid: ctx.cred.uid.0,
-                exe: ctx.exe.as_ref().map(|p| p.as_str().to_string()),
-                path: obj.path.as_str().to_string(),
+                exe: ctx.exe.as_ref().map(|p| p.as_str()),
+                path: obj.path.as_str(),
                 requested,
-                state: active.ssm.space().state(state).name.clone(),
+                state: &active.ssm.space().state(state).name,
             });
             self.trace_emit(|| TraceEvent::AuditEmit { seq });
             if self.negative_cache_enabled.load(Ordering::Relaxed) {

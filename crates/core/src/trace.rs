@@ -11,9 +11,18 @@
 //! * [`FlightRecorder`] — a bounded MPSC ring of the last N control-plane
 //!   events (SSM transitions, policy publishes, epoch bumps, recompiles,
 //!   denials), so a denial can be replayed against the situation history
-//!   that led to it. Producers claim slots with a single `fetch_add`;
-//!   entries carry both a global and a per-producer sequence number, and an
-//!   overflow counter says exactly how many records were overwritten.
+//!   that led to it. Producers claim slots with a single `fetch_add` and
+//!   write them under a per-slot mutex; entries carry both a global and a
+//!   per-producer sequence number, and the overflow count
+//!   (`claimed − capacity`) says exactly how many records were overwritten.
+//!
+//! Recording into a saturated ring takes no map lookup and no lock beyond
+//! the slot's own: each thread reaches its per-recorder ledger (its next
+//! per-producer sequence number and its eviction count) through a
+//! single-entry thread-local cache, and each slot keeps the ledger of the
+//! record it holds, so an eviction is one atomic add on the evicted
+//! producer's ledger. `dropped_by_producer()` reads those ledgers, one per
+//! producer, not the slots.
 //!
 //! Correlating cache events with hook latency: `cache_hit`/`cache_miss`
 //! fire *inside* the hook dispatch that `hook_exit` closes, on the same
@@ -22,7 +31,7 @@
 //! state, no allocation on the hot path.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,16 +96,32 @@ pub struct FlightEntry {
     pub event: TraceEvent,
 }
 
+/// One producer's accounting in one recorder: registered the first time a
+/// thread records into the recorder, then reached through the thread's
+/// single-entry ledger cache without touching the recorder's lock.
+#[derive(Debug)]
+struct ProducerLedger {
+    producer: u64,
+    /// Records this producer has claimed, i.e. its next `producer_seq`.
+    /// Only the owning thread writes it.
+    produced: AtomicU64,
+    /// This producer's records evicted or lap-discarded before a reader saw
+    /// them.
+    evicted: AtomicU64,
+}
+
 struct FlightSlot {
     // The mutex stands in for the per-slot seqlock a real kernel ring would
     // use: it is uncontended except when a producer laps a stalled one, and
-    // it makes torn reads unrepresentable in safe Rust.
-    entry: Mutex<Option<FlightEntry>>,
+    // it makes torn reads unrepresentable in safe Rust. The retained record
+    // keeps its producer's ledger, so evicting it is one atomic add.
+    entry: Mutex<Option<(FlightEntry, Arc<ProducerLedger>)>>,
 }
 
-/// Monotonic id source for flight recorders (keys the per-thread
-/// producer-sequence map, so one thread writing to two recorders keeps two
-/// independent dense sequences).
+/// Monotonic id source for flight recorders (keys the per-thread ledger
+/// cache, so one thread writing to two recorders keeps two independent
+/// dense sequences, and a recorder at a reused address is never confused
+/// with a dropped one).
 static NEXT_RECORDER: AtomicU64 = AtomicU64::new(1);
 
 /// Monotonic id source for producer (thread) ids.
@@ -104,26 +129,33 @@ static NEXT_PRODUCER: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static PRODUCER_ID: u64 = NEXT_PRODUCER.fetch_add(1, Ordering::Relaxed);
-    static PRODUCER_SEQS: RefCell<HashMap<u64, u64>> = RefCell::new(HashMap::new());
+    /// This thread's ledger in the recorder it last recorded into:
+    /// (recorder id, ledger). One entry bounds the per-thread state however
+    /// many recorders the thread ever writes to.
+    static LEDGER: RefCell<Option<(u64, Arc<ProducerLedger>)>> = const { RefCell::new(None) };
     /// Last cache event seen on this thread: (recorder id, encoded flag).
     static LAST_CACHE: Cell<(u64, u8)> = const { Cell::new((0, 0)) };
 }
 
+/// This thread's producer id (`0` once its thread-locals are torn down).
+fn producer_id() -> u64 {
+    PRODUCER_ID.try_with(|p| *p).unwrap_or(0)
+}
+
 /// Bounded MPSC ring of the last N trace events.
 ///
-/// Producers are wait-free up to the slot write: claiming is one
-/// `fetch_add`, and the claimed global sequence *is* the record's identity.
-/// Readers snapshot without stopping producers; the overflow counter and
-/// the per-producer sequence numbers let them say precisely what they
-/// missed.
+/// Claiming is one `fetch_add`, and the claimed global sequence *is* the
+/// record's identity; the slot write then takes that slot's (normally
+/// uncontended) mutex. Readers snapshot without stopping producers; the
+/// overflow count (`claimed − capacity`) and the per-producer sequence
+/// numbers let them say precisely what they missed.
 pub struct FlightRecorder {
     id: u64,
     slots: Box<[FlightSlot]>,
     claimed: AtomicU64,
-    overwritten: AtomicU64,
-    // Per-producer loss ledger. Only touched on the overflow path (a ring
-    // that never wraps never takes this lock), so a plain mutex is fine.
-    dropped_by: Mutex<BTreeMap<u64, u64>>,
+    // Every producer that ever recorded here. Locked only on a thread's
+    // ledger-cache miss and by readers of `dropped_by_producer`.
+    ledgers: Mutex<Vec<Arc<ProducerLedger>>>,
 }
 
 impl FlightRecorder {
@@ -142,8 +174,7 @@ impl FlightRecorder {
                 })
                 .collect(),
             claimed: AtomicU64::new(0),
-            overwritten: AtomicU64::new(0),
-            dropped_by: Mutex::new(BTreeMap::new()),
+            ledgers: Mutex::new(Vec::new()),
         }
     }
 
@@ -154,47 +185,71 @@ impl FlightRecorder {
 
     /// Records an event; returns its global sequence number.
     pub fn record(&self, event: TraceEvent) -> u64 {
+        let ledger = self.ledger();
         let seq = self.claimed.fetch_add(1, Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        if seq >= cap {
-            self.overwritten.fetch_add(1, Ordering::Relaxed);
-        }
-        let producer = PRODUCER_ID.try_with(|p| *p).unwrap_or(0);
-        let producer_seq = PRODUCER_SEQS
-            .try_with(|seqs| {
-                let mut seqs = seqs.borrow_mut();
-                let next = seqs.entry(self.id).or_insert(0);
-                let current = *next;
-                *next += 1;
-                current
+        self.store(seq, ledger, event);
+        seq
+    }
+
+    /// The calling thread's ledger in this recorder.
+    fn ledger(&self) -> Arc<ProducerLedger> {
+        LEDGER
+            .try_with(|cache| {
+                let mut cache = cache.borrow_mut();
+                match &*cache {
+                    Some((id, ledger)) if *id == self.id => Arc::clone(ledger),
+                    _ => {
+                        let ledger = self.register_producer(producer_id());
+                        *cache = Some((self.id, Arc::clone(&ledger)));
+                        ledger
+                    }
+                }
             })
-            .unwrap_or(0);
+            // Thread-local teardown: fall back to the lock every time.
+            .unwrap_or_else(|_| self.register_producer(producer_id()))
+    }
+
+    /// Finds or creates `producer`'s ledger.
+    #[cold]
+    fn register_producer(&self, producer: u64) -> Arc<ProducerLedger> {
+        let mut ledgers = self.ledgers.lock();
+        if let Some(ledger) = ledgers.iter().find(|l| l.producer == producer) {
+            return Arc::clone(ledger);
+        }
+        let ledger = Arc::new(ProducerLedger {
+            producer,
+            produced: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
+        });
+        ledgers.push(Arc::clone(&ledger));
+        ledger
+    }
+
+    /// Writes the record claimed as `seq` into its slot.
+    fn store(&self, seq: u64, ledger: Arc<ProducerLedger>, event: TraceEvent) {
+        // Single writer per ledger, so a load/store pair is enough.
+        let producer_seq = ledger.produced.load(Ordering::Relaxed);
+        ledger.produced.store(producer_seq + 1, Ordering::Relaxed);
         let entry = FlightEntry {
             seq,
-            producer,
+            producer: ledger.producer,
             producer_seq,
             event,
         };
+        let cap = self.slots.len() as u64;
         let mut slot = self.slots[(seq % cap) as usize].entry.lock();
         // A producer that claimed an older sequence but got here after being
         // lapped must not clobber the newer record.
-        match slot.as_ref() {
-            None => *slot = Some(entry),
-            Some(existing) if existing.seq < seq => {
-                // Evicting a retained record: the loss belongs to the
-                // producer whose record is being overwritten.
-                let evicted = existing.producer;
-                *slot = Some(entry);
-                drop(slot);
-                *self.dropped_by.lock().entry(evicted).or_insert(0) += 1;
-            }
-            Some(_) => {
-                // Lapped: the incoming (older) record is the one discarded.
-                drop(slot);
-                *self.dropped_by.lock().entry(producer).or_insert(0) += 1;
-            }
+        let discarded = match slot.as_ref() {
+            Some((existing, _)) if existing.seq > seq => Some((entry, ledger)),
+            // Evicting a retained record: the loss belongs to the producer
+            // whose record is being overwritten.
+            _ => slot.replace((entry, ledger)),
+        };
+        drop(slot);
+        if let Some((_, owner)) = discarded {
+            owner.evicted.fetch_add(1, Ordering::Relaxed);
         }
-        seq
     }
 
     /// Total records ever claimed.
@@ -202,9 +257,10 @@ impl FlightRecorder {
         self.claimed.load(Ordering::Relaxed)
     }
 
-    /// Records overwritten before a reader could see them.
+    /// Records overwritten before a reader could see them: every claim past
+    /// the first `capacity` displaces exactly one record.
     pub fn dropped(&self) -> u64 {
-        self.overwritten.load(Ordering::Relaxed)
+        self.total().saturating_sub(self.capacity() as u64)
     }
 
     /// Per-producer loss counts: how many of each producer's records were
@@ -212,8 +268,15 @@ impl FlightRecorder {
     /// to [`FlightRecorder::dropped`] once all in-flight writes land, which
     /// is what lets a ring-overflow detector localize the lossy producer
     /// instead of only reporting a global count.
+    ///
+    /// Reads one counter per producer, never the slots.
     pub fn dropped_by_producer(&self) -> BTreeMap<u64, u64> {
-        self.dropped_by.lock().clone()
+        self.ledgers
+            .lock()
+            .iter()
+            .map(|l| (l.producer, l.evicted.load(Ordering::Relaxed)))
+            .filter(|&(_, evicted)| evicted > 0)
+            .collect()
     }
 
     /// Snapshot of the retained records, oldest first (global-seq order).
@@ -221,7 +284,7 @@ impl FlightRecorder {
         let mut entries: Vec<FlightEntry> = self
             .slots
             .iter()
-            .filter_map(|slot| slot.entry.lock().clone())
+            .filter_map(|slot| slot.entry.lock().as_ref().map(|(e, _)| e.clone()))
             .collect();
         entries.sort_by_key(|e| e.seq);
         entries
@@ -256,6 +319,12 @@ impl fmt::Debug for FlightRecorder {
             .field("dropped", &self.dropped())
             .finish()
     }
+}
+
+/// Ledger-cache entries held by the calling thread (0 or 1).
+#[cfg(test)]
+fn cached_ledgers() -> usize {
+    LEDGER.with(|cache| usize::from(cache.borrow().is_some()))
 }
 
 const VERDICTS: usize = 2;
@@ -468,6 +537,7 @@ impl Drop for SackTracing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn flight_assigns_dense_global_seqs() {
@@ -651,6 +721,187 @@ mod tests {
         let quiet = FlightRecorder::new(8);
         quiet.record(TraceEvent::RcuEpochBump { epoch: 0 });
         assert!(quiet.dropped_by_producer().is_empty());
+    }
+
+    #[test]
+    fn per_thread_ledger_state_stays_bounded() {
+        for i in 0..1000 {
+            let ring = FlightRecorder::new(2);
+            for epoch in 0..3 {
+                ring.record(TraceEvent::RcuEpochBump { epoch });
+            }
+            assert_eq!(ring.dropped_by_producer().values().sum::<u64>(), 1);
+            drop(ring);
+            assert_eq!(cached_ledgers(), 1, "recorder {i} grew per-thread state");
+        }
+    }
+
+    /// The accounting the flight ring used before per-producer ledgers:
+    /// replays slot writes in the order they landed and charges each loss
+    /// to a `producer → count` map, as the old `dropped_by` mutex did.
+    fn reference_ledger(cap: u64, landings: &[(u64, u64)]) -> BTreeMap<u64, u64> {
+        let mut slots: Vec<Option<(u64, u64)>> = vec![None; cap as usize];
+        let mut dropped_by = BTreeMap::new();
+        for &(seq, producer) in landings {
+            let slot = &mut slots[(seq % cap) as usize];
+            match *slot {
+                Some((held, owner)) if held < seq => {
+                    *slot = Some((seq, producer));
+                    *dropped_by.entry(owner).or_insert(0) += 1;
+                }
+                Some(_) => *dropped_by.entry(producer).or_insert(0) += 1,
+                None => *slot = Some((seq, producer)),
+            }
+        }
+        dropped_by
+    }
+
+    /// Each producer's records minus its survivors: the gap a reader sees
+    /// in its `pseq` stream.
+    fn survivor_gaps(ring: &FlightRecorder, produced: &BTreeMap<u64, u64>) -> BTreeMap<u64, u64> {
+        let entries = ring.snapshot();
+        let mut gaps = BTreeMap::new();
+        for (&producer, &n) in produced {
+            let pseqs: Vec<u64> = entries
+                .iter()
+                .filter(|e| e.producer == producer)
+                .map(|e| e.producer_seq)
+                .collect();
+            assert!(pseqs.iter().all(|&q| q < n), "pseq past produced count");
+            let survivors = pseqs.len() as u64;
+            if n > survivors {
+                gaps.insert(producer, n - survivors);
+            }
+        }
+        gaps
+    }
+
+    enum Op {
+        Record(u64),
+        Claim,
+        Store,
+    }
+
+    /// A producer thread driven one operation at a time; each reply lists
+    /// the `(seq, producer)` slot writes that landed, in order.
+    struct Producer {
+        ops: std::sync::mpsc::Sender<Op>,
+        landed: std::sync::mpsc::Receiver<Vec<(u64, u64)>>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Producer {
+        fn spawn(ring: &Arc<FlightRecorder>) -> Producer {
+            let ring = Arc::clone(ring);
+            let (ops, op_rx) = std::sync::mpsc::channel();
+            let (landed_tx, landed) = std::sync::mpsc::channel();
+            let thread = std::thread::spawn(move || {
+                let mut held = None;
+                for op in op_rx {
+                    let producer = producer_id();
+                    let landed = match op {
+                        Op::Record(n) => (0..n)
+                            .map(|i| {
+                                let seq = ring.record(TraceEvent::RcuEpochBump { epoch: i });
+                                (seq, producer)
+                            })
+                            .collect(),
+                        Op::Claim => {
+                            let ledger = ring.ledger();
+                            held = Some((ring.claimed.fetch_add(1, Ordering::Relaxed), ledger));
+                            Vec::new()
+                        }
+                        Op::Store => {
+                            let (seq, ledger) = held.take().expect("store without claim");
+                            ring.store(seq, ledger, TraceEvent::RcuEpochBump { epoch: seq });
+                            vec![(seq, producer)]
+                        }
+                    };
+                    landed_tx.send(landed).unwrap();
+                }
+            });
+            Producer {
+                ops,
+                landed,
+                thread,
+            }
+        }
+
+        fn run(&self, op: Op) -> Vec<(u64, u64)> {
+            self.ops.send(op).unwrap();
+            self.landed.recv().unwrap()
+        }
+    }
+
+    #[test]
+    fn flight_ledgers_match_reference_under_wraparound_and_lapping() {
+        const CAP: u64 = 4;
+        let ring = Arc::new(FlightRecorder::new(CAP as usize));
+        let producers: Vec<Producer> = (0..4).map(|_| Producer::spawn(&ring)).collect();
+        let mut landings = Vec::new();
+        let mut run = |who: usize, op: Op| landings.extend(producers[who].run(op));
+        for i in 0..30 {
+            run(i % 4, Op::Record(1 + i as u64 % 3));
+        }
+        // Producer 0 claims, then is lapped before its write lands.
+        run(0, Op::Claim);
+        for who in 1..4 {
+            run(who, Op::Record(CAP));
+        }
+        run(0, Op::Store);
+        // Two stalled producers, lapped by a third, land out of order.
+        run(1, Op::Claim);
+        run(2, Op::Claim);
+        run(3, Op::Record(2 * CAP + 1));
+        run(2, Op::Store);
+        run(1, Op::Store);
+        for i in 0..9 {
+            run(3 - i % 4, Op::Record(1 + i as u64 % 5));
+        }
+        for p in producers {
+            drop(p.ops);
+            p.thread.join().unwrap();
+        }
+
+        let mut produced = BTreeMap::new();
+        for &(_, producer) in &landings {
+            *produced.entry(producer).or_insert(0) += 1;
+        }
+        assert_eq!(produced.len(), 4);
+        assert_eq!(ring.total(), landings.len() as u64);
+        let by = ring.dropped_by_producer();
+        assert_eq!(by, reference_ledger(CAP, &landings));
+        assert_eq!(by.values().sum::<u64>(), ring.dropped());
+        assert_eq!(by, survivor_gaps(&ring, &produced));
+    }
+
+    #[test]
+    fn flight_ledgers_sum_and_match_gaps_under_contention() {
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 2000;
+        let ring = Arc::new(FlightRecorder::new(8));
+        let barrier = Arc::new(std::sync::Barrier::new(PRODUCERS as usize));
+        let threads: Vec<_> = (0..PRODUCERS)
+            .map(|_| {
+                let ring = Arc::clone(&ring);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for epoch in 0..PER_PRODUCER {
+                        ring.record(TraceEvent::RcuEpochBump { epoch });
+                    }
+                    producer_id()
+                })
+            })
+            .collect();
+        let produced: BTreeMap<u64, u64> = threads
+            .into_iter()
+            .map(|t| (t.join().unwrap(), PER_PRODUCER))
+            .collect();
+        let by = ring.dropped_by_producer();
+        assert_eq!(by.values().sum::<u64>(), ring.dropped());
+        assert_eq!(ring.dropped(), PRODUCERS * PER_PRODUCER - 8);
+        assert_eq!(by, survivor_gaps(&ring, &produced));
     }
 
     #[test]

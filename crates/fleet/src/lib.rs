@@ -102,7 +102,9 @@ mod tests {
             .count()
     }
 
-    fn fleet(cohorts: &[(&str, usize)]) -> (Arc<FleetAggregator>, Vec<(Arc<Kernel>, Arc<Sack>)>) {
+    type Instances = Vec<(Arc<Kernel>, Arc<Sack>)>;
+
+    fn fleet(cohorts: &[(&str, usize)]) -> (Arc<FleetAggregator>, Instances) {
         let agg = FleetAggregator::new();
         let mut instances = Vec::new();
         for (cohort, n) in cohorts {

@@ -8,6 +8,15 @@
 //! `register_trace_sys_enter()` — and receive every [`TraceEvent`]
 //! synchronously on the emitting thread, in program order.
 //!
+//! With tracing enabled, an emit takes no lock: the hub publishes its
+//! callback list as an immutable snapshot and bumps a generation counter
+//! on every register/unregister (under the registry's write lock). Each
+//! thread caches the snapshot of the hub it last emitted on, keyed by the
+//! hub's unique id and that generation, and reads the registry under its
+//! read lock only on a miss. Emits that start after `unregister` returns
+//! never reach the detached callback; a callback may emit again, on the
+//! same hub or another, without deadlocking or panicking.
+//!
 //! The hub deliberately does **not** buffer, aggregate or render anything:
 //! histograms, the flight recorder and the securityfs/Prometheus exports all
 //! live in `sack-core` as registered callbacks. This keeps the kernel layer
@@ -37,6 +46,7 @@
 //! | `fleet_rollout_rollback` | an alert rolled the fleet back to the prior policy|
 //! | `fleet_rollout_complete` | the rollout finished (promoted or rolled back)    |
 
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -534,11 +544,33 @@ pub struct TraceHandle(u64);
 #[derive(Debug, Default)]
 struct PaddedCounter(AtomicU64);
 
+#[derive(Clone)]
 struct CallbackEntry {
     handle: u64,
     /// `None` attaches to every tracepoint.
     point: Option<Tracepoint>,
     callback: TraceCallback,
+}
+
+/// Monotonic hub-id source. The per-thread snapshot cache is keyed by this
+/// id rather than the hub's address: a dropped hub's address can be reused
+/// by a new hub, its id never is.
+static NEXT_HUB: AtomicU64 = AtomicU64::new(1);
+
+/// A thread's copy of one hub's callback list, valid while the hub's
+/// generation still equals `generation`.
+struct SnapshotCache {
+    hub: u64,
+    generation: u64,
+    callbacks: Arc<[CallbackEntry]>,
+}
+
+thread_local! {
+    /// Single-entry cache: the callback snapshot of the hub this thread
+    /// last emitted on. One entry bounds the per-thread state no matter how
+    /// many hubs a thread ever touches. A stale entry keeps detached
+    /// callbacks alive, never called, until the thread's next refill.
+    static SNAPSHOT: RefCell<Option<SnapshotCache>> = const { RefCell::new(None) };
 }
 
 /// The tracepoint hub: one per booted kernel, shared by every layer.
@@ -555,11 +587,22 @@ struct CallbackEntry {
 ///     hub.emit(&TraceEvent::CacheHit); // never reached while disabled
 /// }
 /// ```
+///
+/// Enabled cost is the fired-counter increment, one acquire load of the
+/// hub's generation and the callbacks themselves: the callback list is
+/// published as an immutable snapshot that each emitting thread caches, so
+/// the registry lock is taken only when a thread first emits on a hub,
+/// switches hubs, or sees a register/unregister it has not caught up with.
 pub struct TraceHub {
     enabled: AtomicBool,
+    /// Unique per hub (see [`NEXT_HUB`]).
+    id: u64,
+    /// Bumped under the write lock by every register and unregister, so a
+    /// cached snapshot is current exactly while its generation matches.
+    generation: AtomicU64,
     next_handle: AtomicU64,
     fired: [PaddedCounter; Tracepoint::ALL.len()],
-    callbacks: RwLock<Vec<CallbackEntry>>,
+    callbacks: RwLock<Arc<[CallbackEntry]>>,
 }
 
 impl TraceHub {
@@ -567,9 +610,11 @@ impl TraceHub {
     pub fn new() -> Arc<TraceHub> {
         Arc::new(TraceHub {
             enabled: AtomicBool::new(false),
+            id: NEXT_HUB.fetch_add(1, Ordering::Relaxed),
+            generation: AtomicU64::new(0),
             next_handle: AtomicU64::new(1),
             fired: Default::default(),
-            callbacks: RwLock::new(Vec::new()),
+            callbacks: RwLock::new(Arc::new([])),
         })
     }
 
@@ -596,17 +641,32 @@ impl TraceHub {
 
     fn register_entry(&self, point: Option<Tracepoint>, callback: TraceCallback) -> TraceHandle {
         let handle = self.next_handle.fetch_add(1, Ordering::Relaxed);
-        self.callbacks.write().push(CallbackEntry {
+        let mut list = self.callbacks.write();
+        let entry = CallbackEntry {
             handle,
             point,
             callback,
-        });
+        };
+        *list = list.iter().cloned().chain([entry]).collect();
+        self.generation.fetch_add(1, Ordering::Release);
         TraceHandle(handle)
     }
 
     /// Detaches a callback. Unknown handles are ignored.
+    ///
+    /// Every emit that starts after this returns, on any thread, misses the
+    /// callback: the generation bump invalidates every cached snapshot that
+    /// still holds it.
     pub fn unregister(&self, handle: TraceHandle) {
-        self.callbacks.write().retain(|e| e.handle != handle.0);
+        let mut list = self.callbacks.write();
+        if list.iter().any(|e| e.handle == handle.0) {
+            *list = list
+                .iter()
+                .filter(|e| e.handle != handle.0)
+                .cloned()
+                .collect();
+            self.generation.fetch_add(1, Ordering::Release);
+        }
     }
 
     /// Number of attached callbacks (tests / diagnostics).
@@ -624,11 +684,56 @@ impl TraceHub {
         }
         let point = event.tracepoint();
         self.fired[point.index()].0.fetch_add(1, Ordering::Relaxed);
-        for entry in self.callbacks.read().iter() {
-            if entry.point.is_none() || entry.point == Some(point) {
-                (entry.callback)(event);
-            }
+        // Acquire pairs with the Release bump in register/unregister: an
+        // emit ordered after an unregister returns sees the new generation
+        // and refills instead of serving the stale snapshot.
+        let generation = self.generation.load(Ordering::Acquire);
+        // The hit path holds a shared borrow while delivering, so a callback
+        // that emits on this hub again hits the cache too; one that needs a
+        // refill while the cache is borrowed takes the locked path.
+        let delivered = SNAPSHOT
+            .try_with(|cache| {
+                let Ok(cache) = cache.try_borrow() else {
+                    return false;
+                };
+                match &*cache {
+                    Some(c) if c.hub == self.id && c.generation == generation => {
+                        deliver(&c.callbacks, point, event);
+                        true
+                    }
+                    _ => false,
+                }
+            })
+            .unwrap_or(false);
+        if !delivered {
+            self.emit_refill(point, event);
         }
+    }
+
+    /// Cache miss: copies the current snapshot under the read lock, caches
+    /// it when the cache is not borrowed by an outer emit, and delivers
+    /// outside the lock.
+    #[cold]
+    fn emit_refill(&self, point: Tracepoint, event: &TraceEvent) {
+        let (generation, callbacks) = {
+            let list = self.callbacks.read();
+            (self.generation.load(Ordering::Relaxed), Arc::clone(&list))
+        };
+        let _ = SNAPSHOT.try_with(|cache| {
+            let Ok(mut cache) = cache.try_borrow_mut() else {
+                return;
+            };
+            let evicted = cache.replace(SnapshotCache {
+                hub: self.id,
+                generation,
+                callbacks: Arc::clone(&callbacks),
+            });
+            // The evicted snapshot may hold the last reference to detached
+            // callbacks; drop them with the cache released.
+            drop(cache);
+            drop(evicted);
+        });
+        deliver(&callbacks, point, event);
     }
 
     /// How many times `point` has fired while enabled.
@@ -639,6 +744,16 @@ impl TraceHub {
     /// Total events fired across all tracepoints.
     pub fn fired_total(&self) -> u64 {
         Tracepoint::ALL.iter().map(|p| self.fired(*p)).sum()
+    }
+}
+
+/// Runs every callback of `callbacks` attached to `point`, in registration
+/// order.
+fn deliver(callbacks: &[CallbackEntry], point: Tracepoint, event: &TraceEvent) {
+    for entry in callbacks {
+        if entry.point.is_none() || entry.point == Some(point) {
+            (entry.callback)(event);
+        }
     }
 }
 
@@ -719,6 +834,166 @@ mod tests {
         for (i, point) in Tracepoint::ALL.into_iter().enumerate() {
             assert_eq!(point.index(), i);
         }
+    }
+
+    fn counter(hits: &Arc<AtomicU64>) -> TraceCallback {
+        let hits = Arc::clone(hits);
+        Arc::new(move |_| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        })
+    }
+
+    /// Thread B: emits one `cache_hit` on its hub per [`Remote::emit`] and
+    /// acks it, so "B's next emit" is ordered against the caller.
+    struct Remote {
+        go: std::sync::mpsc::Sender<()>,
+        done: std::sync::mpsc::Receiver<()>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Remote {
+        fn spawn(hub: &Arc<TraceHub>) -> Remote {
+            let (go, go_rx) = std::sync::mpsc::channel::<()>();
+            let (done_tx, done) = std::sync::mpsc::channel::<()>();
+            let hub = Arc::clone(hub);
+            let thread = std::thread::spawn(move || {
+                for () in go_rx {
+                    hub.emit(&TraceEvent::CacheHit);
+                    done_tx.send(()).unwrap();
+                }
+            });
+            Remote { go, done, thread }
+        }
+
+        fn emit(&self) {
+            self.go.send(()).unwrap();
+            self.done.recv().unwrap();
+        }
+
+        fn join(self) {
+            drop(self.go);
+            self.thread.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn unregister_reaches_other_threads_next_emit() {
+        let hub = TraceHub::new();
+        hub.set_enabled(true);
+        let hits = Arc::new(AtomicU64::new(0));
+        let handle = hub.register_all(counter(&hits));
+        let b = Remote::spawn(&hub);
+        // B emits once, caching a snapshot that holds the callback.
+        b.emit();
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        // A unregisters; B's next emit must not reach the callback.
+        hub.unregister(handle);
+        b.emit();
+        b.join();
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
+        assert_eq!(hub.fired(Tracepoint::CacheHit), 2);
+    }
+
+    #[test]
+    fn register_reaches_thread_holding_stale_snapshot() {
+        let hub = TraceHub::new();
+        hub.set_enabled(true);
+        let first = Arc::new(AtomicU64::new(0));
+        hub.register_all(counter(&first));
+        let b = Remote::spawn(&hub);
+        b.emit();
+        // B now caches a one-callback snapshot; A registers a second.
+        let second = Arc::new(AtomicU64::new(0));
+        hub.register(Tracepoint::CacheHit, counter(&second));
+        b.emit();
+        b.join();
+        assert_eq!(first.load(Ordering::SeqCst), 2);
+        assert_eq!(second.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn alternating_hubs_deliver_only_to_their_own_callbacks() {
+        let hubs = [TraceHub::new(), TraceHub::new()];
+        let logs: Vec<Arc<Mutex<Vec<u64>>>> = (0..2).map(|_| Arc::default()).collect();
+        for (hub, log) in hubs.iter().zip(&logs) {
+            hub.set_enabled(true);
+            let log = Arc::clone(log);
+            hub.register_all(Arc::new(move |ev| {
+                if let TraceEvent::RcuEpochBump { epoch } = ev {
+                    log.lock().unwrap().push(*epoch);
+                }
+            }));
+        }
+        for epoch in 0..100 {
+            hubs[(epoch % 2) as usize].emit(&TraceEvent::RcuEpochBump { epoch });
+        }
+        let even: Vec<u64> = (0..100).step_by(2).collect();
+        let odd: Vec<u64> = (1..100).step_by(2).collect();
+        assert_eq!(*logs[0].lock().unwrap(), even);
+        assert_eq!(*logs[1].lock().unwrap(), odd);
+        assert_eq!(hubs[0].fired_total(), 50);
+        assert_eq!(hubs[1].fired_total(), 50);
+    }
+
+    #[test]
+    fn dropped_hub_snapshot_never_serves_a_new_hub() {
+        let old_hits = Arc::new(AtomicU64::new(0));
+        for _ in 0..8 {
+            let hub = TraceHub::new();
+            hub.set_enabled(true);
+            hub.register_all(counter(&old_hits));
+            hub.emit(&TraceEvent::CacheHit);
+        }
+        // A fresh hub (possibly at a reused address) with no callbacks
+        // must not deliver through the previous hub's cached snapshot.
+        let hub = TraceHub::new();
+        hub.set_enabled(true);
+        hub.emit(&TraceEvent::CacheHit);
+        assert_eq!(old_hits.load(Ordering::SeqCst), 8);
+    }
+
+    #[test]
+    fn callbacks_may_emit_on_the_same_and_other_hubs() {
+        let hub = TraceHub::new();
+        let other = TraceHub::new();
+        hub.set_enabled(true);
+        other.set_enabled(true);
+        let misses = Arc::new(AtomicU64::new(0));
+        let other_hits = Arc::new(AtomicU64::new(0));
+        hub.register(Tracepoint::CacheMiss, counter(&misses));
+        other.register_all(counter(&other_hits));
+        let (h, o) = (Arc::clone(&hub), Arc::clone(&other));
+        hub.register(
+            Tracepoint::CacheHit,
+            Arc::new(move |_| {
+                h.emit(&TraceEvent::CacheMiss);
+                o.emit(&TraceEvent::CacheHit);
+            }),
+        );
+        for _ in 0..3 {
+            hub.emit(&TraceEvent::CacheHit);
+        }
+        // Registering from inside a callback changes the generation while
+        // the outer emit still holds the cached snapshot.
+        let late = Arc::new(AtomicU64::new(0));
+        let (h, l) = (Arc::clone(&hub), Arc::clone(&late));
+        let once = AtomicBool::new(false);
+        hub.register(
+            Tracepoint::RcuEpochBump,
+            Arc::new(move |_| {
+                if !once.swap(true, Ordering::SeqCst) {
+                    h.register(Tracepoint::CacheMiss, counter(&l));
+                    h.emit(&TraceEvent::CacheMiss);
+                }
+            }),
+        );
+        hub.emit(&TraceEvent::RcuEpochBump { epoch: 1 });
+        hub.emit(&TraceEvent::CacheMiss);
+        assert_eq!(misses.load(Ordering::SeqCst), 5);
+        assert_eq!(late.load(Ordering::SeqCst), 2);
+        assert_eq!(other_hits.load(Ordering::SeqCst), 3);
+        assert_eq!(hub.fired(Tracepoint::CacheHit), 3);
+        assert_eq!(hub.fired(Tracepoint::CacheMiss), 5);
     }
 
     #[test]

@@ -21,7 +21,7 @@ const PROFILES: usize = 64;
 fn bundle() -> Vec<Profile> {
     (0..PROFILES)
         .map(|i| {
-            let mut profile = Profile::new(&format!("smoke{i}"));
+            let mut profile = Profile::new(format!("smoke{i}"));
             for r in 0..3 {
                 profile.path_rules.push(
                     PathRule::allow(

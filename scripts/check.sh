@@ -4,10 +4,14 @@
 #   1. cargo fmt --check          — formatting is canonical
 #   2. cargo clippy -D warnings   — lint-clean across every target
 #   3. cargo build --release      — the tier-1 build
-#   4. cargo test -q              — the full test suite (unit, integration,
-#                                   property, interleaving exhaustion,
-#                                   schedule-executor, observer-effect
-#                                   differential)
+#   4. cargo test -q              — every test in the workspace: the root
+#                                   manifest's `default-members` lists the
+#                                   umbrella package, every crate and the
+#                                   vendored shims, so this runs crate unit
+#                                   tests, integration, property,
+#                                   interleaving exhaustion,
+#                                   schedule-executor and observer-effect
+#                                   differential suites
 #   5. sack-analyze sync-lint     — no direct std::sync/std::thread use in
 #                                   the protocol sources outside the
 #                                   sync::shim seam (keeps the executor's
