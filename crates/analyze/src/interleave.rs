@@ -14,8 +14,8 @@
 //!
 //! This is *model checking*, not stress testing: for a bounded model the
 //! result is a proof over all interleavings, which is exactly what the
-//! lock-free hot path (`Rcu<T>` readers/writers and the epoch-tagged
-//! decision cache) needs — the dangerous schedules are the ones a stress
+//! lock-free hot path (`Rcu<T>` readers/writers, the profile-table
+//! replace and the event ring) needs — the dangerous schedules are the ones a stress
 //! test virtually never hits.
 
 use std::collections::HashSet;

@@ -25,13 +25,15 @@
 //! 3. **Bounded interleaving checking** ([`interleave`], [`models`]): a
 //!    deterministic loom-style explorer that exhaustively enumerates every
 //!    schedule of small thread programs modelling the hand-rolled
-//!    `Rcu<T>` hazard-slot reclamation and the epoch-tagged decision
-//!    cache, asserting memory safety and linearizability of grant/deny
-//!    outcomes. Known-bad mutations (skip the tag verifier, skip the
-//!    hazard scan) are caught with a concrete interleaving trace.
+//!    `Rcu<T>` hazard-slot reclamation, the AppArmor profile-table
+//!    replace, the event ring and the epoch-tagged decision-cache
+//!    protocol, asserting memory safety, linearizability of grant/deny
+//!    outcomes and exact frame accounting. Known-bad mutations (skip the
+//!    hazard scan, split the publish, skip the tag verifier) are caught
+//!    with a concrete interleaving trace.
 //! 4. **Deterministic-schedule execution** ([`sched`]): the same bounded
 //!    exploration applied to the **real** implementations instead of
-//!    models — `Rcu`, `DecisionCacheIn`, and `PerCpuCacheIn` run
+//!    models — `Rcu`, `RingIn` and `LazySlot` run
 //!    unmodified over the `sack_kernel::sync::shim` seam with every
 //!    primitive under scheduler control, planted mutations are caught
 //!    with printed counterexample schedules, and the abstract models'
@@ -67,6 +69,6 @@ pub use models::{
 pub use sched::{SchedBackend, SchedConfig, SchedExploration, SchedViolation};
 pub use sync_lint::{lint_paths, LintFinding};
 pub use trace::{
-    lint_flight, lint_metrics, parse_flight, render_report, self_check, validate_prometheus,
-    Anomaly, FlightDump, FlightRecord,
+    lint_flight, parse_flight, render_report, self_check, validate_prometheus, Anomaly, FlightDump,
+    FlightRecord,
 };

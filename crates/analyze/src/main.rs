@@ -4,8 +4,7 @@
 //! ```text
 //! sack-analyze <policy.sack> [--profiles <profiles.aa>] [--te <policy.te>]
 //!              [--json] [--strict]
-//! sack-analyze trace (--self-check | <flight-dump>)
-//!              [--metrics <metrics.json>] [--strict]
+//! sack-analyze trace (--self-check | <flight-dump>) [--strict]
 //! sack-analyze sched [--smoke]
 //! sack-analyze sync-lint [--root <dir>]
 //! sack-analyze fleet [--self-check]
@@ -27,7 +26,7 @@ use sack_te::TePolicy;
 const USAGE: &str = "usage: sack-analyze <policy.sack> [--profiles <profiles.aa>] \
                      [--te <policy.te>] [--json] [--strict]\n       \
                      sack-analyze trace (--self-check | <flight-dump>) \
-                     [--metrics <metrics.json>] [--strict]\n       \
+                     [--strict]\n       \
                      sack-analyze sched [--smoke]\n       \
                      sack-analyze sync-lint [--root <dir>]\n       \
                      sack-analyze fleet [--self-check]";
@@ -122,26 +121,16 @@ fn run(options: &Options) -> Result<ExitCode, String> {
 struct TraceOptions {
     self_check: bool,
     flight_path: Option<String>,
-    metrics_path: Option<String>,
     strict: bool,
 }
 
 fn parse_trace_args(args: &[String]) -> Result<TraceOptions, String> {
     let mut self_check = false;
     let mut flight_path = None;
-    let mut metrics_path = None;
     let mut strict = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    for arg in args {
         match arg.as_str() {
             "--self-check" => self_check = true,
-            "--metrics" => {
-                metrics_path = Some(
-                    iter.next()
-                        .ok_or("--metrics requires a file argument")?
-                        .clone(),
-                );
-            }
             "--strict" => strict = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             flag if flag.starts_with("--") => {
@@ -162,7 +151,6 @@ fn parse_trace_args(args: &[String]) -> Result<TraceOptions, String> {
     Ok(TraceOptions {
         self_check,
         flight_path,
-        metrics_path,
         strict,
     })
 }
@@ -177,10 +165,7 @@ fn run_trace(options: &TraceOptions) -> Result<ExitCode, String> {
         std::fs::read_to_string(path).map_err(|err| format!("cannot read `{path}`: {err}"))
     };
     let dump = sack_analyze::parse_flight(&read(path)?).map_err(|err| format!("{path}: {err}"))?;
-    let mut anomalies = sack_analyze::lint_flight(&dump);
-    if let Some(metrics_path) = &options.metrics_path {
-        anomalies.extend(sack_analyze::lint_metrics(&read(metrics_path)?));
-    }
+    let anomalies = sack_analyze::lint_flight(&dump);
     print!("{}", sack_analyze::render_report(&dump, &anomalies));
     let blocking = anomalies.iter().any(|a| {
         a.severity == IssueSeverity::Error
@@ -208,10 +193,7 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
 
     let core = [
         scenarios::rcu_read_write(1),
-        scenarios::cache_epoch_bump(1),
         scenarios::profile_publish(),
-        scenarios::cache_torn_pair(),
-        scenarios::percpu_invalidate_walk(false),
         scenarios::ring_produce_drain(),
         scenarios::lazy_first_touch(),
     ];
@@ -239,7 +221,7 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
     }
 
     println!("== planted mutations (each must be caught) ==");
-    let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 6] = [
+    let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 4] = [
         (
             "rcu skip hazard re-validation",
             scenarios::rcu_read_write(1),
@@ -249,16 +231,6 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
             "rcu free before hazard scan",
             scenarios::rcu_read_write(1),
             Some(Mutation::RcuFreeBeforeScan),
-        ),
-        (
-            "cache skip payload verifier",
-            scenarios::cache_torn_pair(),
-            Some(Mutation::CacheSkipVerifier),
-        ),
-        (
-            "per-cpu walk skips instance 0",
-            scenarios::percpu_invalidate_walk(true),
-            None,
         ),
         (
             "ring publish after lost claim",

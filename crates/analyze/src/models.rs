@@ -1,7 +1,8 @@
 //! Bounded models of the lock-free hot path, for [`crate::explore`].
 //!
-//! Five models cover the lock-free structures the hook dispatch and
-//! sensor ingestion paths rely on:
+//! Three models cover the lock-free structures the hook dispatch and
+//! sensor ingestion paths rely on, and two more pin down the protocol of
+//! an epoch-tagged decision cache in front of the per-state DFA:
 //!
 //! * [`RcuModel`] — the hazard-pointer `Rcu<T>` from `sack-kernel`'s
 //!   `sync` module: readers run the announce/validate protocol, the
@@ -9,25 +10,31 @@
 //!   only unannounced retirees. The checked property is memory safety
 //!   (no reader ever acquires a freed version) plus the bounded-graveyard
 //!   invariant.
-//! * [`CacheModel`] — the epoch-tagged decision cache from `sack-core`'s
-//!   `cache` module stacked on a policy reload: a writer publishes a new
-//!   policy then bumps the epoch while readers consult the cache and
-//!   fall back to evaluation. The checked property is linearizability of
-//!   grant/deny outcomes: every reader's answer must be producible by
-//!   *some* atomic placement of its query before or after the reload.
 //! * [`RcuProfileTableModel`] — the AppArmor `PolicyDb` profile replace
-//!   (`Rcu<ProfileTable>`) raced against concurrent hook reads and the
-//!   decision-cache epoch bump. The checked properties are that a hook
-//!   never observes a torn profile table (rules from one snapshot,
-//!   shared alphabet from another) and that no stale grant survives a
-//!   completed replace.
-//! * [`PerCpuCacheModel`] — the per-CPU decision-cache array from
-//!   `sack-core`'s `cache` module: each reader is pinned to its own cache
-//!   instance (as each CPU is in the real dispatch path) and a policy
-//!   reload must retire stale entries in *every* instance at once. The
-//!   checked property is again outcome linearizability; the
-//!   `skip_one_instance` mutation models a flush-walk invalidation that
-//!   misses one instance, whose readers then replay a retired grant.
+//!   (`Rcu<ProfileTable>`) raced against concurrent hook reads that keep
+//!   an epoch-tagged grant cache in front of the profile DFA. The checked
+//!   properties are that a hook never observes a torn profile table
+//!   (rules from one snapshot, shared alphabet from another) and that no
+//!   stale grant survives a completed replace (outcome linearizability:
+//!   every reader's answer must be producible by *some* atomic placement
+//!   of its check before or after the replace).
+//! * [`CacheModel`] — an epoch-tagged decision cache stacked on a policy
+//!   reload: a writer publishes a new policy then bumps the epoch while
+//!   readers consult the cache and fall back to evaluation. The checked
+//!   property is linearizability of grant/deny outcomes: every reader's
+//!   answer must be producible by *some* atomic placement of its query
+//!   before or after the reload.
+//! * [`PerCpuCacheModel`] — an array of such caches, one per CPU: each
+//!   reader is pinned to its own cache instance and a policy reload must
+//!   retire stale entries in *every* instance at once. The checked
+//!   property is again outcome linearizability; the `skip_one_instance`
+//!   mutation models a flush-walk invalidation that misses one instance,
+//!   whose readers then replay a retired grant.
+//!
+//!   The SACK hook no longer caches decisions — the per-state DFA walk is
+//!   cheaper than a cache hit — so these two models describe no code in
+//!   the tree today. They stay as the checked specification any
+//!   reintroduced decision cache must meet.
 //! * [`RingModel`] — the Vyukov MPSC submission ring from `sack-kernel`'s
 //!   `ring` module, the event plane's ingestion structure: producers race
 //!   the tail CAS (including the drop-oldest path of `force_enqueue`)
@@ -38,18 +45,16 @@
 //! All models carry mutation switches that disable one load-bearing
 //! ingredient of the real algorithm (the reader's validate loop, the
 //! writer's hazard scan, the cache's verifier check, the single-snapshot
-//! publish, the epoch bump, the once-per-bump `cache_invalidate` trace
-//! emission). Exploration must find a violation with any switch on and
-//! prove the model with all switches off — that asymmetry is what
-//! demonstrates the checker has teeth.
+//! publish, the epoch bump and its order, the once-per-bump invalidation
+//! trace, the ring's tail claim). Exploration must find a violation with
+//! any switch on and prove the model with all switches off — that
+//! asymmetry is what demonstrates the checker has teeth.
 //!
-//! [`CacheModel`] additionally models the `cache_invalidate` tracepoint:
-//! the writer emits it exactly once after the epoch bump. The
+//! [`CacheModel`] additionally models an invalidation trace event: the
+//! writer emits it exactly once after the epoch bump. The
 //! `invalidate_per_slot` mutation makes the writer emit one event per
 //! cache slot instead — the buggy-but-tempting loop shape — and the
-//! invariant that catches it is the observability contract the securityfs
-//! `tracing/events` node documents: one `cache_invalidate` per
-//! `rcu_epoch_bump`.
+//! invariant that catches it is one invalidation event per epoch bump.
 
 use crate::interleave::Model;
 
@@ -321,7 +326,7 @@ impl Model for RcuModel {
     }
 }
 
-/// A grant/deny outcome in [`CacheModel`].
+/// A grant/deny outcome in the cache and profile-table models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Outcome {
     /// Access granted.
@@ -346,8 +351,7 @@ pub struct CacheConfig {
     pub readers: usize,
     /// Known-bad mutation: the reader trusts a tag match without
     /// checking the payload verifier — exactly the check that makes the
-    /// deliberate tag collision across epochs harmless in the real
-    /// cache.
+    /// deliberate tag collision across epochs harmless.
     pub skip_verifier: bool,
     /// Number of decision-cache slots the epoch bump conceptually
     /// retires. The correct invalidation never walks them (the bump
@@ -356,7 +360,8 @@ pub struct CacheConfig {
     pub trace_slots: usize,
     /// Known-bad mutation: the writer emits one `cache_invalidate`
     /// trace event *per retired slot* instead of exactly one per epoch
-    /// bump — the over-reporting bug the sack-trace contract rules out.
+    /// bump — the over-reporting bug the once-per-bump contract rules
+    /// out.
     pub invalidate_per_slot: bool,
 }
 
@@ -371,13 +376,6 @@ impl CacheConfig {
         }
     }
 }
-
-/// The cache tag every key hashes to in this model. Making the tag
-/// *identical across epochs* is deliberate: the real cache derives the
-/// tag from a hash that includes the epoch, but a collision is always
-/// possible, so the model forces the worst case and relies on the
-/// verifier (which here is the epoch itself) to reject stale entries.
-const TAG: u8 = 7;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CacheReaderPc {
@@ -420,8 +418,7 @@ enum ReloadPc {
     /// Policy published; about to bump the epoch.
     Bump,
     /// Epoch bumped; emitting `cache_invalidate` trace events (one
-    /// atomic emission per step, matching the real `trace_emit` call
-    /// that runs after the `fetch_add`).
+    /// atomic emission per step, after the epoch `fetch_add`).
     EmitInvalidate,
     /// Reload complete.
     Done,
@@ -431,7 +428,7 @@ enum ReloadPc {
 /// reload.
 ///
 /// One access key exists; the old policy (version 0) grants it, the new
-/// policy (version 1) denies it. Readers follow the real lookup
+/// policy (version 1) denies it. Readers follow the cache's lookup
 /// protocol (tag load, payload load + verifier check, miss fallback to
 /// evaluation, payload-then-tag insertion of grant outcomes). The
 /// writer publishes the new policy and then bumps the epoch, mirroring
@@ -635,7 +632,7 @@ impl Model for CacheModel {
         if self.slot_tag.is_some() && self.slot_payload.is_none() {
             return Err("slot tag visible before payload".to_string());
         }
-        // The sack-trace contract: `cache_invalidate` fires exactly once
+        // The tracing contract: `cache_invalidate` fires exactly once
         // per epoch bump, never once per retired slot. Over-emission is
         // visible the moment the second event for one bump lands;
         // under-emission is visible at quiescence.
@@ -663,8 +660,8 @@ pub struct PerCpuCacheConfig {
     /// Number of per-CPU cache instances.
     pub instances: usize,
     /// Number of reader threads, pinned round-robin to the instances
-    /// (reader `i` runs on instance `i % instances`) — exactly the
-    /// thread-local slot assignment of the real per-CPU array.
+    /// (reader `i` runs on instance `i % instances`), as a thread-local
+    /// slot assignment pins each thread to one instance.
     pub readers: usize,
     /// Known-bad mutation: the epoch bump reaches every instance *except*
     /// instance 0 — the flush-walk-that-misses-one design. Readers on the
@@ -693,7 +690,7 @@ struct CacheInstance {
     tag: Option<u8>,
     /// Slot payload word: (verifier, outcome).
     payload: Option<(u8, Outcome)>,
-    /// The policy epoch as visible from this instance. In the real array
+    /// The policy epoch as visible from this instance. In a correct array
     /// this is one global atomic — every instance sees a bump in the same
     /// instant — which the correct writer models by stamping all
     /// instances in a single step. The `skip_one_instance` mutation makes
@@ -904,6 +901,13 @@ impl Model for PerCpuCacheModel {
     }
 }
 
+/// The cache tag every key hashes to in the cache models. Making
+/// the tag *identical across epochs* is deliberate: a tag derived from a
+/// hash that includes the epoch can always collide, so the model forces
+/// the worst case and relies on the verifier (which here is the epoch
+/// itself) to reject stale entries.
+const TAG: u8 = 7;
+
 /// Configuration for [`RcuProfileTableModel`].
 ///
 /// At most one mutation switch may be on at a time.
@@ -917,8 +921,8 @@ pub struct ProfileTableConfig {
     /// rules from one version against byte classes from the other.
     pub split_publish: bool,
     /// Known-bad mutation: the replace swaps the table but never moves
-    /// the decision-cache epoch, so grants cached before the replace
-    /// keep verifying afterwards.
+    /// the grant-cache epoch, so grants cached before the replace keep
+    /// verifying afterwards.
     pub skip_epoch_bump: bool,
     /// Known-bad mutation: the epoch moves *before* the table is
     /// published, so a hook running in the gap caches a pre-replace
@@ -947,13 +951,13 @@ enum ReplaceStep {
     PublishRules,
     /// Publish only the shared alphabet (second half of the torn split).
     PublishAlphabet,
-    /// Bump the decision-cache epoch (confinement generation).
+    /// Bump the grant-cache epoch.
     Bump,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum TableReaderPc {
-    /// Read the decision-cache epoch.
+    /// Read the grant-cache epoch.
     Start,
     /// Load the cache slot tag.
     LoadTag,
@@ -981,17 +985,17 @@ struct TableReader {
 }
 
 /// Bounded model of an AppArmor profile replace over `Rcu<ProfileTable>`
-/// raced against hook reads and the decision-cache epoch bump.
+/// raced against hook reads and the grant-cache epoch bump.
 ///
 /// One access key exists; profile-table version 0 grants it and version 1
 /// (the replaced profile) denies it. The table is a pair
 /// `(rules, alphabet)` because a compiled profile is only meaningful
 /// against the byte-class alphabet it was compiled with: hooks must
 /// observe the pair atomically, which the real implementation guarantees
-/// by publishing both inside one `Rcu` snapshot. Readers follow the
-/// decision-cache protocol of [`CacheModel`] (tag load, payload verifier,
-/// miss fallback to evaluation, payload-then-tag insertion of grants),
-/// keyed by the epoch the replace bumps after publishing.
+/// by publishing both inside one `Rcu` snapshot. Readers follow an
+/// epoch-tagged grant-cache protocol (tag load, payload verifier, miss
+/// fallback to evaluation, payload-then-tag insertion of grants), keyed by
+/// the epoch the replace bumps after publishing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RcuProfileTableModel {
     readers: Vec<TableReader>,
@@ -1001,7 +1005,7 @@ pub struct RcuProfileTableModel {
     rules: u8,
     /// Published shared-alphabet version.
     alphabet: u8,
-    /// Decision-cache epoch (the confinement generation).
+    /// Grant-cache epoch.
     epoch: u8,
     /// Cache slot tag word (`None` = empty slot).
     slot_tag: Option<u8>,

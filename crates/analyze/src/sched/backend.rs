@@ -2,7 +2,7 @@
 //! `sack_kernel::sync::shim::Backend` seam.
 //!
 //! Every atomic load/store/CAS, every mutex lock/unlock, and every
-//! pointer-lifecycle event performed by the **real** `Rcu`/decision-cache
+//! pointer-lifecycle event performed by the **real** `Rcu`/ring/lazy-slot
 //! code becomes a *yield point*: the calling thread announces the pending
 //! operation to the run's [`Controller`] and parks until the deterministic
 //! scheduler grants it the turn. Between grants exactly one thread runs,

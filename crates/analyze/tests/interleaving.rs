@@ -1,6 +1,6 @@
 //! Exhaustive interleaving checks over the lock-free hot-path models,
 //! at the scale the issue's acceptance bar demands: at least two
-//! readers, one writer, and a policy-epoch bump — proven over *every*
+//! readers, one writer, and an epoch bump — proven over *every*
 //! schedule, with known-bad mutations producing concrete
 //! counterexamples.
 

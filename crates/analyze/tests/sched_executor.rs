@@ -1,5 +1,5 @@
 //! Integration gate for the deterministic-schedule executor: the real
-//! `Rcu`/`DecisionCacheIn`/`PerCpuCacheIn` code passes bounded-exhaustive
+//! `Rcu`/`RingIn`/`LazySlot` code passes bounded-exhaustive
 //! exploration, every planted bug is caught with a concrete counterexample
 //! schedule, and the abstract models' counterexamples replay through the
 //! real implementation (`conformance`).
@@ -15,11 +15,7 @@ fn core_scenarios_are_exhaustively_safe() {
     for scenario in [
         scenarios::rcu_read_write(1),
         scenarios::rcu_read_write(2),
-        scenarios::cache_epoch_bump(1),
-        scenarios::cache_epoch_bump(2),
         scenarios::profile_publish(),
-        scenarios::cache_torn_pair(),
-        scenarios::percpu_invalidate_walk(false),
     ] {
         let stats = explore(&scenario, &cfg)
             .unwrap_or_else(|v| panic!("{} must be schedule-safe:\n{v}", scenario.name));
@@ -63,36 +59,27 @@ fn planted_rcu_free_before_scan_is_caught() {
     );
 }
 
-#[test]
-fn planted_cache_skip_verifier_is_caught() {
-    assert_caught(
-        &scenarios::cache_torn_pair(),
-        Some(Mutation::CacheSkipVerifier),
-    );
-}
-
-#[test]
-fn planted_percpu_walk_skip_is_caught() {
-    assert_caught(&scenarios::percpu_invalidate_walk(true), None);
-}
-
-/// The shipped epoch-in-key design must NOT fail the torn-pair or
-/// epoch-bump scenarios when no mutation is planted — the mutation tests
-/// above are meaningful only if the unmutated runs are clean.
+/// The scenarios the planted mutations break must pass when no mutation
+/// is planted — the mutation tests are meaningful only if the unmutated
+/// runs are clean.
 #[test]
 fn unmutated_runs_are_clean_where_mutations_bite() {
     let cfg = SchedConfig::exhaustive();
-    for scenario in [scenarios::cache_torn_pair(), scenarios::rcu_read_write(1)] {
+    for scenario in [
+        scenarios::rcu_read_write(1),
+        scenarios::ring_produce_drain(),
+        scenarios::lazy_first_touch(),
+    ] {
         explore(&scenario, &cfg).unwrap_or_else(|v| panic!("{v}"));
     }
 }
 
-/// All four abstract-model counterexamples must replay through the real
+/// Both abstract-model counterexamples must replay through the real
 /// implementation with the same bug planted.
 #[test]
 fn model_counterexamples_replay_through_real_code() {
     let reports = conformance::run_all().expect("conformance must hold");
-    assert_eq!(reports.len(), 4);
+    assert_eq!(reports.len(), 2);
     for r in &reports {
         assert!(
             !r.model_schedule.is_empty(),
@@ -114,13 +101,13 @@ fn exploration_is_seed_deterministic() {
         seed: 0x5EED_0001,
         ..SchedConfig::exhaustive()
     };
-    let a = explore(&scenarios::cache_torn_pair(), &cfg).unwrap();
-    let b = explore(&scenarios::cache_torn_pair(), &cfg).unwrap();
+    let a = explore(&scenarios::ring_produce_drain(), &cfg).unwrap();
+    let b = explore(&scenarios::ring_produce_drain(), &cfg).unwrap();
     assert_eq!(a, b);
 
     let mut mcfg = cfg;
-    mcfg.mutation = Some(Mutation::CacheSkipVerifier);
-    let a = explore(&scenarios::cache_torn_pair(), &mcfg).unwrap_err();
-    let b = explore(&scenarios::cache_torn_pair(), &mcfg).unwrap_err();
+    mcfg.mutation = Some(Mutation::RingTornPublish);
+    let a = explore(&scenarios::ring_produce_drain(), &mcfg).unwrap_err();
+    let b = explore(&scenarios::ring_produce_drain(), &mcfg).unwrap_err();
     assert_eq!(a.schedule, b.schedule);
 }

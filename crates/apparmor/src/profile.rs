@@ -34,8 +34,7 @@ impl FilePerms {
         FilePerms(0)
     }
 
-    /// The raw bit representation (stable across a process; used as a
-    /// compact hash-key component by SACK's decision cache).
+    /// The raw bit representation (stable across a process).
     pub const fn bits(self) -> u8 {
         self.0
     }

@@ -10,8 +10,8 @@
 //!
 //! Decisions are driven through the kernel's [`LsmStack`] dispatch — not
 //! the module directly — so the measured guard is the real one: the
-//! dispatch macro's `hook_enter`/`hook_exit` probes plus the module's
-//! cache-hit probe. A final `flight_saturated` group measures the denial
+//! dispatch macro's `hook_enter`/`hook_exit` probes around the module's
+//! DFA walk. A final `flight_saturated` group measures the denial
 //! path with the flight ring past capacity (every record an overwrite),
 //! the worst case for the EXPERIMENTS.md overhead table.
 
@@ -78,7 +78,7 @@ fn bench_warm_hook(c: &mut Criterion) {
     ] {
         let (kernel, _sack) = boot(&arm);
         let lsm = kernel.lsm();
-        lsm.file_open(&ctx, &obj, AccessMask::READ).unwrap(); // warm the cache
+        lsm.file_open(&ctx, &obj, AccessMask::READ).unwrap(); // warm up
         group.bench_with_input(BenchmarkId::from_parameter(name), &lsm, |b, lsm| {
             b.iter(|| criterion::black_box(lsm.file_open(&ctx, &obj, AccessMask::READ)).unwrap());
         });

@@ -11,7 +11,7 @@
 //!   ([`sack_kernel::ring::Ring`]) — no syscall, no SSM work, no lock.
 //! * A drain ([`EventPlane::drain`]) consumes a whole batch and feeds it to
 //!   [`crate::sack::Sack::deliver_coalesced`]: N frames collapse into **at
-//!   most one** SSM transition, one epoch bump and one cache invalidation.
+//!   most one** SSM transition and one epoch bump.
 //! * When the ring fills, the configured [`BackpressurePolicy`] applies:
 //!   `Block` makes the producer help drain and retry (lossless);
 //!   `DropOldest` discards the oldest frames with an exact producer-visible
@@ -386,8 +386,8 @@ impl EventPlane {
     }
 
     /// Consumes up to `max` queued frames as one batch and delivers them
-    /// coalesced: at most one SSM transition + epoch bump + cache
-    /// invalidation for the whole batch. An empty ring is a no-op.
+    /// coalesced: at most one SSM transition + epoch bump for the whole
+    /// batch. An empty ring is a no-op.
     ///
     /// # Errors
     ///

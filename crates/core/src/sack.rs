@@ -3,7 +3,6 @@
 //! or **SACK-enhanced AppArmor** (patches AppArmor's policies on situation
 //! transitions). Paper §III-E-3.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -17,10 +16,8 @@ use sack_kernel::kernel::Kernel;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectKind, ObjectRef, SecurityModule};
 use sack_kernel::sync::Rcu;
 use sack_kernel::trace::{TraceEvent, TraceHub};
-use sack_kernel::types::Pid;
 
 use crate::audit::{AuditLog, Denial};
-use crate::cache::{CachedOutcome, DecisionKey, PerCpuCache};
 use crate::enhance::{validate_for_enhancement, AppArmorEnhancer, EnhanceError};
 use crate::eventplane::{BackpressurePolicy, EventPlane};
 use crate::policy::{CompiledPolicy, ParsePolicyError, PolicyIssue, SackPolicy};
@@ -119,9 +116,14 @@ pub struct SackStats {
     pub events_received: ShardedCounter,
     /// Events rejected as unknown.
     pub events_unknown: ShardedCounter,
-    /// Decision-cache hits (access granted without re-evaluating rules).
+    /// Always 0: there is no decision cache, so no hook replays an
+    /// earlier decision. Kept, with `cache_misses`, so per-hook cost
+    /// attribution (sackbench) can tell decided hooks from the rest.
     pub cache_hits: ShardedCounter,
-    /// Decision-cache misses (full evaluation performed).
+    /// Hooks that reached the decision step: one per independent-mode
+    /// hook on a file object, each deciding afresh through the state's
+    /// DFA. Pipe and socket hooks and enhanced-mode hooks return before
+    /// it and count neither here nor in `cache_hits`.
     pub cache_misses: ShardedCounter,
 }
 
@@ -194,23 +196,14 @@ pub struct Sack {
     /// `OnceLock` rather than an `Rcu` for the same reason as `tracing`:
     /// every denial reads it.
     kernel: OnceLock<std::sync::Weak<Kernel>>,
-    /// Global decision epoch: bumped on policy reload, oracle rewiring and
-    /// situation transitions. Folded into every [`DecisionKey`], so cached
-    /// decisions from before any such change self-invalidate.
+    /// Policy epoch: bumped after every policy publish, oracle rewiring
+    /// and situation transition. Hooks never read it; it is the change
+    /// counter the `stats` node, the metrics export and the event-plane
+    /// tests observe.
     policy_epoch: AtomicU64,
-    /// Ablation/debug switch for the decision cache (default on).
-    cache_enabled: AtomicBool,
-    /// Ablation/debug switch for the unified per-state DFA matcher on the
-    /// cache-miss path (default on; off falls back to the linear scan).
+    /// Ablation/debug switch for the unified per-state DFA matcher
+    /// (default on; off falls back to the linear scan).
     dfa_enabled: AtomicBool,
-    /// Opt-in negative (denial) caching (default off): replayed denials
-    /// still count, but the audit record is emitted only once.
-    negative_cache_enabled: AtomicBool,
-    /// Per-task decision caches, RCU-published copy-on-write (entries are
-    /// added on a task's first mediated access and dropped on `task_free`).
-    /// Each entry is a per-CPU array of instances, so concurrent hooks of
-    /// the same task never share a cache line on the lookup path.
-    caches: Rcu<HashMap<Pid, Arc<PerCpuCache>>>,
     /// sack-trace recorder, wired once at [`Sack::attach`] (or explicitly
     /// via [`Sack::install_tracing`]). A `OnceLock` rather than an `Rcu`
     /// because the hot path reads it on every check: the untraced cost must
@@ -240,10 +233,7 @@ impl Sack {
             audit: AuditLog::new(),
             kernel: OnceLock::new(),
             policy_epoch: AtomicU64::new(0),
-            cache_enabled: AtomicBool::new(true),
             dfa_enabled: AtomicBool::new(true),
-            negative_cache_enabled: AtomicBool::new(false),
-            caches: Rcu::new(HashMap::new()),
             tracing: OnceLock::new(),
             plane: OnceLock::new(),
         }))
@@ -275,10 +265,7 @@ impl Sack {
             audit: AuditLog::new(),
             kernel: OnceLock::new(),
             policy_epoch: AtomicU64::new(0),
-            cache_enabled: AtomicBool::new(true),
             dfa_enabled: AtomicBool::new(true),
-            negative_cache_enabled: AtomicBool::new(false),
-            caches: Rcu::new(HashMap::new()),
             tracing: OnceLock::new(),
             plane: OnceLock::new(),
         }))
@@ -303,7 +290,6 @@ impl Sack {
         self.profile_oracle.store(Some(apparmor));
         let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
         self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
-        self.trace_emit(|| TraceEvent::CacheInvalidate { epoch });
     }
 
     /// Snapshot of the active policy (wait-free RCU read).
@@ -322,23 +308,11 @@ impl Sack {
         self.policy_epoch.load(Ordering::SeqCst)
     }
 
-    /// Enables or disables the per-task decision cache (enabled by
-    /// default). Used by the ablation benchmarks; disabling never changes
-    /// decisions, only the cost of reaching them.
-    pub fn set_decision_cache_enabled(&self, enabled: bool) {
-        self.cache_enabled.store(enabled, Ordering::SeqCst);
-    }
-
-    /// True if the decision cache is enabled.
-    pub fn decision_cache_enabled(&self) -> bool {
-        self.cache_enabled.load(Ordering::SeqCst)
-    }
-
-    /// Enables or disables the unified per-state DFA matcher on the
-    /// cache-miss path (enabled by default). Disabled, the cold path falls
-    /// back to the O(rules) protected-set + rule-scan pipeline; decisions
-    /// are identical either way (the scan is the DFA's differential
-    /// oracle), only the cost changes. Used by the ablation benchmarks.
+    /// Enables or disables the unified per-state DFA matcher (enabled by
+    /// default). Disabled, every hook falls back to the O(rules)
+    /// protected-set + rule-scan pipeline; decisions are identical either
+    /// way (the scan is the DFA's differential oracle), only the cost
+    /// changes. Used by the ablation benchmarks.
     ///
     /// The switch governs the whole stacked path: any enhanced or oracle
     /// AppArmor layer wired to this instance has its `PolicyDb` profile
@@ -360,26 +334,6 @@ impl Sack {
     /// True if the unified DFA matcher is enabled.
     pub fn dfa_matcher_enabled(&self) -> bool {
         self.dfa_enabled.load(Ordering::SeqCst)
-    }
-
-    /// Opts in (or back out of) negative decision caching: with it on,
-    /// denials are cached and replayed like grants — the denial counter
-    /// still increments on every refusal, but the audit log receives the
-    /// record only from the first, uncached evaluation (exactly once per
-    /// distinct decision). Off (the default), every denial takes the slow
-    /// path and is audited individually.
-    pub fn set_negative_cache_enabled(&self, enabled: bool) {
-        self.negative_cache_enabled.store(enabled, Ordering::SeqCst);
-    }
-
-    /// True if negative (denial) caching is opted in.
-    pub fn negative_cache_enabled(&self) -> bool {
-        self.negative_cache_enabled.load(Ordering::SeqCst)
-    }
-
-    /// Number of tasks currently holding a decision cache.
-    pub fn cached_task_count(&self) -> usize {
-        self.caches.read().len()
     }
 
     /// Registers the SACKfs nodes (`events`, `state`, `policy`, `stats`)
@@ -470,23 +424,6 @@ impl Sack {
             .unwrap_or(std::time::Duration::ZERO)
     }
 
-    /// The decision cache for `pid`, created on first use.
-    fn task_cache(&self, pid: Pid) -> Arc<PerCpuCache> {
-        if let Some(cache) = self.caches.read().get(&pid) {
-            return Arc::clone(cache);
-        }
-        self.caches.update(|map| match map.get(&pid) {
-            // Lost a race with another hook of the same task: reuse.
-            Some(cache) => (map.clone(), Arc::clone(cache)),
-            None => {
-                let cache = Arc::new(PerCpuCache::new());
-                let mut next = map.clone();
-                next.insert(pid, Arc::clone(&cache));
-                (next, cache)
-            }
-        })
-    }
-
     /// Delivers a situation event by name at simulated time `now`
     /// (Algorithm 1 step). This is the entry point SACKfs calls for every
     /// `write(2)` on `/sys/kernel/security/SACK/events`.
@@ -516,23 +453,16 @@ impl Sack {
                     event: name.to_string(),
                 }
             });
-            // The situation changed: retire every cached decision. (The
-            // state id already keys the cache; the epoch bump additionally
-            // covers enhanced-mode profile patches and keeps transition
-            // semantics uniform across modes.)
             let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
             self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
-            // Exactly one invalidate per bump — never one per cache slot;
-            // the interleaving model in sack-analyze pins this down.
-            self.trace_emit(|| TraceEvent::CacheInvalidate { epoch });
         }
         Ok(outcome)
     }
 
     /// Delivers a whole drain batch of event names as **one** coalesced SSM
     /// publish: for the entire batch, at most one transition, one
-    /// `ssm_transition` trace, one epoch bump and one cache invalidation —
-    /// the amortization the event plane exists for (DESIGN.md §11).
+    /// `ssm_transition` trace and one epoch bump — the amortization the
+    /// event plane exists for (DESIGN.md §11).
     ///
     /// Unknown names are counted in `events_unknown` and skipped rather
     /// than failing the batch: a frame validated at submit time can still
@@ -599,7 +529,7 @@ impl Sack {
 
     /// Shared tail of the coalesced-delivery paths: one dry-run SSM pass
     /// over `ids`, then — only if the batch's net effect is a transition —
-    /// one publish, one trace, one epoch bump, one cache invalidation.
+    /// one publish, one trace, one epoch bump.
     fn publish_coalesced(
         &self,
         active: &ActivePolicy,
@@ -623,11 +553,10 @@ impl Sack {
                     .map(|e| space.event(e).name.clone())
                     .unwrap_or_default(),
             });
-            // Same invalidation protocol as deliver_event, but once per
-            // batch instead of once per effective transition.
+            // Same bump as deliver_event, but once per batch instead of
+            // once per effective transition.
             let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
             self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
-            self.trace_emit(|| TraceEvent::CacheInvalidate { epoch });
         }
         Ok(outcome)
     }
@@ -649,33 +578,32 @@ impl Sack {
                 .map_err(SackError::Enhance)?;
         }
         let warnings = next.policy.warnings().to_vec();
-        // Publish first, then bump the epoch: a hook that observes the new
-        // epoch is guaranteed (SeqCst) to also observe the new policy, so no
-        // cache entry can pair a new epoch with an old-policy decision.
+        // Publish first, then bump the epoch: a reader that observes the
+        // new epoch (SeqCst) also observes the new policy.
         self.active.store(next);
         let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
         self.trace_emit(|| TraceEvent::PolicyPublish { epoch });
         self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
-        self.trace_emit(|| TraceEvent::CacheInvalidate { epoch });
         Ok(warnings)
+    }
+
+    /// The calling task's AppArmor profile, when a profile oracle is wired.
+    fn current_profile(&self, ctx: &HookCtx) -> Option<String> {
+        (*self.profile_oracle.read())
+            .as_ref()
+            .and_then(|aa| aa.current_profile(ctx.pid))
     }
 
     /// The independent-mode access check shared by the file hooks.
     ///
-    /// Fast path: an epoch-tagged per-task cache replays previous
-    /// decisions without touching the protected set, the rule tables or
-    /// the profile oracle. Denials are not cached unless negative caching
-    /// is opted in — by default every refusal takes the slow path so the
-    /// denial counter and the audit log stay exact; with negative caching
-    /// on, a replayed denial still counts but is audited only once.
-    /// Counter semantics are identical with the cache on or off: a hit
-    /// bumps the same counters the slow path would have.
-    ///
-    /// Cold path: one walk of the state's unified DFA answers both the
-    /// protected-set membership and the rule decision in O(|path|)
-    /// independent of rule count; `set_dfa_matcher_enabled(false)` falls
-    /// back to the original O(rules) scan pipeline (the differential
-    /// oracle), which must decide identically.
+    /// Every mediated hook decides afresh from the RCU policy snapshot:
+    /// one walk of the current state's unified DFA answers both the
+    /// protected-set membership and the rule decision in O(|path|),
+    /// independent of rule count. A reload or transition needs no
+    /// invalidation step, because the next hook reads the new snapshot.
+    /// `set_dfa_matcher_enabled(false)` falls back to the original
+    /// O(rules) scan pipeline (the differential oracle), which must decide
+    /// identically.
     fn check_access(
         &self,
         ctx: &HookCtx,
@@ -690,65 +618,12 @@ impl Sack {
         if matches!(obj.kind, ObjectKind::Pipe | ObjectKind::Socket) {
             return Ok(());
         }
-        // Epoch before snapshot: seeing an epoch implies (SeqCst) seeing at
-        // least the policy/oracle state published before that epoch, so an
-        // entry tagged with it can never replay an older policy's decision.
-        let epoch = self.policy_epoch.load(Ordering::SeqCst);
-        let oracle = self.profile_oracle.read();
-        let confinement_gen = (*oracle)
-            .as_ref()
-            .map_or(0, |aa| aa.confinement_generation());
+        self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
         let active = self.active.read();
         let state: StateId = active.ssm.current();
         let mac_override = ctx.cred.capable(Capability::MacOverride);
-        let key = DecisionKey {
-            epoch,
-            confinement_gen,
-            state: state.0,
-            uid: ctx.cred.uid.0,
-            mac_override,
-            exe: ctx.exe.as_ref().map(|p| p.as_str()),
-            path: obj.path.as_str(),
-            perms: requested.bits(),
-        };
-        let cache = self
-            .cache_enabled
-            .load(Ordering::Relaxed)
-            .then(|| self.task_cache(ctx.pid));
-        if let Some(cache) = &cache {
-            if let Some(outcome) = cache.lookup(&key) {
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.trace_emit(|| TraceEvent::CacheHit);
-                let counter = match outcome {
-                    CachedOutcome::Unprotected => &self.stats.unprotected,
-                    CachedOutcome::Override => &self.stats.overrides,
-                    CachedOutcome::Allow | CachedOutcome::Deny => &self.stats.checks,
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                if outcome == CachedOutcome::Deny {
-                    // Replayed denial: counted like the slow path, but the
-                    // audit record was already emitted by the first
-                    // (uncached) evaluation — exactly once per decision.
-                    self.stats.denials.fetch_add(1, Ordering::Relaxed);
-                    return Err(KernelError::with_context(Errno::EACCES, "sack"));
-                }
-                return Ok(());
-            }
-            self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-            self.trace_emit(|| TraceEvent::CacheMiss);
-        }
-        let record = |outcome: CachedOutcome| {
-            if let Some(cache) = &cache {
-                cache.insert(&key, outcome);
-            }
-        };
-        // Cold path: one unified-DFA walk answers protected-set membership
-        // and the rule decision together; the legacy pipeline re-derives
-        // both with O(rules) scans when the matcher is toggled off.
         let (protected, permitted) = if self.dfa_enabled.load(Ordering::Relaxed) {
-            let profile = (*oracle)
-                .as_ref()
-                .and_then(|aa| aa.current_profile(ctx.pid));
+            let profile = self.current_profile(ctx);
             let subject = SubjectCtx {
                 uid: ctx.cred.uid.0,
                 exe: ctx.exe.as_ref().map(|p| p.as_str()),
@@ -763,9 +638,7 @@ impl Sack {
         } else {
             let protected = active.policy.protected().contains(obj.path.as_str());
             let permitted = protected && !mac_override && {
-                let profile = (*oracle)
-                    .as_ref()
-                    .and_then(|aa| aa.current_profile(ctx.pid));
+                let profile = self.current_profile(ctx);
                 let subject = SubjectCtx {
                     uid: ctx.cred.uid.0,
                     exe: ctx.exe.as_ref().map(|p| p.as_str()),
@@ -780,35 +653,28 @@ impl Sack {
         };
         if !protected {
             self.stats.unprotected.fetch_add(1, Ordering::Relaxed);
-            record(CachedOutcome::Unprotected);
             return Ok(());
         }
         if mac_override {
             self.stats.overrides.fetch_add(1, Ordering::Relaxed);
-            record(CachedOutcome::Override);
             return Ok(());
         }
         self.stats.checks.fetch_add(1, Ordering::Relaxed);
         if permitted {
-            record(CachedOutcome::Allow);
-            Ok(())
-        } else {
-            self.stats.denials.fetch_add(1, Ordering::Relaxed);
-            let seq = self.audit.push_denial(&Denial {
-                at: self.now(),
-                pid: ctx.pid,
-                uid: ctx.cred.uid.0,
-                exe: ctx.exe.as_ref().map(|p| p.as_str()),
-                path: obj.path.as_str(),
-                requested,
-                state: &active.ssm.space().state(state).name,
-            });
-            self.trace_emit(|| TraceEvent::AuditEmit { seq });
-            if self.negative_cache_enabled.load(Ordering::Relaxed) {
-                record(CachedOutcome::Deny);
-            }
-            Err(KernelError::with_context(Errno::EACCES, "sack"))
+            return Ok(());
         }
+        self.stats.denials.fetch_add(1, Ordering::Relaxed);
+        let seq = self.audit.push_denial(&Denial {
+            at: self.now(),
+            pid: ctx.pid,
+            uid: ctx.cred.uid.0,
+            exe: ctx.exe.as_ref().map(|p| p.as_str()),
+            path: obj.path.as_str(),
+            requested,
+            state: &active.ssm.space().state(state).name,
+        });
+        self.trace_emit(|| TraceEvent::AuditEmit { seq });
+        Err(KernelError::with_context(Errno::EACCES, "sack"))
     }
 }
 
@@ -856,18 +722,6 @@ impl SecurityModule for Sack {
         };
         self.check_access(ctx, &new_obj, FilePerms::WRITE)
     }
-
-    fn task_free(&self, pid: Pid) {
-        // Drop the task's decision cache; skip the copy-and-swap for tasks
-        // that never triggered a mediated access.
-        if self.caches.read().contains_key(&pid) {
-            self.caches.update(|map| {
-                let mut next = map.clone();
-                next.remove(&pid);
-                (next, ())
-            });
-        }
-    }
 }
 
 impl fmt::Debug for Sack {
@@ -886,7 +740,7 @@ mod tests {
     use sack_kernel::file::OpenFlags;
     use sack_kernel::kernel::KernelBuilder;
     use sack_kernel::path::KPath;
-    use sack_kernel::types::Mode;
+    use sack_kernel::types::{Mode, Pid};
 
     const DOOR_POLICY: &str = r#"
         states { normal = 0; emergency = 1; }
@@ -1158,27 +1012,234 @@ mod tests {
         assert!(daemon
             .open("/dev/car/door0", OpenFlags::write_only())
             .is_ok());
-        // SACK itself performed no checks.
+        // SACK itself performed no checks and reached no decision step.
         assert_eq!(sack.stats().checks.load(Ordering::Relaxed), 0);
+        assert_eq!(sack.stats().cache_misses.load(Ordering::Relaxed), 0);
+        assert_eq!(sack.stats().cache_hits.load(Ordering::Relaxed), 0);
     }
 
+    /// Door policy plus a profile-scoped grant, so verdicts depend on the
+    /// situation state, the exe and the AppArmor confinement alike.
+    const ORACLE_POLICY: &str = r#"
+        states { normal = 0; emergency = 1; }
+        events { crash; rescue_done; }
+        transitions { normal -crash-> emergency; emergency -rescue_done-> normal; }
+        initial normal;
+        permissions { NORMAL; CONTROL_CAR_DOORS; TRUSTED; }
+        state_per {
+            normal: NORMAL, TRUSTED;
+            emergency: NORMAL, CONTROL_CAR_DOORS;
+        }
+        per_rules {
+            NORMAL: allow subject=* /dev/car/** r;
+            CONTROL_CAR_DOORS: allow subject=/usr/bin/rescue* /dev/car/** wi;
+            TRUSTED: allow subject=profile:trusted /secret/** r;
+        }
+    "#;
+
+    /// Drives every (subject, path, mask) combination through `file_open`
+    /// and checks each verdict against `sim` in its current state. Returns
+    /// the number of hooks called.
+    fn assert_hooks_match_simulator(
+        sack: &Sack,
+        sim: &crate::PolicySimulator,
+        subjects: &[(HookCtx, Option<&str>)],
+    ) -> u64 {
+        use crate::AccessQuery;
+        let paths = ["/dev/car/door0", "/secret/key", "/tmp/scratch", "/v2/data"];
+        let mut hooks = 0;
+        for (ctx, profile) in subjects {
+            for path in paths {
+                let kpath = KPath::new(path).unwrap();
+                let obj = ObjectRef::regular(&kpath);
+                for mask in [AccessMask::READ, AccessMask::WRITE] {
+                    let query = AccessQuery {
+                        uid: ctx.cred.uid.0,
+                        exe: ctx.exe.as_ref().map(|p| p.as_str().to_string()),
+                        profile: profile.map(str::to_string),
+                        path: path.to_string(),
+                        perms: FilePerms::from_access_mask(mask),
+                    };
+                    let expected = sim.query(&query).is_allowed();
+                    let verdict = sack.file_open(ctx, &obj, mask);
+                    hooks += 1;
+                    assert_eq!(
+                        verdict.is_ok(),
+                        expected,
+                        "state `{}`: {query:?}",
+                        sim.state()
+                    );
+                    if let Err(e) = verdict {
+                        assert_eq!(e.context(), Some("sack"));
+                    }
+                }
+            }
+        }
+        hooks
+    }
+
+    /// Every hook decides from the snapshot it reads, so verdicts equal the
+    /// simulator's in every reachable state, straight after each
+    /// transition, after a policy reload and after a confinement change,
+    /// with no invalidation step in between. The outcome counters account
+    /// for each mediated hook exactly once.
     #[test]
-    fn decision_cache_hits_and_invalidates_on_transition() {
+    fn hook_verdicts_match_simulator_across_transitions_reload_and_confinement() {
+        use crate::{PolicySimulator, StepResult};
+        let sack = Sack::independent(ORACLE_POLICY).unwrap();
+        let db = Arc::new(sack_apparmor::PolicyDb::new());
+        db.load_text("profile trusted { /secret/** r, }").unwrap();
+        let apparmor = AppArmor::new(db);
+        sack.set_profile_oracle(Arc::clone(&apparmor));
+        let ctx = |pid: u32, uid: u32, exe: &str| {
+            HookCtx::new(
+                Pid(pid),
+                Credentials::user(uid, uid),
+                Some(KPath::new(exe).unwrap()),
+            )
+        };
+        let rescue = ctx(10, 100, "/usr/bin/rescue_daemon");
+        let media = ctx(11, 200, "/usr/bin/media_app");
+        let trusted = ctx(12, 300, "/usr/bin/vault");
+        apparmor.set_profile(trusted.pid, "trusted").unwrap();
+        let mut subjects = vec![
+            (rescue, None),
+            (media, None),
+            (trusted.clone(), Some("trusted")),
+        ];
+
+        let mut sim = PolicySimulator::new(ORACLE_POLICY).unwrap();
+        let mut hooks = assert_hooks_match_simulator(&sack, &sim, &subjects);
+        // Walk every reachable state and back to the initial one.
+        for event in ["crash", "rescue_done", "crash"] {
+            sack.deliver_event(event, Duration::ZERO).unwrap();
+            assert!(matches!(
+                sim.deliver(event),
+                StepResult::Transitioned { .. }
+            ));
+            assert_eq!(sack.current_state_name(), sim.state());
+            hooks += assert_hooks_match_simulator(&sack, &sim, &subjects);
+        }
+        // Unconfining changes the subject, not the policy: the very next
+        // hook must see it.
+        sack.deliver_event("rescue_done", Duration::ZERO).unwrap();
+        assert!(matches!(
+            sim.deliver("rescue_done"),
+            StepResult::Transitioned { .. }
+        ));
+        apparmor.unconfine(trusted.pid);
+        subjects[2].1 = None;
+        hooks += assert_hooks_match_simulator(&sack, &sim, &subjects);
+        // A reload swaps the snapshot and restarts the state machine.
+        let v2 = ORACLE_POLICY
+            .replace("/dev/car/** r;", "/v2/** rw;")
+            .replace("initial normal;", "initial emergency;");
+        sack.reload_policy(&v2).unwrap();
+        sim = PolicySimulator::new(&v2).unwrap();
+        assert_eq!(sack.current_state_name(), "emergency");
+        hooks += assert_hooks_match_simulator(&sack, &sim, &subjects);
+        sack.deliver_event("rescue_done", Duration::ZERO).unwrap();
+        assert!(matches!(
+            sim.deliver("rescue_done"),
+            StepResult::Transitioned { .. }
+        ));
+        hooks += assert_hooks_match_simulator(&sack, &sim, &subjects);
+
+        let stats = sack.stats();
+        let load = |c: &ShardedCounter| c.load(Ordering::Relaxed);
+        assert_eq!(load(&stats.cache_misses), hooks);
+        assert_eq!(load(&stats.cache_hits), 0);
+        assert_eq!(
+            load(&stats.checks) + load(&stats.unprotected) + load(&stats.overrides),
+            hooks,
+            "each mediated hook lands in exactly one outcome counter"
+        );
+        assert!(load(&stats.denials) > 0);
+        assert_eq!(load(&stats.denials), sack.audit().total());
+    }
+
+    /// `cache_misses` counts exactly the hooks that reach the decision
+    /// step; pipes and sockets return before it, `cache_hits` stays 0, and
+    /// the `stats` node still prints both lines.
+    #[test]
+    fn decision_counters_track_mediated_file_hooks() {
+        use sack_kernel::lsm::AccessMask;
+        let (kernel, sack) = boot_independent();
+        sack.attach(&kernel).unwrap();
+        let ctx = HookCtx::new(
+            Pid(20),
+            Credentials::user(100, 100),
+            Some(KPath::new("/usr/bin/rescue_daemon").unwrap()),
+        );
+        let door = KPath::new("/dev/car/door0").unwrap();
+        let obj = ObjectRef::regular(&door);
+        let misses = || sack.stats().cache_misses.load(Ordering::Relaxed);
+        let before = misses();
+        assert!(sack.file_open(&ctx, &obj, AccessMask::READ).is_ok());
+        assert!(sack.file_permission(&ctx, &obj, AccessMask::READ).is_ok());
+        assert!(sack.file_ioctl(&ctx, &obj, 0).is_err());
+        assert!(sack.file_mmap(&ctx, &obj, AccessMask::READ).is_err());
+        assert!(sack.inode_unlink(&ctx, &obj).is_err());
+        let tmp = KPath::new("/tmp/a").unwrap();
+        let tmp_obj = ObjectRef::regular(&tmp);
+        assert!(sack
+            .inode_rename(&ctx, &tmp_obj, &KPath::new("/tmp/b").unwrap())
+            .is_ok());
+        // Rename decides its source and its destination.
+        assert_eq!(misses() - before, 7);
+
+        let checks = sack.stats().checks.load(Ordering::Relaxed);
+        let unprotected = sack.stats().unprotected.load(Ordering::Relaxed);
+        for kind in [ObjectKind::Pipe, ObjectKind::Socket] {
+            let obj = ObjectRef {
+                path: &door,
+                kind,
+                dev: None,
+            };
+            assert!(sack.file_permission(&ctx, &obj, AccessMask::WRITE).is_ok());
+        }
+        assert_eq!(misses() - before, 7, "pipes and sockets are not decided");
+        assert_eq!(sack.stats().checks.load(Ordering::Relaxed), checks);
+        assert_eq!(
+            sack.stats().unprotected.load(Ordering::Relaxed),
+            unprotected
+        );
+        assert_eq!(sack.stats().cache_hits.load(Ordering::Relaxed), 0);
+
+        let root = kernel.spawn(Credentials::root());
+        let text = String::from_utf8(root.read_to_vec("/sys/kernel/security/SACK/stats").unwrap())
+            .unwrap();
+        assert!(text.contains("\ncache_hits 0\n"), "{text}");
+        let printed: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("cache_misses "))
+            .expect("stats node prints cache_misses")
+            .parse()
+            .unwrap();
+        assert!(printed >= before + 7, "{text}");
+    }
+
+    /// The hook keeps no decision cache, so repeated identical opens are
+    /// each decided afresh: every one counts a miss, none a hit, and the
+    /// verdict follows the next transition immediately.
+    #[test]
+    fn decision_cache_disabled_keeps_decisions_and_counters() {
         let (kernel, sack) = boot_independent();
         let rescue = kernel.spawn(Credentials::user(100, 100));
         rescue.exec("/usr/bin/rescue_daemon").unwrap();
-
-        // Warm the cache on the read decision, then replay it.
+        let misses = || sack.stats().cache_misses.load(Ordering::Relaxed);
+        let before = misses();
         for _ in 0..5 {
             assert!(rescue
                 .open("/dev/car/door0", OpenFlags::read_only())
                 .is_ok());
         }
-        let hits = sack.stats().cache_hits.load(Ordering::Relaxed);
-        assert!(hits > 0, "repeated identical accesses must hit the cache");
-
-        // Transition mid-stream: the very next decision must reflect the
-        // new state, not the cached normal-state one.
+        assert_eq!(sack.stats().cache_hits.load(Ordering::Relaxed), 0);
+        assert!(
+            misses() - before >= 5,
+            "each open reaches the decision step"
+        );
+        assert!(sack.stats().checks.load(Ordering::Relaxed) >= 5);
         assert!(rescue
             .open("/dev/car/door0", OpenFlags::write_only())
             .is_err());
@@ -1186,13 +1247,10 @@ mod tests {
         assert!(rescue
             .open("/dev/car/door0", OpenFlags::write_only())
             .is_ok());
-        // And back: the emergency-state grant must not survive either.
-        sack.deliver_event("rescue_done", Duration::ZERO).unwrap();
-        assert!(rescue
-            .open("/dev/car/door0", OpenFlags::write_only())
-            .is_err());
     }
 
+    /// A grant repeated before a reload must not outlive it: the next open
+    /// decides against the new snapshot.
     #[test]
     fn decision_cache_invalidates_on_policy_reload() {
         let (kernel, sack) = boot_independent();
@@ -1204,7 +1262,7 @@ mod tests {
                 .is_ok());
         }
         // Swap in a policy that still protects /dev/car/** but grants
-        // nothing: the warmed allow-read decision must die with the reload.
+        // nothing.
         sack.reload_policy(
             r#"
             states { lockdown = 0; } initial lockdown;
@@ -1220,6 +1278,8 @@ mod tests {
         assert_eq!(err.context(), Some("sack"));
     }
 
+    /// A profile-subject grant repeated before an unconfine must not
+    /// outlive it: the next read asks the profile oracle again.
     #[test]
     fn decision_cache_invalidates_on_confinement_change() {
         let policy = r#"
@@ -1252,52 +1312,12 @@ mod tests {
             .unwrap();
         let task = kernel.spawn(Credentials::user(100, 100));
         apparmor.set_profile(task.pid(), "trusted").unwrap();
-        // Warm the profile-dependent allow decision.
         for _ in 0..3 {
             assert!(task.read_to_vec("/secret/key").is_ok());
         }
-        // Unconfining bumps the confinement generation: the cached oracle
-        // answer ("task is profile `trusted`") must not be replayed.
         apparmor.unconfine(task.pid());
         let err = task.read_to_vec("/secret/key").unwrap_err();
         assert_eq!(err.context(), Some("sack"));
-    }
-
-    #[test]
-    fn decision_cache_disabled_keeps_decisions_and_counters() {
-        let (kernel, sack) = boot_independent();
-        sack.set_decision_cache_enabled(false);
-        assert!(!sack.decision_cache_enabled());
-        let rescue = kernel.spawn(Credentials::user(100, 100));
-        rescue.exec("/usr/bin/rescue_daemon").unwrap();
-        for _ in 0..5 {
-            assert!(rescue
-                .open("/dev/car/door0", OpenFlags::read_only())
-                .is_ok());
-        }
-        assert_eq!(sack.stats().cache_hits.load(Ordering::Relaxed), 0);
-        assert_eq!(sack.stats().cache_misses.load(Ordering::Relaxed), 0);
-        assert!(sack.stats().checks.load(Ordering::Relaxed) >= 5);
-        sack.deliver_event("crash", Duration::ZERO).unwrap();
-        assert!(rescue
-            .open("/dev/car/door0", OpenFlags::write_only())
-            .is_ok());
-    }
-
-    #[test]
-    fn task_exit_drops_decision_cache_entry() {
-        let (kernel, sack) = boot_independent();
-        let p = kernel.spawn(Credentials::user(100, 100));
-        assert!(p.open("/dev/car/door0", OpenFlags::read_only()).is_ok());
-        assert!(sack.stats().cache_misses.load(Ordering::Relaxed) > 0);
-        let with_task = sack.cached_task_count();
-        assert!(with_task >= 1);
-        p.exit();
-        assert_eq!(
-            sack.cached_task_count(),
-            with_task - 1,
-            "task_free must drop the per-task cache"
-        );
     }
 
     #[test]
@@ -1342,41 +1362,8 @@ mod tests {
     }
 
     #[test]
-    fn negative_cache_replays_denials_without_duplicate_audit() {
-        let (kernel, sack) = boot_independent();
-        sack.set_negative_cache_enabled(true);
-        assert!(sack.negative_cache_enabled());
-        let media = kernel.spawn(Credentials::user(200, 200));
-        media.exec("/usr/bin/media_app").unwrap();
-        for _ in 0..5 {
-            let err = media
-                .open("/dev/car/door0", OpenFlags::write_only())
-                .unwrap_err();
-            assert_eq!(err.context(), Some("sack"));
-        }
-        // Every refusal is counted, but the audit record is emitted exactly
-        // once, by the first (uncached) evaluation.
-        assert_eq!(sack.stats().denials.load(Ordering::Relaxed), 5);
-        assert_eq!(
-            sack.audit().total(),
-            1,
-            "a replayed cached denial must not be re-audited"
-        );
-        assert!(sack.stats().cache_hits.load(Ordering::Relaxed) >= 4);
-
-        // The cached denial dies with the epoch: after a transition the
-        // decision is re-evaluated (and, still denied, re-audited once).
-        sack.deliver_event("crash", Duration::ZERO).unwrap();
-        assert!(media
-            .open("/dev/car/door0", OpenFlags::write_only())
-            .is_err());
-        assert_eq!(sack.audit().total(), 2);
-    }
-
-    #[test]
     fn negative_cache_off_audits_every_denial() {
         let (kernel, sack) = boot_independent();
-        assert!(!sack.negative_cache_enabled());
         let media = kernel.spawn(Credentials::user(200, 200));
         media.exec("/usr/bin/media_app").unwrap();
         for _ in 0..5 {
@@ -1394,7 +1381,6 @@ mod tests {
         // Force every decision down the legacy O(rules) scan path and
         // replay the per-state scenario: outcomes must be identical.
         sack.set_dfa_matcher_enabled(false);
-        sack.set_decision_cache_enabled(false);
         assert!(!sack.dfa_matcher_enabled());
         let rescue = kernel.spawn(Credentials::user(100, 100));
         rescue.exec("/usr/bin/rescue_daemon").unwrap();
@@ -1436,13 +1422,12 @@ mod tests {
         assert!(sack.policy_epoch() > epoch);
     }
 
-    /// SSM transitions racing warm lookups on several threads: once a
-    /// transition's epoch bump has completed, no thread may get a verdict
-    /// computed against the retired situation state. The workers hammer the
-    /// same task's per-CPU caches *during* each `deliver_event` (verdicts in
-    /// that window may come from either side of the transition), then every
-    /// thread probes once after the bump and must see the new state's
-    /// verdict.
+    /// SSM transitions racing hooks on several threads: once
+    /// `deliver_event` has returned, no thread may get a verdict computed
+    /// against the retired situation state. The workers hammer the same
+    /// task's hooks *during* each `deliver_event` (verdicts in that window
+    /// may come from either side of the transition), then every thread
+    /// probes once after it and must see the new state's verdict.
     #[test]
     fn ssm_transition_racing_warm_lookups_never_replays_retired_state() {
         use sack_kernel::lsm::AccessMask;
@@ -1453,8 +1438,7 @@ mod tests {
         const HAMMER: usize = 200;
 
         let sack = Sack::independent(DOOR_POLICY).unwrap();
-        // All workers share one task, so they exercise distinct instances
-        // of the same per-CPU cache array.
+        // All workers share one task.
         let ctx = HookCtx::new(
             Pid(4100),
             Credentials::user(100, 100),
@@ -1502,7 +1486,7 @@ mod tests {
                     "rescue_done"
                 };
                 sack.deliver_event(event, Duration::ZERO).unwrap();
-                // deliver_event has returned: the epoch bump is complete
+                // deliver_event has returned: the new state is published
                 // before any worker passes this barrier.
                 settled.wait();
                 probed.wait();

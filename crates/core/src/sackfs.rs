@@ -463,13 +463,8 @@ fn render_prometheus(sack: &Arc<Sack>, tracing: &SackTracing) -> String {
         "# HELP sack_hook_latency_ns Hook dispatch latency, nanoseconds."
     );
     let _ = writeln!(out, "# TYPE sack_hook_latency_ns histogram");
-    for (hook, verdict, flag, snap) in tracing.histogram_snapshots() {
-        let labels = format!(
-            "hook=\"{}\",verdict=\"{}\",cache=\"{}\"",
-            hook.name(),
-            verdict.name(),
-            flag.name()
-        );
+    for (hook, verdict, snap) in tracing.histogram_snapshots() {
+        let labels = format!("hook=\"{}\",verdict=\"{}\"", hook.name(), verdict.name());
         let mut cumulative = 0u64;
         for (i, n) in snap.buckets.iter().enumerate() {
             cumulative += n;
@@ -561,17 +556,16 @@ fn render_metrics_json(sack: &Arc<Sack>, tracing: &SackTracing) -> String {
         out.push_str("},");
     }
     out.push_str("\"histograms\":[");
-    for (i, (hook, verdict, flag, snap)) in tracing.histogram_snapshots().iter().enumerate() {
+    for (i, (hook, verdict, snap)) in tracing.histogram_snapshots().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "{{\"hook\":\"{}\",\"verdict\":\"{}\",\"cache\":\"{}\",\
+            "{{\"hook\":\"{}\",\"verdict\":\"{}\",\
              \"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
             hook.name(),
             verdict.name(),
-            flag.name(),
             snap.count(),
             snap.sum,
             snap.percentile(0.50),
@@ -981,7 +975,6 @@ mod tests {
         assert_eq!(count("hook_enter"), count("hook_exit"));
         assert_eq!(count("ssm_transition"), 1);
         assert_eq!(count("rcu_epoch_bump"), 1);
-        assert_eq!(count("cache_invalidate"), 1);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! minimized DFA (the [`sack_apparmor::dfa`] builder), with accepting
 //! states annotated at build time by the union [`RuleDecision`] of the
 //! matching subject-wildcard rules *and* a protected-set marker covering
-//! every object glob in the whole policy. One O(|path|) table walk on a
-//! decision-cache miss therefore answers both questions the hook asks —
+//! every object glob in the whole policy. One O(|path|) table walk per
+//! mediated hook therefore answers both questions the hook asks —
 //! "is this path SACK-protected at all?" and "what do this state's rules
 //! say?" — independent of rule count.
 //!

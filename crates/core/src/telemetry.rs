@@ -2,7 +2,7 @@
 //!
 //! A [`TelemetrySnapshot`] is the unit the `sack-fleet` aggregator pulls
 //! from each kernel instance: every tracepoint fired-counter, every
-//! non-empty (hook, verdict, cache-flag) latency histogram, and the flight
+//! non-empty (hook, verdict) latency histogram, and the flight
 //! recorder's loss accounting — stamped with the instance id and a
 //! monotonic capture generation.
 //!
@@ -23,31 +23,28 @@ use std::collections::BTreeMap;
 use sack_kernel::trace::{TraceHook, TraceVerdict, Tracepoint};
 
 use crate::stats::HistogramSnapshot;
-use crate::trace::{CacheFlag, SackTracing};
+use crate::trace::SackTracing;
 
-/// Number of distinct (hook, verdict, cache-flag) histogram keys.
-pub const TELEMETRY_HIST_KEYS: usize = TraceHook::ALL.len() * 2 * CacheFlag::ALL.len();
+/// Number of distinct (hook, verdict) histogram keys.
+pub const TELEMETRY_HIST_KEYS: usize = TraceHook::ALL.len() * 2;
 
-/// Dense key for one (hook, verdict, cache-flag) histogram.
-pub fn hist_key(hook: TraceHook, verdict: TraceVerdict, flag: CacheFlag) -> u16 {
-    ((hook.index() * 2 + verdict.index()) * CacheFlag::ALL.len() + flag.index()) as u16
+/// Dense key for one (hook, verdict) histogram.
+pub fn hist_key(hook: TraceHook, verdict: TraceVerdict) -> u16 {
+    (hook.index() * 2 + verdict.index()) as u16
 }
 
 /// Inverse of [`hist_key`]; `None` for out-of-range keys.
-pub fn decode_hist_key(key: u16) -> Option<(TraceHook, TraceVerdict, CacheFlag)> {
+pub fn decode_hist_key(key: u16) -> Option<(TraceHook, TraceVerdict)> {
     let key = key as usize;
     if key >= TELEMETRY_HIST_KEYS {
         return None;
     }
-    let flag = CacheFlag::ALL[key % CacheFlag::ALL.len()];
-    let rest = key / CacheFlag::ALL.len();
-    let verdict = if rest.is_multiple_of(2) {
+    let verdict = if key.is_multiple_of(2) {
         TraceVerdict::Allow
     } else {
         TraceVerdict::Deny
     };
-    let hook = TraceHook::ALL[rest / 2];
-    Some((hook, verdict, flag))
+    Some((TraceHook::ALL[key / 2], verdict))
 }
 
 /// One instance's (or a merged subtree's) telemetry at a capture point.
@@ -84,7 +81,7 @@ impl TelemetrySnapshot {
         let hists = tracing
             .histogram_snapshots()
             .into_iter()
-            .map(|(hook, verdict, flag, snap)| (hist_key(hook, verdict, flag), snap))
+            .map(|(hook, verdict, snap)| (hist_key(hook, verdict), snap))
             .collect();
         let flight = tracing.flight();
         TelemetrySnapshot {
@@ -180,14 +177,13 @@ impl TelemetrySnapshot {
     }
 
     /// Total hook denials: deny-verdict `hook_exit` observations summed
-    /// across hooks and cache flags.
+    /// across hooks.
     pub fn denials(&self) -> u64 {
         self.hists
             .iter()
             .filter_map(|(key, hist)| {
-                decode_hist_key(*key).and_then(|(_, verdict, _)| {
-                    (verdict == TraceVerdict::Deny).then(|| hist.count())
-                })
+                decode_hist_key(*key)
+                    .and_then(|(_, verdict)| (verdict == TraceVerdict::Deny).then(|| hist.count()))
             })
             .sum()
     }
@@ -195,16 +191,6 @@ impl TelemetrySnapshot {
     /// Total hook dispatches (`hook_exit` fired count).
     pub fn hook_exits(&self) -> u64 {
         self.point(Tracepoint::HookExit)
-    }
-
-    /// Decision-cache hits.
-    pub fn cache_hits(&self) -> u64 {
-        self.point(Tracepoint::CacheHit)
-    }
-
-    /// Decision-cache misses.
-    pub fn cache_misses(&self) -> u64 {
-        self.point(Tracepoint::CacheMiss)
     }
 
     /// SSM transitions.
@@ -271,11 +257,9 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for hook in TraceHook::ALL {
             for verdict in [TraceVerdict::Allow, TraceVerdict::Deny] {
-                for flag in CacheFlag::ALL {
-                    let key = hist_key(hook, verdict, flag);
-                    assert!(seen.insert(key), "key collision at {key}");
-                    assert_eq!(decode_hist_key(key), Some((hook, verdict, flag)));
-                }
+                let key = hist_key(hook, verdict);
+                assert!(seen.insert(key), "key collision at {key}");
+                assert_eq!(decode_hist_key(key), Some((hook, verdict)));
             }
         }
         assert_eq!(seen.len(), TELEMETRY_HIST_KEYS);
@@ -340,7 +324,6 @@ mod tests {
         hub.emit(&TraceEvent::HookEnter {
             hook: TraceHook::FileOpen,
         });
-        hub.emit(&TraceEvent::CacheHit);
         hub.emit(&TraceEvent::HookExit {
             hook: TraceHook::FileOpen,
             verdict: TraceVerdict::Deny,
@@ -348,8 +331,6 @@ mod tests {
         });
         let snap = TelemetrySnapshot::capture(&tracing);
         assert_eq!(snap.denials(), 1);
-        assert_eq!(snap.cache_hits(), 1);
-        assert_eq!(snap.cache_misses(), 0);
         assert_eq!(snap.hook_exits(), 1);
     }
 }

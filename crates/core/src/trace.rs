@@ -7,7 +7,7 @@
 //!
 //! * [`SackTracing`] — the metrics recorder. Subscribes to every
 //!   tracepoint, maintains one lock-free [`LatencyHistogram`] per
-//!   (hook, verdict, cache-hit/miss) key, and feeds the flight recorder.
+//!   (hook, verdict) key, and feeds the flight recorder.
 //! * [`FlightRecorder`] — a bounded MPSC ring of the last N control-plane
 //!   events (SSM transitions, policy publishes, epoch bumps, recompiles,
 //!   denials), so a denial can be replayed against the situation history
@@ -23,14 +23,8 @@
 //! record it holds, so an eviction is one atomic add on the evicted
 //! producer's ledger. `dropped_by_producer()` reads those ledgers, one per
 //! producer, not the slots.
-//!
-//! Correlating cache events with hook latency: `cache_hit`/`cache_miss`
-//! fire *inside* the hook dispatch that `hook_exit` closes, on the same
-//! thread, so the recorder notes the last cache event in a thread-local and
-//! resolves it when the enclosing `hook_exit` arrives. No cross-thread
-//! state, no allocation on the hot path.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,43 +38,6 @@ use crate::stats::{HistogramSnapshot, LatencyHistogram};
 
 /// Default flight-recorder capacity (records retained).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
-
-/// Whether a hook decision was served by the decision cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheFlag {
-    /// Served from the decision cache.
-    Hit,
-    /// Looked up but evaluated cold.
-    Miss,
-    /// No cache lookup happened (cache disabled, or a hook that never
-    /// consults it).
-    Uncached,
-}
-
-impl CacheFlag {
-    /// Every flag, in dense-index order.
-    pub const ALL: [CacheFlag; 3] = [CacheFlag::Hit, CacheFlag::Miss, CacheFlag::Uncached];
-
-    /// Dense index into [`CacheFlag::ALL`].
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable lowercase label.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheFlag::Hit => "hit",
-            CacheFlag::Miss => "miss",
-            CacheFlag::Uncached => "uncached",
-        }
-    }
-}
-
-impl fmt::Display for CacheFlag {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One retained flight-recorder record.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,8 +90,6 @@ thread_local! {
     /// (recorder id, ledger). One entry bounds the per-thread state however
     /// many recorders the thread ever writes to.
     static LEDGER: RefCell<Option<(u64, Arc<ProducerLedger>)>> = const { RefCell::new(None) };
-    /// Last cache event seen on this thread: (recorder id, encoded flag).
-    static LAST_CACHE: Cell<(u64, u8)> = const { Cell::new((0, 0)) };
 }
 
 /// This thread's producer id (`0` once its thread-locals are torn down).
@@ -328,54 +283,31 @@ fn cached_ledgers() -> usize {
 }
 
 const VERDICTS: usize = 2;
-const FLAGS: usize = 3;
-const HIST_KEYS: usize = TraceHook::ALL.len() * VERDICTS * FLAGS;
+const HIST_KEYS: usize = TraceHook::ALL.len() * VERDICTS;
 
 struct RecorderState {
-    id: u64,
     hists: Vec<LatencyHistogram>,
     flight: FlightRecorder,
 }
 
 impl RecorderState {
-    fn hist(&self, hook: TraceHook, verdict: TraceVerdict, flag: CacheFlag) -> &LatencyHistogram {
-        &self.hists[(hook.index() * VERDICTS + verdict.index()) * FLAGS + flag.index()]
+    fn hist(&self, hook: TraceHook, verdict: TraceVerdict) -> &LatencyHistogram {
+        &self.hists[hook.index() * VERDICTS + verdict.index()]
     }
 
     fn on_event(&self, event: &TraceEvent) {
         match event {
-            TraceEvent::HookEnter { .. } => {
-                // New dispatch on this thread: forget any stale cache event.
-                let _ = LAST_CACHE.try_with(|c| c.set((self.id, 0)));
-            }
-            TraceEvent::CacheHit => {
-                let _ = LAST_CACHE.try_with(|c| c.set((self.id, 1)));
-            }
-            TraceEvent::CacheMiss => {
-                let _ = LAST_CACHE.try_with(|c| c.set((self.id, 2)));
-            }
             TraceEvent::HookExit {
                 hook,
                 verdict,
                 latency_ns,
             } => {
-                let flag = LAST_CACHE
-                    .try_with(|c| {
-                        let (id, encoded) = c.replace((self.id, 0));
-                        match (id == self.id, encoded) {
-                            (true, 1) => CacheFlag::Hit,
-                            (true, 2) => CacheFlag::Miss,
-                            _ => CacheFlag::Uncached,
-                        }
-                    })
-                    .unwrap_or(CacheFlag::Uncached);
-                self.hist(*hook, *verdict, flag).record(*latency_ns);
+                self.hist(*hook, *verdict).record(*latency_ns);
                 if *verdict == TraceVerdict::Deny {
                     self.flight.record(event.clone());
                 }
             }
-            TraceEvent::CacheInvalidate { .. }
-            | TraceEvent::SsmTransition { .. }
+            TraceEvent::SsmTransition { .. }
             | TraceEvent::PolicyPublish { .. }
             | TraceEvent::RcuEpochBump { .. }
             | TraceEvent::ProfileRecompile { .. }
@@ -392,8 +324,9 @@ impl RecorderState {
             }
             // Per-frame hot path: counted by the hub, never flight-recorded
             // (at sensor rates it would flush the whole ring between any two
-            // control-plane records).
-            TraceEvent::SdsEnqueue { .. } => {}
+            // control-plane records). A hook's entry carries nothing its
+            // exit does not.
+            TraceEvent::SdsEnqueue { .. } | TraceEvent::HookEnter { .. } => {}
         }
     }
 }
@@ -421,7 +354,6 @@ impl SackTracing {
     /// Attaches a recorder with an explicit flight-recorder capacity.
     pub fn attach_with_flight_capacity(hub: Arc<TraceHub>, capacity: usize) -> Arc<SackTracing> {
         let state = Arc::new(RecorderState {
-            id: NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
             hists: (0..HIST_KEYS).map(|_| LatencyHistogram::new()).collect(),
             flight: FlightRecorder::new(capacity),
         });
@@ -464,41 +396,29 @@ impl SackTracing {
         &self.state.flight
     }
 
-    /// Snapshot of one (hook, verdict, cache) histogram.
-    pub fn histogram(
-        &self,
-        hook: TraceHook,
-        verdict: TraceVerdict,
-        flag: CacheFlag,
-    ) -> HistogramSnapshot {
-        self.state.hist(hook, verdict, flag).snapshot()
+    /// Snapshot of one (hook, verdict) histogram.
+    pub fn histogram(&self, hook: TraceHook, verdict: TraceVerdict) -> HistogramSnapshot {
+        self.state.hist(hook, verdict).snapshot()
     }
 
-    /// Merged latency distribution for a hook across verdicts and cache
-    /// outcomes.
+    /// Merged latency distribution for a hook across verdicts.
     pub fn hook_histogram(&self, hook: TraceHook) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::default();
         for verdict in [TraceVerdict::Allow, TraceVerdict::Deny] {
-            for flag in CacheFlag::ALL {
-                merged.merge(&self.histogram(hook, verdict, flag));
-            }
+            merged.merge(&self.histogram(hook, verdict));
         }
         merged
     }
 
-    /// Every non-empty (hook, verdict, cache) histogram, in dense key
-    /// order — the raw material for the `metrics` node.
-    pub fn histogram_snapshots(
-        &self,
-    ) -> Vec<(TraceHook, TraceVerdict, CacheFlag, HistogramSnapshot)> {
+    /// Every non-empty (hook, verdict) histogram, in dense key order — the
+    /// raw material for the `metrics` node.
+    pub fn histogram_snapshots(&self) -> Vec<(TraceHook, TraceVerdict, HistogramSnapshot)> {
         let mut out = Vec::new();
         for hook in TraceHook::ALL {
             for verdict in [TraceVerdict::Allow, TraceVerdict::Deny] {
-                for flag in CacheFlag::ALL {
-                    let snap = self.histogram(hook, verdict, flag);
-                    if !snap.is_empty() {
-                        out.push((hook, verdict, flag, snap));
-                    }
+                let snap = self.histogram(hook, verdict);
+                if !snap.is_empty() {
+                    out.push((hook, verdict, snap));
                 }
             }
         }
@@ -927,37 +847,31 @@ mod tests {
     }
 
     #[test]
-    fn recorder_keys_histograms_by_cache_flag() {
+    fn recorder_keys_histograms_by_hook_and_verdict() {
         let hub = TraceHub::new();
         let tracing = SackTracing::attach(Arc::clone(&hub));
         hub.set_enabled(true);
         let hook = TraceHook::FileOpen;
-        // A miss-dispatch then a hit-dispatch then an uncached dispatch.
-        for (cache_ev, ns) in [
-            (Some(TraceEvent::CacheMiss), 800),
-            (Some(TraceEvent::CacheHit), 50),
-            (None, 300),
+        for (verdict, ns) in [
+            (TraceVerdict::Allow, 800),
+            (TraceVerdict::Allow, 50),
+            (TraceVerdict::Deny, 300),
         ] {
             hub.emit(&TraceEvent::HookEnter { hook });
-            if let Some(ev) = cache_ev {
-                hub.emit(&ev);
-            }
             hub.emit(&TraceEvent::HookExit {
                 hook,
-                verdict: TraceVerdict::Allow,
+                verdict,
                 latency_ns: ns,
             });
         }
-        let hit = tracing.histogram(hook, TraceVerdict::Allow, CacheFlag::Hit);
-        let miss = tracing.histogram(hook, TraceVerdict::Allow, CacheFlag::Miss);
-        let uncached = tracing.histogram(hook, TraceVerdict::Allow, CacheFlag::Uncached);
-        assert_eq!(hit.count(), 1);
-        assert_eq!(hit.sum, 50);
-        assert_eq!(miss.count(), 1);
-        assert_eq!(miss.sum, 800);
-        assert_eq!(uncached.count(), 1);
-        assert_eq!(uncached.sum, 300);
+        let allow = tracing.histogram(hook, TraceVerdict::Allow);
+        let deny = tracing.histogram(hook, TraceVerdict::Deny);
+        assert_eq!(allow.count(), 2);
+        assert_eq!(allow.sum, 850);
+        assert_eq!(deny.count(), 1);
+        assert_eq!(deny.sum, 300);
         assert_eq!(tracing.hook_histogram(hook).count(), 3);
+        assert_eq!(tracing.histogram_snapshots().len(), 2);
     }
 
     #[test]
@@ -1017,12 +931,13 @@ mod tests {
         let hub = TraceHub::new();
         let tracing = SackTracing::attach(Arc::clone(&hub));
         hub.set_enabled(true);
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 0 });
         let text = tracing.render_events();
         assert!(text.starts_with("# tracepoints enabled=1\n"));
         for point in Tracepoint::ALL {
             assert!(text.contains(point.name()), "missing {point}");
         }
-        assert!(text.contains("cache_hit 1\n"));
+        assert_eq!(text.lines().count(), 1 + Tracepoint::ALL.len());
+        assert!(text.contains("audit_emit 1\n"));
     }
 }

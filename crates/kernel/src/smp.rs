@@ -9,8 +9,8 @@
 //!
 //! On the simulated kernel a worker thread stands in for a CPU: the
 //! per-CPU structures downstream (hazard slots in [`crate::sync`], the
-//! per-CPU decision caches in `sack-core`) key off the calling thread, so
-//! an N-thread storm exercises N distinct instances exactly as N cores
+//! sharded counters in `sack-core`) key off the calling thread, so an
+//! N-thread storm exercises N distinct instances exactly as N cores
 //! would.
 
 use std::sync::atomic::{AtomicBool, Ordering};

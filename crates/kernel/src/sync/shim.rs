@@ -2,8 +2,8 @@
 //! protocol code and the primitives it runs on.
 //!
 //! Every atomic word, mutex, and thread-identity read used by the
-//! `Rcu<T>` hazard-pointer protocol (and by the decision caches in
-//! `sack-core`) goes through the [`Backend`] trait defined here instead
+//! `Rcu<T>` hazard-pointer protocol (and by the event ring and lazy
+//! profile slots) goes through the [`Backend`] trait defined here instead
 //! of naming `std::sync` directly. Two backends exist:
 //!
 //! * [`StdBackend`] — the default type parameter everywhere. Each trait
@@ -12,8 +12,8 @@
 //!   is a constant `false`, and every lifecycle hook is an empty body, so
 //!   after monomorphisation a release build is instruction-for-
 //!   instruction identical to writing `std::sync` by hand. This is the
-//!   backend every production type alias (`Rcu<T>`, `DecisionCache`,
-//!   `PerCpuCache`) resolves to.
+//!   backend every production type alias (`Rcu<T>`, `Ring<T>`) resolves
+//!   to.
 //! * `SchedBackend` (in `sack-analyze::sched`) — every operation first
 //!   parks the calling thread at a *yield point* and waits for a
 //!   deterministic scheduler to grant it the turn, which is what lets
@@ -28,8 +28,8 @@
 //!   scenario threads to stable, deterministic slots.
 //! * [`Backend::mutation`] — compile-time-off switches that plant one
 //!   known bug in the real algorithm (skip the reader's re-validation,
-//!   free retired snapshots without scanning the hazard slots, trust a
-//!   cache tag without the verifier). The executor's mutation tests turn
+//!   free retired snapshots without scanning the hazard slots, publish
+//!   into a ring slot without winning its claim). The executor's mutation tests turn
 //!   exactly one on and assert a violating schedule is found; under
 //!   [`StdBackend`] the branch is `if false` and vanishes.
 //! * [`Backend::trace_alloc`] / [`Backend::trace_free`] /
@@ -62,10 +62,6 @@ pub enum Mutation {
     /// The `Rcu` writer frees every retired snapshot without scanning
     /// the hazard slots first.
     RcuFreeBeforeScan,
-    /// `DecisionCache::lookup` trusts a tag match without checking the
-    /// payload verifier — the check that makes cross-epoch tag
-    /// collisions harmless.
-    CacheSkipVerifier,
     /// A `ring::RingIn` producer that loses the tail claim CAS publishes
     /// anyway — writing its frame into a slot another producer already
     /// owns, so one of the two frames silently vanishes.
@@ -158,9 +154,8 @@ pub trait Backend: Sized + Send + Sync + 'static {
     /// Backend `Mutex<T>`.
     type Mutex<T: Send>: RawMutex<T>;
 
-    /// Dense id of the calling thread, used for hazard-slot and per-CPU
-    /// instance selection. The first `HAZARD_SLOTS` (or `CPU_INSTANCES`)
-    /// distinct threads get distinct values.
+    /// Dense id of the calling thread, used for hazard-slot selection.
+    /// The first `HAZARD_SLOTS` distinct threads get distinct values.
     fn thread_index() -> usize;
 
     /// Whether the known-bad mutation `m` is planted in this run.
@@ -295,8 +290,8 @@ impl Backend for StdBackend {
 
     /// Hands each OS thread a stable dense id from a process-global
     /// counter, cached in a thread-local — the `smp_processor_id()`
-    /// stand-in shared by hazard-slot selection and the per-CPU decision
-    /// caches (on the simulated kernel a thread *is* a CPU).
+    /// stand-in used by hazard-slot selection (on the simulated kernel a
+    /// thread *is* a CPU).
     fn thread_index() -> usize {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         thread_local! {
@@ -327,7 +322,6 @@ mod tests {
     fn std_backend_has_no_mutations() {
         assert!(!StdBackend::mutation(Mutation::RcuSkipValidation));
         assert!(!StdBackend::mutation(Mutation::RcuFreeBeforeScan));
-        assert!(!StdBackend::mutation(Mutation::CacheSkipVerifier));
         assert!(!StdBackend::mutation(Mutation::RingTornPublish));
         assert!(!StdBackend::mutation(Mutation::LazyDoublePublish));
     }

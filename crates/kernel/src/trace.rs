@@ -28,9 +28,6 @@
 //! |---------------------|--------------------------------------------------------|
 //! | `hook_enter`        | an LSM hook dispatch starts                            |
 //! | `hook_exit`         | an LSM hook dispatch finishes (carries verdict+latency)|
-//! | `cache_hit`         | a decision-cache lookup hits                           |
-//! | `cache_miss`        | a decision-cache lookup misses                         |
-//! | `cache_invalidate`  | the policy epoch bump invalidates all cached decisions |
 //! | `ssm_transition`    | the situation state machine changes state              |
 //! | `policy_publish`    | a new `ActivePolicy` is published over RCU             |
 //! | `rcu_epoch_bump`    | the global policy epoch counter is incremented         |
@@ -187,12 +184,6 @@ pub enum Tracepoint {
     HookEnter,
     /// LSM hook dispatch exit (verdict + latency).
     HookExit,
-    /// Decision-cache hit.
-    CacheHit,
-    /// Decision-cache miss.
-    CacheMiss,
-    /// Epoch bump invalidated all cached decisions.
-    CacheInvalidate,
     /// Situation state machine transition.
     SsmTransition,
     /// New active policy published.
@@ -225,12 +216,9 @@ pub enum Tracepoint {
 
 impl Tracepoint {
     /// Every tracepoint, in declaration order.
-    pub const ALL: [Tracepoint; 19] = [
+    pub const ALL: [Tracepoint; 16] = [
         Tracepoint::HookEnter,
         Tracepoint::HookExit,
-        Tracepoint::CacheHit,
-        Tracepoint::CacheMiss,
-        Tracepoint::CacheInvalidate,
         Tracepoint::SsmTransition,
         Tracepoint::PolicyPublish,
         Tracepoint::RcuEpochBump,
@@ -257,9 +245,6 @@ impl Tracepoint {
         match self {
             Tracepoint::HookEnter => "hook_enter",
             Tracepoint::HookExit => "hook_exit",
-            Tracepoint::CacheHit => "cache_hit",
-            Tracepoint::CacheMiss => "cache_miss",
-            Tracepoint::CacheInvalidate => "cache_invalidate",
             Tracepoint::SsmTransition => "ssm_transition",
             Tracepoint::PolicyPublish => "policy_publish",
             Tracepoint::RcuEpochBump => "rcu_epoch_bump",
@@ -286,7 +271,7 @@ impl fmt::Display for Tracepoint {
 
 /// A single trace event, the payload delivered to registered callbacks.
 ///
-/// Hot-path variants (`HookEnter`, `HookExit`, cache events) carry only
+/// Hot-path variants (`HookEnter`, `HookExit`, `AuditEmit`) carry only
 /// `Copy` data; rare control-plane variants own their strings so the flight
 /// recorder can retain them without lifetimes.
 #[derive(Debug, Clone, PartialEq)]
@@ -304,18 +289,6 @@ pub enum TraceEvent {
         verdict: TraceVerdict,
         /// Wall-clock nanoseconds spent in the stacked modules.
         latency_ns: u64,
-    },
-    /// A decision-cache lookup hit.
-    CacheHit,
-    /// A decision-cache lookup missed.
-    CacheMiss,
-    /// The policy epoch bump invalidated every cached decision.
-    ///
-    /// Fires exactly **once per epoch bump**, never per cache slot — the
-    /// interleaving model in `sack-analyze` proves this.
-    CacheInvalidate {
-        /// The new epoch value.
-        epoch: u64,
     },
     /// The situation state machine transitioned.
     SsmTransition {
@@ -430,9 +403,6 @@ impl TraceEvent {
         match self {
             TraceEvent::HookEnter { .. } => Tracepoint::HookEnter,
             TraceEvent::HookExit { .. } => Tracepoint::HookExit,
-            TraceEvent::CacheHit => Tracepoint::CacheHit,
-            TraceEvent::CacheMiss => Tracepoint::CacheMiss,
-            TraceEvent::CacheInvalidate { .. } => Tracepoint::CacheInvalidate,
             TraceEvent::SsmTransition { .. } => Tracepoint::SsmTransition,
             TraceEvent::PolicyPublish { .. } => Tracepoint::PolicyPublish,
             TraceEvent::RcuEpochBump { .. } => Tracepoint::RcuEpochBump,
@@ -460,11 +430,6 @@ impl fmt::Display for TraceEvent {
                 verdict,
                 latency_ns,
             } => write!(f, "hook_exit hook={hook} verdict={verdict} ns={latency_ns}"),
-            TraceEvent::CacheHit => f.write_str("cache_hit"),
-            TraceEvent::CacheMiss => f.write_str("cache_miss"),
-            TraceEvent::CacheInvalidate { epoch } => {
-                write!(f, "cache_invalidate epoch={epoch}")
-            }
             TraceEvent::SsmTransition { from, to, event } => {
                 write!(f, "ssm_transition from={from} to={to} event={event}")
             }
@@ -584,7 +549,7 @@ thread_local! {
 ///
 /// let hub = TraceHub::new();
 /// if hub.enabled() {
-///     hub.emit(&TraceEvent::CacheHit); // never reached while disabled
+///     hub.emit(&TraceEvent::AuditEmit { seq: 1 }); // never reached while disabled
 /// }
 /// ```
 ///
@@ -780,9 +745,9 @@ mod tests {
         hub.register_all(Arc::new(move |_| {
             s.fetch_add(1, Ordering::Relaxed);
         }));
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
         assert_eq!(seen.load(Ordering::Relaxed), 0);
-        assert_eq!(hub.fired(Tracepoint::CacheHit), 0);
+        assert_eq!(hub.fired(Tracepoint::AuditEmit), 0);
     }
 
     #[test]
@@ -792,14 +757,17 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l = Arc::clone(&log);
         hub.register_all(Arc::new(move |ev| l.lock().unwrap().push(ev.clone())));
-        hub.emit(&TraceEvent::CacheMiss);
+        hub.emit(&TraceEvent::SdsEnqueue { depth: 1 });
         hub.emit(&TraceEvent::RcuEpochBump { epoch: 7 });
         let log = log.lock().unwrap();
         assert_eq!(
             *log,
-            vec![TraceEvent::CacheMiss, TraceEvent::RcuEpochBump { epoch: 7 }]
+            vec![
+                TraceEvent::SdsEnqueue { depth: 1 },
+                TraceEvent::RcuEpochBump { epoch: 7 }
+            ]
         );
-        assert_eq!(hub.fired(Tracepoint::CacheMiss), 1);
+        assert_eq!(hub.fired(Tracepoint::SdsEnqueue), 1);
         assert_eq!(hub.fired(Tracepoint::RcuEpochBump), 1);
         assert_eq!(hub.fired_total(), 2);
     }
@@ -811,16 +779,16 @@ mod tests {
         let hits = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hits);
         let handle = hub.register(
-            Tracepoint::CacheHit,
+            Tracepoint::AuditEmit,
             Arc::new(move |_| {
                 h.fetch_add(1, Ordering::Relaxed);
             }),
         );
-        hub.emit(&TraceEvent::CacheHit);
-        hub.emit(&TraceEvent::CacheMiss); // filtered out
+        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
+        hub.emit(&TraceEvent::SdsEnqueue { depth: 1 }); // filtered out
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         hub.unregister(handle);
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         assert_eq!(hub.callback_count(), 0);
     }
@@ -843,7 +811,7 @@ mod tests {
         })
     }
 
-    /// Thread B: emits one `cache_hit` on its hub per [`Remote::emit`] and
+    /// Thread B: emits one `audit_emit` on its hub per [`Remote::emit`] and
     /// acks it, so "B's next emit" is ordered against the caller.
     struct Remote {
         go: std::sync::mpsc::Sender<()>,
@@ -858,7 +826,7 @@ mod tests {
             let hub = Arc::clone(hub);
             let thread = std::thread::spawn(move || {
                 for () in go_rx {
-                    hub.emit(&TraceEvent::CacheHit);
+                    hub.emit(&TraceEvent::AuditEmit { seq: 1 });
                     done_tx.send(()).unwrap();
                 }
             });
@@ -891,7 +859,7 @@ mod tests {
         b.emit();
         b.join();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-        assert_eq!(hub.fired(Tracepoint::CacheHit), 2);
+        assert_eq!(hub.fired(Tracepoint::AuditEmit), 2);
     }
 
     #[test]
@@ -904,7 +872,7 @@ mod tests {
         b.emit();
         // B now caches a one-callback snapshot; A registers a second.
         let second = Arc::new(AtomicU64::new(0));
-        hub.register(Tracepoint::CacheHit, counter(&second));
+        hub.register(Tracepoint::AuditEmit, counter(&second));
         b.emit();
         b.join();
         assert_eq!(first.load(Ordering::SeqCst), 2);
@@ -942,13 +910,13 @@ mod tests {
             let hub = TraceHub::new();
             hub.set_enabled(true);
             hub.register_all(counter(&old_hits));
-            hub.emit(&TraceEvent::CacheHit);
+            hub.emit(&TraceEvent::AuditEmit { seq: 1 });
         }
         // A fresh hub (possibly at a reused address) with no callbacks
         // must not deliver through the previous hub's cached snapshot.
         let hub = TraceHub::new();
         hub.set_enabled(true);
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
         assert_eq!(old_hits.load(Ordering::SeqCst), 8);
     }
 
@@ -960,18 +928,18 @@ mod tests {
         other.set_enabled(true);
         let misses = Arc::new(AtomicU64::new(0));
         let other_hits = Arc::new(AtomicU64::new(0));
-        hub.register(Tracepoint::CacheMiss, counter(&misses));
+        hub.register(Tracepoint::SdsEnqueue, counter(&misses));
         other.register_all(counter(&other_hits));
         let (h, o) = (Arc::clone(&hub), Arc::clone(&other));
         hub.register(
-            Tracepoint::CacheHit,
+            Tracepoint::AuditEmit,
             Arc::new(move |_| {
-                h.emit(&TraceEvent::CacheMiss);
-                o.emit(&TraceEvent::CacheHit);
+                h.emit(&TraceEvent::SdsEnqueue { depth: 1 });
+                o.emit(&TraceEvent::AuditEmit { seq: 1 });
             }),
         );
         for _ in 0..3 {
-            hub.emit(&TraceEvent::CacheHit);
+            hub.emit(&TraceEvent::AuditEmit { seq: 1 });
         }
         // Registering from inside a callback changes the generation while
         // the outer emit still holds the cached snapshot.
@@ -982,28 +950,28 @@ mod tests {
             Tracepoint::RcuEpochBump,
             Arc::new(move |_| {
                 if !once.swap(true, Ordering::SeqCst) {
-                    h.register(Tracepoint::CacheMiss, counter(&l));
-                    h.emit(&TraceEvent::CacheMiss);
+                    h.register(Tracepoint::SdsEnqueue, counter(&l));
+                    h.emit(&TraceEvent::SdsEnqueue { depth: 1 });
                 }
             }),
         );
         hub.emit(&TraceEvent::RcuEpochBump { epoch: 1 });
-        hub.emit(&TraceEvent::CacheMiss);
+        hub.emit(&TraceEvent::SdsEnqueue { depth: 1 });
         assert_eq!(misses.load(Ordering::SeqCst), 5);
         assert_eq!(late.load(Ordering::SeqCst), 2);
         assert_eq!(other_hits.load(Ordering::SeqCst), 3);
-        assert_eq!(hub.fired(Tracepoint::CacheHit), 3);
-        assert_eq!(hub.fired(Tracepoint::CacheMiss), 5);
+        assert_eq!(hub.fired(Tracepoint::AuditEmit), 3);
+        assert_eq!(hub.fired(Tracepoint::SdsEnqueue), 5);
     }
 
     #[test]
     fn toggling_gates_counters() {
         let hub = TraceHub::new();
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
         hub.set_enabled(true);
-        hub.emit(&TraceEvent::CacheHit);
+        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
         hub.set_enabled(false);
-        hub.emit(&TraceEvent::CacheHit);
-        assert_eq!(hub.fired(Tracepoint::CacheHit), 1);
+        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
+        assert_eq!(hub.fired(Tracepoint::AuditEmit), 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Contended SMP sweep runner (DESIGN.md §9): p50/p90/p99 hook latency and
-//! aggregate throughput per thread count for warm-cache, DFA-cold, and
-//! reload-racing hooks.
+//! aggregate throughput per thread count for DFA-walk and reload-racing
+//! hooks.
 //!
 //! Usage:
 //!   cargo run --release -p sack-lmbench --example contended_sweep -- \
@@ -89,7 +89,7 @@ fn smp_json(sweep: &ContendedSweep, max_threads: usize) -> String {
     let counts: Vec<String> = sweep
         .points
         .iter()
-        .filter(|p| p.scenario == ContendedScenario::WarmCache)
+        .filter(|p| p.scenario == ContendedScenario::DfaWalk)
         .map(|p| p.threads.to_string())
         .collect();
     out.push_str(&format!(

@@ -4,7 +4,7 @@
 //!
 //! * **sync** — one `write(2)` to `SACK/events` per sensor frame: every
 //!   frame pays an SSM evaluation, and every matching frame pays a
-//!   transition publish, an epoch bump, and a cache invalidation;
+//!   transition publish and an epoch bump;
 //! * **batched** — frames grouped into one `write(2)` to `SACK/sds/ring`
 //!   per drain tick: the whole batch coalesces into at most one publish.
 //!
@@ -17,7 +17,7 @@
 //! A separate probe measures warm-hook p50 with and without the plane
 //! draining non-matching "heartbeat" batches in the foreground, feeding
 //! the bench gate's no-regression check: coalesced drains that publish
-//! nothing must not invalidate the decision cache.
+//! nothing must not slow the hooks running beside them.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -89,7 +89,7 @@ impl SdsSweep {
 
     /// Warm-hook p50 ratio, plane-active over base. The bench gate
     /// requires this ≤ `MAX_SDS_WARM_IMPACT`: coalesced drains of
-    /// non-matching batches must leave the decision cache warm.
+    /// non-matching batches must not slow the hook path.
     pub fn warm_impact(&self) -> f64 {
         self.warm_plane_p50_ns as f64 / (self.warm_base_p50_ns.max(1)) as f64
     }
@@ -141,7 +141,7 @@ fn ingest_eps(proc: &UserContext, node: &str, events: usize, per_write: usize) -
 const POINT_REPS: usize = 3;
 
 /// Best-of-[`POINT_REPS`] events/sec through `node`, a fresh kernel per
-/// repetition so no run inherits another's transition history or caches.
+/// repetition so no run inherits another's transition history.
 fn best_eps(node: &str, events: usize, per_write: usize) -> f64 {
     (0..POINT_REPS)
         .map(|_| {
@@ -167,7 +167,7 @@ fn run_sds_point(rate: u64, events: usize) -> SdsPoint {
 /// Warm-hook p50 over [`WARM_PROBE_ITERS`] dispatches. With
 /// `plane_active`, every hook is preceded by a heartbeat submission and
 /// every [`WARM_PROBE_BATCH`]th by a coalesced drain — all non-matching,
-/// so a correct plane never bumps the epoch and the cache stays warm.
+/// so a correct plane never publishes a transition.
 fn warm_p50(plane_active: bool) -> u64 {
     let sack = Sack::independent(SWEEP_POLICY).expect("sweep policy must compile");
     let plane = plane_active.then(|| {

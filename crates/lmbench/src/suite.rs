@@ -513,43 +513,37 @@ pub fn run_suite(bed: &TestBed, scale: Scale) -> LmbenchResult {
 
 // ---------------------------------------------------------------------------
 // Contended SMP sweep (DESIGN.md §9): p50/p90/p99 hook latency and aggregate
-// throughput per thread count, for three contention regimes.
+// throughput per thread count, for two contention regimes.
 
 /// Situation-state count for the contended sweep's synthetic policies.
 const SWEEP_STATES: usize = 4;
 /// Rule count for the contended sweep's synthetic policies.
 const SWEEP_RULES: usize = 100;
-/// The shared task id all sweep workers run as: one task, one per-CPU
-/// decision-cache array, each worker thread on its own instance.
+/// The shared task id all sweep workers run as: one task, hooked from
+/// every worker thread at once.
 const SWEEP_PID: u32 = 4242;
 
 /// A contention regime of the SMP sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ContendedScenario {
-    /// Decision cache on, every hook a per-CPU cache hit.
-    WarmCache,
-    /// Decision cache off: every hook walks the per-state DFA under
+    /// A steady policy: every hook walks the per-state DFA under
     /// concurrent RCU reads and sharded-counter traffic.
-    DfaCold,
-    /// Decision cache on while a control thread churns the policy epoch
-    /// (SSM transitions plus periodic full policy reloads), so hooks keep
-    /// re-missing, re-evaluating and re-inserting.
+    DfaWalk,
+    /// A control thread churns the policy (SSM transitions plus periodic
+    /// full policy reloads) while the hooks walk whichever snapshot is
+    /// current.
     ReloadRacing,
 }
 
 impl ContendedScenario {
     /// All scenarios, in report order.
-    pub const ALL: [ContendedScenario; 3] = [
-        ContendedScenario::WarmCache,
-        ContendedScenario::DfaCold,
-        ContendedScenario::ReloadRacing,
-    ];
+    pub const ALL: [ContendedScenario; 2] =
+        [ContendedScenario::DfaWalk, ContendedScenario::ReloadRacing];
 
     /// Human/machine-readable scenario name (used in report lines).
     pub fn name(self) -> &'static str {
         match self {
-            ContendedScenario::WarmCache => "warm-cache",
-            ContendedScenario::DfaCold => "dfa-cold",
+            ContendedScenario::DfaWalk => "dfa-walk",
             ContendedScenario::ReloadRacing => "reload-racing",
         }
     }
@@ -557,8 +551,7 @@ impl ContendedScenario {
     /// Key used in the `smp` block of `BENCH_hook_latency.json`.
     pub fn json_key(self) -> &'static str {
         match self {
-            ContendedScenario::WarmCache => "warm_cache",
-            ContendedScenario::DfaCold => "dfa_cold",
+            ContendedScenario::DfaWalk => "dfa_walk",
             ContendedScenario::ReloadRacing => "reload_racing",
         }
     }
@@ -609,7 +602,7 @@ impl ContendedSweep {
     /// speedup over the single-thread point, divided by the ideal speedup
     /// `min(threads, available_parallelism)`. 1.0 is perfectly linear
     /// scaling up to the core count; the bench gate requires ≥ 0.7 for
-    /// warm-cache hooks at 8 threads.
+    /// DFA-walk hooks at 8 threads.
     pub fn efficiency(&self, scenario: ContendedScenario, threads: usize) -> Option<f64> {
         let base = self.point(scenario, 1)?;
         let point = self.point(scenario, threads)?;
@@ -648,12 +641,9 @@ fn run_contended_point(
         _ => synthetic_independent_policy(SWEEP_STATES, SWEEP_RULES),
     };
     let sack = Sack::independent(&policy).expect("sweep policy must compile");
-    if scenario == ContendedScenario::DfaCold {
-        sack.set_decision_cache_enabled(false);
-    }
 
-    // Workers warm their own per-CPU instance, align on a barrier so the
-    // measured sections fully overlap, then time every hook dispatch.
+    // Workers make one untimed check, align on a barrier so the measured
+    // sections fully overlap, then time every hook dispatch.
     let ready = Barrier::new(threads);
     let worker = |w: usize| {
         let ctx = HookCtx::new(
@@ -661,8 +651,8 @@ fn run_contended_point(
             Credentials::user(1000, 1000),
             Some(KPath::new(BENCH_EXE).expect("bench exe path")),
         );
-        // Per-worker object so DFA-cold walks differ by path tail; the
-        // racing scenario uses the all-states grant under /shared.
+        // Per-worker object so DFA walks differ by path tail; the racing
+        // scenario uses the all-states grant under /shared.
         let path_str = match scenario {
             ContendedScenario::ReloadRacing => format!("{RACING_SHARED_PREFIX}/dev{w}"),
             _ => format!("/protected/area0/s0/devices/dev{w}"),
@@ -823,12 +813,11 @@ mod tests {
             assert!(sweep.efficiency(scenario, 1).unwrap() > 0.99);
         }
         // Unknown thread counts yield no point and no efficiency.
-        assert!(sweep.point(ContendedScenario::WarmCache, 7).is_none());
-        assert!(sweep.efficiency(ContendedScenario::WarmCache, 7).is_none());
+        assert!(sweep.point(ContendedScenario::DfaWalk, 7).is_none());
+        assert!(sweep.efficiency(ContendedScenario::DfaWalk, 7).is_none());
 
         let table = crate::report::render_contended_sweep(&sweep);
-        assert!(table.contains("warm-cache"));
-        assert!(table.contains("dfa-cold"));
+        assert!(table.contains("dfa-walk"));
         assert!(table.contains("reload-racing"));
         assert!(table.contains("hooks/sec"));
     }

@@ -81,9 +81,10 @@ pub const RACING_SHARED_PREFIX: &str = "/shared";
 /// Like [`synthetic_independent_policy`], but every state's permission
 /// additionally grants `/shared/**` — a decision whose *verdict* is
 /// identical in all states. The contended reload-racing sweep hammers a
-/// `/shared` path while situation transitions churn the policy epoch: the
-/// measured cost is pure invalidation + recompute + reinsert, never a
-/// verdict flip into the (allocating) audit path.
+/// `/shared` path while situation transitions and reloads churn the
+/// policy snapshot: the measured cost is the DFA walk against whichever
+/// snapshot is current, never a verdict flip into the (allocating) audit
+/// path.
 pub fn synthetic_racing_policy(states: usize, rules: usize) -> String {
     let mut out = String::new();
     let mut inside_per_rules = false;

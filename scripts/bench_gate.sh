@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Benchmark gate for the hook hot path (DESIGN.md §5.3, §7).
 #
-# Runs the decision-cache ablation in quick mode, extracts the warm-cache,
-# uncached-DFA, and uncached-scan medians plus the steady-state cache hit
-# rate and the 100/1k/10k rule-count sweep, writes them to
-# BENCH_hook_latency.json at the repo root, and fails if:
-#   * the warm cache is not at least MIN_SPEEDUP x faster than the
-#     uncached scan on the 100-rule policy (epoch-tagged decision cache);
-#   * the uncached DFA walk is not at least MIN_DFA_SPEEDUP x faster than
-#     the uncached scan on the 1k-rule policy (unified per-state DFA);
-#   * the DFA cold path degrades by more than MAX_DFA_DEGRADATION x
-#     between the 100-rule and 10k-rule policies (O(|path|) flatness).
+# Runs the hook-matcher ablation in quick mode, extracts the DFA-walk and
+# linear-scan medians on a single path, a 64-path working set and the
+# 100/1k/10k rule-count sweep, writes them to BENCH_hook_latency.json at
+# the repo root, and fails if:
+#   * the DFA walk is not at least MIN_DFA_SPEEDUP x faster than the scan
+#     on the 1k-rule policy (unified per-state DFA);
+#   * the DFA walk degrades by more than MAX_DFA_DEGRADATION x between
+#     the 100-rule and 10k-rule policies (O(|path|) flatness).
 #
 # Also runs the AppArmor profile-table bench and fails if:
 #   * the compiled profile DFA is not at least MIN_AA_DFA_SPEEDUP x
@@ -34,7 +32,7 @@
 #     the full serial rebuild at the same size.
 #
 # Also runs the contended SMP sweep (DESIGN.md §9) and fails if:
-#   * warm-cache throughput at the highest thread count scales below
+#   * DFA-walk hook throughput at the highest thread count scales below
 #     MIN_SMP_EFFICIENCY x linear, normalised to
 #     min(threads, available_parallelism).
 #
@@ -43,7 +41,8 @@
 #     synchronous per-event path's throughput at 100k events/sec;
 #   * an active plane draining non-matching batches inflates the warm
 #     hook p50 beyond MAX_SDS_WARM_IMPACT x the planeless baseline
-#     (coalesced drains must not invalidate the decision cache).
+#     (coalesced drains that publish nothing must stay off the hook
+#     path).
 #
 # Also runs the fleet aggregation-cost sweep (DESIGN.md §13) and fails if:
 #   * an aggregator scraping the fleet Prometheus endpoint in a loop
@@ -66,8 +65,6 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-MIN_SPEEDUP="${MIN_SPEEDUP:-2.0}"
-MIN_HIT_RATE="${MIN_HIT_RATE:-0.95}"
 MIN_DFA_SPEEDUP="${MIN_DFA_SPEEDUP:-3.0}"
 MAX_DFA_DEGRADATION="${MAX_DFA_DEGRADATION:-1.5}"
 MIN_AA_DFA_SPEEDUP="${MIN_AA_DFA_SPEEDUP:-3.0}"
@@ -122,8 +119,6 @@ check_recorded_gate() {
     fi
 }
 if [[ -f "$OUT_JSON" ]]; then
-    check_recorded_gate min_speedup "$MIN_SPEEDUP"
-    check_recorded_gate min_hit_rate "$MIN_HIT_RATE"
     check_recorded_gate min_dfa_speedup_1k "$MIN_DFA_SPEEDUP"
     check_recorded_gate max_dfa_degradation "$MAX_DFA_DEGRADATION"
     check_recorded_gate min_aa_dfa_speedup "$MIN_AA_DFA_SPEEDUP"
@@ -137,9 +132,9 @@ if [[ -f "$OUT_JSON" ]]; then
     check_recorded_gate max_fleet_warm_impact "$MAX_FLEET_WARM_IMPACT"
 fi
 
-echo "== bench_gate: running ablation_decision_cache ${QUICK:+(quick mode)}" >&2
+echo "== bench_gate: running ablation_hook_matcher ${QUICK:+(quick mode)}" >&2
 BENCH_JSON_OUT="$TMP_JSON" \
-    cargo bench --offline -p sack-bench --bench ablation_decision_cache -- $QUICK \
+    cargo bench --offline -p sack-bench --bench ablation_hook_matcher -- $QUICK \
     | tee "$TMP_LOG"
 
 median_of() {
@@ -147,18 +142,16 @@ median_of() {
     grep -F "$1" "$TMP_JSON" | sed -n 's/.*"median_ns": \([0-9.]*\).*/\1/p' | head -1
 }
 
-WARM_SINGLE="$(median_of '100rules_single/warm-cache')"
-DFA_SINGLE="$(median_of '100rules_single/uncached-dfa')"
-SCAN_SINGLE="$(median_of '100rules_single/uncached-scan')"
-WARM_WSET="$(median_of '100rules_wset64/warm-cache')"
-SCAN_WSET="$(median_of '100rules_wset64/uncached-scan')"
-HIT_RATE="$(sed -n 's/^cache_hit_rate \([0-9.]*\)$/\1/p' "$TMP_LOG" | head -1)"
-DFA_100="$(median_of 'sweep100rules/uncached-dfa')"
-SCAN_100="$(median_of 'sweep100rules/uncached-scan')"
-DFA_1K="$(median_of 'sweep1000rules/uncached-dfa')"
-SCAN_1K="$(median_of 'sweep1000rules/uncached-scan')"
-DFA_10K="$(median_of 'sweep10000rules/uncached-dfa')"
-SCAN_10K="$(median_of 'sweep10000rules/uncached-scan')"
+DFA_SINGLE="$(median_of '100rules_single/dfa')"
+SCAN_SINGLE="$(median_of '100rules_single/scan')"
+DFA_WSET="$(median_of '100rules_wset64/dfa')"
+SCAN_WSET="$(median_of '100rules_wset64/scan')"
+DFA_100="$(median_of 'sweep100rules/dfa')"
+SCAN_100="$(median_of 'sweep100rules/scan')"
+DFA_1K="$(median_of 'sweep1000rules/dfa')"
+SCAN_1K="$(median_of 'sweep1000rules/scan')"
+DFA_10K="$(median_of 'sweep10000rules/dfa')"
+SCAN_10K="$(median_of 'sweep10000rules/scan')"
 
 # The shim truncates BENCH_JSON_OUT per run, so the profile-table bench
 # gets its own capture file.
@@ -211,7 +204,7 @@ cargo run --release --offline -p sack-lmbench --example contended_sweep -- \
     | tee "$TMP_SMP_LOG" >&2
 
 SMP_MAX_THREADS="${SMP_THREADS##*,}"
-SMP_EFF_WARM="$(sed -n 's/^smp_efficiency scenario=warm-cache threads='"$SMP_MAX_THREADS"' value=\([0-9.]*\)$/\1/p' "$TMP_SMP_LOG" | head -1)"
+SMP_EFF_DFA="$(sed -n 's/^smp_efficiency scenario=dfa-walk threads='"$SMP_MAX_THREADS"' value=\([0-9.]*\)$/\1/p' "$TMP_SMP_LOG" | head -1)"
 SMP_PARALLELISM="$(sed -n 's/^smp_meta available_parallelism=\([0-9]*\).*$/\1/p' "$TMP_SMP_LOG" | head -1)"
 
 echo "== bench_gate: running sds_sweep (rates $SDS_RATES, $SDS_EVENTS events/point)" >&2
@@ -229,13 +222,13 @@ cargo run --release --offline -p sack-lmbench --example fleet_sweep -- \
 
 FLEET_WARM_IMPACT="$(sed -n 's/^fleet_warm_impact value=\([0-9.]*\)$/\1/p' "$TMP_FLEET_LOG" | head -1)"
 
-for v in WARM_SINGLE DFA_SINGLE SCAN_SINGLE WARM_WSET SCAN_WSET HIT_RATE \
+for v in DFA_SINGLE SCAN_SINGLE DFA_WSET SCAN_WSET \
          DFA_100 SCAN_100 DFA_1K SCAN_1K DFA_10K SCAN_10K \
          AA_DFA AA_SCAN RECOMPILE_INCR RECOMPILE_FULL \
          PC_SERIAL_100 PC_PARALLEL_100 PC_SERIAL_1K PC_PARALLEL_1K \
          PC_SERIAL_10K PC_PARALLEL_10K PC_LAZY_LOAD_1K PC_COLD_ATTACH_1K \
          TRACE_BASELINE TRACE_DISABLED TRACE_ENABLED TRACE_FLIGHT \
-         SMP_EFF_WARM SMP_PARALLELISM SDS_SPEEDUP_100K SDS_WARM_IMPACT \
+         SMP_EFF_DFA SMP_PARALLELISM SDS_SPEEDUP_100K SDS_WARM_IMPACT \
          FLEET_WARM_IMPACT; do
     if [[ -z "${!v}" ]]; then
         echo "bench_gate: FAILED to extract $v from benchmark output" >&2
@@ -243,8 +236,8 @@ for v in WARM_SINGLE DFA_SINGLE SCAN_SINGLE WARM_WSET SCAN_WSET HIT_RATE \
     fi
 done
 
-SPEEDUP_SINGLE="$(awk -v a="$SCAN_SINGLE" -v b="$WARM_SINGLE" 'BEGIN { printf "%.2f", a / b }')"
-SPEEDUP_WSET="$(awk -v a="$SCAN_WSET" -v b="$WARM_WSET" 'BEGIN { printf "%.2f", a / b }')"
+DFA_SPEEDUP_SINGLE="$(awk -v a="$SCAN_SINGLE" -v b="$DFA_SINGLE" 'BEGIN { printf "%.2f", a / b }')"
+DFA_SPEEDUP_WSET="$(awk -v a="$SCAN_WSET" -v b="$DFA_WSET" 'BEGIN { printf "%.2f", a / b }')"
 DFA_SPEEDUP_1K="$(awk -v a="$SCAN_1K" -v b="$DFA_1K" 'BEGIN { printf "%.2f", a / b }')"
 DFA_DEGRADATION="$(awk -v a="$DFA_10K" -v b="$DFA_100" 'BEGIN { printf "%.2f", a / b }')"
 AA_DFA_SPEEDUP="$(awk -v a="$AA_SCAN" -v b="$AA_DFA" 'BEGIN { printf "%.2f", a / b }')"
@@ -266,24 +259,22 @@ TRACE_OVERHEAD_ENABLED="$(awk -v a="$TRACE_ENABLED" -v b="$TRACE_BASELINE" 'BEGI
 
 cat > "$OUT_JSON" <<EOF
 {
-  "bench": "ablation_decision_cache",
+  "bench": "ablation_hook_matcher",
   "policy_rules": 100,
   "single_path": {
-    "warm_cache_median_ns": $WARM_SINGLE,
-    "uncached_dfa_median_ns": $DFA_SINGLE,
-    "uncached_scan_median_ns": $SCAN_SINGLE,
-    "speedup": $SPEEDUP_SINGLE
+    "dfa_median_ns": $DFA_SINGLE,
+    "scan_median_ns": $SCAN_SINGLE,
+    "dfa_speedup": $DFA_SPEEDUP_SINGLE
   },
   "working_set_64": {
-    "warm_cache_median_ns": $WARM_WSET,
-    "uncached_scan_median_ns": $SCAN_WSET,
-    "speedup": $SPEEDUP_WSET,
-    "cache_hit_rate": $HIT_RATE
+    "dfa_median_ns": $DFA_WSET,
+    "scan_median_ns": $SCAN_WSET,
+    "dfa_speedup": $DFA_SPEEDUP_WSET
   },
   "rule_sweep": {
-    "rules_100": { "uncached_dfa_median_ns": $DFA_100, "uncached_scan_median_ns": $SCAN_100 },
-    "rules_1000": { "uncached_dfa_median_ns": $DFA_1K, "uncached_scan_median_ns": $SCAN_1K },
-    "rules_10000": { "uncached_dfa_median_ns": $DFA_10K, "uncached_scan_median_ns": $SCAN_10K },
+    "rules_100": { "dfa_median_ns": $DFA_100, "scan_median_ns": $SCAN_100 },
+    "rules_1000": { "dfa_median_ns": $DFA_1K, "scan_median_ns": $SCAN_1K },
+    "rules_10000": { "dfa_median_ns": $DFA_10K, "scan_median_ns": $SCAN_10K },
     "dfa_speedup_1k": $DFA_SPEEDUP_1K,
     "dfa_degradation_100_to_10k": $DFA_DEGRADATION
   },
@@ -324,8 +315,6 @@ cat > "$OUT_JSON" <<EOF
   "sds": $(cat "$TMP_SDS_JSON"),
   "fleet": $(cat "$TMP_FLEET_JSON"),
   "gate": {
-    "min_speedup": $MIN_SPEEDUP,
-    "min_hit_rate": $MIN_HIT_RATE,
     "min_dfa_speedup_1k": $MIN_DFA_SPEEDUP,
     "max_dfa_degradation": $MAX_DFA_DEGRADATION,
     "min_aa_dfa_speedup": $MIN_AA_DFA_SPEEDUP,
@@ -342,9 +331,8 @@ cat > "$OUT_JSON" <<EOF
 EOF
 
 echo "== bench_gate: wrote $OUT_JSON" >&2
-echo "   single-path speedup:  ${SPEEDUP_SINGLE}x (warm $WARM_SINGLE ns vs scan $SCAN_SINGLE ns)" >&2
-echo "   working-set speedup:  ${SPEEDUP_WSET}x (warm $WARM_WSET ns vs scan $SCAN_WSET ns)" >&2
-echo "   working-set hit rate: $HIT_RATE" >&2
+echo "   DFA vs scan, 1 path:  ${DFA_SPEEDUP_SINGLE}x (dfa $DFA_SINGLE ns vs scan $SCAN_SINGLE ns)" >&2
+echo "   DFA vs scan, 64 paths: ${DFA_SPEEDUP_WSET}x (dfa $DFA_WSET ns vs scan $SCAN_WSET ns)" >&2
 echo "   DFA vs scan @1k:      ${DFA_SPEEDUP_1K}x (dfa $DFA_1K ns vs scan $SCAN_1K ns)" >&2
 echo "   DFA 100 -> 10k:       ${DFA_DEGRADATION}x (dfa $DFA_100 ns -> $DFA_10K ns)" >&2
 echo "   profile DFA @1k:      ${AA_DFA_SPEEDUP}x (dfa $AA_DFA ns vs scan $AA_SCAN ns)" >&2
@@ -353,7 +341,7 @@ echo "   bulk compile @1k:     ${PC_SPEEDUP_1K}x parallel over serial (serial $P
 echo "   lazy cold attach @1k: ${PC_COLD_FRACTION}x of the serial rebuild (lazy load $PC_LAZY_LOAD_1K ns, cold attach $PC_COLD_ATTACH_1K ns)" >&2
 echo "   trace off overhead:   ${TRACE_OVERHEAD_DISABLED}x (disabled $TRACE_DISABLED ns vs baseline $TRACE_BASELINE ns)" >&2
 echo "   trace on overhead:    ${TRACE_OVERHEAD_ENABLED}x (enabled $TRACE_ENABLED ns, flight-saturated $TRACE_FLIGHT ns)" >&2
-echo "   smp warm efficiency:  ${SMP_EFF_WARM}x linear at $SMP_MAX_THREADS threads ($SMP_PARALLELISM-way parallel host)" >&2
+echo "   smp dfa efficiency:   ${SMP_EFF_DFA}x linear at $SMP_MAX_THREADS threads ($SMP_PARALLELISM-way parallel host)" >&2
 echo "   sds batched @100k:    ${SDS_SPEEDUP_100K}x sync event throughput" >&2
 echo "   sds warm impact:      ${SDS_WARM_IMPACT}x warm-hook p50 with the plane active" >&2
 echo "   fleet warm impact:    ${FLEET_WARM_IMPACT}x warm-hook p50 under active scraping" >&2
@@ -363,24 +351,12 @@ if [[ "$GATE_MISMATCH" -ne 0 ]]; then
     echo "bench_gate: FAIL — $OUT_JSON recorded gate thresholds that disagree with the enforced constants (corrected file written; commit it)" >&2
     fail=1
 fi
-if awk -v s="$SPEEDUP_SINGLE" -v m="$MIN_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
-    echo "bench_gate: FAIL — single-path speedup ${SPEEDUP_SINGLE}x < required ${MIN_SPEEDUP}x" >&2
-    fail=1
-fi
-if awk -v s="$SPEEDUP_WSET" -v m="$MIN_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
-    echo "bench_gate: FAIL — working-set speedup ${SPEEDUP_WSET}x < required ${MIN_SPEEDUP}x" >&2
-    fail=1
-fi
-if awk -v h="$HIT_RATE" -v m="$MIN_HIT_RATE" 'BEGIN { exit !(h < m) }'; then
-    echo "bench_gate: FAIL — working-set hit rate $HIT_RATE < required $MIN_HIT_RATE" >&2
-    fail=1
-fi
 if awk -v s="$DFA_SPEEDUP_1K" -v m="$MIN_DFA_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
     echo "bench_gate: FAIL — DFA speedup at 1k rules ${DFA_SPEEDUP_1K}x < required ${MIN_DFA_SPEEDUP}x" >&2
     fail=1
 fi
 if awk -v d="$DFA_DEGRADATION" -v m="$MAX_DFA_DEGRADATION" 'BEGIN { exit !(d > m) }'; then
-    echo "bench_gate: FAIL — DFA cold path degrades ${DFA_DEGRADATION}x from 100 to 10k rules (max ${MAX_DFA_DEGRADATION}x)" >&2
+    echo "bench_gate: FAIL — DFA walk degrades ${DFA_DEGRADATION}x from 100 to 10k rules (max ${MAX_DFA_DEGRADATION}x)" >&2
     fail=1
 fi
 if awk -v s="$AA_DFA_SPEEDUP" -v m="$MIN_AA_DFA_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
@@ -405,8 +381,8 @@ if awk -v r="$TRACE_OVERHEAD_DISABLED" -v m="$MAX_TRACE_OVERHEAD" 'BEGIN { exit 
     echo "bench_gate: FAIL — disabled tracepoints cost ${TRACE_OVERHEAD_DISABLED}x on the warm hook path (max ${MAX_TRACE_OVERHEAD}x)" >&2
     fail=1
 fi
-if awk -v e="$SMP_EFF_WARM" -v m="$MIN_SMP_EFFICIENCY" 'BEGIN { exit !(e < m) }'; then
-    echo "bench_gate: FAIL — warm-cache scaling efficiency ${SMP_EFF_WARM}x < required ${MIN_SMP_EFFICIENCY}x linear at $SMP_MAX_THREADS threads" >&2
+if awk -v e="$SMP_EFF_DFA" -v m="$MIN_SMP_EFFICIENCY" 'BEGIN { exit !(e < m) }'; then
+    echo "bench_gate: FAIL — DFA-walk scaling efficiency ${SMP_EFF_DFA}x < required ${MIN_SMP_EFFICIENCY}x linear at $SMP_MAX_THREADS threads" >&2
     fail=1
 fi
 if awk -v s="$SDS_SPEEDUP_100K" -v m="$MIN_SDS_SPEEDUP" 'BEGIN { exit !(s < m) }'; then

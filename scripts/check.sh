@@ -17,10 +17,11 @@
 #                                   sync::shim seam (keeps the executor's
 #                                   coverage from rotting)
 #   6. sack-analyze sched --smoke — bounded deterministic-schedule
-#                                   exploration of the real Rcu/cache code:
-#                                   core scenarios pass, every planted
-#                                   mutation is caught with a printed
-#                                   counterexample, model conformance holds
+#                                   exploration of the real Rcu, ring and
+#                                   lazy-slot code: core scenarios pass,
+#                                   every planted mutation is caught with
+#                                   a printed counterexample, model
+#                                   conformance holds
 #   7. sack-analyze trace --self-check
 #                                 — boots a traced kernel and proves every
 #                                   tracepoint fires, the flight recorder
@@ -60,7 +61,7 @@
 # Usage: scripts/check.sh [--no-bench] [--sanitize]
 #   --no-bench  skip the benchmark gate (useful on loaded machines where
 #               timing gates are noisy; the functional gates still run).
-#   --sanitize  additionally run the sync/cache/smp tests under
+#   --sanitize  additionally run the sync/smp/hook tests under
 #               ThreadSanitizer (requires a nightly toolchain with
 #               rust-src; skipped with a notice when unavailable).
 #
@@ -131,7 +132,7 @@ step "sack-analyze fleet --self-check"
 ./target/release/sack-analyze fleet --self-check
 
 if [[ "$RUN_SANITIZE" == 1 ]]; then
-    step "ThreadSanitizer lane (sync/cache/smp tests)"
+    step "ThreadSanitizer lane (sync/smp/hook tests)"
     if rustup run nightly rustc --version >/dev/null 2>&1 \
         && rustup component list --toolchain nightly 2>/dev/null \
             | grep -q "rust-src.*(installed)"; then
@@ -141,7 +142,7 @@ if [[ "$RUN_SANITIZE" == 1 ]]; then
             -p sack-kernel --lib sync:: smp:: -- --test-threads=1
         RUSTFLAGS="-Zsanitizer=thread" \
             cargo +nightly test -Zbuild-std --target "$TSAN_TARGET" \
-            -p sack-core --lib cache:: -- --test-threads=1
+            -p sack-core --lib sack:: -- --test-threads=1
     else
         echo "tsan lane skipped: nightly toolchain with rust-src not available"
     fi

@@ -47,8 +47,6 @@ TOP_LEVEL_KEYS = [
 
 # Must match the thresholds scripts/bench_gate.sh enforces.
 GATE_KEYS = [
-    "min_speedup",
-    "min_hit_rate",
     "min_dfa_speedup_1k",
     "max_dfa_degradation",
     "min_aa_dfa_speedup",
@@ -62,7 +60,7 @@ GATE_KEYS = [
     "max_fleet_warm_impact",
 ]
 
-SMP_SCENARIOS = ["warm_cache", "dfa_cold", "reload_racing"]
+SMP_SCENARIOS = ["dfa_walk", "reload_racing"]
 SMP_POINT_KEYS = ["p50_ns", "p90_ns", "p99_ns", "ops_per_sec"]
 
 SDS_POINT_KEYS = ["batch", "sync_eps", "batched_eps", "speedup"]

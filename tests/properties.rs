@@ -18,7 +18,9 @@ use sack_apparmor::{AppArmor, CompiledRules, DfaBuilder, PolicyDb};
 use sack_core::rules::{MacRule, ProtectedSet, StateRuleSet, SubjectCtx};
 use sack_core::situation::StateSpace;
 use sack_core::ssm::{Ssm, TransitionRule};
-use sack_core::{RuleEffect, Sack, SackPolicy, StateDfa, SubjectMatch};
+use sack_core::{
+    AccessQuery, PolicySimulator, RuleEffect, Sack, SackPolicy, StateDfa, SubjectMatch,
+};
 use sack_kernel::cred::Credentials;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectRef, SecurityModule};
 use sack_kernel::path::KPath;
@@ -597,56 +599,6 @@ fn trace_csv_roundtrips() {
     });
 }
 
-/// The decision cache's whole invalidation story is the epoch tag: a
-/// reload bumps the epoch, and every entry inserted under the old epoch
-/// must be unreachable afterwards — no flush, just keys that never match
-/// again. The property drives random working sets, states and permission
-/// bits, and checks both directions: immediate hits under the inserting
-/// epoch, guaranteed misses under any bumped epoch, in arbitrary lookup
-/// order.
-#[test]
-fn cached_grant_is_never_served_across_an_epoch_bump() {
-    use sack_core::{CachedOutcome, DecisionCache, DecisionKey};
-    prop::check(|rng| {
-        let cache = DecisionCache::new();
-        let old_epoch = rng.next_u64();
-        let bump = rng.range(1, 1000) as u64;
-        let new_epoch = old_epoch.wrapping_add(bump);
-        fn make_key(epoch: u64, path: &str, state: usize, perms: u8) -> DecisionKey<'_> {
-            DecisionKey {
-                epoch,
-                confinement_gen: 0,
-                state,
-                uid: 1000,
-                mac_override: false,
-                exe: Some("/usr/bin/app"),
-                path,
-                perms,
-            }
-        }
-        let mut entries: Vec<(String, usize, u8)> = (0..rng.range(1, 40))
-            .map(|_| (rich_path(rng), rng.below(8), rng.range(1, 64) as u8))
-            .collect();
-        for (path, state, perms) in &entries {
-            let key = make_key(old_epoch, path, *state, *perms);
-            cache.insert(&key, CachedOutcome::Allow);
-            assert_eq!(
-                cache.lookup(&key),
-                Some(CachedOutcome::Allow),
-                "freshly inserted grant must hit under its own epoch"
-            );
-        }
-        rng.shuffle(&mut entries);
-        for (path, state, perms) in &entries {
-            assert_eq!(
-                cache.lookup(&make_key(new_epoch, path, *state, *perms)),
-                None,
-                "stale grant served across epoch bump (+{bump}) for `{path}`"
-            );
-        }
-    });
-}
-
 /// Probe paths biased toward the vehicle bundles' namespace (`/dev/car`,
 /// `/dev/can0`, `/usr/bin`, `/tmp`) plus generic noise paths.
 #[allow(clippy::explicit_auto_deref)] // same inference false positive
@@ -838,7 +790,6 @@ fn vehicle_bundle_through_policy_db_agrees_with_scan() {
 /// AppArmor profile hook, sharing one `Sack::set_dfa_matcher_enabled`
 /// switch — must be bit-identical with the DFA matchers on and off,
 /// across random situation walks, subjects, paths, and access masks.
-/// The decision cache is disabled so every probe reaches the matchers.
 #[test]
 #[allow(clippy::explicit_auto_deref)] // same inference false positive
 fn stacked_sack_apparmor_verdict_is_identical_with_dfa_on_and_off() {
@@ -847,7 +798,6 @@ fn stacked_sack_apparmor_verdict_is_identical_with_dfa_on_and_off() {
     db.load_text(VEHICLE_APPARMOR_PROFILES).unwrap();
     let apparmor = AppArmor::new(Arc::clone(&db));
     sack.set_profile_oracle(Arc::clone(&apparmor));
-    sack.set_decision_cache_enabled(false);
     let confined = Pid(9);
     apparmor.set_profile(confined, "media_app").unwrap();
     let unconfined = Pid(10);
@@ -980,58 +930,71 @@ fn incremental_recompile_preserves_equivalence_and_pins_untouched_profiles() {
     });
 }
 
-/// Satellite invariant for the opt-in negative cache: a denial is counted
-/// on every refusal, but the audit record for a given (path, perms,
-/// subject, state) decision is emitted exactly once — replays are served
-/// from the cache without re-auditing. Protected-but-unwritable paths
-/// under a read-only grant exercise the default-deny denial path.
+/// Every hook decides afresh from the current snapshot: over random
+/// situation walks, subjects, paths and masks the kernel verdict equals
+/// `PolicySimulator`'s answer in the same state, every mediated hook
+/// counts one `cache_misses` and no `cache_hits`, and every refusal is
+/// counted and audited exactly once.
 #[test]
-fn negative_cache_audits_each_distinct_denial_exactly_once() {
-    const READONLY_POLICY: &str = r#"
-        states { locked = 0; }
-        events { noop; }
-        transitions { locked -noop-> locked; }
-        initial locked;
-        permissions { P; }
-        state_per { locked: P; }
-        per_rules { P: allow subject=* /locked/** r; }
-    "#;
+fn hook_verdicts_match_simulator_and_every_denial_is_audited_once() {
+    const EVENTS: [&str; 6] = [
+        "crash",
+        "park",
+        "start_driving",
+        "driver_left",
+        "driver_entered",
+        "emergency_resolved",
+    ];
     prop::check(|rng| {
-        let sack = Sack::independent(READONLY_POLICY).unwrap();
-        sack.set_negative_cache_enabled(true);
-        let ctx = HookCtx::new(
-            Pid(9),
-            Credentials::user(1000, 1000),
-            Some(KPath::new("/usr/bin/app").unwrap()),
-        );
-        let n_paths = rng.range(1, 5);
-        let paths: Vec<KPath> = (0..n_paths)
-            .map(|i| KPath::new(&format!("/locked/f{i}")).unwrap())
-            .collect();
-        let probes = rng.range(n_paths, 24);
-        for k in 0..probes {
-            // Visit every path once up front, then replay at random.
-            let i = if k < n_paths { k } else { rng.below(n_paths) };
-            let obj = ObjectRef::regular(&paths[i]);
-            assert!(
-                sack.file_open(&ctx, &obj, AccessMask::WRITE).is_err(),
-                "write into the read-only grant must be refused"
+        let sack = Sack::independent(VEHICLE_SACK_POLICY).unwrap();
+        let sim = PolicySimulator::new(VEHICLE_SACK_POLICY).unwrap();
+        let probes = rng.range(1, 40);
+        let mut refused = 0u64;
+        for _ in 0..probes {
+            if rng.below(4) == 0 {
+                let event = *rng.pick(&EVENTS);
+                sack.deliver_event(event, std::time::Duration::ZERO)
+                    .unwrap();
+                sim.deliver(event);
+                assert_eq!(sack.current_state_name(), sim.state());
+            }
+            let exe = *rng.pick(&["/usr/bin/media_app", "/usr/bin/rescue_daemon"]);
+            let ctx = HookCtx::new(
+                Pid(9),
+                Credentials::user(1000, 1000),
+                Some(KPath::new(exe).unwrap()),
             );
+            let path = vehicle_path(rng);
+            let kpath = KPath::new(&path).unwrap();
+            let mask = *rng.pick(&[
+                AccessMask::READ,
+                AccessMask::WRITE,
+                AccessMask::EXEC,
+                AccessMask::APPEND,
+            ]);
+            let expected = sim
+                .query(&AccessQuery {
+                    uid: 1000,
+                    exe: Some(exe.to_string()),
+                    profile: None,
+                    path: path.clone(),
+                    perms: FilePerms::from_access_mask(mask),
+                })
+                .is_allowed();
+            let verdict = sack.file_open(&ctx, &ObjectRef::regular(&kpath), mask);
+            assert_eq!(
+                verdict.is_ok(),
+                expected,
+                "state `{}`: {exe} {mask:?} `{path}`",
+                sim.state()
+            );
+            refused += u64::from(verdict.is_err());
         }
-        assert_eq!(
-            sack.stats().denials.load(Ordering::Relaxed),
-            probes as u64,
-            "every refusal is counted"
-        );
-        assert_eq!(
-            sack.audit().total(),
-            n_paths as u64,
-            "each distinct denied decision is audited exactly once"
-        );
-        assert!(
-            sack.stats().cache_hits.load(Ordering::Relaxed) >= (probes - n_paths) as u64,
-            "replayed denials must come from the cache"
-        );
+        let stats = sack.stats();
+        assert_eq!(stats.cache_misses.load(Ordering::Relaxed), probes as u64);
+        assert_eq!(stats.cache_hits.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.denials.load(Ordering::Relaxed), refused);
+        assert_eq!(sack.audit().total(), refused);
     });
 }
 

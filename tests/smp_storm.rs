@@ -2,23 +2,21 @@
 //! stack while the control plane races them with situation transitions,
 //! policy reloads, and AppArmor profile replacements.
 //!
-//! The properties pinned down here are the ones the per-CPU decision
-//! caches must not break:
+//! The properties pinned down here are the ones concurrent hooks and a
+//! racing control plane must not break:
 //!
 //! * **No stale grant** — a decision whose verdict is identical in every
 //!   state is never spuriously denied (and vice versa) no matter how the
-//!   epoch churns mid-flight;
-//! * **Exactly-once invalidation** — `rcu_epoch_bump` and
-//!   `cache_invalidate` fire once per epoch bump, never once per cache
-//!   instance;
-//! * **Audit exactly-once** — with negative caching on, a replayed denial
-//!   increments the counter but is audited at most once per cache
-//!   instance, while the denial counter stays exact;
+//!   policy churns mid-flight;
+//! * **One bump per publish** — `rcu_epoch_bump` fires once per reload or
+//!   transition;
+//! * **Audit exactly-once** — every refusal increments the denial counter
+//!   and produces exactly one audit record, so the two totals agree;
 //! * **Serial equivalence** — after the storm quiesces, verdicts match a
 //!   freshly-built twin that never saw any concurrency.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sack_apparmor::{AppArmor, CompileMode, PolicyDb};
@@ -27,11 +25,11 @@ use sack_kernel::cred::Credentials;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectRef, SecurityModule};
 use sack_kernel::path::KPath;
 use sack_kernel::smp;
-use sack_kernel::trace::{TraceHub, Tracepoint};
+use sack_kernel::trace::{TraceEvent, TraceHub, Tracepoint};
 use sack_kernel::types::Pid;
 use sack_lmbench::workload::{
-    synthetic_enhanced_policy, synthetic_independent_policy, synthetic_racing_policy, BENCH_EXE,
-    BENCH_PROFILE, RACING_SHARED_PREFIX,
+    synthetic_enhanced_policy, synthetic_racing_policy, BENCH_EXE, BENCH_PROFILE,
+    RACING_SHARED_PREFIX,
 };
 
 const STATES: usize = 4;
@@ -79,7 +77,6 @@ fn drive_to_state(sack: &Sack, target: usize) {
 fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
     let policy = synthetic_racing_policy(STATES, 32);
     let sack = Sack::independent(&policy).unwrap();
-    sack.set_negative_cache_enabled(true);
     let hub = TraceHub::new();
     sack.install_tracing(Arc::clone(&hub));
     hub.set_enabled(true);
@@ -87,6 +84,7 @@ fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
     let transitions = AtomicU64::new(0);
     let reloads = AtomicU64::new(0);
     let epoch_before = sack.policy_epoch();
+    let denials_before = sack.stats().denials.load(Ordering::SeqCst);
 
     const HAMMER: usize = 600;
     let outcome = smp::run_with_control(
@@ -138,13 +136,24 @@ fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
     }
     assert!(outcome.control_rounds >= 1);
 
+    // Every refusal the workers saw was counted and audited once.
+    let refused: u64 = outcome
+        .results
+        .iter()
+        .map(|(_, allowed)| (HAMMER - allowed) as u64)
+        .sum();
+    assert_eq!(
+        sack.stats().denials.load(Ordering::SeqCst) - denials_before,
+        refused
+    );
+    assert_eq!(sack.audit().total(), refused);
+    assert_eq!(hub.fired(Tracepoint::AuditEmit), refused);
+
     // The control plane is the only epoch source: one bump per transition
-    // plus one per reload, and the tracepoints fired exactly once per bump
-    // — never once per cache instance.
+    // plus one per reload, each traced once.
     let bumps = transitions.load(Ordering::Relaxed) + reloads.load(Ordering::Relaxed);
     assert_eq!(sack.policy_epoch() - epoch_before, bumps);
     assert_eq!(hub.fired(Tracepoint::RcuEpochBump), sack.policy_epoch());
-    assert_eq!(hub.fired(Tracepoint::CacheInvalidate), sack.policy_epoch());
 
     // Quiesced: walk the ring and compare every per-state verdict against
     // a twin that was built serially and never raced anything.
@@ -173,54 +182,74 @@ fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
     }
 }
 
-/// Audit exactly-once under concurrency: every worker replays the same
-/// denied decision hundreds of times. The denial counter must count every
-/// refusal; the audit log must record the decision at most once per cache
-/// instance (each worker warms its own per-CPU instance), not once per
-/// refusal.
+/// Audit exactly-once under concurrency: every worker repeats the same
+/// denied access hundreds of times while the control plane races reloads
+/// and transitions. Exec is granted in no state, so every attempt is
+/// refused; each refusal must bump the denial counter and produce exactly
+/// one audit record with its own sequence number.
 #[test]
-fn denial_storm_counts_every_refusal_but_audits_at_most_once_per_instance() {
-    let sack = Sack::independent(&synthetic_independent_policy(2, 8)).unwrap();
-    sack.set_negative_cache_enabled(true);
+fn denial_storm_under_reloads_audits_every_refusal_exactly_once() {
+    let policy = synthetic_racing_policy(STATES, 8);
+    let sack = Sack::independent(&policy).unwrap();
+    let hub = TraceHub::new();
+    sack.install_tracing(Arc::clone(&hub));
+    hub.set_enabled(true);
+    let seqs = Arc::new(Mutex::new(Vec::new()));
+    {
+        let seqs = Arc::clone(&seqs);
+        hub.register(
+            Tracepoint::AuditEmit,
+            Arc::new(move |ev| {
+                if let TraceEvent::AuditEmit { seq } = ev {
+                    seqs.lock().unwrap().push(*seq);
+                }
+            }),
+        );
+    }
 
-    // In the initial state s0, the s1 rules do not apply, but the path is
-    // still in the protected set: a guaranteed denial in every round.
+    // Protected in every state (its glob is in the policy), executable in
+    // none: a guaranteed denial whatever the control plane does.
     const DENIED: &str = "/protected/area0/s1/dev";
-    let ctx = probe_ctx(7100, BENCH_EXE);
-    assert!(!open(&*sack, &ctx, DENIED, AccessMask::WRITE));
-
-    let denials_before = sack.stats().denials.load(Ordering::SeqCst);
-    let audits_before = sack.audit().total();
 
     const HAMMER: usize = 500;
-    let denied: usize = smp::run_workers(WORKERS, |w| {
-        let ctx = probe_ctx(7100, BENCH_EXE);
-        let mut denied = 0usize;
-        for _ in 0..HAMMER {
-            if !open(&*sack, &ctx, DENIED, AccessMask::WRITE) {
-                denied += 1;
+    let outcome = smp::run_with_control(
+        WORKERS,
+        |w| {
+            let ctx = probe_ctx(7100 + w as u32, BENCH_EXE);
+            let mut denied = 0usize;
+            for _ in 0..HAMMER {
+                if !open(&*sack, &ctx, DENIED, AccessMask::EXEC) {
+                    denied += 1;
+                }
             }
-        }
-        assert_eq!(denied, HAMMER, "worker {w}: denial verdict flipped");
-        denied
-    })
-    .into_iter()
-    .sum();
+            assert_eq!(denied, HAMMER, "worker {w}: denial verdict flipped");
+            denied
+        },
+        |round| {
+            if round % 3 == 0 {
+                sack.reload_policy(&policy).unwrap();
+            } else {
+                let here: usize = sack
+                    .current_state_name()
+                    .strip_prefix('s')
+                    .and_then(|s| s.parse().ok())
+                    .unwrap();
+                sack.deliver_event(&format!("goto_s{}", (here + 1) % STATES), Duration::ZERO)
+                    .unwrap();
+            }
+        },
+    );
+    assert!(outcome.control_rounds >= 1);
 
-    assert_eq!(denied, WORKERS * HAMMER);
-    // Exact refusal accounting...
-    assert_eq!(
-        sack.stats().denials.load(Ordering::SeqCst) - denials_before,
-        (WORKERS * HAMMER) as u64
-    );
-    // ...but at most one audit record per per-CPU cache instance: each
-    // worker's first miss may audit before the negative entry lands in its
-    // instance; every later round replays the cached denial silently.
-    let audit_delta = sack.audit().total() - audits_before;
-    assert!(
-        audit_delta <= WORKERS as u64,
-        "audit storm: {audit_delta} records for one decision across {WORKERS} workers"
-    );
+    let refused = (WORKERS * HAMMER) as u64;
+    assert_eq!(outcome.results.iter().sum::<usize>() as u64, refused);
+    assert_eq!(sack.stats().denials.load(Ordering::SeqCst), refused);
+    assert_eq!(sack.audit().total(), refused);
+    // One record per refusal: the emitted sequence numbers are exactly
+    // 0..refused, none missing and none repeated.
+    let mut seqs = seqs.lock().unwrap().clone();
+    seqs.sort_unstable();
+    assert_eq!(seqs, (0..refused).collect::<Vec<_>>());
 }
 
 /// Lazy compilation under storm: the profile database installs every
