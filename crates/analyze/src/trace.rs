@@ -8,7 +8,11 @@
 //! seq=3 producer=0 pseq=2 ssm_transition from=normal to=emergency event=crash
 //! seq=4 producer=0 pseq=3 rcu_epoch_bump epoch=1
 //! seq=8 producer=1 pseq=0 hook_exit hook=file_open verdict=deny ns=412
+//! seq=9 producer=1 pseq=1 hook_exit hook=file_open verdict=deny
 //! ```
+//!
+//! A `hook_exit` carries `ns=` only when its dispatch was one of the
+//! sampled, timed ones.
 //!
 //! This module parses that text back into structure ([`parse_flight`]),
 //! lints it for the anomalies an operator actually chases
@@ -336,7 +340,7 @@ pub fn lint_flight(dump: &FlightDump) -> Vec<Anomaly> {
     for record in &dump.records {
         if record.event == "ssm_transition" {
             run.push(record);
-        } else if record.event == "hook_enter" || record.event == "hook_exit" {
+        } else if record.event == "hook_exit" {
             flag_run(&run, &mut anomalies);
             run.clear();
         }
@@ -725,8 +729,25 @@ pub fn self_check() -> Result<String, String> {
         return Err(fail("healthy-trace lint", anomaly.to_string()));
     }
 
-    let samples = validate_prometheus(&read_node("tracing/metrics")?)
-        .map_err(|e| fail("prometheus validation", e))?;
+    let metrics = read_node("tracing/metrics")?;
+    let samples = validate_prometheus(&metrics).map_err(|e| fail("prometheus validation", e))?;
+    // Latency is sampled, counts are not: the per-key dispatch counters
+    // must add up to every hook_exit fired.
+    let series_sum = |prefix: &str| -> u64 {
+        metrics
+            .lines()
+            .filter(|l| l.starts_with(prefix))
+            .filter_map(|l| l.rsplit_once(' ')?.1.parse::<u64>().ok())
+            .sum()
+    };
+    let dispatches = series_sum("sack_hook_dispatches_total{");
+    let exits = series_sum("sack_tracepoint_fired_total{point=\"hook_exit\"}");
+    if dispatches == 0 || dispatches != exits {
+        return Err(fail(
+            "exact dispatch counts",
+            format!("sack_hook_dispatches_total sums to {dispatches}, hook_exit fired {exits}"),
+        ));
+    }
 
     // Fleet rollout coverage: stage this kernel through a one-cohort
     // fleet so the five `fleet_rollout_*` tracepoints fire on its own
@@ -799,7 +820,8 @@ pub fn self_check() -> Result<String, String> {
     Ok(format!(
         "self-check passed: {} tracepoints fired, flight replayed the denial \
          (seq={}) behind transition `{}→{}` (seq={}), {} retained record(s) \
-         lint clean, metrics node valid ({samples} Prometheus samples)\n",
+         lint clean, metrics node valid ({samples} Prometheus samples, \
+         {dispatches} dispatches counted exactly)\n",
         Tracepoint::ALL.len(),
         denial.seq,
         rescue.field("from").unwrap_or("?"),
@@ -828,7 +850,7 @@ mod tests {
         ring.record(TraceEvent::HookExit {
             hook: TraceHook::FileOpen,
             verdict: TraceVerdict::Deny,
-            latency_ns: 412,
+            latency_ns: Some(412),
         });
         let dump = parse_flight(&ring.render()).unwrap();
         assert_eq!(dump.capacity, 8);
@@ -843,6 +865,37 @@ mod tests {
             lint_flight(&dump).is_empty(),
             "healthy dump must lint clean"
         );
+    }
+
+    #[test]
+    fn parse_reads_hook_exits_with_and_without_latency() {
+        let ring = FlightRecorder::new(4);
+        for latency_ns in [Some(412), None] {
+            ring.record(TraceEvent::HookExit {
+                hook: TraceHook::FileIoctl,
+                verdict: TraceVerdict::Deny,
+                latency_ns,
+            });
+        }
+        let text = ring.render();
+        assert!(
+            text.contains("pseq=1 hook_exit hook=file_ioctl verdict=deny\n"),
+            "{text}"
+        );
+        let dump = parse_flight(&text).unwrap();
+        let [timed, untimed] = &dump.records[..] else {
+            panic!("expected two records: {dump:?}");
+        };
+        for record in [timed, untimed] {
+            assert_eq!(record.event, "hook_exit");
+            assert_eq!(record.field("hook"), Some("file_ioctl"));
+            assert_eq!(record.field("verdict"), Some("deny"));
+        }
+        assert_eq!(timed.field("ns"), Some("412"));
+        assert_eq!(untimed.field("ns"), None);
+        assert_eq!(untimed.fields.len(), 2);
+        let report = render_report(&dump, &lint_flight(&dump));
+        assert_eq!(report.matches("^ denial").count(), 2, "{report}");
     }
 
     #[test]

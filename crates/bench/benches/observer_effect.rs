@@ -5,13 +5,15 @@
 //! * `tracing-disabled` — recorder attached, hub off: what everyone pays
 //!   all the time. The acceptance bar is ≤5% over baseline
 //!   (`scripts/bench_gate.sh`, `MAX_TRACE_OVERHEAD`).
-//! * `tracing-enabled` — hub on: full emission, latency histograms, and
-//!   flight capture on denials.
+//! * `tracing-enabled` — hub on: a `hook_exit` per dispatch with its exact
+//!   per-key count, latency histograms fed by the sampled dispatches
+//!   (the clock is read on about one in 16 per thread), and flight
+//!   capture on denials.
 //!
 //! Decisions are driven through the kernel's [`LsmStack`] dispatch — not
 //! the module directly — so the measured guard is the real one: the
-//! dispatch macro's `hook_enter`/`hook_exit` probes around the module's
-//! DFA walk. A final `flight_saturated` group measures the denial
+//! dispatch macro's one probe before the module's DFA walk and its
+//! `hook_exit` after it. A final `flight_saturated` group measures the denial
 //! path with the flight ring past capacity (every record an overwrite),
 //! the worst case for the EXPERIMENTS.md overhead table.
 

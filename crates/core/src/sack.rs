@@ -1450,34 +1450,43 @@ mod tests {
         let settled = Barrier::new(WORKERS + 1);
         let probed = Barrier::new(WORKERS + 1);
 
-        std::thread::scope(|s| {
-            for _ in 0..WORKERS {
-                let (sack, ctx, obj) = (&sack, &ctx, &obj);
-                let (start, settled, probed) = (&start, &settled, &probed);
-                s.spawn(move || {
-                    for round in 0..ROUNDS {
-                        start.wait();
-                        // Racing window: the transition lands somewhere in
-                        // here, so either verdict is legitimate.
-                        for _ in 0..HAMMER {
-                            let _ = sack.file_open(ctx, obj, AccessMask::WRITE);
+        // Failures are recorded, never asserted inside the scope: a worker
+        // or the controller that panicked would leave the others waiting on
+        // a barrier forever. Every thread reaches every barrier; the
+        // assertions run once the scope has joined.
+        let (mismatches, control_errors) = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..WORKERS)
+                .map(|_| {
+                    let (sack, ctx, obj) = (&sack, &ctx, &obj);
+                    let (start, settled, probed) = (&start, &settled, &probed);
+                    s.spawn(move || {
+                        let mut mismatches = Vec::new();
+                        for round in 0..ROUNDS {
+                            start.wait();
+                            // Racing window: the transition lands somewhere
+                            // in here, so either verdict is legitimate.
+                            for _ in 0..HAMMER {
+                                let _ = sack.file_open(ctx, obj, AccessMask::WRITE);
+                            }
+                            settled.wait();
+                            // Post-bump probe: round parity says which state
+                            // the completed transition left us in.
+                            let emergency = round % 2 == 0;
+                            let verdict = sack.file_open(ctx, obj, AccessMask::WRITE);
+                            if verdict.is_ok() != emergency {
+                                mismatches.push(format!(
+                                    "round {round}: verdict from retired state \
+                                     (expected {} door-write)",
+                                    if emergency { "granted" } else { "denied" },
+                                ));
+                            }
+                            probed.wait();
                         }
-                        settled.wait();
-                        // Post-bump probe: round parity says which state the
-                        // completed transition left us in.
-                        let emergency = round % 2 == 0;
-                        let verdict = sack.file_open(ctx, obj, AccessMask::WRITE);
-                        assert_eq!(
-                            verdict.is_ok(),
-                            emergency,
-                            "round {round}: verdict from retired state \
-                             (expected {} door-write)",
-                            if emergency { "granted" } else { "denied" },
-                        );
-                        probed.wait();
-                    }
-                });
-            }
+                        mismatches
+                    })
+                })
+                .collect();
+            let mut control_errors = Vec::new();
             for round in 0..ROUNDS {
                 start.wait();
                 let event = if round % 2 == 0 {
@@ -1485,13 +1494,22 @@ mod tests {
                 } else {
                     "rescue_done"
                 };
-                sack.deliver_event(event, Duration::ZERO).unwrap();
+                if let Err(e) = sack.deliver_event(event, Duration::ZERO) {
+                    control_errors.push(format!("round {round}: {event}: {e}"));
+                }
                 // deliver_event has returned: the new state is published
                 // before any worker passes this barrier.
                 settled.wait();
                 probed.wait();
             }
+            let mismatches: Vec<String> = workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("worker panicked"))
+                .collect();
+            (mismatches, control_errors)
         });
+        assert!(control_errors.is_empty(), "{control_errors:#?}");
+        assert!(mismatches.is_empty(), "{mismatches:#?}");
         assert_eq!(sack.current_state_name(), "normal");
     }
 }

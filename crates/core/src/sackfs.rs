@@ -32,7 +32,7 @@ use sack_kernel::error::{Errno, KernelError, KernelResult};
 use sack_kernel::kernel::Kernel;
 use sack_kernel::lsm::HookCtx;
 use sack_kernel::securityfs::{require_mac_admin, securityfs_path, SecurityFsFile};
-use sack_kernel::trace::Tracepoint;
+use sack_kernel::trace::{TraceHook, TraceVerdict, Tracepoint};
 use sack_kernel::types::Mode;
 
 use crate::eventplane::EventFrame;
@@ -458,13 +458,30 @@ fn render_prometheus(sack: &Arc<Sack>, tracing: &SackTracing) -> String {
             let _ = writeln!(out, "sack_sds_total{{counter=\"{name}\"}} {value}");
         }
     }
+    let hists = tracing.histogram_snapshots();
+    let labels = |hook: TraceHook, verdict: TraceVerdict| {
+        format!("hook=\"{}\",verdict=\"{}\"", hook.name(), verdict.name())
+    };
     let _ = writeln!(
         out,
-        "# HELP sack_hook_latency_ns Hook dispatch latency, nanoseconds."
+        "# HELP sack_hook_dispatches_total Hook dispatches, exact; the latency histogram samples them."
+    );
+    let _ = writeln!(out, "# TYPE sack_hook_dispatches_total counter");
+    for (hook, verdict, snap) in &hists {
+        let _ = writeln!(
+            out,
+            "sack_hook_dispatches_total{{{}}} {}",
+            labels(*hook, *verdict),
+            snap.dispatches
+        );
+    }
+    let _ = writeln!(
+        out,
+        "# HELP sack_hook_latency_ns Sampled hook dispatch latency, nanoseconds."
     );
     let _ = writeln!(out, "# TYPE sack_hook_latency_ns histogram");
-    for (hook, verdict, snap) in tracing.histogram_snapshots() {
-        let labels = format!("hook=\"{}\",verdict=\"{}\"", hook.name(), verdict.name());
+    for (hook, verdict, snap) in &hists {
+        let labels = labels(*hook, *verdict);
         let mut cumulative = 0u64;
         for (i, n) in snap.buckets.iter().enumerate() {
             cumulative += n;
@@ -562,10 +579,11 @@ fn render_metrics_json(sack: &Arc<Sack>, tracing: &SackTracing) -> String {
         }
         let _ = write!(
             out,
-            "{{\"hook\":\"{}\",\"verdict\":\"{}\",\
+            "{{\"hook\":\"{}\",\"verdict\":\"{}\",\"dispatches\":{},\
              \"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
             hook.name(),
             verdict.name(),
+            snap.dispatches,
             snap.count(),
             snap.sum,
             snap.percentile(0.50),
@@ -971,10 +989,17 @@ mod tests {
                 .parse()
                 .unwrap()
         };
-        assert!(count("hook_enter") > 0);
-        assert_eq!(count("hook_enter"), count("hook_exit"));
+        assert!(count("hook_exit") > 0);
         assert_eq!(count("ssm_transition"), 1);
         assert_eq!(count("rcu_epoch_bump"), 1);
+        // Every traced dispatch lands in exactly one (hook, verdict) key.
+        let tracing = sack.tracing().unwrap();
+        let dispatches: u64 = tracing
+            .histogram_snapshots()
+            .iter()
+            .map(|(_, _, snap)| snap.dispatches)
+            .sum();
+        assert_eq!(dispatches, tracing.hub().fired(Tracepoint::HookExit));
     }
 
     #[test]
@@ -1099,6 +1124,53 @@ mod tests {
     }
 
     #[test]
+    fn metrics_count_every_dispatch_and_sample_latency() {
+        let (kernel, sack) = boot();
+        make_door(&kernel);
+        let tracing = Arc::clone(sack.tracing().unwrap());
+        tracing.hub().set_enabled(true);
+        let app = kernel.spawn(Credentials::user(1000, 1000));
+        for _ in 0..200 {
+            assert!(app.open("/dev/car/door0", OpenFlags::write_only()).is_err());
+        }
+        // Rendered directly: reading the node would dispatch more hooks.
+        let text = render_prometheus(&sack, &tracing);
+        assert_valid_prometheus(&text);
+        let value = |series: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+                .unwrap_or_else(|| panic!("no `{series}` in: {text}"))
+                .parse()
+                .unwrap()
+        };
+        let mut total = 0;
+        for (hook, verdict, snap) in tracing.histogram_snapshots() {
+            let labels = format!("hook=\"{}\",verdict=\"{}\"", hook.name(), verdict.name());
+            let dispatches = value(&format!("sack_hook_dispatches_total{{{labels}}}"));
+            let count = value(&format!("sack_hook_latency_ns_count{{{labels}}}"));
+            let inf = value(&format!(
+                "sack_hook_latency_ns_bucket{{{labels},le=\"+Inf\"}}"
+            ));
+            assert_eq!(dispatches, snap.dispatches, "{labels}");
+            assert_eq!(inf, count, "{labels}");
+            assert_eq!(count, snap.count(), "{labels}");
+            assert!(count <= dispatches, "{labels}");
+            total += dispatches;
+        }
+        assert_eq!(
+            total,
+            value("sack_tracepoint_fired_total{point=\"hook_exit\"}")
+        );
+        let denied = tracing.histogram(TraceHook::FileOpen, TraceVerdict::Deny);
+        assert_eq!(denied.dispatches, 200);
+        assert!(
+            (1..200).contains(&denied.count()),
+            "latency is sampled: {} of 200 timed",
+            denied.count()
+        );
+    }
+
+    #[test]
     fn metrics_json_node_is_well_formed() {
         let (kernel, sack) = boot();
         make_door(&kernel);
@@ -1126,7 +1198,11 @@ mod tests {
         }
         assert_eq!(depth, 0, "unbalanced braces: {text}");
         assert!(text.contains("\"enabled\":true"));
-        assert!(text.contains("\"tracepoints\":{\"hook_enter\":"));
+        assert!(text.contains("\"tracepoints\":{\"hook_exit\":"));
+        assert!(
+            text.contains("\"verdict\":\"deny\",\"dispatches\":1,"),
+            "{text}"
+        );
         assert!(text.contains("\"p95\":"), "{text}");
         assert!(text.contains("\"dropped_by_producer\":{"), "{text}");
     }

@@ -90,12 +90,13 @@ pub const HIST_BUCKETS: usize = 40;
 
 /// One cache-line-aligned histogram stripe: a full bucket array plus the
 /// running sum of recorded values, so percentile *and* mean come out of the
-/// same snapshot.
+/// same snapshot, and the exact count of dispatches, timed or not.
 #[repr(align(64))]
 #[derive(Debug)]
 struct HistStripe {
     buckets: [AtomicU64; HIST_BUCKETS],
     sum: AtomicU64,
+    dispatches: AtomicU64,
 }
 
 impl Default for HistStripe {
@@ -103,6 +104,7 @@ impl Default for HistStripe {
         HistStripe {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
+            dispatches: AtomicU64::new(0),
         }
     }
 }
@@ -113,6 +115,11 @@ impl Default for HistStripe {
 /// lands on a stable cache-line-padded stripe, so concurrent `record`
 /// calls from different stripes never contend; [`LatencyHistogram::snapshot`]
 /// folds the stripes on the rare read path.
+///
+/// Beside the sampled latencies it keeps an exact dispatch count:
+/// [`LatencyHistogram::record_dispatch`] counts every dispatch and buckets
+/// only the timed ones, so `dispatches` stays exact while the buckets,
+/// `sum` and `count()` describe a sample.
 #[derive(Debug, Default)]
 pub struct LatencyHistogram {
     stripes: [HistStripe; STRIPES],
@@ -142,13 +149,21 @@ impl LatencyHistogram {
         LatencyHistogram::default()
     }
 
-    /// Records one latency observation. Lock-free; relaxed ordering is
+    /// Records one timed dispatch. Lock-free; relaxed ordering is
     /// sufficient because snapshots only need eventual counts.
     pub fn record(&self, ns: u64) {
+        self.record_dispatch(Some(ns));
+    }
+
+    /// Counts one dispatch, and buckets its latency when it was timed.
+    pub fn record_dispatch(&self, latency_ns: Option<u64>) {
         let idx = STRIPE.try_with(|s| *s).unwrap_or(0);
         let stripe = &self.stripes[idx];
-        stripe.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        stripe.sum.fetch_add(ns, Ordering::Relaxed);
+        stripe.dispatches.fetch_add(1, Ordering::Relaxed);
+        if let Some(ns) = latency_ns {
+            stripe.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+            stripe.sum.fetch_add(ns, Ordering::Relaxed);
+        }
     }
 
     /// Folds every stripe into a mergeable snapshot.
@@ -159,6 +174,7 @@ impl LatencyHistogram {
                 *total += bucket.load(Ordering::Relaxed);
             }
             snap.sum += stripe.sum.load(Ordering::Relaxed);
+            snap.dispatches += stripe.dispatches.load(Ordering::Relaxed);
         }
         snap
     }
@@ -167,10 +183,14 @@ impl LatencyHistogram {
 /// An owned, mergeable histogram snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket observation counts (see [`bucket_of`]).
+    /// Per-bucket counts of the timed observations (see [`bucket_of`]).
     pub buckets: [u64; HIST_BUCKETS],
-    /// Sum of all recorded values in nanoseconds.
+    /// Sum of the timed observations in nanoseconds.
     pub sum: u64,
+    /// Exact count of dispatches, timed or not; at least [`count`].
+    ///
+    /// [`count`]: HistogramSnapshot::count
+    pub dispatches: u64,
 }
 
 impl Default for HistogramSnapshot {
@@ -178,19 +198,20 @@ impl Default for HistogramSnapshot {
         HistogramSnapshot {
             buckets: [0; HIST_BUCKETS],
             sum: 0,
+            dispatches: 0,
         }
     }
 }
 
 impl HistogramSnapshot {
-    /// Total observations.
+    /// Timed observations: the sample the percentiles and mean describe.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()
     }
 
-    /// True when nothing has been recorded.
+    /// True when nothing has been recorded, timed or not.
     pub fn is_empty(&self) -> bool {
-        self.count() == 0
+        self.dispatches == 0 && self.count() == 0
     }
 
     /// Accumulates `other` into `self` (bucket-wise addition), so per-hook
@@ -200,6 +221,7 @@ impl HistogramSnapshot {
             *a += b;
         }
         self.sum += other.sum;
+        self.dispatches += other.dispatches;
     }
 
     /// Mean of the recorded values, in nanoseconds.
@@ -322,10 +344,26 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!(snap.count(), 6);
+        assert_eq!(snap.dispatches, 6);
         assert_eq!(snap.sum, 5204);
         assert_eq!(snap.buckets[0], 1);
         assert_eq!(snap.buckets[bucket_of(100)], 2);
         assert!((snap.mean() - 5204.0 / 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn untimed_dispatches_count_but_stay_out_of_the_buckets() {
+        let h = LatencyHistogram::new();
+        h.record_dispatch(None);
+        let snap = h.snapshot();
+        assert!(!snap.is_empty(), "an untimed dispatch still shows");
+        assert_eq!((snap.dispatches, snap.count(), snap.sum), (1, 0, 0));
+        for latency in [Some(100), None, None, Some(300)] {
+            h.record_dispatch(latency);
+        }
+        let snap = h.snapshot();
+        assert_eq!((snap.dispatches, snap.count(), snap.sum), (5, 2, 400));
+        assert_eq!(snap.mean(), 200.0);
     }
 
     #[test]
@@ -341,6 +379,7 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged.count(), 5);
+        assert_eq!(merged.dispatches, 5);
         assert_eq!(merged.sum, 60 + 3000);
         // Merging in the other order gives the identical snapshot.
         let mut other = b.snapshot();

@@ -2,7 +2,8 @@
 //!
 //! A [`TelemetrySnapshot`] is the unit the `sack-fleet` aggregator pulls
 //! from each kernel instance: every tracepoint fired-counter, every
-//! non-empty (hook, verdict) latency histogram, and the flight
+//! (hook, verdict) key with at least one dispatch — its exact dispatch
+//! count and its histogram of sampled latencies — and the flight
 //! recorder's loss accounting — stamped with the instance id and a
 //! monotonic capture generation.
 //!
@@ -56,7 +57,8 @@ pub struct TelemetrySnapshot {
     pub instances: BTreeMap<u64, u64>,
     /// Fired count per tracepoint, in [`Tracepoint::ALL`] order.
     pub points: Vec<u64>,
-    /// Non-empty latency histograms, keyed by [`hist_key`].
+    /// Every key with at least one dispatch, keyed by [`hist_key`]: the
+    /// exact `dispatches` count and the sampled latency histogram.
     pub hists: BTreeMap<u16, HistogramSnapshot>,
     /// Flight-recorder records ever claimed.
     pub flight_total: u64,
@@ -176,14 +178,15 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Total hook denials: deny-verdict `hook_exit` observations summed
+    /// Total hook denials: the exact deny-verdict dispatch counts summed
     /// across hooks.
     pub fn denials(&self) -> u64 {
         self.hists
             .iter()
             .filter_map(|(key, hist)| {
-                decode_hist_key(*key)
-                    .and_then(|(_, verdict)| (verdict == TraceVerdict::Deny).then(|| hist.count()))
+                decode_hist_key(*key).and_then(|(_, verdict)| {
+                    (verdict == TraceVerdict::Deny).then_some(hist.dispatches)
+                })
             })
             .sum()
     }
@@ -198,8 +201,8 @@ impl TelemetrySnapshot {
         self.point(Tracepoint::SsmTransition)
     }
 
-    /// All hook latency observations folded into one distribution — the
-    /// source of the fleet-level p50/95/99.
+    /// All hook latency samples folded into one distribution — the source
+    /// of the fleet-level p50/95/99.
     pub fn hook_latency(&self) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::default();
         for hist in self.hists.values() {
@@ -224,6 +227,7 @@ fn hist_sub(later: &HistogramSnapshot, earlier: &HistogramSnapshot) -> Histogram
         *a = a.saturating_sub(*b);
     }
     out.sum = out.sum.saturating_sub(earlier.sum);
+    out.dispatches = out.dispatches.saturating_sub(earlier.dispatches);
     out
 }
 
@@ -240,13 +244,10 @@ mod tests {
         tracing.set_instance(instance);
         hub.set_enabled(true);
         for _ in 0..dispatches {
-            hub.emit(&TraceEvent::HookEnter {
-                hook: TraceHook::FileOpen,
-            });
             hub.emit(&TraceEvent::HookExit {
                 hook: TraceHook::FileOpen,
                 verdict: TraceVerdict::Allow,
-                latency_ns,
+                latency_ns: Some(latency_ns),
             });
         }
         TelemetrySnapshot::capture(&tracing)
@@ -297,13 +298,10 @@ mod tests {
         let tracing = SackTracing::attach(Arc::clone(&hub));
         tracing.set_instance(7);
         hub.set_enabled(true);
-        hub.emit(&TraceEvent::HookEnter {
-            hook: TraceHook::FileOpen,
-        });
         hub.emit(&TraceEvent::HookExit {
             hook: TraceHook::FileOpen,
             verdict: TraceVerdict::Deny,
-            latency_ns: 500,
+            latency_ns: Some(500),
         });
         let base = TelemetrySnapshot::capture(&tracing);
         for epoch in 0..3 {
@@ -321,16 +319,20 @@ mod tests {
         let hub = TraceHub::new();
         let tracing = SackTracing::attach(Arc::clone(&hub));
         hub.set_enabled(true);
-        hub.emit(&TraceEvent::HookEnter {
-            hook: TraceHook::FileOpen,
-        });
         hub.emit(&TraceEvent::HookExit {
             hook: TraceHook::FileOpen,
             verdict: TraceVerdict::Deny,
-            latency_ns: 90,
+            latency_ns: Some(90),
+        });
+        // Untimed denials count as denials too.
+        hub.emit(&TraceEvent::HookExit {
+            hook: TraceHook::FileOpen,
+            verdict: TraceVerdict::Deny,
+            latency_ns: None,
         });
         let snap = TelemetrySnapshot::capture(&tracing);
-        assert_eq!(snap.denials(), 1);
-        assert_eq!(snap.hook_exits(), 1);
+        assert_eq!(snap.denials(), 2);
+        assert_eq!(snap.hook_exits(), 2);
+        assert_eq!(snap.hook_latency().count(), 1);
     }
 }

@@ -7,7 +7,10 @@
 //!
 //! * [`SackTracing`] — the metrics recorder. Subscribes to every
 //!   tracepoint, maintains one lock-free [`LatencyHistogram`] per
-//!   (hook, verdict) key, and feeds the flight recorder.
+//!   (hook, verdict) key, and feeds the flight recorder. Each key counts
+//!   every `hook_exit` exactly and buckets the latencies of the sampled
+//!   ones (about one dispatch in [`sack_kernel::lsm::SAMPLE_MEAN_GAP`]
+//!   per thread is timed).
 //! * [`FlightRecorder`] — a bounded MPSC ring of the last N control-plane
 //!   events (SSM transitions, policy publishes, epoch bumps, recompiles,
 //!   denials), so a denial can be replayed against the situation history
@@ -302,7 +305,7 @@ impl RecorderState {
                 verdict,
                 latency_ns,
             } => {
-                self.hist(*hook, *verdict).record(*latency_ns);
+                self.hist(*hook, *verdict).record_dispatch(*latency_ns);
                 if *verdict == TraceVerdict::Deny {
                     self.flight.record(event.clone());
                 }
@@ -324,9 +327,8 @@ impl RecorderState {
             }
             // Per-frame hot path: counted by the hub, never flight-recorded
             // (at sensor rates it would flush the whole ring between any two
-            // control-plane records). A hook's entry carries nothing its
-            // exit does not.
-            TraceEvent::SdsEnqueue { .. } | TraceEvent::HookEnter { .. } => {}
+            // control-plane records).
+            TraceEvent::SdsEnqueue { .. } => {}
         }
     }
 }
@@ -410,8 +412,8 @@ impl SackTracing {
         merged
     }
 
-    /// Every non-empty (hook, verdict) histogram, in dense key order — the
-    /// raw material for the `metrics` node.
+    /// Every (hook, verdict) histogram with at least one dispatch, timed or
+    /// not, in dense key order — the raw material for the `metrics` node.
     pub fn histogram_snapshots(&self) -> Vec<(TraceHook, TraceVerdict, HistogramSnapshot)> {
         let mut out = Vec::new();
         for hook in TraceHook::ALL {
@@ -853,25 +855,32 @@ mod tests {
         hub.set_enabled(true);
         let hook = TraceHook::FileOpen;
         for (verdict, ns) in [
-            (TraceVerdict::Allow, 800),
-            (TraceVerdict::Allow, 50),
-            (TraceVerdict::Deny, 300),
+            (TraceVerdict::Allow, Some(800)),
+            (TraceVerdict::Allow, None),
+            (TraceVerdict::Allow, Some(50)),
+            (TraceVerdict::Deny, Some(300)),
         ] {
-            hub.emit(&TraceEvent::HookEnter { hook });
             hub.emit(&TraceEvent::HookExit {
                 hook,
                 verdict,
                 latency_ns: ns,
             });
         }
+        // An untimed dispatch on its own still surfaces its key.
+        hub.emit(&TraceEvent::HookExit {
+            hook: TraceHook::Capable,
+            verdict: TraceVerdict::Deny,
+            latency_ns: None,
+        });
         let allow = tracing.histogram(hook, TraceVerdict::Allow);
         let deny = tracing.histogram(hook, TraceVerdict::Deny);
-        assert_eq!(allow.count(), 2);
-        assert_eq!(allow.sum, 850);
-        assert_eq!(deny.count(), 1);
-        assert_eq!(deny.sum, 300);
+        assert_eq!((allow.dispatches, allow.count(), allow.sum), (3, 2, 850));
+        assert_eq!((deny.dispatches, deny.count(), deny.sum), (1, 1, 300));
         assert_eq!(tracing.hook_histogram(hook).count(), 3);
-        assert_eq!(tracing.histogram_snapshots().len(), 2);
+        assert_eq!(tracing.hook_histogram(hook).dispatches, 4);
+        let capable = tracing.histogram(TraceHook::Capable, TraceVerdict::Deny);
+        assert_eq!((capable.dispatches, capable.count()), (1, 0));
+        assert_eq!(tracing.histogram_snapshots().len(), 3);
     }
 
     #[test]
@@ -884,21 +893,15 @@ mod tests {
             to: "emergency".into(),
             event: "crash".into(),
         });
-        hub.emit(&TraceEvent::HookEnter {
-            hook: TraceHook::FileOpen,
-        });
         hub.emit(&TraceEvent::HookExit {
             hook: TraceHook::FileOpen,
             verdict: TraceVerdict::Deny,
-            latency_ns: 123,
-        });
-        hub.emit(&TraceEvent::HookEnter {
-            hook: TraceHook::FileOpen,
+            latency_ns: None,
         });
         hub.emit(&TraceEvent::HookExit {
             hook: TraceHook::FileOpen,
             verdict: TraceVerdict::Allow,
-            latency_ns: 45,
+            latency_ns: Some(45),
         });
         let events: Vec<TraceEvent> = tracing
             .flight()
@@ -907,6 +910,7 @@ mod tests {
             .map(|e| e.event)
             .collect();
         assert_eq!(events.len(), 2, "allowed exits stay out of the flight");
+        // Untimed denials are flight-recorded like timed ones.
         assert!(matches!(events[0], TraceEvent::SsmTransition { .. }));
         assert!(matches!(
             events[1],

@@ -10,9 +10,11 @@
 //! Hooks default to "allow" so modules only implement what they mediate,
 //! exactly like the default hook behaviour in `security/security.c`.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::cred::{Capability, Credentials};
 use crate::error::KernelResult;
@@ -336,21 +338,85 @@ pub struct LsmStack {
     trace: Arc<TraceHub>,
 }
 
-/// Dispatch with `hook_enter`/`hook_exit` tracepoints around the module walk.
-/// The `trace.enabled()` relaxed load + branch is the *entire* disabled-path
-/// cost; timestamps and events are only constructed when tracing is on.
+/// Mean number of traced dispatches per timed one, per thread.
+///
+/// After each timed dispatch a thread draws a gap of `1..=2·MEAN−1`
+/// dispatches, uniformly, to its next timed one. A random gap keeps
+/// periodic op patterns from hiding a hook or a verdict: a fixed stride of
+/// 16 would never time the second hook of a two-hook op.
+pub const SAMPLE_MEAN_GAP: u32 = 16;
+
+/// A thread's latency sampler: a countdown to its next timed dispatch and
+/// the xorshift32 state that draws the gaps.
+struct Sampler {
+    /// Traced dispatches until the next timed one; starts at 1 so the
+    /// thread's first traced dispatch is timed.
+    countdown: Cell<u32>,
+    /// xorshift32 state, 0 until the thread's first draw seeds it.
+    rng: Cell<u32>,
+}
+
+thread_local! {
+    static SAMPLER: Sampler = const {
+        Sampler {
+            countdown: Cell::new(1),
+            rng: Cell::new(0),
+        }
+    };
+}
+
+impl Sampler {
+    /// Counts one traced dispatch; true when it is the one to time.
+    #[inline]
+    fn tick(&self) -> bool {
+        let left = self.countdown.get() - 1;
+        if left > 0 {
+            self.countdown.set(left);
+            return false;
+        }
+        self.countdown.set(self.next_gap());
+        true
+    }
+
+    fn next_gap(&self) -> u32 {
+        let mut x = self.rng.get();
+        if x == 0 {
+            // Seeded from this thread-local's address, which differs per
+            // thread; Murmur3's finalizer spreads nearby addresses apart.
+            let addr = self as *const Sampler as u64;
+            x = (addr ^ (addr >> 32)) as u32;
+            x = (x ^ (x >> 16)).wrapping_mul(0x85EB_CA6B);
+            x = (x ^ (x >> 13)).wrapping_mul(0xC2B2_AE35);
+            x = (x ^ (x >> 16)).max(1);
+        }
+        x ^= x << 13;
+        x ^= x >> 17;
+        x ^= x << 5;
+        self.rng.set(x);
+        1 + x % (2 * SAMPLE_MEAN_GAP - 1)
+    }
+}
+
+/// The start timestamp of a traced dispatch: read on the sampled ones only.
+#[inline]
+fn sampled_start() -> Option<Instant> {
+    // Thread-local teardown: leave the dispatch untimed.
+    let timed = SAMPLER.try_with(Sampler::tick).unwrap_or(false);
+    timed.then(Instant::now)
+}
+
+/// Dispatch with one probe: [`LsmStack::probe`] before the module walk,
+/// `hook_exit` after it on every traced dispatch. The `trace.enabled()`
+/// relaxed load + branch is the *entire* disabled-path cost; the clock is
+/// read only on a sampled dispatch, and events are only constructed when
+/// tracing is on.
 macro_rules! dispatch {
     ($self:ident, $tp:expr, $counter:ident, $hook:ident ( $($arg:expr),* )) => {{
         $self.stats.$counter.fetch_add(1, Ordering::Relaxed);
         dispatch!($self, $tp, $hook($($arg),*))
     }};
     ($self:ident, $tp:expr, $hook:ident ( $($arg:expr),* )) => {{
-        let start = if $self.trace.enabled() {
-            $self.trace.emit(&TraceEvent::HookEnter { hook: $tp });
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let probe = $self.probe();
         let mut result = Ok(());
         for m in &$self.modules {
             if let Err(e) = m.$hook($($arg),*) {
@@ -359,16 +425,8 @@ macro_rules! dispatch {
                 break;
             }
         }
-        if let Some(t0) = start {
-            $self.trace.emit(&TraceEvent::HookExit {
-                hook: $tp,
-                verdict: if result.is_ok() {
-                    TraceVerdict::Allow
-                } else {
-                    TraceVerdict::Deny
-                },
-                latency_ns: t0.elapsed().as_nanos() as u64,
-            });
+        if let Some(start) = probe {
+            $self.hook_exit($tp, result.is_ok(), start);
         }
         result
     }};
@@ -514,11 +572,13 @@ impl LsmStack {
 
     /// Dispatches `bprm_committed` (notification, cannot deny).
     pub fn bprm_committed(&self, ctx: &HookCtx, exe: &KPath) {
-        let start = self.trace_enter(TraceHook::BprmCommitted);
+        let probe = self.probe();
         for m in &self.modules {
             m.bprm_committed(ctx, exe);
         }
-        self.trace_exit(TraceHook::BprmCommitted, start);
+        if let Some(start) = probe {
+            self.hook_exit(TraceHook::BprmCommitted, true, start);
+        }
     }
 
     /// Dispatches `task_alloc`.
@@ -528,32 +588,39 @@ impl LsmStack {
 
     /// Dispatches `task_free` (notification, cannot deny).
     pub fn task_free(&self, pid: Pid) {
-        let start = self.trace_enter(TraceHook::TaskFree);
+        let probe = self.probe();
         for m in &self.modules {
             m.task_free(pid);
         }
-        self.trace_exit(TraceHook::TaskFree, start);
+        if let Some(start) = probe {
+            self.hook_exit(TraceHook::TaskFree, true, start);
+        }
     }
 
-    /// `hook_enter` probe for notification hooks (no verdict).
-    fn trace_enter(&self, hook: TraceHook) -> Option<std::time::Instant> {
+    /// A dispatch's one probe: `None` while tracing is off, else the start
+    /// timestamp, which is read only on a sampled dispatch.
+    #[inline]
+    fn probe(&self) -> Option<Option<Instant>> {
         if self.trace.enabled() {
-            self.trace.emit(&TraceEvent::HookEnter { hook });
-            Some(std::time::Instant::now())
+            Some(sampled_start())
         } else {
             None
         }
     }
 
-    /// `hook_exit` probe for notification hooks; they cannot deny.
-    fn trace_exit(&self, hook: TraceHook, start: Option<std::time::Instant>) {
-        if let Some(t0) = start {
-            self.trace.emit(&TraceEvent::HookExit {
-                hook,
-                verdict: TraceVerdict::Allow,
-                latency_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
+    /// Emits `hook_exit` for a traced dispatch, with its latency when the
+    /// dispatch was sampled. Notification hooks pass `allowed = true`: they
+    /// cannot deny.
+    fn hook_exit(&self, hook: TraceHook, allowed: bool, start: Option<Instant>) {
+        self.trace.emit(&TraceEvent::HookExit {
+            hook,
+            verdict: if allowed {
+                TraceVerdict::Allow
+            } else {
+                TraceVerdict::Deny
+            },
+            latency_ns: start.map(|t0| t0.elapsed().as_nanos() as u64),
+        });
     }
 
     /// Dispatches `capable`.

@@ -26,8 +26,7 @@
 //!
 //! | tracepoint          | fires when                                             |
 //! |---------------------|--------------------------------------------------------|
-//! | `hook_enter`        | an LSM hook dispatch starts                            |
-//! | `hook_exit`         | an LSM hook dispatch finishes (carries verdict+latency)|
+//! | `hook_exit`         | an LSM hook dispatch finishes (verdict, sampled latency)|
 //! | `ssm_transition`    | the situation state machine changes state              |
 //! | `policy_publish`    | a new `ActivePolicy` is published over RCU             |
 //! | `rcu_epoch_bump`    | the global policy epoch counter is incremented         |
@@ -180,9 +179,7 @@ impl fmt::Display for TraceVerdict {
 /// The static tracepoint kinds, one per probe site family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tracepoint {
-    /// LSM hook dispatch entry.
-    HookEnter,
-    /// LSM hook dispatch exit (verdict + latency).
+    /// LSM hook dispatch exit (verdict + sampled latency).
     HookExit,
     /// Situation state machine transition.
     SsmTransition,
@@ -216,8 +213,7 @@ pub enum Tracepoint {
 
 impl Tracepoint {
     /// Every tracepoint, in declaration order.
-    pub const ALL: [Tracepoint; 16] = [
-        Tracepoint::HookEnter,
+    pub const ALL: [Tracepoint; 15] = [
         Tracepoint::HookExit,
         Tracepoint::SsmTransition,
         Tracepoint::PolicyPublish,
@@ -243,7 +239,6 @@ impl Tracepoint {
     /// Stable snake_case name, as shown in `tracing/events`.
     pub fn name(self) -> &'static str {
         match self {
-            Tracepoint::HookEnter => "hook_enter",
             Tracepoint::HookExit => "hook_exit",
             Tracepoint::SsmTransition => "ssm_transition",
             Tracepoint::PolicyPublish => "policy_publish",
@@ -271,24 +266,21 @@ impl fmt::Display for Tracepoint {
 
 /// A single trace event, the payload delivered to registered callbacks.
 ///
-/// Hot-path variants (`HookEnter`, `HookExit`, `AuditEmit`) carry only
+/// Hot-path variants (`HookExit`, `AuditEmit`, `SdsEnqueue`) carry only
 /// `Copy` data; rare control-plane variants own their strings so the flight
 /// recorder can retain them without lifetimes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
-    /// An LSM hook dispatch started.
-    HookEnter {
-        /// Which hook.
-        hook: TraceHook,
-    },
-    /// An LSM hook dispatch finished.
+    /// An LSM hook dispatch finished. Fires on every traced dispatch.
     HookExit {
         /// Which hook.
         hook: TraceHook,
         /// Allow or deny.
         verdict: TraceVerdict,
-        /// Wall-clock nanoseconds spent in the stacked modules.
-        latency_ns: u64,
+        /// Wall-clock nanoseconds spent in the stacked modules, on the
+        /// sampled dispatches only (about one in
+        /// [`crate::lsm::SAMPLE_MEAN_GAP`] per thread); `None` on the rest.
+        latency_ns: Option<u64>,
     },
     /// The situation state machine transitioned.
     SsmTransition {
@@ -401,7 +393,6 @@ impl TraceEvent {
     /// The tracepoint this event belongs to.
     pub fn tracepoint(&self) -> Tracepoint {
         match self {
-            TraceEvent::HookEnter { .. } => Tracepoint::HookEnter,
             TraceEvent::HookExit { .. } => Tracepoint::HookExit,
             TraceEvent::SsmTransition { .. } => Tracepoint::SsmTransition,
             TraceEvent::PolicyPublish { .. } => Tracepoint::PolicyPublish,
@@ -424,12 +415,17 @@ impl TraceEvent {
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceEvent::HookEnter { hook } => write!(f, "hook_enter hook={hook}"),
             TraceEvent::HookExit {
                 hook,
                 verdict,
                 latency_ns,
-            } => write!(f, "hook_exit hook={hook} verdict={verdict} ns={latency_ns}"),
+            } => {
+                write!(f, "hook_exit hook={hook} verdict={verdict}")?;
+                match latency_ns {
+                    Some(ns) => write!(f, " ns={ns}"),
+                    None => Ok(()),
+                }
+            }
             TraceEvent::SsmTransition { from, to, event } => {
                 write!(f, "ssm_transition from={from} to={to} event={event}")
             }

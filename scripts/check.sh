@@ -23,10 +23,12 @@
 #                                   a printed counterexample, model
 #                                   conformance holds
 #   7. sack-analyze trace --self-check
-#                                 — boots a traced kernel and proves every
-#                                   tracepoint fires, the flight recorder
-#                                   replays a denial, and the metrics node
-#                                   is valid Prometheus
+#                                 — boots a traced kernel and proves all
+#                                   15 tracepoints fire, the flight
+#                                   recorder replays a denied hook_exit
+#                                   and its audit_emit behind their
+#                                   transition, and the metrics node is
+#                                   valid Prometheus
 #   8. contended sweep smoke      — the SMP sweep runner at 2 threads,
 #                                   proving the contended path executes
 #   9. sds sweep smoke            — the event-plane sweep runner on a

@@ -220,8 +220,9 @@ fn staged_rollout_promotes_rolls_back_and_matches_never_upgraded_twins() {
 }
 
 /// A randomized, internally consistent snapshot: arbitrary instance
-/// generations, tracepoint counts, latency histograms and flight-loss
-/// counters.
+/// generations, tracepoint counts, latency histograms with exact
+/// dispatch counts (every timed observation plus some untimed
+/// dispatches), and flight-loss counters.
 fn arbitrary_snapshot(rng: &mut prop::Rng) -> TelemetrySnapshot {
     let mut snap = TelemetrySnapshot::default();
     for _ in 0..rng.range(1, 4) {
@@ -242,6 +243,7 @@ fn arbitrary_snapshot(rng: &mut prop::Rng) -> TelemetrySnapshot {
             let count = rng.range(1, 50) as u64;
             hist.buckets[bucket] += count;
             hist.sum += count * rng.below(5000) as u64;
+            hist.dispatches += count + rng.below(800) as u64;
         }
     }
     snap.flight_total = rng.below(10_000) as u64;
@@ -263,8 +265,14 @@ fn merge_is_associative_and_commutative() {
         let a_bc = a.clone().merged(&b.clone().merged(&c));
         assert_eq!(ab_c, a_bc, "merge is not associative");
         let ab = a.clone().merged(&b);
-        let ba = b.merged(&a);
+        let ba = b.clone().merged(&a);
         assert_eq!(ab, ba, "merge is not commutative");
+        // Exact counts add up key by key, timed or not.
+        for key in 0..TELEMETRY_HIST_KEYS as u16 {
+            let dispatches = |s: &TelemetrySnapshot| s.hists.get(&key).map_or(0, |h| h.dispatches);
+            assert_eq!(dispatches(&ab), dispatches(&a) + dispatches(&b));
+        }
+        assert_eq!(ab.denials(), a.denials() + b.denials());
     });
 }
 
@@ -278,9 +286,13 @@ fn delta_since_replays_live_captures_exactly() {
             probe(&kernel, 1000, "/dev/car/door0", AccessMask::WRITE);
         }
         let base = TelemetrySnapshot::capture(&tracing);
-        read_door(&kernel, rng.range(0, 40));
+        let reads = rng.range(0, 40);
+        let granted = read_door(&kernel, reads);
+        let mut denied = reads - granted;
+        let mut writes = 0;
         for _ in 0..rng.range(0, 6) {
-            probe(&kernel, 0, "/dev/car/engine/ecu", AccessMask::WRITE);
+            writes += 1;
+            denied += usize::from(!probe(&kernel, 0, "/dev/car/engine/ecu", AccessMask::WRITE));
         }
         if rng.bool() {
             sack.deliver_event("crash", Duration::from_secs(1)).unwrap();
@@ -292,6 +304,12 @@ fn delta_since_replays_live_captures_exactly() {
             current,
             "base ⊕ delta failed to reproduce the later capture"
         );
+        // The delta's exact counts are the probes made in the interval,
+        // however few of them were timed.
+        let dispatches: u64 = delta.hists.values().map(|h| h.dispatches).sum();
+        assert_eq!(dispatches, (reads + writes) as u64);
+        assert_eq!(dispatches, delta.hook_exits());
+        assert_eq!(delta.denials(), denied as u64);
     });
 }
 

@@ -170,7 +170,7 @@ fn stacked_verdicts_are_identical_with_tracing_off_on_and_toggled() {
 }
 
 /// The same contract through a full kernel boot: decisions reached via
-/// the LSM dispatch layer (where `hook_enter`/`hook_exit` fire and
+/// the LSM dispatch layer (where `hook_exit` fires and sampled
 /// latencies are recorded) must match a never-traced twin syscall for
 /// syscall.
 #[test]
