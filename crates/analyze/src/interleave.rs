@@ -14,9 +14,9 @@
 //!
 //! This is *model checking*, not stress testing: for a bounded model the
 //! result is a proof over all interleavings, which is exactly what the
-//! lock-free hot path (`Rcu<T>` readers/writers, the profile-table
-//! replace and the event ring) needs — the dangerous schedules are the ones a stress
-//! test virtually never hits.
+//! lock-free hot path (`Rcu<T>` readers/writers and the profile-table
+//! replace) needs — the dangerous schedules are the ones a stress test
+//! virtually never hits.
 
 use std::collections::HashSet;
 use std::hash::Hash;

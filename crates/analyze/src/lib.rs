@@ -25,22 +25,22 @@
 //! 3. **Bounded interleaving checking** ([`interleave`], [`models`]): a
 //!    deterministic loom-style explorer that exhaustively enumerates every
 //!    schedule of small thread programs modelling the hand-rolled
-//!    `Rcu<T>` hazard-slot reclamation, the AppArmor profile-table
-//!    replace, the event ring and the epoch-tagged decision-cache
-//!    protocol, asserting memory safety, linearizability of grant/deny
-//!    outcomes and exact frame accounting. Known-bad mutations (skip the
-//!    hazard scan, split the publish, skip the tag verifier) are caught
+//!    `Rcu<T>` hazard-slot reclamation and the AppArmor profile-table
+//!    replace, asserting memory safety, the bounded graveyard and
+//!    untorn profile-table reads. Known-bad mutations (skip the
+//!    re-validation, skip the hazard scan, split the publish) are caught
 //!    with a concrete interleaving trace.
 //! 4. **Deterministic-schedule execution** ([`sched`]): the same bounded
 //!    exploration applied to the **real** implementations instead of
-//!    models — `Rcu`, `RingIn` and `LazySlot` run
-//!    unmodified over the `sack_kernel::sync::shim` seam with every
-//!    primitive under scheduler control, planted mutations are caught
-//!    with printed counterexample schedules, and the abstract models'
-//!    counterexamples are replayed through the real code
+//!    models — `Rcu`, `RingIn` (`try_enqueue`, drop-oldest
+//!    `force_enqueue`, and the batch enqueue and drain) and `LazySlot`
+//!    run unmodified over the `sack_kernel::sync::shim` seam with every
+//!    primitive and every spin wait under scheduler control, planted
+//!    mutations are caught with printed counterexample schedules, and the
+//!    `Rcu` model's counterexamples are replayed through the real code
 //!    ([`sched::conformance`]). The [`sync_lint`] source pass keeps the
-//!    seam airtight by rejecting direct `std::sync` use in the protocol
-//!    files.
+//!    seam airtight by rejecting direct `std::sync` use and raw spin
+//!    hints in the protocol files.
 //!
 //! The `sack-analyze` binary wires the static pillar to the command line;
 //! `PolicySimulator` and `Sack::reload_policy` run the per-policy subset
@@ -62,10 +62,7 @@ pub use analyzer::{profile_dfa_sizes_of, Analyzer};
 pub use diag::{CompiledDfaSize, DfaSize, Diagnostic, ProfileDfaSize, Report};
 pub use fleet::{fleet_self_check, lint_alerts as lint_fleet_alerts, AlertFinding};
 pub use interleave::{explore, Exploration, Model, Violation};
-pub use models::{
-    CacheConfig, CacheModel, PerCpuCacheConfig, PerCpuCacheModel, ProfileTableConfig, RcuConfig,
-    RcuModel, RcuProfileTableModel, RingConfig, RingModel,
-};
+pub use models::{ProfileTableConfig, RcuConfig, RcuModel, RcuProfileTableModel};
 pub use sched::{SchedBackend, SchedConfig, SchedExploration, SchedViolation};
 pub use sync_lint::{lint_paths, LintFinding};
 pub use trace::{

@@ -195,15 +195,24 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
         scenarios::rcu_read_write(1),
         scenarios::profile_publish(),
         scenarios::ring_produce_drain(),
+        scenarios::ring_force_enqueue_drain(),
+        scenarios::ring_force_enqueue_producers(),
+        scenarios::ring_batch_drain(),
+        scenarios::ring_batch_vs_dequeuers(),
         scenarios::lazy_first_touch(),
     ];
     println!("== exhaustive exploration (seed {:#x}) ==", cfg.seed);
     for scenario in &core {
+        let started = std::time::Instant::now();
         match explore(scenario, &cfg) {
             Ok(stats) => {
                 println!(
-                    "  {:<32} {:>6} schedules, {:>5} sleep-pruned, complete={}",
-                    scenario.name, stats.schedules, stats.pruned, stats.complete
+                    "  {:<32} {:>6} schedules, {:>5} sleep-pruned, complete={}, {:.2} s",
+                    scenario.name,
+                    stats.schedules,
+                    stats.pruned,
+                    stats.complete,
+                    started.elapsed().as_secs_f64()
                 );
                 if !smoke && !stats.complete {
                     return Err(format!(
@@ -221,7 +230,7 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
     }
 
     println!("== planted mutations (each must be caught) ==");
-    let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 4] = [
+    let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 5] = [
         (
             "rcu skip hazard re-validation",
             scenarios::rcu_read_write(1),
@@ -235,6 +244,11 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
         (
             "ring publish after lost claim",
             scenarios::ring_produce_drain(),
+            Some(Mutation::RingTornPublish),
+        ),
+        (
+            "ring lost claim, drop-oldest",
+            scenarios::ring_force_enqueue_producers(),
             Some(Mutation::RingTornPublish),
         ),
         (

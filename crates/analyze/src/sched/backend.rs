@@ -1,18 +1,18 @@
 //! [`SchedBackend`]: the executor-controlled instance of the
 //! `sack_kernel::sync::shim::Backend` seam.
 //!
-//! Every atomic load/store/CAS, every mutex lock/unlock, and every
-//! pointer-lifecycle event performed by the **real** `Rcu`/ring/lazy-slot
-//! code becomes a *yield point*: the calling thread announces the pending
-//! operation to the run's [`Controller`] and parks until the deterministic
-//! scheduler grants it the turn. Between grants exactly one thread runs,
-//! so the executor serialises the scenario into one of the bounded
-//! interleavings it is enumerating — the operations themselves still
-//! execute on plain `std::sync` primitives underneath (the serialisation
-//! makes the underlying memory orderings irrelevant; the executor checks
-//! the protocol logic under sequential consistency, and the
-//! ThreadSanitizer lane in `scripts/check.sh --sanitize` covers the
-//! weak-memory side).
+//! Every atomic load/store/CAS, every mutex lock/unlock, every spin wait
+//! and every pointer-lifecycle event performed by the **real**
+//! `Rcu`/ring/lazy-slot code becomes a *yield point*: the calling thread
+//! announces the pending operation to the run's [`Controller`] and parks
+//! until the deterministic scheduler grants it the turn. Between grants
+//! exactly one thread runs, so the executor serialises the scenario into
+//! one of the bounded interleavings it is enumerating — the operations
+//! themselves still execute on plain `std::sync` primitives underneath
+//! (the serialisation makes the underlying memory orderings irrelevant;
+//! the executor checks the protocol logic under sequential consistency,
+//! and the ThreadSanitizer lane in `scripts/check.sh --sanitize` covers
+//! the weak-memory side).
 //!
 //! The association between a thread and its controller is a thread-local
 //! set by the executor when it spawns scenario threads (and on the
@@ -115,6 +115,13 @@ impl Backend for SchedBackend {
 
     fn mutation(m: Mutation) -> bool {
         with_ctx(|ctx| ctx.is_some_and(|c| c.controller.mutation() == Some(m)))
+    }
+
+    /// A schedule point the controller grants only after another write
+    /// (see `OpKind::Yield`). The object id is unused: a `Yield` is
+    /// dependent on every operation.
+    fn spin_wait() {
+        point(OpKind::Yield, 0, "spin_wait");
     }
 
     fn trace_alloc(addr: usize) {

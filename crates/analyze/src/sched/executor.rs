@@ -39,7 +39,25 @@
 //! * any panic in a scenario thread (assertion failures, the
 //!   graveyard-bound `debug_assert` in `Rcu`),
 //! * a failed end-of-schedule invariant check,
-//! * livelock (depth bound) or a deadlock of the scheduled threads.
+//! * a deadlock of the scheduled threads, a livelock (every remaining
+//!   thread waits in `spin_wait` for a write no thread can make), or a
+//!   schedule that runs past the depth bound.
+//!
+//! # Spin waits
+//!
+//! A protocol loop that cannot advance until another thread writes calls
+//! `Backend::spin_wait`, which announces an [`OpKind::Yield`]. The
+//! executor has no fairness, so without it such a loop would run to the
+//! depth bound whenever the thread it waits for is not scheduled. A
+//! `Yield` is enabled once the run's write counter (granted atomic
+//! writes and read-modify-writes, unlocks and frees) has passed the mark
+//! taken when the same thread's previous `Yield` was granted (0 before
+//! its first). Taking the mark at the grant rather than at the
+//! announcement matters: a write landing inside a failed attempt (say
+//! between the ring's failed enqueue and its failed dequeue) has already
+//! made the retry worth running, though no write may follow. For sleep
+//! sets a `Yield` is dependent on every operation, which is conservative
+//! and sound.
 //!
 //! All carry the full counterexample schedule and the seed that orders
 //! exploration, so any CI failure is reproducible from its log output.
@@ -76,6 +94,9 @@ pub enum OpKind {
     /// A writer is about to free a retired heap snapshot
     /// (`Backend::trace_free`).
     Free,
+    /// A retry loop waits for another thread's write
+    /// (`Backend::spin_wait`); see the module docs for when it is enabled.
+    Yield,
 }
 
 /// A pending operation announced at a yield point.
@@ -97,8 +118,12 @@ impl OpDesc {
 
     /// Two operations commute iff they act on different objects or are
     /// both reads. Lock/unlock pairs share the mutex object id, so they
-    /// are always dependent with each other — conservative and sound.
+    /// are always dependent with each other — conservative and sound. A
+    /// `Yield` is enabled by any write, so it commutes with nothing.
     fn independent(&self, other: &OpDesc) -> bool {
+        if self.kind == OpKind::Yield || other.kind == OpKind::Yield {
+            return false;
+        }
         self.obj != other.obj || (self.is_read() && other.is_read())
     }
 }
@@ -238,17 +263,18 @@ impl fmt::Display for SchedViolation {
                 .get(step.thread)
                 .copied()
                 .unwrap_or("thread");
+            let t = step.thread;
+            let label = step.op.label;
+            if step.op.kind == OpKind::Yield {
+                writeln!(f, "  {i:3}: [{name}:{t}] {label}")?;
+                continue;
+            }
             let obj = if step.op.obj & HEAP_OBJ != 0 {
                 format!("snapshot#{}", step.op.obj & !HEAP_OBJ)
             } else {
                 format!("obj#{}", step.op.obj)
             };
-            writeln!(
-                f,
-                "  {i:3}: [{name}:{t}] {label} on {obj}",
-                t = step.thread,
-                label = step.op.label,
-            )?;
+            writeln!(f, "  {i:3}: [{name}:{t}] {label} on {obj}")?;
         }
         Ok(())
     }
@@ -296,6 +322,11 @@ struct CtrlState {
     held: HashSet<u64>,
     /// Allocation sequence numbers of freed snapshots.
     freed: HashSet<u64>,
+    /// Granted writes so far (atomic writes/RMWs, unlocks, frees).
+    writes: u64,
+    /// Per thread: `writes` when its previous `Yield` was granted; its
+    /// next `Yield` is enabled once `writes` exceeds it.
+    spin_mark: Vec<u64>,
     /// Live address → allocation sequence (re-allocation overwrites).
     addr_seq: HashMap<usize, u64>,
     next_seq: u64,
@@ -321,6 +352,8 @@ impl Controller {
                 violation: None,
                 held: HashSet::new(),
                 freed: HashSet::new(),
+                writes: 0,
+                spin_mark: vec![0; threads],
                 addr_seq: HashMap::new(),
                 next_seq: 0,
                 next_obj: 0,
@@ -577,11 +610,21 @@ fn run_once(scenario: &Scenario, cfg: &SchedConfig, stack: &mut Vec<Frame>) -> R
         }
         let enabled: Vec<usize> = pending
             .iter()
-            .filter(|(_, op)| op.kind != OpKind::Lock || !st.held.contains(&op.obj))
+            .filter(|(t, op)| match op.kind {
+                OpKind::Lock => !st.held.contains(&op.obj),
+                OpKind::Yield => st.writes > st.spin_mark[*t],
+                _ => true,
+            })
             .map(|(t, _)| *t)
             .collect();
         if enabled.is_empty() {
-            let message = "deadlock: every parked thread waits on a held mutex".to_string();
+            let message = if pending.iter().all(|(_, op)| op.kind == OpKind::Yield) {
+                "livelock: every remaining thread spins in spin_wait and no thread \
+                 is left to write"
+                    .to_string()
+            } else {
+                "deadlock: every parked thread waits on a held mutex".to_string()
+            };
             st.violation = Some(message.clone());
             st.abort = true;
             ctrl.thread_cv.notify_all();
@@ -647,7 +690,11 @@ fn run_once(scenario: &Scenario, cfg: &SchedConfig, stack: &mut Vec<Frame>) -> R
             OpKind::Unlock => {
                 st.held.remove(&op.obj);
             }
+            OpKind::Yield => st.spin_mark[choice] = st.writes,
             _ => {}
+        }
+        if matches!(op.kind, OpKind::Write | OpKind::Unlock | OpKind::Free) {
+            st.writes += 1;
         }
         trace.push(Step { thread: choice, op });
         st.grant = Some(choice);
@@ -740,5 +787,121 @@ pub fn explore(scenario: &Scenario, cfg: &SchedConfig) -> Result<SchedExploratio
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::Ordering::SeqCst;
+    use std::sync::Arc;
+
+    use sack_kernel::sync::shim::{RawAtomicUsize, RawMutex};
+    use sack_kernel::sync::Backend;
+
+    use super::super::backend::{SchedBackend, SchedMutex};
+    use super::{explore, Scenario, ScenarioRun, SchedConfig};
+
+    type Flag = <SchedBackend as Backend>::AtomicUsize;
+
+    /// A scenario whose bodies share two flag words, both initially 0.
+    fn flag_scenario(
+        name: &'static str,
+        bodies: Vec<fn(&Flag, &Flag)>,
+        threads: Vec<&'static str>,
+    ) -> Scenario {
+        Scenario {
+            name,
+            threads,
+            make: Box::new(move || {
+                let flags: Arc<(Flag, Flag)> =
+                    Arc::new((RawAtomicUsize::new(0), RawAtomicUsize::new(0)));
+                let bodies = bodies
+                    .iter()
+                    .map(|&body| {
+                        let flags = Arc::clone(&flags);
+                        Box::new(move || body(&flags.0, &flags.1)) as Box<dyn FnOnce() + Send>
+                    })
+                    .collect();
+                ScenarioRun {
+                    bodies,
+                    check: Box::new(|| Ok(())),
+                }
+            }),
+        }
+    }
+
+    /// Spins until either flag is set: one attempt is two loads, the
+    /// shape of the ring's failed enqueue followed by a failed dequeue.
+    fn wait_for_either(a: &Flag, b: &Flag) {
+        while a.load(SeqCst) == 0 && b.load(SeqCst) == 0 {
+            SchedBackend::spin_wait();
+        }
+    }
+
+    #[test]
+    fn a_write_before_the_spin_wait_is_not_a_livelock() {
+        // In some schedules the writer sets `a` after the waiter's first
+        // load and touches `b` before its second, so both loads fail with
+        // every write already made. Marking at the announcement would then
+        // park the waiter for a third write that never comes.
+        let scenario = flag_scenario(
+            "write-before-spin",
+            vec![wait_for_either, |a, b| {
+                a.store(1, SeqCst);
+                b.store(0, SeqCst);
+            }],
+            vec!["waiter", "writer"],
+        );
+        let stats =
+            explore(&scenario, &SchedConfig::exhaustive()).unwrap_or_else(|v| panic!("{v}"));
+        assert!(stats.complete);
+        assert!(stats.schedules > 1, "the race must be explored");
+    }
+
+    #[test]
+    fn a_lone_spinner_is_a_livelock() {
+        let scenario = flag_scenario("lone-spinner", vec![wait_for_either], vec!["waiter"]);
+        let violation = explore(&scenario, &SchedConfig::exhaustive())
+            .expect_err("nobody can release the spinner");
+        assert!(violation.message.contains("livelock"), "{violation}");
+    }
+
+    #[test]
+    fn opposite_lock_order_is_a_deadlock() {
+        let scenario = Scenario {
+            name: "lock-order-inversion",
+            threads: vec!["ab", "ba"],
+            make: Box::new(|| {
+                let a: Arc<SchedMutex<()>> = Arc::new(RawMutex::new(()));
+                let b: Arc<SchedMutex<()>> = Arc::new(RawMutex::new(()));
+                let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+                ScenarioRun {
+                    bodies: vec![
+                        Box::new(move || a.with(|()| b.with(|()| ()))),
+                        Box::new(move || b2.with(|()| a2.with(|()| ()))),
+                    ],
+                    check: Box::new(|| Ok(())),
+                }
+            }),
+        };
+        let violation =
+            explore(&scenario, &SchedConfig::exhaustive()).expect_err("inversion must deadlock");
+        assert!(violation.message.contains("deadlock"), "{violation}");
+    }
+
+    #[test]
+    fn a_loop_without_spin_wait_hits_the_depth_bound() {
+        let scenario = flag_scenario(
+            "busy-loop",
+            vec![|a, _| while a.load(SeqCst) == 0 {}],
+            vec!["spinner"],
+        );
+        let cfg = SchedConfig {
+            max_depth: 32,
+            ..SchedConfig::exhaustive()
+        };
+        let violation = explore(&scenario, &cfg).expect_err("the loop never ends");
+        assert!(violation.message.contains("depth bound"), "{violation}");
+        assert_eq!(violation.schedule.len(), 32);
     }
 }

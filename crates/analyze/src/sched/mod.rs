@@ -4,12 +4,13 @@
 //! *models* of the SACK concurrency protocols, this module explores the
 //! **real code**: the generic `Rcu<T, B, SLOTS>`, `RingIn<T, B>` and
 //! `LazySlot<T, B>` implementations are instantiated with
-//! [`SchedBackend`], whose every atomic/mutex/lifecycle operation parks
-//! the calling thread until a deterministic controller grants the turn.
-//! Bounded depth-first enumeration with sleep-set partial-order
-//! reduction (see [`executor`]) then proves, per scenario, that *no
-//! schedule exists* in which the shipped implementation violates the
-//! invariants the abstract models prove — or prints the counterexample
+//! [`SchedBackend`], whose every atomic/mutex/lifecycle operation and
+//! every `spin_wait` parks the calling thread until a deterministic
+//! controller grants the turn. Bounded depth-first enumeration with
+//! sleep-set partial-order reduction (see [`executor`]) then proves, per
+//! scenario, that *no schedule exists* in which the shipped
+//! implementation violates the scenario's invariants, deadlocks or spins
+//! with no thread left to release it — or prints the counterexample
 //! schedule when one does (mutation tests, [`conformance`] replays).
 //!
 //! Layering:
@@ -80,6 +81,50 @@ mod tests {
     fn ring_torn_publish_is_caught_in_real_code() {
         let violation = explore(
             &scenarios::ring_produce_drain(),
+            &SchedConfig::with_mutation(Mutation::RingTornPublish),
+        )
+        .expect_err("the planted bug must produce a violating schedule");
+        assert!(
+            violation.message.contains("lost or duplicated frames"),
+            "{violation}"
+        );
+    }
+
+    /// Explores a ring scenario to completion without a violation.
+    fn exhaust(scenario: &super::Scenario) {
+        let stats = explore(scenario, &SchedConfig::exhaustive()).unwrap_or_else(|v| panic!("{v}"));
+        assert!(stats.complete, "{}: space not exhausted", scenario.name);
+        assert!(
+            stats.schedules > 10,
+            "{}: space must be non-trivial",
+            scenario.name
+        );
+    }
+
+    #[test]
+    fn ring_force_enqueue_against_a_consumer_is_exhaustively_safe() {
+        exhaust(&scenarios::ring_force_enqueue_drain());
+    }
+
+    #[test]
+    fn ring_force_enqueue_producers_are_exhaustively_safe() {
+        exhaust(&scenarios::ring_force_enqueue_producers());
+    }
+
+    #[test]
+    fn ring_batch_against_batch_drain_is_exhaustively_safe() {
+        exhaust(&scenarios::ring_batch_drain());
+    }
+
+    #[test]
+    fn ring_batch_against_racing_dequeuers_is_exhaustively_safe() {
+        exhaust(&scenarios::ring_batch_vs_dequeuers());
+    }
+
+    #[test]
+    fn ring_torn_publish_is_caught_on_drop_oldest_producers() {
+        let violation = explore(
+            &scenarios::ring_force_enqueue_producers(),
             &SchedConfig::with_mutation(Mutation::RingTornPublish),
         )
         .expect_err("the planted bug must produce a violating schedule");

@@ -7,7 +7,9 @@
 //! scheduler and rots the executor's "no schedule exists" claim. This
 //! pass scans `crates/kernel/src` for
 //! direct `std::sync` / `std::thread` (and `parking_lot` / `crossbeam` /
-//! `loom`) use and flags anything that is not:
+//! `loom`) use, and for raw `std::hint::spin_loop` spin hints — a wait
+//! loop that does not go through `Backend::spin_wait` is one the executor
+//! cannot schedule — and flags anything that is not:
 //!
 //! * the shim module itself (`crates/kernel/src/sync/shim.rs`),
 //! * an allowed `std::sync` item that carries no scheduling behaviour of
@@ -249,6 +251,8 @@ fn forbidden_pattern(line: &str) -> Option<&'static str> {
         "parking_lot",
         "crossbeam",
         "loom::",
+        "std::hint::spin_loop",
+        "spin_loop()",
     ] {
         if line.contains(pat) {
             return Some(match pat {
@@ -256,7 +260,8 @@ fn forbidden_pattern(line: &str) -> Option<&'static str> {
                 "core::sync" => "core::sync",
                 "parking_lot" => "parking_lot",
                 "crossbeam" => "crossbeam",
-                _ => "loom",
+                "loom::" => "loom",
+                _ => "spin_loop",
             });
         }
     }
@@ -335,6 +340,19 @@ mod tests {
         let findings = lint_str("crates/kernel/src/x.rs", "use std::thread;\n");
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].pattern, "std::thread");
+    }
+
+    #[test]
+    fn raw_spin_hints_are_flagged() {
+        let src = "while busy() {\n    std::hint::spin_loop();\n}\n\
+                   use std::hint::spin_loop;\nspin_loop();\nB::spin_wait();\n";
+        let findings = lint_str("crates/kernel/src/ring.rs", src);
+        assert_eq!(
+            findings.iter().map(|f| f.line).collect::<Vec<_>>(),
+            [2, 4, 5],
+            "{findings:?}"
+        );
+        assert!(findings.iter().all(|f| f.pattern == "spin_loop"));
     }
 
     #[test]

@@ -19,11 +19,14 @@
 //! observation supersedes stale ones, and the coalescing drain collapses
 //! runs of frames anyway.
 //!
-//! Like `Rcu`, every atomic goes through the [`shim::Backend`] seam, so
-//! `sack-analyze` explores this exact code under its deterministic
-//! scheduler (`RingIn<u64, SchedBackend>`), and the `RingTornPublish`
-//! mutation plants the canonical lost-frame bug (a producer that ignores
-//! a lost claim CAS) for the executor to catch.
+//! Like `Rcu`, every atomic goes through the [`shim::Backend`] seam, and
+//! so does every wait: the drop-oldest retry and the two batch publish
+//! and drain waits call [`Backend::spin_wait`]. `sack-analyze` therefore
+//! explores this exact code under its deterministic scheduler
+//! (`RingIn<u64, SchedBackend>`), including `force_enqueue` and both
+//! batch paths, and the `RingTornPublish` mutation plants the canonical
+//! lost-frame bug (a producer that ignores a lost claim CAS) for the
+//! executor to catch.
 
 use std::cell::UnsafeCell;
 use std::fmt;
@@ -194,9 +197,13 @@ impl<T: Copy, B: Backend> RingIn<T, B> {
                     if self.try_dequeue().is_some() {
                         self.dropped.fetch_add(1, SeqCst);
                         discarded += 1;
+                    } else {
+                        // Nothing to discard: a concurrent drain emptied
+                        // the ring, or every frame sits between another
+                        // thread's claim and its release. Let that thread
+                        // move, then retry.
+                        B::spin_wait();
                     }
-                    // A concurrent drain may have freed the slot for us;
-                    // either way the ring now has room — retry.
                 }
             }
         }
@@ -246,7 +253,7 @@ impl<T: Copy, B: Backend> RingIn<T, B> {
                             // slot's previous lap without releasing it
                             // yet; its release is imminent.
                             while slot.seq.load(SeqCst) != p {
-                                std::hint::spin_loop();
+                                B::spin_wait();
                             }
                             // SAFETY: the span claim CAS (tail: pos ->
                             // pos+k) succeeded and the slot's sequence
@@ -343,7 +350,7 @@ impl<T: Copy, B: Backend> RingIn<T, B> {
                         // The claim span runs up to a tail snapshot, so
                         // each slot is published or about to be.
                         while slot.seq.load(SeqCst) != p.wrapping_add(1) {
-                            std::hint::spin_loop();
+                            B::spin_wait();
                         }
                         // SAFETY: the span claim CAS (head: pos -> pos+k)
                         // succeeded and the slot's sequence shows a

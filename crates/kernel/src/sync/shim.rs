@@ -32,6 +32,11 @@
 //!   into a ring slot without winning its claim). The executor's mutation tests turn
 //!   exactly one on and assert a violating schedule is found; under
 //!   [`StdBackend`] the branch is `if false` and vanishes.
+//! * [`Backend::spin_wait`] — the one way protocol code may wait for
+//!   another thread (a full ring, a slot whose release is imminent).
+//!   Production spins with `std::hint::spin_loop()`; the executor parks
+//!   the thread until a write lands, so a retry loop is a schedulable
+//!   wait instead of an unbounded run of identical steps.
 //! * [`Backend::trace_alloc`] / [`Backend::trace_free`] /
 //!   [`Backend::check_acquire`] — pointer-lifecycle tracking. The
 //!   executor keeps a freed-address registry so that a protocol bug
@@ -40,9 +45,9 @@
 //!   undefined behaviour.
 //!
 //! `sack-analyze sync-lint` enforces that the protocol files use this
-//! seam: any direct `std::sync::atomic` / `std::thread` / `Mutex` use in
-//! the linted set outside this module fails CI, so executor coverage
-//! cannot silently rot as the code evolves.
+//! seam: any direct `std::sync::atomic` / `std::thread` / `Mutex` /
+//! `std::hint::spin_loop` use in the linted set outside this module fails
+//! CI, so executor coverage cannot silently rot as the code evolves.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
@@ -164,6 +169,14 @@ pub trait Backend: Sized + Send + Sync + 'static {
     #[must_use]
     fn mutation(_m: Mutation) -> bool {
         false
+    }
+
+    /// Waits for another thread to make progress: the retry point of a
+    /// loop that cannot advance until someone else writes. A spin hint in
+    /// production; the executor parks the caller until a write lands.
+    #[inline(always)]
+    fn spin_wait() {
+        std::hint::spin_loop();
     }
 
     /// A heap snapshot was published (its address may have been reused).

@@ -9,16 +9,19 @@
 #                                   umbrella package, every crate and the
 #                                   vendored shims, so this runs crate unit
 #                                   tests, integration, property,
-#                                   interleaving exhaustion,
-#                                   schedule-executor and observer-effect
+#                                   abstract-model and schedule-executor
+#                                   exploration and observer-effect
 #                                   differential suites
-#   5. sack-analyze sync-lint     — no direct std::sync/std::thread use in
-#                                   the protocol sources outside the
-#                                   sync::shim seam (keeps the executor's
-#                                   coverage from rotting)
+#   5. sack-analyze sync-lint     — no direct std::sync/std::thread use
+#                                   or raw spin_loop hint in the protocol
+#                                   sources outside the sync::shim seam
+#                                   (keeps the executor's coverage from
+#                                   rotting)
 #   6. sack-analyze sched --smoke — bounded deterministic-schedule
-#                                   exploration of the real Rcu, ring and
-#                                   lazy-slot code: core scenarios pass,
+#                                   exploration of the real Rcu, lazy-slot
+#                                   and ring code (try_enqueue, drop-oldest
+#                                   force_enqueue, batch enqueue and
+#                                   drain): core scenarios pass,
 #                                   every planted mutation is caught with
 #                                   a printed counterexample, model
 #                                   conformance holds
