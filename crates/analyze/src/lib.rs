@@ -19,9 +19,6 @@
 //!    exposition validator for the `tracing/metrics` node and an
 //!    end-to-end `--self-check` that boots an in-memory stacked kernel
 //!    and proves the whole observability path (`sack-analyze trace`).
-//!    The [`fleet`] module extends the same forensics to the fleet
-//!    telemetry plane: lints over `FleetAlert` streams and a
-//!    multi-cohort rollout self-check (`sack-analyze fleet`).
 //! 3. **Bounded interleaving checking** ([`interleave`], [`models`]): a
 //!    deterministic loom-style explorer that exhaustively enumerates every
 //!    schedule of small thread programs modelling the hand-rolled
@@ -51,7 +48,6 @@
 
 pub mod analyzer;
 pub mod diag;
-pub mod fleet;
 pub mod interleave;
 pub mod models;
 pub mod sched;
@@ -60,7 +56,6 @@ pub mod trace;
 
 pub use analyzer::{profile_dfa_sizes_of, Analyzer};
 pub use diag::{CompiledDfaSize, DfaSize, Diagnostic, ProfileDfaSize, Report};
-pub use fleet::{fleet_self_check, lint_alerts as lint_fleet_alerts, AlertFinding};
 pub use interleave::{explore, Exploration, Model, Violation};
 pub use models::{ProfileTableConfig, RcuConfig, RcuModel, RcuProfileTableModel};
 pub use sched::{SchedBackend, SchedConfig, SchedExploration, SchedViolation};

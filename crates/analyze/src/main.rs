@@ -7,7 +7,6 @@
 //! sack-analyze trace (--self-check | <flight-dump>) [--strict]
 //! sack-analyze sched [--smoke]
 //! sack-analyze sync-lint [--root <dir>]
-//! sack-analyze fleet [--self-check]
 //! ```
 //!
 //! Exit codes: `0` clean (warnings allowed unless `--strict`), `1`
@@ -28,8 +27,7 @@ const USAGE: &str = "usage: sack-analyze <policy.sack> [--profiles <profiles.aa>
                      sack-analyze trace (--self-check | <flight-dump>) \
                      [--strict]\n       \
                      sack-analyze sched [--smoke]\n       \
-                     sack-analyze sync-lint [--root <dir>]\n       \
-                     sack-analyze fleet [--self-check]";
+                     sack-analyze sync-lint [--root <dir>]";
 
 struct Options {
     policy_path: String,
@@ -350,32 +348,8 @@ fn parse_sync_lint_args(args: &[String]) -> Result<String, String> {
     Ok(root)
 }
 
-/// Runs the fleet telemetry-plane self-check (`--self-check` is implied:
-/// the subcommand has no other mode yet, but the flag is accepted for
-/// symmetry with `trace`).
-fn run_fleet(args: &[String]) -> Result<ExitCode, String> {
-    for arg in args {
-        match arg.as_str() {
-            "--self-check" => {}
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown fleet argument `{other}`\n{USAGE}")),
-        }
-    }
-    print!("{}", sack_analyze::fleet_self_check()?);
-    Ok(ExitCode::SUCCESS)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("fleet") {
-        return match run_fleet(&args[1..]) {
-            Ok(code) => code,
-            Err(message) => {
-                eprintln!("sack-analyze: {message}");
-                ExitCode::from(2)
-            }
-        };
-    }
     if args.first().map(String::as_str) == Some("sched") {
         return match parse_sched_args(&args[1..]).and_then(run_sched) {
             Ok(code) => code,

@@ -147,16 +147,6 @@ const ALLOWLIST: &[(&str, &str, &str)] = &[
         "use parking_lot::RwLock;",
         "inode/dentry table locks; blocking by design",
     ),
-    (
-        "kernel/src/instance.rs",
-        "use std::sync::atomic::{AtomicU64, Ordering};",
-        "instance-id allocator; monotonic counter only",
-    ),
-    (
-        "kernel/src/instance.rs",
-        "use parking_lot::RwLock;",
-        "fleet registry membership table lock; blocking by design",
-    ),
 ];
 
 /// `std::sync` items that are safe to name directly: they carry no
@@ -374,6 +364,20 @@ mod tests {
         let line = "use std::sync::atomic::{AtomicU64, Ordering};\n";
         assert!(lint_str("crates/kernel/src/lsm.rs", line).is_empty());
         assert_eq!(lint_str("crates/kernel/src/kernel.rs", line).len(), 1);
+    }
+
+    #[test]
+    fn every_allowlist_fragment_occurs_in_its_file() {
+        let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        for (suffix, fragment, _) in ALLOWLIST {
+            let path = crates.join(suffix);
+            let text = fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("allowlisted file {}: {e}", path.display()));
+            assert!(
+                text.contains(fragment),
+                "stale allowlist entry: `{fragment}` no longer occurs in {suffix}"
+            );
+        }
     }
 
     #[test]

@@ -749,66 +749,6 @@ pub fn self_check() -> Result<String, String> {
         ));
     }
 
-    // Fleet rollout coverage: stage this kernel through a one-cohort
-    // fleet so the five `fleet_rollout_*` tracepoints fire on its own
-    // hub — a promote run on clean telemetry, then a rollback run
-    // tripped by a denial spike of exactly the kind the flight already
-    // replayed. Runs after the flight checks so the extra control-plane
-    // records cannot evict the replayed transition from the ring.
-    {
-        use sack_fleet::{FleetAggregator, RolloutConfig, RolloutDriver, RolloutStatus};
-        let agg = FleetAggregator::new();
-        agg.register(&kernel, &sack, "vehicles");
-        let cohorts = vec!["vehicles".to_string()];
-        let mut promote = RolloutDriver::new(
-            Arc::clone(&agg),
-            cohorts.clone(),
-            POLICY,
-            POLICY,
-            RolloutConfig {
-                soak_ticks: 1,
-                ..RolloutConfig::default()
-            },
-        );
-        for _ in 0..8 {
-            if promote.finished() {
-                break;
-            }
-            promote.step();
-        }
-        if promote.status() != RolloutStatus::Promoted {
-            return Err(fail(
-                "fleet promote",
-                format!("expected promotion, got {}", promote.status()),
-            ));
-        }
-        let mut rollback = RolloutDriver::new(
-            Arc::clone(&agg),
-            cohorts,
-            POLICY,
-            POLICY,
-            RolloutConfig {
-                soak_ticks: 4,
-                ..RolloutConfig::default()
-            },
-        );
-        rollback.step(); // primes the baseline and pushes the candidate
-        for _ in 0..32 {
-            // Door writes in `normal` are denied: a synthetic canary spike.
-            let _ = app.open("/dev/car/door0", OpenFlags::write_only());
-        }
-        rollback.step();
-        match rollback.status() {
-            RolloutStatus::RolledBack { .. } => {}
-            other => {
-                return Err(fail(
-                    "fleet rollback",
-                    format!("expected rollback on the denial spike, got {other}"),
-                ));
-            }
-        }
-    }
-
     // Every tracepoint must have fired at least once.
     let hub = kernel.trace();
     for point in Tracepoint::ALL {

@@ -73,7 +73,6 @@ pub mod situation;
 pub mod ssm;
 pub mod statedfa;
 pub mod stats;
-pub mod telemetry;
 pub mod trace;
 
 pub use audit::{AuditLog, AuditRecord, Denial};
@@ -93,5 +92,4 @@ pub use ssm::{
 };
 pub use statedfa::{StateDecision, StateDfa};
 pub use stats::{HistogramSnapshot, LatencyHistogram, ShardedCounter};
-pub use telemetry::{decode_hist_key, hist_key, TelemetrySnapshot, TELEMETRY_HIST_KEYS};
 pub use trace::{FlightEntry, FlightRecorder, SackTracing};

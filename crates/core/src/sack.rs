@@ -343,8 +343,7 @@ impl Sack {
     ///
     /// securityfs registration errors.
     pub fn attach(self: &Arc<Self>, kernel: &Arc<Kernel>) -> Result<(), SackError> {
-        let tracing = self.install_tracing(Arc::clone(kernel.trace()));
-        tracing.set_instance(kernel.instance().0);
+        self.install_tracing(Arc::clone(kernel.trace()));
         self.install_event_plane(EventPlane::DEFAULT_CAPACITY, BackpressurePolicy::DropOldest);
         crate::sackfs::register(self, kernel)?;
         let _ = self.kernel.set(Arc::downgrade(kernel));

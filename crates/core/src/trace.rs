@@ -317,12 +317,7 @@ impl RecorderState {
             | TraceEvent::AuditEmit { .. }
             | TraceEvent::SdsDrain { .. }
             | TraceEvent::SdsCoalesce { .. }
-            | TraceEvent::SdsBackpressure { .. }
-            | TraceEvent::FleetRolloutBegin { .. }
-            | TraceEvent::FleetRolloutPush { .. }
-            | TraceEvent::FleetRolloutPromote { .. }
-            | TraceEvent::FleetRolloutRollback { .. }
-            | TraceEvent::FleetRolloutComplete { .. } => {
+            | TraceEvent::SdsBackpressure { .. } => {
                 self.flight.record(event.clone());
             }
             // Per-frame hot path: counted by the hub, never flight-recorded
@@ -339,12 +334,6 @@ pub struct SackTracing {
     hub: Arc<TraceHub>,
     state: Arc<RecorderState>,
     handle: TraceHandle,
-    /// Fleet instance id of the kernel this recorder is attached to
-    /// (`0` = unset, e.g. a free-standing recorder in a bench).
-    instance: AtomicU64,
-    /// Monotonic generation stamped onto each telemetry capture, so deltas
-    /// can name exactly which capture they are relative to.
-    generation: AtomicU64,
 }
 
 impl SackTracing {
@@ -361,31 +350,7 @@ impl SackTracing {
         });
         let cb_state = Arc::clone(&state);
         let handle = hub.register_all(Arc::new(move |ev| cb_state.on_event(ev)));
-        Arc::new(SackTracing {
-            hub,
-            state,
-            handle,
-            instance: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-        })
-    }
-
-    /// Stamps the fleet instance id of the kernel this recorder belongs to.
-    /// Called by `Sack::attach`; telemetry captured before attachment
-    /// carries instance 0 ("unset").
-    pub fn set_instance(&self, instance: u64) {
-        self.instance.store(instance, Ordering::Relaxed);
-    }
-
-    /// The stamped fleet instance id (0 when never attached).
-    pub fn instance(&self) -> u64 {
-        self.instance.load(Ordering::Relaxed)
-    }
-
-    /// Allocates the next telemetry generation. Each capture gets a fresh,
-    /// strictly increasing generation so delta replay can order captures.
-    pub fn next_generation(&self) -> u64 {
-        self.generation.fetch_add(1, Ordering::Relaxed) + 1
+        Arc::new(SackTracing { hub, state, handle })
     }
 
     /// The hub this recorder listens on.

@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use crate::cred::{Capability, Credentials};
 use crate::error::{Errno, KernelError, KernelResult};
-use crate::instance::InstanceId;
 use crate::ipc::ListenerTable;
 use crate::lsm::{LsmStack, SecurityModule};
 use crate::path::KPath;
@@ -59,7 +58,6 @@ impl KernelBuilder {
     pub fn boot(self) -> Arc<Kernel> {
         let trace = self.trace.unwrap_or_else(TraceHub::new);
         let kernel = Arc::new(Kernel {
-            instance: InstanceId::next(),
             vfs: Vfs::new(),
             lsm: LsmStack::with_trace(self.modules, trace),
             tasks: ProcessTable::new(),
@@ -100,7 +98,6 @@ impl fmt::Debug for KernelBuilder {
 /// by [`Kernel::spawn`]; the kernel itself only exposes the mechanism
 /// surfaces that in-kernel components (security modules, drivers) need.
 pub struct Kernel {
-    instance: InstanceId,
     vfs: Vfs,
     lsm: LsmStack,
     tasks: ProcessTable,
@@ -112,11 +109,6 @@ impl Kernel {
     /// Boots a DAC-only kernel (no security modules).
     pub fn boot_default() -> Arc<Kernel> {
         KernelBuilder::new().boot()
-    }
-
-    /// The kernel's fleet instance id, unique per boot in this process.
-    pub fn instance(&self) -> InstanceId {
-        self.instance
     }
 
     /// The virtual filesystem.
@@ -190,7 +182,6 @@ impl Kernel {
 impl fmt::Debug for Kernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Kernel")
-            .field("instance", &self.instance)
             .field("lsm", &self.lsm)
             .field("tasks", &self.tasks)
             .field("vfs", &self.vfs)

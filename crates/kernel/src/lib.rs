@@ -33,7 +33,6 @@ pub mod cred;
 pub mod device;
 pub mod error;
 pub mod file;
-pub mod instance;
 pub mod ipc;
 pub mod kernel;
 pub mod lsm;
@@ -52,7 +51,6 @@ pub mod vfs;
 
 pub use cred::{Capability, CapabilitySet, Credentials, Gid, Uid};
 pub use error::{Errno, KernelError, KernelResult};
-pub use instance::{InstanceEntry, InstanceId, InstanceRegistry};
 pub use kernel::{Kernel, KernelBuilder};
 pub use lsm::{AccessMask, HookCtx, ObjectKind, ObjectRef, SecurityModule, SocketFamily};
 pub use path::KPath;

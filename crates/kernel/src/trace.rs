@@ -36,11 +36,6 @@
 //! | `sds_drain`         | a ring drain batch completes (batch size + transitions)|
 //! | `sds_coalesce`      | ≥2 frames collapsed into one SSM delivery in a drain   |
 //! | `sds_backpressure`  | the ring-full policy engaged (block or drop-oldest)    |
-//! | `fleet_rollout_begin`    | a staged fleet policy rollout started             |
-//! | `fleet_rollout_push`     | the candidate policy was pushed to a cohort       |
-//! | `fleet_rollout_promote`  | a cohort soaked green and was promoted            |
-//! | `fleet_rollout_rollback` | an alert rolled the fleet back to the prior policy|
-//! | `fleet_rollout_complete` | the rollout finished (promoted or rolled back)    |
 
 use std::cell::RefCell;
 use std::fmt;
@@ -199,21 +194,11 @@ pub enum Tracepoint {
     SdsCoalesce,
     /// Ring-full backpressure policy engaged.
     SdsBackpressure,
-    /// A staged fleet policy rollout started.
-    FleetRolloutBegin,
-    /// The candidate policy was pushed to a cohort.
-    FleetRolloutPush,
-    /// A cohort soaked green and was promoted.
-    FleetRolloutPromote,
-    /// A detector alert rolled upgraded cohorts back to the prior policy.
-    FleetRolloutRollback,
-    /// The rollout finished, promoted fleet-wide or rolled back.
-    FleetRolloutComplete,
 }
 
 impl Tracepoint {
     /// Every tracepoint, in declaration order.
-    pub const ALL: [Tracepoint; 15] = [
+    pub const ALL: [Tracepoint; 10] = [
         Tracepoint::HookExit,
         Tracepoint::SsmTransition,
         Tracepoint::PolicyPublish,
@@ -224,11 +209,6 @@ impl Tracepoint {
         Tracepoint::SdsDrain,
         Tracepoint::SdsCoalesce,
         Tracepoint::SdsBackpressure,
-        Tracepoint::FleetRolloutBegin,
-        Tracepoint::FleetRolloutPush,
-        Tracepoint::FleetRolloutPromote,
-        Tracepoint::FleetRolloutRollback,
-        Tracepoint::FleetRolloutComplete,
     ];
 
     /// Dense index into [`Tracepoint::ALL`].
@@ -249,11 +229,6 @@ impl Tracepoint {
             Tracepoint::SdsDrain => "sds_drain",
             Tracepoint::SdsCoalesce => "sds_coalesce",
             Tracepoint::SdsBackpressure => "sds_backpressure",
-            Tracepoint::FleetRolloutBegin => "fleet_rollout_begin",
-            Tracepoint::FleetRolloutPush => "fleet_rollout_push",
-            Tracepoint::FleetRolloutPromote => "fleet_rollout_promote",
-            Tracepoint::FleetRolloutRollback => "fleet_rollout_rollback",
-            Tracepoint::FleetRolloutComplete => "fleet_rollout_complete",
         }
     }
 }
@@ -344,49 +319,6 @@ pub enum TraceEvent {
         /// Cumulative frames discarded by drop-oldest since boot.
         dropped_total: u64,
     },
-    /// A staged fleet policy rollout started.
-    FleetRolloutBegin {
-        /// Monotonic rollout id, unique per driver run.
-        rollout: u64,
-        /// How many cohorts the stage plan covers.
-        cohorts: usize,
-    },
-    /// The candidate policy was pushed to every instance of a cohort.
-    FleetRolloutPush {
-        /// The rollout this push belongs to.
-        rollout: u64,
-        /// Cohort label receiving the candidate policy.
-        cohort: String,
-        /// Instances the push reached.
-        instances: usize,
-    },
-    /// A cohort finished its soak window with no alert and was promoted.
-    FleetRolloutPromote {
-        /// The rollout this promotion belongs to.
-        rollout: u64,
-        /// The promoted cohort's label.
-        cohort: String,
-        /// Detector ticks the cohort soaked green for.
-        soak_ticks: u64,
-    },
-    /// A detector alert rolled every upgraded cohort back.
-    FleetRolloutRollback {
-        /// The rollout being rolled back.
-        rollout: u64,
-        /// Cohort whose telemetry raised the alert.
-        cohort: String,
-        /// The triggering detector's alert label (e.g. `denial_spike`).
-        reason: String,
-        /// Instances republished to the prior policy.
-        instances: usize,
-    },
-    /// The rollout finished.
-    FleetRolloutComplete {
-        /// The finished rollout's id.
-        rollout: u64,
-        /// True when every cohort promoted; false after a rollback.
-        promoted: bool,
-    },
 }
 
 impl TraceEvent {
@@ -403,11 +335,6 @@ impl TraceEvent {
             TraceEvent::SdsDrain { .. } => Tracepoint::SdsDrain,
             TraceEvent::SdsCoalesce { .. } => Tracepoint::SdsCoalesce,
             TraceEvent::SdsBackpressure { .. } => Tracepoint::SdsBackpressure,
-            TraceEvent::FleetRolloutBegin { .. } => Tracepoint::FleetRolloutBegin,
-            TraceEvent::FleetRolloutPush { .. } => Tracepoint::FleetRolloutPush,
-            TraceEvent::FleetRolloutPromote { .. } => Tracepoint::FleetRolloutPromote,
-            TraceEvent::FleetRolloutRollback { .. } => Tracepoint::FleetRolloutRollback,
-            TraceEvent::FleetRolloutComplete { .. } => Tracepoint::FleetRolloutComplete,
         }
     }
 }
@@ -453,41 +380,6 @@ impl fmt::Display for TraceEvent {
                 f,
                 "sds_backpressure policy={policy} dropped_total={dropped_total}"
             ),
-            TraceEvent::FleetRolloutBegin { rollout, cohorts } => {
-                write!(f, "fleet_rollout_begin rollout={rollout} cohorts={cohorts}")
-            }
-            TraceEvent::FleetRolloutPush {
-                rollout,
-                cohort,
-                instances,
-            } => write!(
-                f,
-                "fleet_rollout_push rollout={rollout} cohort={cohort} instances={instances}"
-            ),
-            TraceEvent::FleetRolloutPromote {
-                rollout,
-                cohort,
-                soak_ticks,
-            } => write!(
-                f,
-                "fleet_rollout_promote rollout={rollout} cohort={cohort} soak_ticks={soak_ticks}"
-            ),
-            TraceEvent::FleetRolloutRollback {
-                rollout,
-                cohort,
-                reason,
-                instances,
-            } => write!(
-                f,
-                "fleet_rollout_rollback rollout={rollout} cohort={cohort} \
-                 reason={reason} instances={instances}"
-            ),
-            TraceEvent::FleetRolloutComplete { rollout, promoted } => {
-                write!(
-                    f,
-                    "fleet_rollout_complete rollout={rollout} promoted={promoted}"
-                )
-            }
         }
     }
 }

@@ -26,17 +26,13 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod fleet;
 pub mod report;
 pub mod sds;
 pub mod suite;
 pub mod testbed;
 pub mod workload;
 
-pub use fleet::{run_fleet_smoke, run_fleet_sweep, FleetPoint, FleetSweep};
-pub use report::{
-    render_comparison, render_contended_sweep, render_fleet_sweep, render_sds_sweep, render_sweep,
-};
+pub use report::{render_comparison, render_contended_sweep, render_sds_sweep, render_sweep};
 pub use sds::{run_sds_sweep, SdsPoint, SdsSweep};
 pub use suite::{
     run_contended_sweep, run_suite, ContendedPoint, ContendedScenario, ContendedSweep,

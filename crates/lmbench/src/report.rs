@@ -5,7 +5,6 @@
 
 use std::fmt::Write as _;
 
-use crate::fleet::FleetSweep;
 use crate::sds::SdsSweep;
 use crate::suite::{ContendedScenario, ContendedSweep, LmbenchResult, Op, OpGroup};
 
@@ -197,33 +196,6 @@ pub fn render_sds_sweep(sweep: &SdsSweep) -> String {
         "warm-hook p50: base {}ns, plane active {}ns ({:.3}x)",
         sweep.warm_base_p50_ns,
         sweep.warm_plane_p50_ns,
-        sweep.warm_impact()
-    );
-    out
-}
-
-/// Renders the fleet aggregation-cost sweep (DESIGN.md §13) as a table:
-/// fold latency per fleet size, then the warm-hook p50 scrape impact.
-pub fn render_fleet_sweep(sweep: &FleetSweep) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "=== fleet aggregation cost ===");
-    let _ = writeln!(
-        out,
-        "{:>10} | {:>12} | {:>16}",
-        "instances", "fold ns", "ns/instance"
-    );
-    for point in &sweep.points {
-        let _ = writeln!(
-            out,
-            "{:>10} | {:>12} | {:>16}",
-            point.instances, point.fold_ns, point.fold_per_instance_ns
-        );
-    }
-    let _ = writeln!(
-        out,
-        "warm-hook p50: idle {}ns, scraped {}ns ({:.3}x)",
-        sweep.warm_base_p50_ns,
-        sweep.warm_scraped_p50_ns,
         sweep.warm_impact()
     );
     out

@@ -44,12 +44,6 @@
 #     (coalesced drains that publish nothing must stay off the hook
 #     path).
 #
-# Also runs the fleet aggregation-cost sweep (DESIGN.md §13) and fails if:
-#   * an aggregator scraping the fleet Prometheus endpoint in a loop
-#     inflates a member kernel's warm-hook p50 beyond
-#     MAX_FLEET_WARM_IMPACT x the unscraped baseline (snapshot capture
-#     must stay off the hook hot path).
-#
 # Before rewriting BENCH_hook_latency.json the script cross-checks the
 # gate block recorded in the committed file against the thresholds it
 # actually enforces, and fails loudly on any disagreement — a recorded
@@ -78,8 +72,6 @@ MIN_SDS_SPEEDUP="${MIN_SDS_SPEEDUP:-5.0}"
 MAX_SDS_WARM_IMPACT="${MAX_SDS_WARM_IMPACT:-1.5}"
 SDS_RATES="${SDS_RATES:-10000,100000,1000000}"
 SDS_EVENTS="${SDS_EVENTS:-20000}"
-MAX_FLEET_WARM_IMPACT="${MAX_FLEET_WARM_IMPACT:-1.05}"
-FLEET_INSTANCES="${FLEET_INSTANCES:-64,256,1024}"
 OUT_JSON="${OUT_JSON:-BENCH_hook_latency.json}"
 
 QUICK="--quick"
@@ -99,9 +91,7 @@ TMP_SMP_JSON="$(mktemp)"
 TMP_SMP_LOG="$(mktemp)"
 TMP_SDS_JSON="$(mktemp)"
 TMP_SDS_LOG="$(mktemp)"
-TMP_FLEET_JSON="$(mktemp)"
-TMP_FLEET_LOG="$(mktemp)"
-trap 'rm -f "$TMP_JSON" "$TMP_LOG" "$TMP_JSON_PT" "$TMP_JSON_PC" "$TMP_JSON_OBS" "$TMP_SMP_JSON" "$TMP_SMP_LOG" "$TMP_SDS_JSON" "$TMP_SDS_LOG" "$TMP_FLEET_JSON" "$TMP_FLEET_LOG"' EXIT
+trap 'rm -f "$TMP_JSON" "$TMP_LOG" "$TMP_JSON_PT" "$TMP_JSON_PC" "$TMP_JSON_OBS" "$TMP_SMP_JSON" "$TMP_SMP_LOG" "$TMP_SDS_JSON" "$TMP_SDS_LOG"' EXIT
 
 # --- Recorded-vs-enforced gate consistency -------------------------------
 # The committed JSON documents the thresholds it was gated with; if those
@@ -129,7 +119,6 @@ if [[ -f "$OUT_JSON" ]]; then
     check_recorded_gate min_smp_efficiency "$MIN_SMP_EFFICIENCY"
     check_recorded_gate min_sds_speedup "$MIN_SDS_SPEEDUP"
     check_recorded_gate max_sds_warm_impact "$MAX_SDS_WARM_IMPACT"
-    check_recorded_gate max_fleet_warm_impact "$MAX_FLEET_WARM_IMPACT"
 fi
 
 echo "== bench_gate: running ablation_hook_matcher ${QUICK:+(quick mode)}" >&2
@@ -215,21 +204,13 @@ cargo run --release --offline -p sack-lmbench --example sds_sweep -- \
 SDS_SPEEDUP_100K="$(sed -n 's/^sds_speedup_at_100k value=\([0-9.]*\)$/\1/p' "$TMP_SDS_LOG" | head -1)"
 SDS_WARM_IMPACT="$(sed -n 's/^sds_warm_impact value=\([0-9.]*\)$/\1/p' "$TMP_SDS_LOG" | head -1)"
 
-echo "== bench_gate: running fleet_sweep (instances $FLEET_INSTANCES)" >&2
-cargo run --release --offline -p sack-lmbench --example fleet_sweep -- \
-    --instances "$FLEET_INSTANCES" --json "$TMP_FLEET_JSON" \
-    | tee "$TMP_FLEET_LOG" >&2
-
-FLEET_WARM_IMPACT="$(sed -n 's/^fleet_warm_impact value=\([0-9.]*\)$/\1/p' "$TMP_FLEET_LOG" | head -1)"
-
 for v in DFA_SINGLE SCAN_SINGLE DFA_WSET SCAN_WSET \
          DFA_100 SCAN_100 DFA_1K SCAN_1K DFA_10K SCAN_10K \
          AA_DFA AA_SCAN RECOMPILE_INCR RECOMPILE_FULL \
          PC_SERIAL_100 PC_PARALLEL_100 PC_SERIAL_1K PC_PARALLEL_1K \
          PC_SERIAL_10K PC_PARALLEL_10K PC_LAZY_LOAD_1K PC_COLD_ATTACH_1K \
          TRACE_BASELINE TRACE_DISABLED TRACE_ENABLED TRACE_FLIGHT \
-         SMP_EFF_DFA SMP_PARALLELISM SDS_SPEEDUP_100K SDS_WARM_IMPACT \
-         FLEET_WARM_IMPACT; do
+         SMP_EFF_DFA SMP_PARALLELISM SDS_SPEEDUP_100K SDS_WARM_IMPACT; do
     if [[ -z "${!v}" ]]; then
         echo "bench_gate: FAILED to extract $v from benchmark output" >&2
         exit 1
@@ -313,7 +294,6 @@ cat > "$OUT_JSON" <<EOF
   },
   "smp": $(cat "$TMP_SMP_JSON"),
   "sds": $(cat "$TMP_SDS_JSON"),
-  "fleet": $(cat "$TMP_FLEET_JSON"),
   "gate": {
     "min_dfa_speedup_1k": $MIN_DFA_SPEEDUP,
     "max_dfa_degradation": $MAX_DFA_DEGRADATION,
@@ -324,8 +304,7 @@ cat > "$OUT_JSON" <<EOF
     "max_trace_overhead": $MAX_TRACE_OVERHEAD,
     "min_smp_efficiency": $MIN_SMP_EFFICIENCY,
     "min_sds_speedup": $MIN_SDS_SPEEDUP,
-    "max_sds_warm_impact": $MAX_SDS_WARM_IMPACT,
-    "max_fleet_warm_impact": $MAX_FLEET_WARM_IMPACT
+    "max_sds_warm_impact": $MAX_SDS_WARM_IMPACT
   }
 }
 EOF
@@ -344,7 +323,6 @@ echo "   trace on overhead:    ${TRACE_OVERHEAD_ENABLED}x (enabled $TRACE_ENABLE
 echo "   smp dfa efficiency:   ${SMP_EFF_DFA}x linear at $SMP_MAX_THREADS threads ($SMP_PARALLELISM-way parallel host)" >&2
 echo "   sds batched @100k:    ${SDS_SPEEDUP_100K}x sync event throughput" >&2
 echo "   sds warm impact:      ${SDS_WARM_IMPACT}x warm-hook p50 with the plane active" >&2
-echo "   fleet warm impact:    ${FLEET_WARM_IMPACT}x warm-hook p50 under active scraping" >&2
 
 fail=0
 if [[ "$GATE_MISMATCH" -ne 0 ]]; then
@@ -391,10 +369,6 @@ if awk -v s="$SDS_SPEEDUP_100K" -v m="$MIN_SDS_SPEEDUP" 'BEGIN { exit !(s < m) }
 fi
 if awk -v r="$SDS_WARM_IMPACT" -v m="$MAX_SDS_WARM_IMPACT" 'BEGIN { exit !(r > m) }'; then
     echo "bench_gate: FAIL — active event plane inflates warm-hook p50 by ${SDS_WARM_IMPACT}x (max ${MAX_SDS_WARM_IMPACT}x)" >&2
-    fail=1
-fi
-if awk -v r="$FLEET_WARM_IMPACT" -v m="$MAX_FLEET_WARM_IMPACT" 'BEGIN { exit !(r > m) }'; then
-    echo "bench_gate: FAIL — active fleet scraping inflates warm-hook p50 by ${FLEET_WARM_IMPACT}x (max ${MAX_FLEET_WARM_IMPACT}x)" >&2
     fail=1
 fi
 

@@ -26,8 +26,8 @@
 #                                   a printed counterexample, model
 #                                   conformance holds
 #   7. sack-analyze trace --self-check
-#                                 — boots a traced kernel and proves all
-#                                   15 tracepoints fire, the flight
+#                                 — boots a traced kernel and proves
+#                                   every tracepoint fires, the flight
 #                                   recorder replays a denied hook_exit
 #                                   and its audit_emit behind their
 #                                   transition, and the metrics node is
@@ -42,25 +42,14 @@
 #                                   compile, proving both pipeline paths
 #                                   execute even where the benchmark
 #                                   gate's parallel floor is exempt
-#  11. fleet smoke                — boots 64 instances across 4 cohorts,
-#                                   runs mixed traffic with a canary
-#                                   denial spike mid-rollout, and asserts
-#                                   the rollback fires and the aggregated
-#                                   p99 matches a serial fold
-#  12. sack-analyze fleet --self-check
-#                                 — 3-cohort promote + rollback rollouts
-#                                   with alert lints and a validated
-#                                   fleet Prometheus endpoint
-#  13. scripts/bench_gate.sh      — the hook-latency performance gate,
+#  11. scripts/bench_gate.sh      — the hook-latency performance gate,
 #                                   including the ≤MAX_TRACE_OVERHEAD
 #                                   disabled-tracepoint observer gate, the
 #                                   ≥MIN_SMP_EFFICIENCY scaling gate, the
 #                                   ≥MIN_SDS_SPEEDUP batched-ingestion
-#                                   gate, the ≤MAX_FLEET_WARM_IMPACT
-#                                   scrape-impact gate and the
-#                                   parallel-compile / cold-attach reload
-#                                   gates
-#  14. validate_bench_json.py     — BENCH_hook_latency.json schema check
+#                                   gate and the parallel-compile /
+#                                   cold-attach reload gates
+#  12. validate_bench_json.py     — BENCH_hook_latency.json schema check
 #                                   (all gate keys present, ratios finite)
 #
 # Usage: scripts/check.sh [--no-bench] [--sanitize]
@@ -129,12 +118,6 @@ cargo run --release --offline -p sack-lmbench --example sds_sweep -- \
 
 step "profile-compile pipeline smoke (2-worker bulk + lazy first touch)"
 cargo run --release --offline -p sack-lmbench --example profile_compile_smoke
-
-step "fleet_smoke (64 instances, canary denial spike, rollback + serial-fold p99)"
-cargo run --release --offline -p sack-lmbench --example fleet_sweep -- --smoke
-
-step "sack-analyze fleet --self-check"
-./target/release/sack-analyze fleet --self-check
 
 if [[ "$RUN_SANITIZE" == 1 ]]; then
     step "ThreadSanitizer lane (sync/smp/hook tests)"

@@ -13,9 +13,6 @@ catches a malformed splice before it is committed. Checks:
   * the sds block has a point per swept rate plus the two values the
     gate checks (speedup_at_100k, warm_impact), and each recorded value
     satisfies the threshold the gate block records for it;
-  * the fleet block has a fold-cost point per swept instance count plus
-    the scraped/idle warm-hook pair, and the recorded warm_impact
-    satisfies the gate's max_fleet_warm_impact;
   * the profile_compile block has every bulk/lazy median plus the
     normalised parallel floor, and the recorded speedup and cold-attach
     fraction satisfy the thresholds recorded for them;
@@ -41,7 +38,6 @@ TOP_LEVEL_KEYS = [
     "tracing",
     "smp",
     "sds",
-    "fleet",
     "gate",
 ]
 
@@ -57,15 +53,12 @@ GATE_KEYS = [
     "min_smp_efficiency",
     "min_sds_speedup",
     "max_sds_warm_impact",
-    "max_fleet_warm_impact",
 ]
 
 SMP_SCENARIOS = ["dfa_walk", "reload_racing"]
 SMP_POINT_KEYS = ["p50_ns", "p90_ns", "p99_ns", "ops_per_sec"]
 
 SDS_POINT_KEYS = ["batch", "sync_eps", "batched_eps", "speedup"]
-
-FLEET_POINT_KEYS = ["fold_ns", "fold_per_instance_ns"]
 
 PROFILE_COMPILE_KEYS = [
     "rules_per_profile",
@@ -210,37 +203,6 @@ def validate(doc):
             if impact > max_impact:
                 problems.append(
                     f"sds.warm_impact {impact} violates gate.max_sds_warm_impact {max_impact}"
-                )
-
-    fleet = doc.get("fleet", {})
-    if fleet:
-        for key in [
-            "instance_counts",
-            "points",
-            "warm_base_p50_ns",
-            "warm_scraped_p50_ns",
-            "warm_impact",
-        ]:
-            if key not in fleet:
-                problems.append(f"fleet block missing {key!r}")
-        counts = fleet.get("instance_counts", [])
-        if not counts:
-            problems.append("fleet.instance_counts is empty")
-        points = fleet.get("points", {})
-        for count in counts:
-            point = points.get(f"i{count}")
-            if point is None:
-                problems.append(f"fleet.points missing i{count}")
-                continue
-            for key in FLEET_POINT_KEYS:
-                if key not in point:
-                    problems.append(f"fleet.points.i{count} missing {key!r}")
-        impact = fleet.get("warm_impact")
-        max_impact = gate.get("max_fleet_warm_impact")
-        if isinstance(impact, (int, float)) and isinstance(max_impact, (int, float)):
-            if impact > max_impact:
-                problems.append(
-                    f"fleet.warm_impact {impact} violates gate.max_fleet_warm_impact {max_impact}"
                 )
 
     walk_numbers(doc, "$", problems)

@@ -935,6 +935,12 @@ fn incremental_recompile_preserves_equivalence_and_pins_untouched_profiles() {
 /// `PolicySimulator`'s answer in the same state, every mediated hook
 /// counts one `cache_misses` and no `cache_hits`, and every refusal is
 /// counted and audited exactly once.
+///
+/// At random steps the walk also rolls a narrowed candidate policy forward
+/// through `reload_policy`, probes it against a candidate twin, and rolls
+/// back to `VEHICLE_SACK_POLICY`. A reload restarts the state machine, so
+/// each reload restarts the twin too; after a rollback the kernel must
+/// decide exactly like a twin that never saw the candidate.
 #[test]
 fn hook_verdicts_match_simulator_and_every_denial_is_audited_once() {
     const EVENTS: [&str; 6] = [
@@ -945,12 +951,28 @@ fn hook_verdicts_match_simulator_and_every_denial_is_audited_once() {
         "driver_entered",
         "emergency_resolved",
     ];
+    // The vehicle policy with one grant narrowed: free volume changes keep
+    // the audio ioctl but lose the write.
+    let candidate = VEHICLE_SACK_POLICY.replace("/dev/car/audio wi;", "/dev/car/audio i;");
+    assert_ne!(candidate, VEHICLE_SACK_POLICY);
     prop::check(|rng| {
         let sack = Sack::independent(VEHICLE_SACK_POLICY).unwrap();
-        let sim = PolicySimulator::new(VEHICLE_SACK_POLICY).unwrap();
+        let mut sim = PolicySimulator::new(VEHICLE_SACK_POLICY).unwrap();
+        let mut on_candidate = false;
         let probes = rng.range(1, 40);
         let mut refused = 0u64;
         for _ in 0..probes {
+            if rng.below(8) == 0 {
+                on_candidate = !on_candidate;
+                let text = if on_candidate {
+                    candidate.as_str()
+                } else {
+                    VEHICLE_SACK_POLICY
+                };
+                sack.reload_policy(text).unwrap();
+                sim = PolicySimulator::new(text).unwrap();
+                assert_eq!(sack.current_state_name(), sim.state());
+            }
             if rng.below(4) == 0 {
                 let event = *rng.pick(&EVENTS);
                 sack.deliver_event(event, std::time::Duration::ZERO)
