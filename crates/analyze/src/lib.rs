@@ -19,25 +19,17 @@
 //!    exposition validator for the `tracing/metrics` node and an
 //!    end-to-end `--self-check` that boots an in-memory stacked kernel
 //!    and proves the whole observability path (`sack-analyze trace`).
-//! 3. **Bounded interleaving checking** ([`interleave`], [`models`]): a
-//!    deterministic loom-style explorer that exhaustively enumerates every
-//!    schedule of small thread programs modelling the hand-rolled
-//!    `Rcu<T>` hazard-slot reclamation and the AppArmor profile-table
-//!    replace, asserting memory safety, the bounded graveyard and
-//!    untorn profile-table reads. Known-bad mutations (skip the
-//!    re-validation, skip the hazard scan, split the publish) are caught
-//!    with a concrete interleaving trace.
-//! 4. **Deterministic-schedule execution** ([`sched`]): the same bounded
-//!    exploration applied to the **real** implementations instead of
-//!    models — `Rcu`, `RingIn` (`try_enqueue`, drop-oldest
+//! 3. **Deterministic-schedule execution** ([`sched`]): bounded,
+//!    exhaustive exploration of thread interleavings over the **real**
+//!    implementations — `Rcu`, `RingIn` (`try_enqueue`, drop-oldest
 //!    `force_enqueue`, and the batch enqueue and drain) and `LazySlot`
 //!    run unmodified over the `sack_kernel::sync::shim` seam with every
-//!    primitive and every spin wait under scheduler control, planted
-//!    mutations are caught with printed counterexample schedules, and the
-//!    `Rcu` model's counterexamples are replayed through the real code
-//!    ([`sched::conformance`]). The [`sync_lint`] source pass keeps the
-//!    seam airtight by rejecting direct `std::sync` use and raw spin
-//!    hints in the protocol files.
+//!    primitive and every spin wait under scheduler control. The
+//!    scenarios assert memory safety, the bounded `Rcu` graveyard,
+//!    untorn profile-table reads and exact ring accounting; planted
+//!    mutations are caught with printed counterexample schedules. The
+//!    [`sync_lint`] source pass keeps the seam airtight by rejecting
+//!    direct `std::sync` use and raw spin hints in the protocol files.
 //!
 //! The `sack-analyze` binary wires the static pillar to the command line;
 //! `PolicySimulator` and `Sack::reload_policy` run the per-policy subset
@@ -48,16 +40,12 @@
 
 pub mod analyzer;
 pub mod diag;
-pub mod interleave;
-pub mod models;
 pub mod sched;
 pub mod sync_lint;
 pub mod trace;
 
 pub use analyzer::{profile_dfa_sizes_of, Analyzer};
 pub use diag::{CompiledDfaSize, DfaSize, Diagnostic, ProfileDfaSize, Report};
-pub use interleave::{explore, Exploration, Model, Violation};
-pub use models::{ProfileTableConfig, RcuConfig, RcuModel, RcuProfileTableModel};
 pub use sched::{SchedBackend, SchedConfig, SchedExploration, SchedViolation};
 pub use sync_lint::{lint_paths, LintFinding};
 pub use trace::{

@@ -177,11 +177,11 @@ fn run_trace(options: &TraceOptions) -> Result<ExitCode, String> {
 }
 
 /// Runs the deterministic-schedule executor gate: exhaustive exploration
-/// of every core scenario, every planted mutation caught with a printed
-/// counterexample, and the model-conformance replays. `--smoke` caps the
-/// per-scenario schedule budget for fast CI runs.
+/// of every core scenario and every planted mutation caught with a
+/// printed counterexample. `--smoke` caps the per-scenario schedule
+/// budget for fast CI runs.
 fn run_sched(smoke: bool) -> Result<ExitCode, String> {
-    use sack_analyze::sched::{conformance, explore, scenarios, SchedConfig};
+    use sack_analyze::sched::{explore, scenarios, SchedConfig};
     use sack_kernel::sync::Mutation;
 
     let mut cfg = SchedConfig::exhaustive();
@@ -190,7 +190,8 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
     }
 
     let core = [
-        scenarios::rcu_read_write(1),
+        scenarios::rcu_read_write(1, 2),
+        scenarios::rcu_read_write(2, 1),
         scenarios::profile_publish(),
         scenarios::ring_produce_drain(),
         scenarios::ring_force_enqueue_drain(),
@@ -231,12 +232,12 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
     let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 5] = [
         (
             "rcu skip hazard re-validation",
-            scenarios::rcu_read_write(1),
+            scenarios::rcu_read_write(1, 2),
             Some(Mutation::RcuSkipValidation),
         ),
         (
             "rcu free before hazard scan",
-            scenarios::rcu_read_write(1),
+            scenarios::rcu_read_write(2, 1),
             Some(Mutation::RcuFreeBeforeScan),
         ),
         (
@@ -277,16 +278,6 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
         }
     }
 
-    println!("== model conformance (abstract counterexamples vs real code) ==");
-    let reports = conformance::run_all()?;
-    for r in &reports {
-        println!(
-            "  {:<32} model schedule {:?} -> real violation in {} steps",
-            r.model,
-            r.model_schedule,
-            r.real_violation.schedule.len()
-        );
-    }
     println!("sched: all gates passed");
     Ok(ExitCode::SUCCESS)
 }

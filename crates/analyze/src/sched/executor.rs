@@ -20,7 +20,10 @@
 //! stack prefix, then diverges at the deepest frame with an untried
 //! choice. Replay is sound because scenario bodies are deterministic and
 //! object/allocation ids are assigned from per-run counters (identical
-//! prefixes construct identical id sequences).
+//! prefixes construct identical id sequences). Every replayed decision
+//! point compares the pending operations with the ones recorded there; a
+//! scenario that breaks the contract is reported as a violation instead
+//! of silently exploring some other tree.
 //!
 //! # Partial-order reduction (sleep sets)
 //!
@@ -41,7 +44,9 @@
 //! * a failed end-of-schedule invariant check,
 //! * a deadlock of the scheduled threads, a livelock (every remaining
 //!   thread waits in `spin_wait` for a write no thread can make), or a
-//!   schedule that runs past the depth bound.
+//!   schedule that runs past the depth bound,
+//! * a replay divergence: the scenario is nondeterministic, so the
+//!   exploration cannot stand for its schedule space.
 //!
 //! # Spin waits
 //!
@@ -142,7 +147,7 @@ pub struct Step {
 /// deterministic — same construction order, same thread bodies.
 pub struct Scenario {
     /// Scenario name (for reports and CLI output).
-    pub name: &'static str,
+    pub name: String,
     /// One display name per thread, in body order.
     pub threads: Vec<&'static str>,
     /// Builds fresh state and bodies for one execution.
@@ -189,9 +194,6 @@ pub struct SchedConfig {
     pub max_schedules: usize,
     /// Planted bug for mutation testing (`None` = the shipped protocol).
     pub mutation: Option<Mutation>,
-    /// Thread-id priority hint (e.g. an abstract-model counterexample):
-    /// at frontier depth `d`, `hint[d]` is tried first when schedulable.
-    pub hint: Vec<usize>,
 }
 
 impl SchedConfig {
@@ -203,7 +205,6 @@ impl SchedConfig {
             max_depth: 10_000,
             max_schedules: 1_000_000,
             mutation: None,
-            hint: Vec::new(),
         }
     }
 
@@ -233,7 +234,7 @@ pub struct SchedExploration {
 #[derive(Debug, Clone)]
 pub struct SchedViolation {
     /// Scenario name.
-    pub scenario: &'static str,
+    pub scenario: String,
     /// Thread display names.
     pub thread_names: Vec<&'static str>,
     /// What went wrong.
@@ -453,11 +454,11 @@ impl Controller {
 
 /// One decision point on the DFS stack.
 struct Frame {
-    /// Pending ops of every parked thread at this node (replay sanity
-    /// check + independence source for sleep-set filtering).
+    /// Pending ops of every parked thread at this node (replay
+    /// divergence check + independence source for sleep-set filtering).
     pending: Vec<(usize, OpDesc)>,
-    /// Choice order at this node: enabled threads not asleep, seeded
-    /// order, hint first.
+    /// Choice order at this node: enabled threads not asleep, in seeded
+    /// order.
     options: Vec<usize>,
     /// Index into `options` of the branch currently being explored;
     /// `options[..chosen]` are fully explored (and asleep below).
@@ -634,11 +635,18 @@ fn run_once(scenario: &Scenario, cfg: &SchedConfig, stack: &mut Vec<Frame>) -> R
 
         let choice = if depth < stack.len() {
             let frame = &stack[depth];
-            debug_assert_eq!(
-                frame.pending, pending,
-                "replay divergence at depth {depth} — scenario `{}` is nondeterministic",
-                scenario.name
-            );
+            if frame.pending != pending {
+                let message = format!(
+                    "replay divergence at depth {depth}: nondeterministic scenario `{}` \
+                     announced other operations than the run that recorded this prefix",
+                    scenario.name
+                );
+                st.violation = Some(message.clone());
+                st.abort = true;
+                ctrl.thread_cv.notify_all();
+                drop(st);
+                break RunOutcome::Violated { message, trace };
+            }
             let t = frame.options[frame.chosen];
             cur_sleep = frame.child_sleep();
             t
@@ -659,12 +667,6 @@ fn run_once(scenario: &Scenario, cfg: &SchedConfig, stack: &mut Vec<Frame>) -> R
             options.sort_by_key(|&t| {
                 splitmix(cfg.seed ^ (depth as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ t as u64)
             });
-            if let Some(&preferred) = cfg.hint.get(depth) {
-                if let Some(pos) = options.iter().position(|&t| t == preferred) {
-                    let t = options.remove(pos);
-                    options.insert(0, t);
-                }
-            }
             let frame = Frame {
                 pending: pending.clone(),
                 options,
@@ -761,7 +763,7 @@ pub fn explore(scenario: &Scenario, cfg: &SchedConfig) -> Result<SchedExploratio
         match run_once(scenario, cfg, &mut stack) {
             RunOutcome::Violated { message, trace } => {
                 return Err(SchedViolation {
-                    scenario: scenario.name,
+                    scenario: scenario.name.clone(),
                     thread_names: scenario.threads.clone(),
                     message,
                     schedule: trace,
@@ -792,6 +794,7 @@ pub fn explore(scenario: &Scenario, cfg: &SchedConfig) -> Result<SchedExploratio
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicUsize;
     use std::sync::atomic::Ordering::SeqCst;
     use std::sync::Arc;
 
@@ -805,12 +808,12 @@ mod tests {
 
     /// A scenario whose bodies share two flag words, both initially 0.
     fn flag_scenario(
-        name: &'static str,
+        name: &str,
         bodies: Vec<fn(&Flag, &Flag)>,
         threads: Vec<&'static str>,
     ) -> Scenario {
         Scenario {
-            name,
+            name: name.into(),
             threads,
             make: Box::new(move || {
                 let flags: Arc<(Flag, Flag)> =
@@ -869,7 +872,7 @@ mod tests {
     #[test]
     fn opposite_lock_order_is_a_deadlock() {
         let scenario = Scenario {
-            name: "lock-order-inversion",
+            name: "lock-order-inversion".into(),
             threads: vec!["ab", "ba"],
             make: Box::new(|| {
                 let a: Arc<SchedMutex<()>> = Arc::new(RawMutex::new(()));
@@ -903,5 +906,32 @@ mod tests {
         let violation = explore(&scenario, &cfg).expect_err("the loop never ends");
         assert!(violation.message.contains("depth bound"), "{violation}");
         assert_eq!(violation.schedule.len(), 32);
+    }
+
+    #[test]
+    fn a_nondeterministic_scenario_is_a_reported_violation() {
+        // The first body stores to a different flag on every run, so the
+        // replayed first decision point announces other operations than
+        // the run that recorded it.
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let scenario = flag_scenario(
+            "run-counter",
+            vec![
+                |a, b| [a, b][RUNS.fetch_add(1, SeqCst) % 2].store(1, SeqCst),
+                |a, _| {
+                    a.load(SeqCst);
+                },
+            ],
+            vec!["writer", "reader"],
+        );
+        let violation = explore(&scenario, &SchedConfig::exhaustive())
+            .expect_err("a diverging replay must be reported");
+        assert!(
+            violation
+                .message
+                .contains("nondeterministic scenario `run-counter`"),
+            "{violation}"
+        );
+        assert!(violation.message.contains("at depth 0"), "{violation}");
     }
 }

@@ -1,33 +1,28 @@
 //! `sack-sched`: the deterministic-schedule executor.
 //!
-//! Where [`crate::interleave`] exhaustively explores hand-written
-//! *models* of the SACK concurrency protocols, this module explores the
-//! **real code**: the generic `Rcu<T, B, SLOTS>`, `RingIn<T, B>` and
-//! `LazySlot<T, B>` implementations are instantiated with
-//! [`SchedBackend`], whose every atomic/mutex/lifecycle operation and
+//! This module explores the **real code** of the SACK concurrency
+//! protocols, not models of it: the generic `Rcu<T, B, SLOTS>`,
+//! `RingIn<T, B>` and `LazySlot<T, B>` implementations are instantiated
+//! with [`SchedBackend`], whose every atomic/mutex/lifecycle operation and
 //! every `spin_wait` parks the calling thread until a deterministic
 //! controller grants the turn. Bounded depth-first enumeration with
 //! sleep-set partial-order reduction (see [`executor`]) then proves, per
 //! scenario, that *no schedule exists* in which the shipped
 //! implementation violates the scenario's invariants, deadlocks or spins
 //! with no thread left to release it — or prints the counterexample
-//! schedule when one does (mutation tests, [`conformance`] replays).
+//! schedule when one does (the planted-mutation tests).
 //!
 //! Layering:
 //!
 //! * [`backend`] — the instrumented `shim::Backend` instance,
 //! * [`executor`] — controller, DFS exploration, sleep sets, violations,
-//! * [`scenarios`] — the real-code scenarios and their invariants,
-//! * [`conformance`] — abstract-model counterexamples replayed through
-//!   the real implementation.
+//! * [`scenarios`] — the real-code scenarios and their invariants.
 
 pub mod backend;
-pub mod conformance;
 pub mod executor;
 pub mod scenarios;
 
 pub use backend::SchedBackend;
-pub use conformance::ConformanceReport;
 pub use executor::{
     explore, OpDesc, OpKind, Scenario, ScenarioRun, SchedConfig, SchedExploration, SchedViolation,
     Step,
@@ -40,33 +35,49 @@ mod tests {
     use super::executor::{explore, SchedConfig};
     use super::scenarios;
 
+    /// The two `Rcu` shapes: one reader against two writes (the graveyard
+    /// bound binds) and two readers against one write (the second reader
+    /// takes the all-slots-occupied fallback).
+    fn rcu_shapes() -> [super::Scenario; 2] {
+        [
+            scenarios::rcu_read_write(1, 2),
+            scenarios::rcu_read_write(2, 1),
+        ]
+    }
+
     #[test]
     fn rcu_read_write_is_exhaustively_safe() {
-        let stats = explore(&scenarios::rcu_read_write(1), &SchedConfig::exhaustive())
-            .unwrap_or_else(|v| panic!("{v}"));
-        assert!(stats.complete, "exploration must exhaust the space");
-        assert!(stats.schedules > 10, "space must be non-trivial");
+        for scenario in rcu_shapes() {
+            let stats =
+                explore(&scenario, &SchedConfig::exhaustive()).unwrap_or_else(|v| panic!("{v}"));
+            assert!(stats.complete, "exploration must exhaust the space");
+            assert!(stats.schedules > 10, "space must be non-trivial");
+        }
     }
 
     #[test]
     fn rcu_skip_validation_is_caught_in_real_code() {
-        let violation = explore(
-            &scenarios::rcu_read_write(1),
-            &SchedConfig::with_mutation(Mutation::RcuSkipValidation),
-        )
-        .expect_err("the planted bug must produce a violating schedule");
-        assert!(violation.message.contains("use-after-free"), "{violation}");
-        assert!(!violation.schedule.is_empty());
+        for scenario in rcu_shapes() {
+            let violation = explore(
+                &scenario,
+                &SchedConfig::with_mutation(Mutation::RcuSkipValidation),
+            )
+            .expect_err("the planted bug must produce a violating schedule");
+            assert!(violation.message.contains("use-after-free"), "{violation}");
+            assert!(!violation.schedule.is_empty());
+        }
     }
 
     #[test]
     fn rcu_free_before_scan_is_caught_in_real_code() {
-        let violation = explore(
-            &scenarios::rcu_read_write(1),
-            &SchedConfig::with_mutation(Mutation::RcuFreeBeforeScan),
-        )
-        .expect_err("the planted bug must produce a violating schedule");
-        assert!(violation.message.contains("use-after-free"), "{violation}");
+        for scenario in rcu_shapes() {
+            let violation = explore(
+                &scenario,
+                &SchedConfig::with_mutation(Mutation::RcuFreeBeforeScan),
+            )
+            .expect_err("the planted bug must produce a violating schedule");
+            assert!(violation.message.contains("use-after-free"), "{violation}");
+        }
     }
 
     #[test]
@@ -171,9 +182,11 @@ mod tests {
             seed: 7,
             ..SchedConfig::with_mutation(Mutation::RcuSkipValidation)
         };
-        let a = explore(&scenarios::rcu_read_write(1), &cfg).unwrap_err();
-        let b = explore(&scenarios::rcu_read_write(1), &cfg).unwrap_err();
-        assert_eq!(a.schedule, b.schedule);
-        assert_eq!(a.message, b.message);
+        for scenario in rcu_shapes() {
+            let a = explore(&scenario, &cfg).unwrap_err();
+            let b = explore(&scenario, &cfg).unwrap_err();
+            assert_eq!(a.schedule, b.schedule);
+            assert_eq!(a.message, b.message);
+        }
     }
 }

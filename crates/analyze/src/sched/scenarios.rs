@@ -6,15 +6,16 @@
 //! the production hot path executes is the statement explored here; only
 //! the primitives underneath are swapped for scheduler-controlled ones.
 //! In the Rcu scenarios threads 0..n-1 are readers/hooks and the last
-//! thread is the writer, the same convention as the abstract models in
-//! `crate::models` (which lets model counterexamples act as schedule
-//! hints, see `super::conformance`).
+//! thread is the writer.
 //!
 //! The invariants asserted:
 //!
 //! * [`rcu_read_write`] — no freed snapshot acquired (structural, via the
 //!   executor's freed registry), snapshots linearizable, graveyard
-//!   bounded by the hazard-slot count.
+//!   bounded by the hazard-slot count. With one slot, one reader and two
+//!   writes the bound binds (a writer that never reclaims breaks it), and
+//!   two readers against one write drive the second reader into
+//!   `Rcu::read`'s all-slots-occupied writer-mutex fallback.
 //! * [`profile_publish`] — profile-table snapshots are never torn, and
 //!   the publish-before-bump ordering means a reader that observed the
 //!   bumped epoch can never read the old table.
@@ -54,10 +55,12 @@ use sack_kernel::sync::{Backend, LazySlot, Rcu};
 use super::backend::SchedBackend;
 use super::executor::{Scenario, ScenarioRun};
 
-/// Hazard-slot count used by executor Rcu instances: small enough that a
-/// 2-thread scenario's schedule space is exhaustively explorable, while
-/// running the identical protocol code as the 64-slot production default.
-pub const SCHED_SLOTS: usize = 2;
+/// Hazard-slot count used by executor Rcu instances: one slot keeps the
+/// schedule space exhaustively explorable, makes the graveyard bound
+/// reachable with two writes, and sends a second concurrent reader down
+/// the all-slots-occupied fallback, while running the identical protocol
+/// code as the 64-slot production default.
+pub const SCHED_SLOTS: usize = 1;
 
 type SRcu<T> = Rcu<T, SchedBackend, SCHED_SLOTS>;
 type SAtomicUsize = <SchedBackend as Backend>::AtomicUsize;
@@ -67,20 +70,29 @@ fn poison_tolerant<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 /// `readers` threads each take one `Rcu::read` snapshot while one writer
-/// publishes a new value — the `file_open` hook racing a policy reload.
+/// publishes `writes` new values in turn — the `file_open` hook racing
+/// policy reloads.
 ///
-/// Invariants: every snapshot is the initial or the published value, the
-/// publish is never lost, the graveyard stays within the hazard-slot
+/// The writer publishes snapshots built in `make`, through
+/// `Rcu::store_arc`. Allocating them in the writer (`Rcu::store`) would
+/// let the allocator hand a freed snapshot's address to the next one, and
+/// whether it does varies from run to run; the reader's pointer
+/// comparison would then take different paths under the same schedule
+/// prefix, and the exploration could not replay its own prefixes.
+///
+/// Invariants: every snapshot is the initial or a published value, the
+/// last publish is never lost, the graveyard stays within the hazard-slot
 /// bound, and (structurally) no reader acquires a freed snapshot. The
 /// `RcuSkipValidation` and `RcuFreeBeforeScan` mutations are caught here.
-pub fn rcu_read_write(readers: usize) -> Scenario {
+pub fn rcu_read_write(readers: usize, writes: usize) -> Scenario {
     let mut threads = vec!["reader"; readers];
     threads.push("writer");
     Scenario {
-        name: "rcu-read-vs-write",
+        name: format!("rcu-read-vs-write-{readers}r-{writes}w"),
         threads,
         make: Box::new(move || {
             let cell = Arc::new(SRcu::new_in(0u64));
+            let snapshots: Vec<Arc<u64>> = (1..=writes as u64).map(Arc::new).collect();
             let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
             let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
             for _ in 0..readers {
@@ -94,17 +106,19 @@ pub fn rcu_read_write(readers: usize) -> Scenario {
             {
                 let cell = Arc::clone(&cell);
                 bodies.push(Box::new(move || {
-                    cell.store(1);
+                    for snapshot in snapshots {
+                        cell.store_arc(snapshot);
+                    }
                 }));
             }
             let check = Box::new(move || {
                 for &v in poison_tolerant(&seen).iter() {
-                    if v != 0 && v != 1 {
+                    if v > writes as u64 {
                         return Err(format!("reader saw value {v}, never published"));
                     }
                 }
-                if *cell.read() != 1 {
-                    return Err("publish lost: final snapshot is not the stored value".into());
+                if *cell.read() != writes as u64 {
+                    return Err("publish lost: final snapshot is not the last stored value".into());
                 }
                 if cell.retired_count() > SCHED_SLOTS {
                     return Err(format!(
@@ -138,7 +152,7 @@ struct PublishedTable {
 /// the *new* table (publish-happens-before-bump through the real `Rcu`).
 pub fn profile_publish() -> Scenario {
     Scenario {
-        name: "profile-table-publish",
+        name: "profile-table-publish".into(),
         threads: vec!["reader", "writer"],
         make: Box::new(|| {
             let table = Arc::new(SRcu::new_in(PublishedTable {
@@ -300,7 +314,7 @@ fn check_ring(
 /// where one frame overwrites the other.
 pub fn ring_produce_drain() -> Scenario {
     Scenario {
-        name: "ring-produce-vs-drain",
+        name: "ring-produce-vs-drain".into(),
         threads: vec!["producer", "producer", "consumer"],
         make: Box::new(|| {
             let ring: Arc<SRing> = Arc::new(RingIn::new_in(RING_SLOTS));
@@ -333,7 +347,7 @@ pub fn ring_produce_drain() -> Scenario {
 /// Invariants: `check_ring`.
 pub fn ring_force_enqueue_drain() -> Scenario {
     Scenario {
-        name: "ring-force-enqueue-vs-drain",
+        name: "ring-force-enqueue-vs-drain".into(),
         threads: vec!["producer", "consumer"],
         make: Box::new(|| {
             let ring: Arc<SRing> = Arc::new(RingIn::new_in(RING_SLOTS));
@@ -357,7 +371,7 @@ pub fn ring_force_enqueue_drain() -> Scenario {
 /// Invariants: `check_ring`.
 pub fn ring_force_enqueue_producers() -> Scenario {
     Scenario {
-        name: "ring-force-enqueue-producers",
+        name: "ring-force-enqueue-producers".into(),
         threads: vec!["producer", "producer"],
         make: Box::new(|| {
             let ring: Arc<SRing> = Arc::new(RingIn::new_in(RING_SLOTS));
@@ -390,7 +404,7 @@ pub fn ring_force_enqueue_producers() -> Scenario {
 /// empty and has no other producer).
 pub fn ring_batch_drain() -> Scenario {
     Scenario {
-        name: "ring-batch-vs-batch-drain",
+        name: "ring-batch-vs-batch-drain".into(),
         threads: vec!["producer", "consumer"],
         make: Box::new(|| {
             let ring: Arc<SRing> = Arc::new(RingIn::new_in(RING_SLOTS));
@@ -432,7 +446,7 @@ pub fn ring_batch_drain() -> Scenario {
 /// Invariants: `check_ring`, with the batch counted when it fit.
 pub fn ring_batch_vs_dequeuers() -> Scenario {
     Scenario {
-        name: "ring-batch-vs-dequeuers",
+        name: "ring-batch-vs-dequeuers".into(),
         threads: vec!["dequeuer", "dequeuer", "producer"],
         make: Box::new(|| {
             let ring: Arc<SRing> = Arc::new(RingIn::new_in(RING_SLOTS));
@@ -480,7 +494,7 @@ pub fn ring_batch_vs_dequeuers() -> Scenario {
 /// double build, whichever the schedule exposes first).
 pub fn lazy_first_touch() -> Scenario {
     Scenario {
-        name: "lazy-first-touch-compile",
+        name: "lazy-first-touch-compile".into(),
         threads: vec!["hook", "hook"],
         make: Box::new(|| {
             let slot: Arc<LazySlot<u64, SchedBackend>> = Arc::new(LazySlot::empty());

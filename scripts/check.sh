@@ -9,9 +9,8 @@
 #                                   umbrella package, every crate and the
 #                                   vendored shims, so this runs crate unit
 #                                   tests, integration, property,
-#                                   abstract-model and schedule-executor
-#                                   exploration and observer-effect
-#                                   differential suites
+#                                   schedule-executor exploration and
+#                                   observer-effect differential suites
 #   5. sack-analyze sync-lint     — no direct std::sync/std::thread use
 #                                   or raw spin_loop hint in the protocol
 #                                   sources outside the sync::shim seam
@@ -21,10 +20,9 @@
 #                                   exploration of the real Rcu, lazy-slot
 #                                   and ring code (try_enqueue, drop-oldest
 #                                   force_enqueue, batch enqueue and
-#                                   drain): core scenarios pass,
+#                                   drain): core scenarios pass and
 #                                   every planted mutation is caught with
-#                                   a printed counterexample, model
-#                                   conformance holds
+#                                   a printed counterexample
 #   7. sack-analyze trace --self-check
 #                                 — boots a traced kernel and proves
 #                                   every tracepoint fires, the flight
