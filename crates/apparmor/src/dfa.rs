@@ -13,11 +13,18 @@
 //! label for TE), so evaluation is a single O(|path|) table walk with the
 //! rule resolution already baked in.
 //!
+//! The build is two steps: [`DfaBuilder::determinize`] runs the subset
+//! construction once and annotates each state with its accepting tag set,
+//! and [`Dfa::relabel`] folds those sets and minimizes. A caller that needs
+//! several machines over the same globs (a policy's lints and its per-state
+//! tables) determinizes once and relabels per machine.
+//!
 //! The annotation fold runs during construction only; [`Dfa::eval`] never
 //! allocates and touches one `u32` table cell per input byte.
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::glob::{token_matches, Glob, Token};
@@ -211,10 +218,8 @@ impl DfaBuilder {
                 self.positions[p],
                 Some(Token::Star) | Some(Token::DoubleStar)
             ) {
-                let next = set[i] + 1;
-                if !set.contains(&next) {
-                    set.push(next);
-                }
+                // Duplicates are dropped by the dedup below.
+                set.push(set[i] + 1);
             }
             i += 1;
         }
@@ -224,9 +229,9 @@ impl DfaBuilder {
 
     /// One NFA step on `byte`: wildcards self-loop (a `*` only off `/`),
     /// consuming tokens advance — exactly the transition relation of
-    /// `glob::Nfa::step`.
-    fn step(&self, set: &[u32], byte: u8) -> Vec<u32> {
-        let mut out = Vec::with_capacity(set.len());
+    /// `glob::Nfa::step`. Writes the closed successor set into `out`.
+    fn step(&self, set: &[u32], byte: u8, out: &mut Vec<u32>) {
+        out.clear();
         for &p in set {
             match &self.positions[p as usize] {
                 None => {}
@@ -237,8 +242,7 @@ impl DfaBuilder {
                 Some(_) => {}
             }
         }
-        self.close(&mut out);
-        out
+        self.close(out);
     }
 
     /// Sorted, deduplicated tags of the accepting positions in `set`.
@@ -283,7 +287,8 @@ impl DfaBuilder {
         self.build_with_alphabet(&Arc::new(self.alphabet()), fold)
     }
 
-    /// [`DfaBuilder::build`] against a caller-supplied shared alphabet.
+    /// [`DfaBuilder::build`] against a caller-supplied shared alphabet:
+    /// [`DfaBuilder::determinize`] followed by [`Dfa::relabel`].
     ///
     /// The alphabet must refine this machine's own partition — i.e. built
     /// from a superset of its globs, or from a partition that
@@ -295,6 +300,18 @@ impl DfaBuilder {
         A: Clone + Eq + Hash,
         F: Fn(&[u32]) -> A,
     {
+        self.determinize(alphabet).relabel(fold)
+    }
+
+    /// The subset construction alone: an unminimized DFA whose annotation
+    /// is each state's sorted, deduplicated set of accepting tags.
+    ///
+    /// One determinization can serve many machines over the same globs:
+    /// each [`Dfa::relabel`] folds the tag sets into its own annotation and
+    /// minimizes, which is how one policy load derives its lints and every
+    /// situation state's table from a single construction. The alphabet
+    /// requirement is that of [`DfaBuilder::build_with_alphabet`].
+    pub fn determinize(&self, alphabet: &Arc<Alphabet>) -> Dfa<Vec<u32>> {
         debug_assert!(
             !alphabet.tokens_would_split(&self.discriminating_tokens()),
             "shared alphabet is coarser than this machine's tokens require"
@@ -309,30 +326,34 @@ impl DfaBuilder {
         let mut start_set: Vec<u32> = self.starts.clone();
         self.close(&mut start_set);
 
-        let mut index: HashMap<Vec<u32>, u32> = HashMap::new();
-        let mut sets: Vec<Vec<u32>> = Vec::new();
-        index.insert(start_set.clone(), 0);
-        sets.push(start_set);
+        // Each position set is stored once, shared by the BFS queue and
+        // the hash key.
+        let start_set: Rc<[u32]> = start_set.into();
+        let mut index: HashMap<Rc<[u32]>, u32> = HashMap::new();
+        let mut sets: Vec<Rc<[u32]>> = vec![Rc::clone(&start_set)];
+        index.insert(start_set, 0);
 
         let mut table: Vec<u32> = Vec::new();
-        let mut accepts: Vec<A> = Vec::new();
+        let mut accepts: Vec<Vec<u32>> = Vec::new();
 
+        let mut out: Vec<u32> = Vec::new();
         let mut next = 0usize;
         while next < sets.len() {
-            let set = sets[next].clone();
-            accepts.push(fold(&self.accepting_tags(&set)));
+            let set = Rc::clone(&sets[next]);
+            accepts.push(self.accepting_tags(&set));
             for &rep_byte in &rep {
-                let out = self.step(&set, rep_byte);
+                self.step(&set, rep_byte, &mut out);
                 if out.is_empty() {
                     table.push(DEAD);
                     continue;
                 }
-                let id = match index.get(&out) {
+                let id = match index.get(out.as_slice()) {
                     Some(&id) => id,
                     None => {
                         let id = sets.len() as u32;
-                        index.insert(out.clone(), id);
-                        sets.push(out);
+                        let key: Rc<[u32]> = out.as_slice().into();
+                        index.insert(Rc::clone(&key), id);
+                        sets.push(key);
                         id
                     }
                 };
@@ -341,28 +362,49 @@ impl DfaBuilder {
             next += 1;
         }
 
-        let empty = fold(&[]);
-        let dfa = Dfa {
+        Dfa {
             alphabet: Arc::clone(alphabet),
             table,
             accepts,
             start: 0,
-            empty,
-        };
-        minimize(dfa)
+            empty: Vec::new(),
+        }
+    }
+}
+
+impl Dfa<Vec<u32>> {
+    /// Folds every state's accepting tag set into an annotation and
+    /// minimizes the result; `fold(&[])` annotates the dead state. The tag
+    /// automaton is only read, so one [`DfaBuilder::determinize`] can be
+    /// relabelled many times (and from several threads).
+    pub fn relabel<B, F>(&self, fold: F) -> Dfa<B>
+    where
+        B: Clone + Eq + Hash,
+        F: Fn(&[u32]) -> B,
+    {
+        let accepts: Vec<B> = self.accepts.iter().map(|tags| fold(tags)).collect();
+        minimize(&self.alphabet, &self.table, &accepts, self.start, fold(&[]))
     }
 }
 
 /// Moore partition refinement: start from blocks of annotation-equal
 /// states, split until transition structure agrees, then rebuild the table
-/// over blocks. Language and annotations are preserved exactly.
-fn minimize<A: Clone + Eq + Hash>(dfa: Dfa<A>) -> Dfa<A> {
-    let n = dfa.accepts.len();
-    let c = dfa.alphabet.class_count;
+/// over blocks. Language and annotations are preserved exactly. Blocks are
+/// numbered in order of their first member, so relabelling two subset
+/// constructions with the same annotated language yields identical tables.
+fn minimize<A: Clone + Eq + Hash>(
+    alphabet: &Arc<Alphabet>,
+    src_table: &[u32],
+    src_accepts: &[A],
+    start: u32,
+    empty: A,
+) -> Dfa<A> {
+    let n = src_accepts.len();
+    let c = alphabet.class_count;
 
     let mut block: Vec<u32> = Vec::with_capacity(n);
     let mut annot_ids: HashMap<&A, u32> = HashMap::new();
-    for a in &dfa.accepts {
+    for a in src_accepts {
         let next = annot_ids.len() as u32;
         block.push(*annot_ids.entry(a).or_insert(next));
     }
@@ -372,15 +414,9 @@ fn minimize<A: Clone + Eq + Hash>(dfa: Dfa<A>) -> Dfa<A> {
         let mut sig_ids: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
         let mut next_block = Vec::with_capacity(n);
         for s in 0..n {
-            let sig: Vec<u32> = (0..c)
-                .map(|cl| {
-                    let t = dfa.table[s * c + cl];
-                    if t == DEAD {
-                        DEAD
-                    } else {
-                        block[t as usize]
-                    }
-                })
+            let sig: Vec<u32> = src_table[s * c..(s + 1) * c]
+                .iter()
+                .map(|&t| if t == DEAD { DEAD } else { block[t as usize] })
                 .collect();
             let next = sig_ids.len() as u32;
             next_block.push(*sig_ids.entry((block[s], sig)).or_insert(next));
@@ -398,27 +434,29 @@ fn minimize<A: Clone + Eq + Hash>(dfa: Dfa<A>) -> Dfa<A> {
     for s in 0..n {
         let b = block[s] as usize;
         if accepts[b].is_none() {
-            accepts[b] = Some(dfa.accepts[s].clone());
+            accepts[b] = Some(src_accepts[s].clone());
             for cl in 0..c {
-                let t = dfa.table[s * c + cl];
+                let t = src_table[s * c + cl];
                 table[b * c + cl] = if t == DEAD { DEAD } else { block[t as usize] };
             }
         }
     }
 
     Dfa {
-        alphabet: dfa.alphabet,
+        alphabet: Arc::clone(alphabet),
         table,
         accepts: accepts
             .into_iter()
             .map(|a| a.expect("block member"))
             .collect(),
-        start: block[dfa.start as usize],
-        empty: dfa.empty,
+        start: block[start as usize],
+        empty,
     }
 }
 
-/// A compiled, minimized DFA with per-state annotations of type `A`.
+/// A compiled DFA with per-state annotations of type `A`: minimized when
+/// built or relabelled, unminimized (tag sets) straight out of
+/// [`DfaBuilder::determinize`].
 ///
 /// Evaluation walks one table cell per input byte; the annotation of the
 /// final state is the pre-resolved answer for every path reaching it.
@@ -471,7 +509,7 @@ impl<A> Dfa<A> {
         self.accepts.iter()
     }
 
-    /// Number of minimized states.
+    /// Number of states.
     pub fn state_count(&self) -> usize {
         self.accepts.len()
     }
@@ -572,6 +610,47 @@ mod tests {
         assert_eq!(*dfa.eval("/sys/kernel"), 4);
         assert_eq!(*dfa.eval("/proc/1"), 0);
         assert_eq!(*dfa.empty_annotation(), 0);
+    }
+
+    #[test]
+    fn one_determinization_serves_every_relabelling() {
+        let globs = ["/dev/**", "/dev/door*", "/sys/*", "/dev/door0"];
+        let mut all = DfaBuilder::new();
+        for (tag, pat) in globs.iter().enumerate() {
+            all.add_glob(&Glob::compile(pat).unwrap(), tag as u32);
+        }
+        let alphabet = Arc::new(all.alphabet());
+        let index = all.determinize(&alphabet);
+        assert!(Arc::ptr_eq(index.alphabet(), &alphabet));
+        // Each glob alone, read off the shared tag automaton, decides as
+        // its private build does.
+        for (tag, pat) in globs.iter().enumerate() {
+            let tag = tag as u32;
+            let shared = index.relabel(|tags| tags.contains(&tag));
+            assert!(shared.state_count() <= index.state_count());
+            let mut solo = DfaBuilder::new();
+            solo.add_glob(&Glob::compile(pat).unwrap(), 0);
+            let solo = solo.build(|tags| !tags.is_empty());
+            for text in [
+                "/dev/door0",
+                "/dev/door1",
+                "/dev/x/y",
+                "/sys/a",
+                "/sys/a/b",
+                "",
+            ] {
+                assert_eq!(shared.eval(text), solo.eval(text), "`{pat}` on `{text}`");
+            }
+        }
+        // The tag sets themselves are the determinization's annotation.
+        assert_eq!(*index.eval("/dev/door0"), vec![0, 1, 3]);
+        assert!(index.eval("/proc").is_empty());
+        // `build` is `determinize` followed by `relabel`.
+        let sum = |tags: &[u32]| tags.iter().sum::<u32>();
+        assert_eq!(
+            format!("{:?}", all.build_with_alphabet(&alphabet, sum)),
+            format!("{:?}", index.relabel(sum))
+        );
     }
 
     #[test]

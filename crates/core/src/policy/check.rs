@@ -16,14 +16,16 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 use sack_apparmor::glob::Glob;
 use sack_apparmor::profile::FilePerms;
-use sack_apparmor::DfaBuilder;
+use sack_apparmor::{Dfa, DfaBuilder};
 
-use crate::rules::RuleEffect;
+use crate::rules::{MacRule, RuleEffect};
 
-use super::{RuleSpec, SackPolicy, SubjectSpec};
+use super::{compile_rule, RuleSpec, SackPolicy, SubjectSpec};
 
 /// Severity of a policy issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,6 +275,12 @@ fn subjects_overlap(a: &SubjectSpec, b: &SubjectSpec) -> bool {
 
 /// Validates a policy AST, returning every detected issue.
 pub fn check_policy(policy: &SackPolicy) -> Vec<PolicyIssue> {
+    check_and_index(policy).0
+}
+
+/// [`check_policy`] plus the [`RuleIndex`] its rule lints built, present
+/// whenever the policy has no errors.
+pub(crate) fn check_and_index(policy: &SackPolicy) -> (Vec<PolicyIssue>, Option<RuleIndex>) {
     let mut issues = Vec::new();
 
     // --- States: duplicates in names and encodings -----------------------
@@ -457,12 +465,13 @@ pub fn check_policy(policy: &SackPolicy) -> Vec<PolicyIssue> {
     }
 
     // --- Deep lints (only when the policy is well-formed so far) ----------------
+    let mut index = None;
     if issues.iter().all(|i| i.severity != IssueSeverity::Error) {
         lint_state_machine(policy, &mut issues);
-        lint_rules(policy, &mut issues);
+        index = Some(lint_rules(policy, &mut issues));
     }
 
-    issues
+    (issues, index)
 }
 
 /// States reachable from the initial state via declared transitions.
@@ -550,126 +559,126 @@ fn lint_state_machine(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) {
     }
 }
 
+/// Every MAC rule of a policy, compiled once and determinized once.
+///
+/// Rule `gi` is the `gi`-th rule in `per_rules` order, block by block, and
+/// its object glob carries tag `gi` in the index. The checker's lints read
+/// the tag sets; `SackPolicy::compile` relabels the same automaton into
+/// each situation state's table, so a load runs one subset construction.
+pub(crate) struct RuleIndex {
+    /// The compiled rules, in tag order.
+    pub(crate) rules: Vec<MacRule>,
+    /// The subset construction over every rule's object glob.
+    pub(crate) dfa: Dfa<Vec<u32>>,
+}
+
 /// MAC-rule lints: shadowed rules and overlapping allow/deny conflicts.
 ///
 /// Both lints reason about glob *languages* (`covers`, `overlaps`), but
-/// instead of the quadratic pairwise NFA procedures they build one tagged
-/// DFA per question and read the answers off the accepting-state tag sets
-/// (`Dfa::annotations`): glob `b` is covered by glob `a` iff every tag
-/// set containing `b` also contains `a`, and two globs overlap iff some
-/// tag set contains both. This keeps policy load near-linear in the rule
-/// count where the pairwise checks took minutes beyond ~1k rules.
-fn lint_rules(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) {
-    // Pre-compile object globs; rules that fail to compile were already
-    // reported as errors and this pass does not run.
-    let compiled: HashMap<(usize, usize), (Glob, FilePerms)> = policy
-        .per_rules
+/// instead of the quadratic pairwise NFA procedures they read the answers
+/// off the accepting-state tag sets of one [`RuleIndex`] over every rule:
+/// glob `b` is covered by glob `a` iff every tag set containing `b` also
+/// contains `a`, and two globs overlap iff some tag set contains both. The
+/// index is returned so the compile that follows reuses it: one
+/// determinization per policy load.
+fn lint_rules(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) -> RuleIndex {
+    // Rules that fail to compile were already reported as errors and this
+    // pass does not run.
+    let mut all_rules: Vec<(&str, &RuleSpec)> = Vec::new();
+    let mut blocks: Vec<Range<usize>> = Vec::with_capacity(policy.per_rules.len());
+    let mut block_of: Vec<usize> = Vec::new();
+    for (pi, (perm, specs)) in policy.per_rules.iter().enumerate() {
+        let start = all_rules.len();
+        all_rules.extend(specs.iter().map(|spec| (perm.as_str(), spec)));
+        block_of.resize(all_rules.len(), pi);
+        blocks.push(start..all_rules.len());
+    }
+    let rules: Vec<MacRule> = all_rules
         .iter()
-        .enumerate()
-        .flat_map(|(pi, (_, rules))| {
-            rules.iter().enumerate().filter_map(move |(ri, spec)| {
-                let glob = Glob::compile(&spec.object).ok()?;
-                let perms = FilePerms::parse(&spec.perms).ok()?;
-                Some(((pi, ri), (glob, perms)))
-            })
-        })
+        .map(|(_, spec)| compile_rule(spec).expect("checker validated rule"))
+        .collect();
+    let mut builder = DfaBuilder::new();
+    for (gi, rule) in rules.iter().enumerate() {
+        builder.add_glob(&rule.object, gi as u32);
+    }
+    let dfa = builder.determinize(&Arc::new(builder.alphabet()));
+    // The unminimized index repeats tag sets; each distinct one is enough.
+    let sets: HashSet<&[u32]> = dfa
+        .annotations()
+        .filter(|set| !set.is_empty())
+        .map(Vec::as_slice)
         .collect();
 
     // Shadowing: within one permission block, a later rule subsumed by an
     // earlier rule with the same effect never changes the outcome.
-    for (pi, (perm, rules)) in policy.per_rules.iter().enumerate() {
-        if rules.len() < 2 {
-            continue;
-        }
-        let mut builder = DfaBuilder::new();
-        for ri in 0..rules.len() {
-            if let Some((glob, _)) = compiled.get(&(pi, ri)) {
-                builder.add_glob(glob, ri as u32);
-            }
-        }
-        let dfa = builder.build(|tags| tags.to_vec());
-        // coverers[ri] = tags present in every accepting set holding ri,
-        // i.e. the rules whose globs cover rule ri's glob. `None` means
-        // rule ri matches no path at all (trivially covered by anything).
-        let mut coverers: Vec<Option<Vec<u32>>> = vec![None; rules.len()];
-        for set in dfa.annotations() {
-            for &tag in set {
-                match &mut coverers[tag as usize] {
-                    slot @ None => *slot = Some(set.clone()),
-                    Some(cur) => cur.retain(|t| set.binary_search(t).is_ok()),
+    // coverers[gi] = the rules of gi's block present in every tag set
+    // holding gi, i.e. those whose globs cover rule gi's glob. `None` means
+    // rule gi matches no path at all (trivially covered by anything).
+    let mut coverers: Vec<Option<Vec<u32>>> = vec![None; rules.len()];
+    for set in &sets {
+        for &tag in *set {
+            match &mut coverers[tag as usize] {
+                slot @ None => {
+                    let block = &blocks[block_of[tag as usize]];
+                    let lo = set.partition_point(|&t| (t as usize) < block.start);
+                    let hi = set.partition_point(|&t| (t as usize) < block.end);
+                    *slot = Some(set[lo..hi].to_vec());
                 }
+                Some(cur) => cur.retain(|t| set.binary_search(t).is_ok()),
             }
         }
-        for ri in 1..rules.len() {
-            let Some((_, later_perms)) = compiled.get(&(pi, ri)) else {
-                continue;
-            };
-            let later = &rules[ri];
-            for (ei, earlier) in rules.iter().enumerate().take(ri) {
-                let Some((_, earlier_perms)) = compiled.get(&(pi, ei)) else {
-                    continue;
-                };
-                let covers = match &coverers[ri] {
-                    Some(set) => set.binary_search(&(ei as u32)).is_ok(),
-                    None => true,
-                };
-                if covers
-                    && earlier.effect == later.effect
+    }
+    for block in &blocks {
+        for gi in block.clone() {
+            let (perm, later) = all_rules[gi];
+            let shadows = |ei: &usize| {
+                let earlier = all_rules[*ei].1;
+                earlier.effect == later.effect
                     && subject_covers(&earlier.subject, &later.subject)
-                    && earlier_perms.contains(*later_perms)
-                {
-                    issues.push(
-                        PolicyIssue::warning(
-                            IssueKind::ShadowedRule,
-                            format!(
-                                "permission `{perm}`: rule `{}` (line {}) is shadowed by \
-                                 broader rule `{}` (line {})",
-                                render_rule(later),
-                                later.line,
-                                render_rule(earlier),
-                                earlier.line
-                            ),
-                        )
-                        .for_rule(perm, later),
-                    );
-                    break;
-                }
+                    && rules[*ei].perms.contains(rules[gi].perms)
+            };
+            // Candidates ascend, so the first hit is the earliest shadower.
+            let shadower = match &coverers[gi] {
+                Some(set) => set
+                    .iter()
+                    .map(|&t| t as usize)
+                    .take_while(|&ei| ei < gi)
+                    .find(shadows),
+                None => (block.start..gi).find(shadows),
+            };
+            if let Some(ei) = shadower {
+                let earlier = all_rules[ei].1;
+                issues.push(
+                    PolicyIssue::warning(
+                        IssueKind::ShadowedRule,
+                        format!(
+                            "permission `{perm}`: rule `{}` (line {}) is shadowed by \
+                             broader rule `{}` (line {})",
+                            render_rule(later),
+                            later.line,
+                            render_rule(earlier),
+                            earlier.line
+                        ),
+                    )
+                    .for_rule(perm, later),
+                );
             }
         }
     }
 
     // Allow/deny conflicts on *overlapping* (not identical) matches. Rules
     // from different permissions conflict too when some state grants both
-    // permissions: the per-state rule set is the union, and deny wins.
+    // permissions: the per-state rule set is the union, and deny wins. A
+    // mixed allow/deny tag set pins an overlapping pair.
     let granted_states = resolve_state_per(policy);
-    let all_rules: Vec<(usize, &str, usize, &RuleSpec)> = policy
-        .per_rules
-        .iter()
-        .enumerate()
-        .flat_map(|(pi, (perm, rules))| {
-            rules
-                .iter()
-                .enumerate()
-                .map(move |(ri, spec)| (pi, perm.as_str(), ri, spec))
-        })
-        .collect();
-    // One DFA over every rule glob, tagged by global rule index; a mixed
-    // allow/deny tag set pins an overlapping pair.
-    let mut builder = DfaBuilder::new();
-    for (gi, &(pa, _, ra, _)) in all_rules.iter().enumerate() {
-        if let Some((glob, _)) = compiled.get(&(pa, ra)) {
-            builder.add_glob(glob, gi as u32);
-        }
-    }
-    let dfa = builder.build(|tags| tags.to_vec());
     let mut overlapping: HashSet<(u32, u32)> = HashSet::new();
-    for set in dfa.annotations() {
+    for set in &sets {
         if set.len() < 2 {
             continue;
         }
         let (mut allows, mut denies) = (Vec::new(), Vec::new());
-        for &tag in set {
-            match all_rules[tag as usize].3.effect {
+        for &tag in *set {
+            match all_rules[tag as usize].1.effect {
                 RuleEffect::Allow => allows.push(tag),
                 RuleEffect::Deny => denies.push(tag),
             }
@@ -683,8 +692,8 @@ fn lint_rules(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) {
     let mut overlapping: Vec<(u32, u32)> = overlapping.into_iter().collect();
     overlapping.sort_unstable();
     for (i, j) in overlapping {
-        let (pa, perm_a, ra, rule_a) = all_rules[i as usize];
-        let (pb, perm_b, rb, rule_b) = all_rules[j as usize];
+        let (perm_a, rule_a) = all_rules[i as usize];
+        let (perm_b, rule_b) = all_rules[j as usize];
         // The exact-triple case is already reported as ContradictoryRules.
         if rule_a.subject == rule_b.subject
             && rule_a.object == rule_b.object
@@ -702,12 +711,9 @@ fn lint_rules(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) {
         if !coactive {
             continue;
         }
-        let (Some((_, perms_a)), Some((_, perms_b))) =
-            (compiled.get(&(pa, ra)), compiled.get(&(pb, rb)))
-        else {
-            continue;
-        };
-        if perms_a.intersects(*perms_b) && subjects_overlap(&rule_a.subject, &rule_b.subject) {
+        if rules[i as usize].perms.intersects(rules[j as usize].perms)
+            && subjects_overlap(&rule_a.subject, &rule_b.subject)
+        {
             let (allow, deny) = match rule_a.effect {
                 RuleEffect::Allow => ((perm_a, rule_a), (perm_b, rule_b)),
                 RuleEffect::Deny => ((perm_b, rule_b), (perm_a, rule_a)),
@@ -730,6 +736,7 @@ fn lint_rules(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) {
             );
         }
     }
+    RuleIndex { rules, dfa }
 }
 
 /// Resolves `state_per` into permission → set of granting states, expanding

@@ -33,6 +33,7 @@ use crate::situation::{StateId, StateSpace};
 use crate::ssm::TransitionRule;
 use crate::statedfa::StateDfa;
 
+use check::RuleIndex;
 pub use check::{check_policy, render_rule, IssueKind, IssueSeverity, PolicyIssue, RuleProvenance};
 pub use parser::{parse_policy, ParsePolicyError};
 
@@ -163,11 +164,12 @@ impl SackPolicy {
     /// [`IssueSeverity::Error`]. Warnings are attached to the compiled
     /// policy instead.
     pub fn compile(&self) -> Result<CompiledPolicy, Vec<PolicyIssue>> {
-        let issues = check_policy(self);
+        let (issues, index) = check::check_and_index(self);
         if issues.iter().any(|i| i.severity == IssueSeverity::Error) {
             return Err(issues);
         }
         let warnings = issues;
+        let RuleIndex { rules, dfa: index } = index.expect("error-free policies are indexed");
 
         let mut space = StateSpace::new();
         for (name, enc) in &self.states {
@@ -227,47 +229,28 @@ impl SackPolicy {
             }
         }
 
-        // g: permission -> MAC rules
+        // g: permission -> MAC rules, each with its tag in the rule index
+        // (its position in `per_rules` order).
         let mut perm_rules: Vec<Vec<MacRule>> = vec![Vec::new(); permissions.len()];
+        let mut perm_tags: Vec<Vec<u32>> = vec![Vec::new(); permissions.len()];
+        let mut indexed = rules.into_iter().zip(0u32..);
         for (perm, specs) in &self.per_rules {
             let pid = perm_id(perm);
-            for spec in specs {
-                perm_rules[pid.0].push(compile_rule(spec).expect("checker validated rule"));
+            for (rule, tag) in indexed.by_ref().take(specs.len()) {
+                perm_rules[pid.0].push(rule);
+                perm_tags[pid.0].push(tag);
             }
         }
 
-        // Precompute g(f(SS_i)) for every state.
-        let state_rules: Vec<Arc<StateRuleSet>> = state_perms
-            .iter()
-            .map(|perms| {
-                Arc::new(StateRuleSet::build(
-                    perms.iter().flat_map(|pid| perm_rules[pid.0].iter()),
-                ))
-            })
-            .collect();
-
-        let protected = ProtectedSet::build(
-            perm_rules
-                .iter()
-                .flat_map(|rules| rules.iter().map(|r| &r.object)),
-        );
-
-        // Unified per-state DFA tables: every state's rules plus the
-        // whole policy's object globs (the protected-set markers) merged
-        // into one minimized matcher, rebuilt from scratch at every
-        // compile so a reload can never serve stale tables. All states
-        // share one byte-class alphabet: the marker set already spans every
-        // object glob of the policy, so the union partition fits each state
-        // exactly and the 256-byte class table is built once, not per state.
-        let shared_alphabet = Arc::new(sack_apparmor::dfa::Alphabet::for_globs(
-            perm_rules
-                .iter()
-                .flat_map(|rules| rules.iter().map(|r| &r.object)),
-        ));
-        // States granting the same permission set compile to the same
-        // table: build each distinct set once — across the bounded worker
-        // pool, safe because the shared alphabet is fixed above — and
-        // share the `Arc` among the states mapping to it.
+        // Unified per-state DFA tables, rebuilt at every compile so a reload
+        // can never serve stale tables. Each is a relabelling of the rule
+        // index the checker determinized over every object glob of the
+        // policy: its tags are the protected-set markers, so all states
+        // share the index's byte-class alphabet and no state determinizes
+        // again. States granting the same permission set compile to the
+        // same table: relabel each distinct set once — across the bounded
+        // worker pool, the index being read-only — and share the `Arc`
+        // among the states mapping to it.
         let mut slot_of: Vec<usize> = Vec::with_capacity(state_perms.len());
         let mut distinct: Vec<&Vec<PermissionId>> = Vec::new();
         let mut seen: HashMap<Vec<usize>, usize> = HashMap::new();
@@ -285,17 +268,38 @@ impl SackPolicy {
             &distinct,
             sack_apparmor::pipeline::default_workers(),
             |perms| {
-                Arc::new(StateDfa::build_with_alphabet(
-                    perms.iter().flat_map(|pid| perm_rules[pid.0].iter()),
-                    perm_rules
-                        .iter()
-                        .flat_map(|rules| rules.iter().map(|r| &r.object)),
-                    &shared_alphabet,
+                Arc::new(StateDfa::from_index(
+                    &index,
+                    perms.iter().flat_map(|pid| {
+                        perm_rules[pid.0]
+                            .iter()
+                            .zip(perm_tags[pid.0].iter().copied())
+                    }),
                 ))
             },
         );
         let state_dfas: Vec<Arc<StateDfa>> =
             slot_of.iter().map(|&s| Arc::clone(&built[s])).collect();
+        // Free the index before the long-lived rule sets are built, so
+        // their many small allocations reuse its memory instead of leaving
+        // it scattered for whatever the kernel allocates next.
+        drop(index);
+
+        // Precompute g(f(SS_i)) for every state.
+        let state_rules: Vec<Arc<StateRuleSet>> = state_perms
+            .iter()
+            .map(|perms| {
+                Arc::new(StateRuleSet::build(
+                    perms.iter().flat_map(|pid| perm_rules[pid.0].iter()),
+                ))
+            })
+            .collect();
+
+        let protected = ProtectedSet::build(
+            perm_rules
+                .iter()
+                .flat_map(|rules| rules.iter().map(|r| &r.object)),
+        );
 
         Ok(CompiledPolicy {
             space,

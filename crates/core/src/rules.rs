@@ -236,12 +236,13 @@ fn literal_first_component(prefix: &str) -> Option<&str> {
 impl ProtectedSet {
     /// Builds the set from every object glob in the policy.
     pub fn build<'a>(globs: impl IntoIterator<Item = &'a Glob>) -> ProtectedSet {
-        let mut unique: Vec<Glob> = Vec::new();
-        for glob in globs {
-            if !unique.iter().any(|g| g.source() == glob.source()) {
-                unique.push(glob.clone());
-            }
-        }
+        // Dedup by source text, keeping first-seen order.
+        let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
+        let unique: Vec<Glob> = globs
+            .into_iter()
+            .filter(|glob| seen.insert(glob.source()))
+            .cloned()
+            .collect();
         let mut set = ProtectedSet {
             len: unique.len(),
             ..ProtectedSet::default()

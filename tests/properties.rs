@@ -15,6 +15,9 @@ use sack_suite::prop::{self, Rng};
 use sack_apparmor::glob::Glob;
 use sack_apparmor::profile::{FilePerms, PathRule, Profile};
 use sack_apparmor::{AppArmor, CompiledRules, DfaBuilder, PolicyDb};
+use sack_core::policy::{
+    check_policy, render_rule, IssueKind, IssueSeverity, RuleSpec, SubjectSpec,
+};
 use sack_core::rules::{MacRule, ProtectedSet, StateRuleSet, SubjectCtx};
 use sack_core::situation::StateSpace;
 use sack_core::ssm::{Ssm, TransitionRule};
@@ -396,13 +399,184 @@ fn dfa_tag_sets_agree_with_nfa_cover_and_overlap() {
     });
 }
 
+/// A random policy the checker accepts, shaped for the rule lints:
+/// several permissions and states, overlapping and duplicate globs, mixed
+/// effects and subjects, and rules listed under two permissions.
+fn lint_policy(rng: &mut Rng) -> SackPolicy {
+    let n_states = rng.range(1, 4);
+    let n_perms = rng.range(1, 4);
+    let mut policy = SackPolicy {
+        states: (0..n_states).map(|s| (format!("s{s}"), s as u32)).collect(),
+        initial: Some("s0".into()),
+        permissions: (0..n_perms).map(|p| format!("P{p}")).collect(),
+        ..SackPolicy::default()
+    };
+    for s in 0..n_states {
+        let perms = (0..n_perms)
+            .filter(|_| rng.bool())
+            .map(|p| format!("P{p}"))
+            .collect();
+        policy.state_per.push((format!("s{s}"), perms));
+    }
+    let mut all: Vec<RuleSpec> = Vec::new();
+    for p in 0..n_perms {
+        let mut rules = Vec::new();
+        for _ in 0..rng.below(7) {
+            if !all.is_empty() && rng.below(4) == 0 {
+                // The same rule again, in this block or another one.
+                rules.push(all[rng.below(all.len())].clone());
+                continue;
+            }
+            let subject = match *rng.pick_weighted(&[(4, 0u8), (1, 1), (1, 2), (1, 3), (1, 4)]) {
+                0 => SubjectSpec::Any,
+                1 => SubjectSpec::Exe("/usr/bin/*".into()),
+                2 => SubjectSpec::Exe("/usr/bin/app".into()),
+                3 => SubjectSpec::Uid(if rng.bool() { 0 } else { 1000 }),
+                _ => SubjectSpec::Profile("p".into()),
+            };
+            let spec = RuleSpec {
+                effect: if rng.bool() {
+                    RuleEffect::Allow
+                } else {
+                    RuleEffect::Deny
+                },
+                subject,
+                object: simple_pattern(rng),
+                perms: (*rng.pick(&["r", "w", "rw", "wi", "rwi"])).into(),
+                line: all.len() + 1,
+            };
+            all.push(spec.clone());
+            rules.push(spec);
+        }
+        policy.per_rules.push((format!("P{p}"), rules));
+    }
+    policy
+}
+
+/// The pairwise lint definitions, on the NFA procedures
+/// (`Glob::covers`, `Glob::overlaps`) instead of the checker's rule index.
+fn reference_rule_lints(policy: &SackPolicy) -> Vec<String> {
+    let glob = |spec: &RuleSpec| Glob::compile(&spec.object).unwrap();
+    let perms = |spec: &RuleSpec| FilePerms::parse(&spec.perms).unwrap();
+    let subject_covers = |a: &SubjectSpec, b: &SubjectSpec| match (a, b) {
+        (SubjectSpec::Any, _) => true,
+        (SubjectSpec::Exe(a), SubjectSpec::Exe(b)) => {
+            Glob::compile(a).unwrap().covers(&Glob::compile(b).unwrap())
+        }
+        _ => a == b,
+    };
+    let subjects_overlap = |a: &SubjectSpec, b: &SubjectSpec| match (a, b) {
+        (SubjectSpec::Any, _) | (_, SubjectSpec::Any) => true,
+        (SubjectSpec::Exe(a), SubjectSpec::Exe(b)) => Glob::compile(a)
+            .unwrap()
+            .overlaps(&Glob::compile(b).unwrap()),
+        (SubjectSpec::Uid(_), SubjectSpec::Uid(_))
+        | (SubjectSpec::Profile(_), SubjectSpec::Profile(_)) => a == b,
+        _ => true,
+    };
+    let mut out = Vec::new();
+    for (perm, rules) in &policy.per_rules {
+        for (ri, later) in rules.iter().enumerate() {
+            let shadower = rules[..ri].iter().find(|earlier| {
+                glob(earlier).covers(&glob(later))
+                    && earlier.effect == later.effect
+                    && subject_covers(&earlier.subject, &later.subject)
+                    && perms(earlier).contains(perms(later))
+            });
+            if let Some(earlier) = shadower {
+                out.push(format!(
+                    "permission `{perm}`: rule `{}` (line {}) is shadowed by broader rule `{}` (line {})",
+                    render_rule(later),
+                    later.line,
+                    render_rule(earlier),
+                    earlier.line
+                ));
+            }
+        }
+    }
+    let granted = |perm: &str| -> Vec<&str> {
+        let mut states = Vec::new();
+        for (state, perms) in &policy.state_per {
+            if perms.iter().any(|p| p == perm) {
+                states.push(state.as_str());
+            }
+        }
+        states
+    };
+    let all: Vec<(&str, &RuleSpec)> = policy
+        .per_rules
+        .iter()
+        .flat_map(|(perm, rules)| rules.iter().map(move |r| (perm.as_str(), r)))
+        .collect();
+    for (i, &(perm_a, a)) in all.iter().enumerate() {
+        for &(perm_b, b) in &all[i + 1..] {
+            let exact = a.subject == b.subject && a.object == b.object && a.perms == b.perms;
+            let coactive =
+                perm_a == perm_b || granted(perm_a).iter().any(|s| granted(perm_b).contains(s));
+            if a.effect != b.effect
+                && !exact
+                && coactive
+                && glob(a).overlaps(&glob(b))
+                && perms(a).intersects(perms(b))
+                && subjects_overlap(&a.subject, &b.subject)
+            {
+                let ((allow_perm, allow), (deny_perm, deny)) = match a.effect {
+                    RuleEffect::Allow => ((perm_a, a), (perm_b, b)),
+                    RuleEffect::Deny => ((perm_b, b), (perm_a, a)),
+                };
+                out.push(format!(
+                    "allow rule `{}` (permission `{allow_perm}`, line {}) overlaps deny rule `{}` \
+                     (permission `{deny_perm}`, line {}): the deny wins wherever both match",
+                    render_rule(allow),
+                    allow.line,
+                    render_rule(deny),
+                    deny.line
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// The checker reads shadowing and allow/deny overlap off one tagged
+/// automaton over every rule of the policy. Its `ShadowedRule` and
+/// `AllowDenyOverlap` warnings must be exactly, and in the same order, what
+/// the pairwise definitions give: same effect, covering subject and glob,
+/// and permissions for a shadow; opposite effects, overlapping globs and
+/// subjects, shared permissions and a state granting both for an overlap.
+#[test]
+fn rule_lints_equal_pairwise_reference() {
+    prop::check(|rng| {
+        let policy = lint_policy(rng);
+        let lints: Vec<String> = check_policy(&policy)
+            .into_iter()
+            .inspect(|issue| assert_ne!(issue.severity, IssueSeverity::Error, "{issue}"))
+            .filter(|issue| {
+                matches!(
+                    issue.kind,
+                    IssueKind::ShadowedRule | IssueKind::AllowDenyOverlap
+                )
+            })
+            .map(|issue| issue.message)
+            .collect();
+        assert_eq!(lints, reference_rule_lints(&policy), "{policy}");
+    });
+}
+
 #[test]
 fn protected_set_equals_naive_union() {
     prop::check(|rng| {
         let n = rng.below(10);
-        let globs: Vec<Glob> = (0..n)
-            .filter_map(|_| Glob::compile(&simple_pattern(rng)).ok())
-            .collect();
+        // Duplicate-heavy: about half the globs repeat an earlier one, which
+        // the set's dedup must drop without losing membership.
+        let mut globs: Vec<Glob> = Vec::new();
+        for _ in 0..n {
+            if !globs.is_empty() && rng.bool() {
+                globs.push(globs[rng.below(globs.len())].clone());
+            } else if let Ok(glob) = Glob::compile(&simple_pattern(rng)) {
+                globs.push(glob);
+            }
+        }
         let path = path_under_test(rng);
         let set = ProtectedSet::build(globs.iter());
         let naive = globs.iter().any(|g| g.matches(&path));
