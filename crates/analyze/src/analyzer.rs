@@ -53,9 +53,8 @@ pub const CHECK_DFA_STATE_BLOWUP: &str = "dfa-state-blowup";
 const DFA_STATE_BUDGET: usize = 64 * 1024;
 
 /// Snapshots the per-profile matcher sizes of a live [`PolicyDb`],
-/// including lazily-loaded profiles whose DFA is still an uncompiled stub
-/// (`compiled: None`) and shared-body dedup groups (profiles whose
-/// identical rule bodies share one DFA slot get the same `dedup_group`).
+/// with shared-body dedup groups (profiles whose identical rule bodies
+/// share one DFA get the same `dedup_group`).
 /// Entries are in sorted profile-name order; group ids are assigned in
 /// first-appearance order.
 pub fn profile_dfa_sizes_of(db: &sack_apparmor::PolicyDb) -> Vec<ProfileDfaSize> {
@@ -67,17 +66,18 @@ pub fn profile_dfa_sizes_of(db: &sack_apparmor::PolicyDb) -> Vec<ProfileDfaSize>
         };
         let rules = compiled.rules();
         let handle = rules.dfa_handle();
-        let slot_addr = std::sync::Arc::as_ptr(handle) as usize;
+        let dfa_addr = std::sync::Arc::as_ptr(handle) as usize;
         let next_group = groups.len();
-        let dedup_group = *groups.entry(slot_addr).or_insert(next_group);
+        let dedup_group = *groups.entry(dfa_addr).or_insert(next_group);
+        let stats = handle.stats();
         out.push(ProfileDfaSize {
             profile: name,
             rules: rules.len(),
             classes: rules.alphabet().class_count(),
-            compiled: handle.stats().map(|s| CompiledDfaSize {
-                states: s.states,
-                transitions: s.transitions,
-            }),
+            compiled: CompiledDfaSize {
+                states: stats.states,
+                transitions: stats.transitions,
+            },
             dedup_group,
         });
     }

@@ -101,11 +101,10 @@ pub struct ProfileDfaSize {
     pub rules: usize,
     /// Byte equivalence classes in the (namespace-shared) alphabet.
     pub classes: usize,
-    /// Table size once the body's DFA is built; `None` while a lazily
-    /// loaded profile is still an uncompiled stub.
-    pub compiled: Option<CompiledDfaSize>,
+    /// Table size of the body's compiled DFA.
+    pub compiled: CompiledDfaSize,
     /// Shared-body dedup group: entries carrying the same id share one
-    /// DFA slot (identical rule bodies compiled at most once).
+    /// DFA (identical rule bodies compiled once).
     pub dedup_group: usize,
 }
 
@@ -183,15 +182,14 @@ impl Report {
                     .iter()
                     .filter(|s| s.dedup_group == size.dedup_group)
                     .count();
-                out.push_str(&format!("  {}: {} rule(s), ", size.profile, size.rules));
-                match &size.compiled {
-                    Some(c) => out.push_str(&format!(
-                        "{} states, {} transitions, ",
-                        c.states, c.transitions
-                    )),
-                    None => out.push_str("uncompiled (lazy), "),
-                }
-                out.push_str(&format!("{} byte classes", size.classes));
+                out.push_str(&format!(
+                    "  {}: {} rule(s), {} states, {} transitions, {} byte classes",
+                    size.profile,
+                    size.rules,
+                    size.compiled.states,
+                    size.compiled.transitions,
+                    size.classes
+                ));
                 if sharers > 1 {
                     out.push_str(&format!(
                         " [shared body group {}, {} profiles]",
@@ -230,9 +228,8 @@ impl Report {
     /// The `dfa` key is present only when the policy compiled cleanly and
     /// matcher sizes were collected. A `profile_dfa` key is present when
     /// stacked AppArmor profiles were supplied; each entry carries
-    /// `profile`, `rules`, a `compiled` flag (`states`/`transitions` are
-    /// `null` for uncompiled lazy stubs), `classes`, and the shared-body
-    /// `dedup_group` id.
+    /// `profile`, `rules`, `states`, `transitions`, `classes`, and the
+    /// shared-body `dedup_group` id.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         out.push_str(&format!(
@@ -285,17 +282,13 @@ impl Report {
                 if i > 0 {
                     out.push(',');
                 }
-                let (states, transitions) = match &size.compiled {
-                    Some(c) => (c.states.to_string(), c.transitions.to_string()),
-                    None => ("null".to_string(), "null".to_string()),
-                };
                 out.push_str(&format!(
-                    "{{\"profile\":\"{}\",\"rules\":{},\"compiled\":{},\
-                     \"states\":{states},\"transitions\":{transitions},\
-                     \"classes\":{},\"dedup_group\":{}}}",
+                    "{{\"profile\":\"{}\",\"rules\":{},\"states\":{},\
+                     \"transitions\":{},\"classes\":{},\"dedup_group\":{}}}",
                     json_escape(&size.profile),
                     size.rules,
-                    size.compiled.is_some(),
+                    size.compiled.states,
+                    size.compiled.transitions,
                     size.classes,
                     size.dedup_group
                 ));

@@ -21,10 +21,10 @@
 //!    and proves the whole observability path (`sack-analyze trace`).
 //! 3. **Deterministic-schedule execution** ([`sched`]): bounded,
 //!    exhaustive exploration of thread interleavings over the **real**
-//!    implementations — `Rcu`, `RingIn` (`try_enqueue`, drop-oldest
-//!    `force_enqueue`, and the batch enqueue and drain) and `LazySlot`
-//!    run unmodified over the `sack_kernel::sync::shim` seam with every
-//!    primitive and every spin wait under scheduler control. The
+//!    implementations — `Rcu` and `RingIn` (`try_enqueue`, drop-oldest
+//!    `force_enqueue`, and the batch enqueue and drain) run unmodified
+//!    over the `sack_kernel::sync::shim` seam with every primitive and
+//!    every spin wait under scheduler control. The
 //!    scenarios assert memory safety, the bounded `Rcu` graveyard,
 //!    untorn profile-table reads and exact ring accounting; planted
 //!    mutations are caught with printed counterexample schedules. The

@@ -198,7 +198,6 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
         scenarios::ring_force_enqueue_producers(),
         scenarios::ring_batch_drain(),
         scenarios::ring_batch_vs_dequeuers(),
-        scenarios::lazy_first_touch(),
     ];
     println!("== exhaustive exploration (seed {:#x}) ==", cfg.seed);
     for scenario in &core {
@@ -229,7 +228,7 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
     }
 
     println!("== planted mutations (each must be caught) ==");
-    let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 5] = [
+    let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 4] = [
         (
             "rcu skip hazard re-validation",
             scenarios::rcu_read_write(1, 2),
@@ -249,11 +248,6 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
             "ring lost claim, drop-oldest",
             scenarios::ring_force_enqueue_producers(),
             Some(Mutation::RingTornPublish),
-        ),
-        (
-            "lazy slot skips claim, double-publishes",
-            scenarios::lazy_first_touch(),
-            Some(Mutation::LazyDoublePublish),
         ),
     ];
     for (label, scenario, mutation) in mutations {

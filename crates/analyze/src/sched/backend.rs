@@ -3,7 +3,7 @@
 //!
 //! Every atomic load/store/CAS, every mutex lock/unlock, every spin wait
 //! and every pointer-lifecycle event performed by the **real**
-//! `Rcu`/ring/lazy-slot code becomes a *yield point*: the calling thread
+//! `Rcu`/ring code becomes a *yield point*: the calling thread
 //! announces the pending operation to the run's [`Controller`] and parks
 //! until the deterministic scheduler grants it the turn. Between grants
 //! exactly one thread runs, so the executor serialises the scenario into

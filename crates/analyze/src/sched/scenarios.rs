@@ -1,9 +1,9 @@
 //! Executor scenarios over the **shipped** protocol implementations.
 //!
 //! Each scenario instantiates the real generic types —
-//! `sack_kernel::sync::Rcu`, `sack_kernel::ring::RingIn`,
-//! `sack_kernel::sync::LazySlot` — with [`SchedBackend`], so every statement
-//! the production hot path executes is the statement explored here; only
+//! `sack_kernel::sync::Rcu` and `sack_kernel::ring::RingIn` — with
+//! [`SchedBackend`], so every statement the production hot path executes
+//! is the statement explored here; only
 //! the primitives underneath are swapped for scheduler-controlled ones.
 //! In the Rcu scenarios threads 0..n-1 are readers/hooks and the last
 //! thread is the writer.
@@ -36,13 +36,6 @@
 //!   (`check_ring`). The `RingTornPublish` mutation, a producer that
 //!   publishes after losing its claim CAS, is caught on the
 //!   `try_enqueue` and on the drop-oldest producers.
-//! * [`lazy_first_touch`] — the real `LazySlot` compile-or-reuse
-//!   protocol behind lazy profile compilation: two hooks race the
-//!   first-touch build; at most one builder may run, losers must fall
-//!   back (`None`) rather than block, and every published value is the
-//!   built one (the `LazyDoublePublish` mutation plants the
-//!   claim-skipping double publish, caught as a structural
-//!   use-after-free).
 
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::SeqCst;
@@ -50,7 +43,7 @@ use std::sync::{Arc, Mutex};
 
 use sack_kernel::ring::RingIn;
 use sack_kernel::sync::shim::RawAtomicUsize;
-use sack_kernel::sync::{Backend, LazySlot, Rcu};
+use sack_kernel::sync::{Backend, Rcu};
 
 use super::backend::SchedBackend;
 use super::executor::{Scenario, ScenarioRun};
@@ -474,68 +467,6 @@ pub fn ring_batch_vs_dequeuers() -> Scenario {
                 // and check the residue's order after them.
                 poison_tolerant(&drained).sort_unstable();
                 check_ring(&ring, &drained, 0, &[2, batched.load(SeqCst) as usize])
-            });
-            ScenarioRun { bodies, check }
-        }),
-    }
-}
-
-/// Two hook threads race the first touch of one uncompiled profile body:
-/// both call the real `LazySlot::get_or_build` (the exact code
-/// `SharedDfa::force` runs under a hook), with the builder counted.
-///
-/// Invariants: the claim CAS admits exactly one builder in every
-/// schedule; a loser returns `None` (the caller's scan fallback) or the
-/// winner's value — never a second build, never a torn value; and after
-/// the race the slot holds the built value. The `LazyDoublePublish`
-/// mutation skips the claim and publishes by pointer swap, freeing the
-/// loser's allocation while the other thread may still hold it — the
-/// executor finds that schedule as a structural use-after-free (or a
-/// double build, whichever the schedule exposes first).
-pub fn lazy_first_touch() -> Scenario {
-    Scenario {
-        name: "lazy-first-touch-compile".into(),
-        threads: vec!["hook", "hook"],
-        make: Box::new(|| {
-            let slot: Arc<LazySlot<u64, SchedBackend>> = Arc::new(LazySlot::empty());
-            let builds = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-            let seen: Arc<Mutex<Vec<Option<u64>>>> = Arc::new(Mutex::new(Vec::new()));
-            let mut bodies: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
-            for _ in 0..2 {
-                let slot = Arc::clone(&slot);
-                let builds = Arc::clone(&builds);
-                let seen = Arc::clone(&seen);
-                bodies.push(Box::new(move || {
-                    let got = slot
-                        .get_or_build(|| {
-                            builds.fetch_add(1, SeqCst);
-                            42
-                        })
-                        .copied();
-                    poison_tolerant(&seen).push(got);
-                }));
-            }
-            let check = Box::new(move || {
-                let builds = builds.load(SeqCst);
-                if builds != 1 {
-                    return Err(format!(
-                        "first-touch compile ran {builds} times, must be exactly once"
-                    ));
-                }
-                for got in poison_tolerant(&seen).iter() {
-                    match got {
-                        None | Some(42) => {}
-                        Some(v) => {
-                            return Err(format!("hook observed value {v}, never built by anyone"))
-                        }
-                    }
-                }
-                match slot.get() {
-                    Some(&42) => Ok(()),
-                    other => Err(format!(
-                        "slot does not retain the built value after the race: {other:?}"
-                    )),
-                }
             });
             ScenarioRun { bodies, check }
         }),

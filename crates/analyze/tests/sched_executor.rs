@@ -1,5 +1,5 @@
 //! Integration gate for the deterministic-schedule executor: the real
-//! `Rcu`/`RingIn`/`LazySlot` code passes bounded-exhaustive
+//! `Rcu`/`RingIn` code passes bounded-exhaustive
 //! exploration, and every planted bug is caught with a concrete
 //! counterexample schedule.
 
@@ -72,7 +72,6 @@ fn unmutated_runs_are_clean_where_mutations_bite() {
         scenarios::rcu_read_write(1, 2),
         scenarios::rcu_read_write(2, 1),
         scenarios::ring_produce_drain(),
-        scenarios::lazy_first_touch(),
     ] {
         explore(&scenario, &cfg).unwrap_or_else(|v| panic!("{v}"));
     }

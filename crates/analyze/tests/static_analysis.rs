@@ -328,10 +328,7 @@ fn report_carries_per_profile_dfa_sizes() {
     for (size, profile) in report.profile_dfa.iter().zip(&profiles) {
         assert_eq!(size.profile, profile.name);
         assert_eq!(size.rules, profile.path_rules.len());
-        let compiled = size
-            .compiled
-            .as_ref()
-            .expect("eager scratch load compiles every profile");
+        let compiled = &size.compiled;
         assert!(
             compiled.states > 1,
             "{}: matcher must have a real table",
@@ -351,56 +348,38 @@ fn report_carries_per_profile_dfa_sizes() {
 }
 
 #[test]
-fn profile_dfa_sizes_report_lazy_stubs_and_dedup_groups() {
+fn profile_dfa_sizes_report_dedup_groups() {
     let db = sack_apparmor::PolicyDb::new();
-    db.set_compile_mode(sack_apparmor::CompileMode::Lazy);
     db.load_text(
         "profile twin_a { /dev/car/** rw, }\n\
          profile twin_b { /dev/car/** rw, }\n\
          profile solo { /var/log/* r, }",
     )
     .unwrap();
-    // Touch exactly one sharer so its group compiles and `solo` stays a
-    // stub.
-    use sack_apparmor::FilePerms;
-    db.get("twin_a")
-        .unwrap()
-        .rules()
-        .evaluate_dfa("/dev/car/door");
 
     let sizes = sack_analyze::profile_dfa_sizes_of(&db);
     assert_eq!(sizes.len(), 3);
     let by_name = |n: &str| sizes.iter().find(|s| s.profile == n).unwrap();
     let (a, b, solo) = (by_name("twin_a"), by_name("twin_b"), by_name("solo"));
-    assert_eq!(
-        a.dedup_group, b.dedup_group,
-        "identical bodies share a slot"
-    );
+    assert_eq!(a.dedup_group, b.dedup_group, "identical bodies share a DFA");
     assert_ne!(a.dedup_group, solo.dedup_group);
-    // The touched group is compiled — for both sharers, since they share
-    // the slot — while the untouched profile reports as a stub.
-    assert!(a.compiled.is_some() && b.compiled.is_some());
-    assert!(solo.compiled.is_none(), "untouched lazy profile has no DFA");
-    assert!(db
-        .get("solo")
-        .unwrap()
-        .rules()
-        .evaluate("/var/log/x")
-        .permits(FilePerms::READ));
+    // Every profile is compiled at load; the sharers report one table.
+    assert_eq!(a.compiled, b.compiled);
+    for size in [a, b, solo] {
+        assert!(size.compiled.states > 1, "{}", size.profile);
+        assert!(size.compiled.transitions > 0, "{}", size.profile);
+    }
 
     let report = sack_analyze::Report {
         profile_dfa: sizes,
         ..sack_analyze::Report::default()
     };
     let text = report.render();
-    assert!(text.contains("uncompiled (lazy)"), "{text}");
     assert!(text.contains("[shared body group"), "{text}");
+    assert!(!text.contains("uncompiled"), "{text}");
     let json = report.to_json();
-    assert!(json.contains("\"compiled\":false"), "{json}");
-    assert!(
-        json.contains("\"states\":null,\"transitions\":null"),
-        "{json}"
-    );
+    assert!(!json.contains("\"compiled\""), "{json}");
+    assert!(!json.contains("null"), "{json}");
     assert!(json.contains("\"dedup_group\":"), "{json}");
 }
 

@@ -47,8 +47,8 @@ pub mod profile;
 pub use dfa::{Alphabet, Dfa, DfaBuilder, DfaStats};
 pub use glob::Glob;
 pub use logprof::Suggestions;
-pub use matcher::{CompiledRules, RuleDecision, SharedDfa};
+pub use matcher::{CompiledRules, RuleDecision};
 pub use module::{AppArmor, AuditEvent};
 pub use parser::{parse_profiles, ParseProfileError};
-pub use policy::{CompileMode, CompiledProfile, LoadDiagnostic, PolicyDb, UnknownProfileError};
+pub use policy::{CompiledProfile, LoadDiagnostic, PolicyDb, UnknownProfileError};
 pub use profile::{FilePerms, PathRule, Profile, ProfileMode};

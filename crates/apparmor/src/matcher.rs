@@ -1,31 +1,22 @@
 //! Compiled rule matching.
 //!
-//! Profiles are compiled into a [`CompiledRules`] index before enforcement:
-//! rules whose glob has a literal first path component are bucketed by that
-//! component, so a `file_permission` check only scans the bucket for the
-//! accessed path plus the (usually tiny) list of fully-wildcarded rules.
-//! [`CompiledRules::evaluate_scan`] keeps the naive scan-everything path for
-//! the ablation benchmark (`ablation_path_matcher`).
+//! A profile's rules compile into [`CompiledRules`]: the rule list plus
+//! one unified [`crate::dfa::Dfa`] whose accepting states carry the
+//! pre-folded [`RuleDecision`], so [`CompiledRules::evaluate_dfa`] answers
+//! in O(|path|) regardless of rule count. The DFA is built before the
+//! profile is installed, as `apparmor_parser` compiles a profile before
+//! the kernel loads it; the hook only walks it.
 //!
-//! Both the bucketed index and the scan are O(rules); the build also
-//! compiles every rule into one unified [`crate::dfa::Dfa`] whose accepting
-//! states carry the pre-folded [`RuleDecision`], so
-//! [`CompiledRules::evaluate_dfa`] answers in O(|path|) regardless of rule
-//! count. The index and scan are kept as differential-testing oracles.
+//! [`CompiledRules::evaluate`] scans every rule and is the one other
+//! matcher: the differential-testing oracle the DFA must agree with, and
+//! the path hooks take with `PolicyDb::set_dfa_matcher_enabled(false)`.
 //!
-//! The DFA itself lives behind a [`SharedDfa`] handle: one `Arc<SharedDfa>`
-//! per *distinct rule body*, shared by every profile whose rules are
-//! identical (cross-profile dedup), and optionally deferred — an
-//! uncompiled handle builds its DFA on the first hook touch via
-//! [`sack_kernel::sync::LazySlot`], with [`CompiledRules::evaluate_dfa`]
-//! falling back to the retained bucketed index while a racing compile is
-//! in flight (never blocking, never wrong).
+//! The DFA sits behind an `Arc`: the `PolicyDb` hands every profile with
+//! an identical rule body the same one, so each distinct body compiles
+//! (and is resident) once.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-use sack_kernel::sync::LazySlot;
 
 use crate::dfa::{Alphabet, Dfa, DfaBuilder, DfaStats};
 use crate::profile::{FilePerms, PathRule};
@@ -54,6 +45,15 @@ impl RuleDecision {
         self.allowed.difference(self.denied).contains(requested)
             && !self.denied.intersects(requested)
     }
+
+    /// Folds one matching rule into the decision.
+    fn add(&mut self, perms: FilePerms, deny: bool) {
+        if deny {
+            self.denied = self.denied.union(perms);
+        } else {
+            self.allowed = self.allowed.union(perms);
+        }
+    }
 }
 
 impl fmt::Display for RuleDecision {
@@ -62,111 +62,9 @@ impl fmt::Display for RuleDecision {
     }
 }
 
-/// Winner-only hook invoked exactly once, when a deferred [`SharedDfa`]
-/// actually compiles — compile counters, `profile_recompile` tracepoints
-/// and DFA-size lints all hang off it.
-pub type OnCompile = Box<dyn Fn(&Dfa<RuleDecision>) + Send + Sync>;
-
-/// Deferred-build input for a [`SharedDfa`] created lazily.
-struct LazyBuild {
-    rules: Vec<PathRule>,
-    on_compile: OnCompile,
-}
-
-/// A unified profile DFA that may not be compiled yet.
-///
-/// One `Arc<SharedDfa>` is the unit of cross-profile deduplication: the
-/// `PolicyDb` hands every profile with an identical rule body the same
-/// handle, so each distinct body compiles (and is resident) at most once.
-/// A handle is either *ready* (eager compile already ran) or *deferred*:
-/// the DFA is built by the first caller of [`SharedDfa::force`] — the
-/// first hook to touch any sharing profile — under the at-most-once
-/// [`LazySlot`] protocol.
-pub struct SharedDfa {
-    slot: LazySlot<Dfa<RuleDecision>>,
-    /// The byte-class alphabet any build of this handle compiles against
-    /// (also the answer to [`SharedDfa::alphabet`] before the DFA exists).
-    alphabet: Arc<Alphabet>,
-    /// Build input for deferred handles; `None` when constructed ready.
-    lazy: Option<LazyBuild>,
-}
-
-impl SharedDfa {
-    /// Wraps an eagerly-built DFA.
-    fn ready(dfa: Dfa<RuleDecision>) -> SharedDfa {
-        SharedDfa {
-            alphabet: Arc::clone(dfa.alphabet()),
-            slot: LazySlot::ready(dfa),
-            lazy: None,
-        }
-    }
-
-    /// Creates a deferred handle that compiles `rules` against `alphabet`
-    /// on first touch, invoking `on_compile` exactly once from the winner.
-    pub(crate) fn deferred(
-        rules: Vec<PathRule>,
-        alphabet: Arc<Alphabet>,
-        on_compile: OnCompile,
-    ) -> SharedDfa {
-        SharedDfa {
-            slot: LazySlot::empty(),
-            alphabet,
-            lazy: Some(LazyBuild { rules, on_compile }),
-        }
-    }
-
-    /// The compiled DFA, if the build has completed.
-    pub fn get(&self) -> Option<&Dfa<RuleDecision>> {
-        self.slot.get()
-    }
-
-    /// Compile-or-reuse: returns the DFA, building it if this caller wins
-    /// the first-touch claim. Returns `None` only while another thread's
-    /// build is in flight — the caller falls back to its scan matcher
-    /// rather than blocking.
-    pub fn force(&self) -> Option<&Dfa<RuleDecision>> {
-        if let Some(dfa) = self.slot.get() {
-            return Some(dfa);
-        }
-        // A ready handle is always published, so reaching here means the
-        // handle is deferred.
-        let lazy = self.lazy.as_ref()?;
-        self.slot.get_or_build(|| {
-            let dfa = build_dfa(&lazy.rules, &self.alphabet);
-            (lazy.on_compile)(&dfa);
-            dfa
-        })
-    }
-
-    /// True once the DFA has been built (eagerly or by a first touch).
-    pub fn is_compiled(&self) -> bool {
-        self.slot.is_built()
-    }
-
-    /// The alphabet this handle compiles (or compiled) against.
-    pub fn alphabet(&self) -> &Arc<Alphabet> {
-        &self.alphabet
-    }
-
-    /// Size statistics of the compiled DFA; `None` while uncompiled.
-    pub fn stats(&self) -> Option<DfaStats> {
-        self.slot.get().map(Dfa::stats)
-    }
-}
-
-impl fmt::Debug for SharedDfa {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedDfa")
-            .field("compiled", &self.is_compiled())
-            .field("deferred", &self.lazy.is_some())
-            .finish()
-    }
-}
-
 /// Compiles `rules` into one unified, minimized DFA against a shared
-/// alphabet — the expensive half of a profile compile, shared by the
-/// eager, deferred, and first-touch paths.
-fn build_dfa(rules: &[PathRule], alphabet: &Arc<Alphabet>) -> Dfa<RuleDecision> {
+/// alphabet — the expensive half of a profile compile.
+pub(crate) fn build_dfa(rules: &[PathRule], alphabet: &Arc<Alphabet>) -> Dfa<RuleDecision> {
     let mut builder = DfaBuilder::new();
     for (tag, rule) in rules.iter().enumerate() {
         builder.add_glob(&rule.glob, tag as u32);
@@ -175,48 +73,28 @@ fn build_dfa(rules: &[PathRule], alphabet: &Arc<Alphabet>) -> Dfa<RuleDecision> 
         let mut decision = RuleDecision::default();
         for &tag in tags {
             let rule = &rules[tag as usize];
-            if rule.deny {
-                decision.denied = decision.denied.union(rule.perms);
-            } else {
-                decision.allowed = decision.allowed.union(rule.perms);
-            }
+            decision.add(rule.perms, rule.deny);
         }
         decision
     })
 }
 
-/// An indexed, immutable rule set.
+/// An immutable rule set with its compiled DFA.
 pub struct CompiledRules {
-    /// Rules bucketed by literal first path component.
-    buckets: HashMap<String, Vec<CompiledRule>>,
-    /// Rules whose pattern has no literal first component (`/**`, `/*`…).
-    global: Vec<CompiledRule>,
+    /// The rules in source order, for the scan oracle.
+    rules: Vec<CompiledRule>,
     /// All rules merged into one minimized DFA; accepting states carry the
     /// union `RuleDecision` resolved at build time. Shared across profiles
-    /// with identical rule bodies, and possibly still uncompiled.
-    dfa: Arc<SharedDfa>,
-    len: usize,
-}
-
-/// Extracts the first path component if it is fully literal in `prefix`.
-///
-/// `prefix` is the glob's literal prefix; the first component is literal
-/// only if the prefix contains a second `/` (so the component is closed).
-fn literal_first_component(prefix: &str) -> Option<&str> {
-    let rest = prefix.strip_prefix('/')?;
-    let idx = rest.find('/')?;
-    Some(&rest[..idx])
+    /// with identical rule bodies.
+    dfa: Arc<Dfa<RuleDecision>>,
 }
 
 impl CompiledRules {
-    /// Compiles a rule list into the index, deriving a private alphabet
-    /// from the rules alone.
+    /// Compiles a rule list, deriving a private alphabet from the rules
+    /// alone.
     pub fn build(rules: &[PathRule]) -> CompiledRules {
-        let mut builder = DfaBuilder::new();
-        for (tag, rule) in rules.iter().enumerate() {
-            builder.add_glob(&rule.glob, tag as u32);
-        }
-        Self::build_inner(rules, &Arc::new(builder.alphabet()))
+        let alphabet = Alphabet::for_globs(rules.iter().map(|r| &r.glob));
+        Self::build_with_alphabet(rules, &Arc::new(alphabet))
     }
 
     /// Compiles a rule list against a shared byte-class alphabet (one table
@@ -225,125 +103,66 @@ impl CompiledRules {
     /// shared table whenever [`Alphabet::would_split`] says a new rule
     /// separates bytes it currently merges.
     pub fn build_with_alphabet(rules: &[PathRule], alphabet: &Arc<Alphabet>) -> CompiledRules {
-        Self::build_inner(rules, alphabet)
+        Self::with_dfa(rules, Arc::new(build_dfa(rules, alphabet)))
     }
 
-    fn build_inner(rules: &[PathRule], alphabet: &Arc<Alphabet>) -> CompiledRules {
-        Self::build_sharing(
-            rules,
-            Arc::new(SharedDfa::ready(build_dfa(rules, alphabet))),
-        )
-    }
-
-    /// Builds the cheap index (buckets + global scan lists) around an
-    /// existing [`SharedDfa`] handle — the dedup path (`dfa` came from
-    /// another profile with the identical rule body) and the lazy path
-    /// (`dfa` is a deferred handle for this body). The caller guarantees
-    /// `dfa` was created for exactly this rule body.
-    pub(crate) fn build_sharing(rules: &[PathRule], dfa: Arc<SharedDfa>) -> CompiledRules {
-        let mut buckets: HashMap<String, Vec<CompiledRule>> = HashMap::new();
-        let mut global = Vec::new();
-        for rule in rules {
-            let compiled = CompiledRule {
+    /// Wraps an already-built DFA — the dedup path, where `dfa` was
+    /// compiled for an identical rule body. The caller guarantees `dfa`
+    /// was built from exactly these rules.
+    pub(crate) fn with_dfa(rules: &[PathRule], dfa: Arc<Dfa<RuleDecision>>) -> CompiledRules {
+        let rules = rules
+            .iter()
+            .map(|rule| CompiledRule {
                 glob: rule.glob.clone(),
                 perms: rule.perms,
                 deny: rule.deny,
-            };
-            match literal_first_component(rule.glob.literal_prefix()) {
-                Some(comp) => buckets.entry(comp.to_string()).or_default().push(compiled),
-                None => global.push(compiled),
-            }
-        }
-        CompiledRules {
-            buckets,
-            global,
-            dfa,
-            len: rules.len(),
-        }
+            })
+            .collect();
+        CompiledRules { rules, dfa }
     }
 
-    /// The byte-class alphabet the unified DFA is (or will be) compiled
-    /// against.
+    /// The byte-class alphabet the unified DFA is compiled against.
     pub fn alphabet(&self) -> &Arc<Alphabet> {
         self.dfa.alphabet()
     }
 
-    /// The shared DFA handle — one per distinct rule body. Profiles with
-    /// identical bodies return `Arc::ptr_eq` handles (the dedup pin), and
-    /// the handle reports whether the DFA has compiled yet.
-    pub fn dfa_handle(&self) -> &Arc<SharedDfa> {
+    /// The shared DFA — one per distinct rule body. Profiles with identical
+    /// bodies return `Arc::ptr_eq` handles (the dedup pin).
+    pub fn dfa_handle(&self) -> &Arc<Dfa<RuleDecision>> {
         &self.dfa
     }
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.len
+        self.rules.len()
     }
 
     /// True if there are no rules.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rules.is_empty()
     }
 
-    fn accumulate(decision: &mut RuleDecision, rules: &[CompiledRule], path: &str) {
-        for rule in rules {
-            if rule.glob.matches(path) {
-                if rule.deny {
-                    decision.denied = decision.denied.union(rule.perms);
-                } else {
-                    decision.allowed = decision.allowed.union(rule.perms);
-                }
-            }
-        }
-    }
-
-    /// Evaluates `path` through the index.
+    /// Evaluates `path` by scanning every rule — the oracle the DFA walk
+    /// is tested against, and the ablation baseline.
     pub fn evaluate(&self, path: &str) -> RuleDecision {
         let mut decision = RuleDecision::default();
-        if !self.buckets.is_empty() {
-            if let Some(comp) = path
-                .strip_prefix('/')
-                .and_then(|rest| rest.split('/').next())
-            {
-                if let Some(bucket) = self.buckets.get(comp) {
-                    Self::accumulate(&mut decision, bucket, path);
-                }
+        for rule in &self.rules {
+            if rule.glob.matches(path) {
+                decision.add(rule.perms, rule.deny);
             }
         }
-        Self::accumulate(&mut decision, &self.global, path);
-        decision
-    }
-
-    /// Evaluates `path` by scanning every rule (no index) — the ablation
-    /// baseline. Produces the same decision as [`CompiledRules::evaluate`].
-    pub fn evaluate_scan(&self, path: &str) -> RuleDecision {
-        let mut decision = RuleDecision::default();
-        for bucket in self.buckets.values() {
-            Self::accumulate(&mut decision, bucket, path);
-        }
-        Self::accumulate(&mut decision, &self.global, path);
         decision
     }
 
     /// Evaluates `path` with a single walk of the unified DFA — O(|path|)
     /// independent of rule count. Produces the same decision as
-    /// [`CompiledRules::evaluate`] and [`CompiledRules::evaluate_scan`].
-    ///
-    /// On an uncompiled (lazily-loaded) body this is the first-touch
-    /// compile point: the winning caller builds the DFA once for every
-    /// sharing profile; a caller racing that in-flight build answers from
-    /// the retained bucketed index instead — it never blocks and its
-    /// decision is identical by the differential oracles.
+    /// [`CompiledRules::evaluate`].
     pub fn evaluate_dfa(&self, path: &str) -> RuleDecision {
-        match self.dfa.force() {
-            Some(dfa) => *dfa.eval(path),
-            None => self.evaluate(path),
-        }
+        *self.dfa.eval(path)
     }
 
-    /// Size statistics of the compiled DFA, for diagnostics; `None` while
-    /// a lazily-loaded body is still uncompiled.
-    pub fn dfa_stats(&self) -> Option<DfaStats> {
+    /// Size statistics of the compiled DFA, for diagnostics.
+    pub fn dfa_stats(&self) -> DfaStats {
         self.dfa.stats()
     }
 }
@@ -351,9 +170,8 @@ impl CompiledRules {
 impl fmt::Debug for CompiledRules {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledRules")
-            .field("rules", &self.len)
-            .field("buckets", &self.buckets.len())
-            .field("global", &self.global.len())
+            .field("rules", &self.rules.len())
+            .field("states", &self.dfa.state_count())
             .finish()
     }
 }
@@ -407,6 +225,7 @@ mod tests {
         assert!(c.evaluate("/b/x").permits(FilePerms::empty()));
     }
 
+    /// The compiled DFA index and the rule scan decide identically.
     #[test]
     fn index_and_scan_agree() {
         let c = CompiledRules::build(&rules(&[
@@ -423,8 +242,7 @@ mod tests {
             "/toplevel",
             "/a/b/c",
         ] {
-            assert_eq!(c.evaluate(path), c.evaluate_scan(path), "path {path}");
-            assert_eq!(c.evaluate(path), c.evaluate_dfa(path), "dfa path {path}");
+            assert_eq!(c.evaluate(path), c.evaluate_dfa(path), "path {path}");
         }
     }
 
@@ -440,29 +258,19 @@ mod tests {
         assert!(d.permits(FilePerms::READ));
         assert!(c.evaluate_dfa("/dev/audio").permits(FilePerms::WRITE));
         assert!(!c.evaluate_dfa("/sys/x").permits(FilePerms::READ));
-        assert!(c.dfa_stats().expect("eager build compiles").states > 0);
+        assert!(c.dfa_stats().states > 0);
     }
 
     #[test]
-    fn wildcard_first_component_goes_global() {
+    fn wildcard_first_component_matches() {
         let c = CompiledRules::build(&rules(&[("/**", "r", false)]));
         assert_eq!(c.len(), 1);
         assert!(c.evaluate("/any/where").permits(FilePerms::READ));
-        // Bucketed rule with wildcard *inside* first component stays global.
+        assert!(c.evaluate_dfa("/any/where").permits(FilePerms::READ));
+        // A wildcard inside the first component.
         let c = CompiledRules::build(&rules(&[("/de*/audio", "r", false)]));
         assert!(c.evaluate("/dev/audio").permits(FilePerms::READ));
-    }
-
-    #[test]
-    fn literal_first_component_extraction() {
-        assert_eq!(literal_first_component("/dev/car/door"), Some("dev"));
-        assert_eq!(
-            literal_first_component("/dev"),
-            None,
-            "component not closed"
-        );
-        assert_eq!(literal_first_component("/"), None);
-        assert_eq!(literal_first_component(""), None);
+        assert!(c.evaluate_dfa("/dev/audio").permits(FilePerms::READ));
     }
 
     #[test]
@@ -470,51 +278,19 @@ mod tests {
         let c = CompiledRules::build(&[]);
         assert!(c.is_empty());
         assert!(!c.evaluate("/x").permits(FilePerms::READ));
-    }
-
-    #[test]
-    fn deferred_body_compiles_on_first_touch_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let body = rules(&[("/dev/car/**", "rw", false), ("/dev/car/door*", "w", true)]);
-        let alphabet = Arc::new(Alphabet::for_globs(body.iter().map(|r| &r.glob)));
-        let compiles = Arc::new(AtomicUsize::new(0));
-        let hook = Arc::clone(&compiles);
-        let shared = Arc::new(SharedDfa::deferred(
-            body.clone(),
-            Arc::clone(&alphabet),
-            Box::new(move |_| {
-                hook.fetch_add(1, Ordering::SeqCst);
-            }),
-        ));
-        let c = CompiledRules::build_sharing(&body, Arc::clone(&shared));
-        assert!(!c.dfa_handle().is_compiled());
-        assert_eq!(c.dfa_stats(), None, "uncompiled body reports no stats");
-        // First touch compiles; the decision matches the scan oracle.
-        let d = c.evaluate_dfa("/dev/car/door0");
-        assert_eq!(d, c.evaluate("/dev/car/door0"));
-        assert!(c.dfa_handle().is_compiled());
-        assert_eq!(compiles.load(Ordering::SeqCst), 1);
-        // Further touches reuse the published table.
-        c.evaluate_dfa("/dev/car/window");
-        assert_eq!(compiles.load(Ordering::SeqCst), 1);
-        assert!(Arc::ptr_eq(c.alphabet(), &alphabet));
+        assert!(!c.evaluate_dfa("/x").permits(FilePerms::READ));
     }
 
     #[test]
     fn shared_handle_dedups_across_rule_sets() {
         let body = rules(&[("/etc/*", "r", false)]);
         let alphabet = Arc::new(Alphabet::for_globs(body.iter().map(|r| &r.glob)));
-        let shared = Arc::new(SharedDfa::deferred(
-            body.clone(),
-            alphabet,
-            Box::new(|_| {}),
-        ));
-        let a = CompiledRules::build_sharing(&body, Arc::clone(&shared));
-        let b = CompiledRules::build_sharing(&body, Arc::clone(&shared));
+        let dfa = Arc::new(build_dfa(&body, &alphabet));
+        let a = CompiledRules::with_dfa(&body, Arc::clone(&dfa));
+        let b = CompiledRules::with_dfa(&body, Arc::clone(&dfa));
         assert!(Arc::ptr_eq(a.dfa_handle(), b.dfa_handle()));
-        // Touching one profile compiles the body for every sharer.
-        a.evaluate_dfa("/etc/passwd");
-        assert!(b.dfa_handle().is_compiled());
-        assert_eq!(b.evaluate_dfa("/etc/passwd"), b.evaluate("/etc/passwd"));
+        assert!(Arc::ptr_eq(a.alphabet(), &alphabet));
+        assert_eq!(a.evaluate_dfa("/etc/passwd"), b.evaluate("/etc/passwd"));
+        assert!(b.evaluate_dfa("/etc/passwd").permits(FilePerms::READ));
     }
 }

@@ -10,9 +10,8 @@
 //! compilation is control-plane work (no hook ever runs inside it), the
 //! pool owns no cross-call state, and its only synchronisation is a
 //! work-index counter plus per-slot once-cells that the `thread::scope`
-//! join fully orders. The concurrency the schedule executor must explore
-//! — the first-touch compile race — lives in
-//! [`sack_kernel::sync::LazySlot`] instead.
+//! join fully orders. A table built here is published through the
+//! profile table's `Rcu`, which the schedule executor explores.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -61,15 +60,6 @@ where
         .collect()
 }
 
-/// [`map_parallel`] for side-effecting work with no result.
-pub fn for_each_parallel<T, F>(items: &[T], workers: usize, f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    map_parallel(items, workers, |item| f(item));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +84,7 @@ mod tests {
     fn for_each_visits_every_item_exactly_once() {
         let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
         let items: Vec<usize> = (0..64).collect();
-        for_each_parallel(&items, 4, |&i| {
+        map_parallel(&items, 4, |&i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));

@@ -14,6 +14,12 @@
 //! shared alphabet is rebuilt (with a world recompile) only when the new
 //! rules actually split a byte class — both events are counted so tests can
 //! pin the incremental behaviour.
+//!
+//! Every install compiles eagerly, as `apparmor_parser` does before the
+//! kernel loads a profile: the distinct rule bodies of a bundle are
+//! deduplicated and each is built into its DFA across the bounded worker
+//! pool ([`pipeline::map_parallel`]) before the new table publishes, so a
+//! hook only ever walks a finished table.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -25,7 +31,7 @@ use sack_kernel::trace::{TraceEvent, TraceHub};
 use sack_kernel::Rcu;
 
 use crate::dfa::{Alphabet, Dfa};
-use crate::matcher::{CompiledRules, RuleDecision, SharedDfa};
+use crate::matcher::{build_dfa, CompiledRules, RuleDecision};
 use crate::parser::{parse_profiles, ParseProfileError};
 use crate::pipeline;
 use crate::profile::{PathRule, Profile};
@@ -64,21 +70,6 @@ impl fmt::Display for LoadDiagnostic {
     }
 }
 
-/// How [`PolicyDb`] compiles the unified DFA of freshly-installed rule
-/// bodies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CompileMode {
-    /// Every distinct body's DFA is built before the table publishes
-    /// (across the bounded worker pool — see
-    /// [`PolicyDb::set_compile_workers`]).
-    #[default]
-    Eager,
-    /// Profiles install as uncompiled stubs; each distinct body's DFA is
-    /// built by the first hook that touches a sharing profile. Hooks
-    /// racing an in-flight build answer from the bucketed index.
-    Lazy,
-}
-
 /// A profile together with its compiled rule index.
 pub struct CompiledProfile {
     profile: Profile,
@@ -97,12 +88,6 @@ impl CompiledProfile {
     /// namespace-wide table maintained by [`PolicyDb`]).
     pub fn compile_with_alphabet(profile: Profile, alphabet: &Arc<Alphabet>) -> CompiledProfile {
         let rules = CompiledRules::build_with_alphabet(&profile.path_rules, alphabet);
-        CompiledProfile { profile, rules }
-    }
-
-    /// Assembles a profile around an already-built rule index (the dedup
-    /// and lazy install paths).
-    fn from_parts(profile: Profile, rules: CompiledRules) -> CompiledProfile {
         CompiledProfile { profile, rules }
     }
 
@@ -143,7 +128,7 @@ impl std::error::Error for UnknownProfileError {}
 
 /// Content hash of a profile's rule body: the full rule list with origin
 /// metadata stripped. Profiles whose bodies map to the same key share one
-/// [`SharedDfa`] slot — `HashMap` hashing is the content hash, and the
+/// compiled DFA — `HashMap` hashing is the content hash, and the
 /// full-key equality check makes collisions impossible rather than rare.
 type DedupKey = Vec<(String, u8, bool)>;
 
@@ -162,12 +147,12 @@ fn body_key(rules: &[PathRule]) -> DedupKey {
 pub struct ProfileTable {
     profiles: HashMap<String, Arc<CompiledProfile>>,
     alphabet: Arc<Alphabet>,
-    /// Rule body → shared DFA slot, all compiled against `alphabet`.
-    /// Rebuilt from scratch on an alphabet split (old slots encode stale
-    /// byte classes); entries for since-removed bodies may linger — a
-    /// finer partition stays correct, reuse only requires an identical
-    /// body against the same alphabet.
-    dedup: HashMap<DedupKey, Arc<SharedDfa>>,
+    /// Rule body → shared DFA, all compiled against `alphabet`. Rebuilt
+    /// from scratch on an alphabet split (old tables encode stale byte
+    /// classes); entries for since-removed bodies may linger — a finer
+    /// partition stays correct, reuse only requires an identical body
+    /// against the same alphabet.
+    dedup: HashMap<DedupKey, Arc<Dfa<RuleDecision>>>,
 }
 
 impl ProfileTable {
@@ -190,14 +175,20 @@ impl fmt::Debug for ProfileTable {
     }
 }
 
-/// State a deferred compile closure must reach after the owning
-/// [`PolicyDb`] borrow ends: a first-touch build can fire from any hook
-/// thread at any later time, so the compile counter, diagnostics sink,
-/// and tracepoint hub live behind one `Arc` the closures clone.
-struct DbShared {
+/// The loaded-policy database.
+pub struct PolicyDb {
+    table: Rcu<ProfileTable>,
+    revision: AtomicU64,
+    /// Routes hook evaluation through the unified per-profile DFA; off, the
+    /// rule scan serves as the differential-testing oracle.
+    dfa_enabled: AtomicBool,
+    /// Worker cap for the bulk-compile pool; 0 means
+    /// [`pipeline::default_workers`].
+    workers: AtomicUsize,
+    /// Number of shared-alphabet rebuilds (world recompiles).
+    alphabet_rebuilds: AtomicU64,
     /// Number of DFA builds actually performed (incremental-recompile
-    /// pin). Dedup reuse and lazy stubs do not count until a body is
-    /// really compiled.
+    /// pin). Dedup reuse does not count.
     profile_compiles: AtomicU64,
     diagnostics: Mutex<Vec<LoadDiagnostic>>,
     /// Tracepoint hub for `profile_recompile` events. Set once when tracing
@@ -206,78 +197,17 @@ struct DbShared {
     trace: OnceLock<Arc<TraceHub>>,
 }
 
-impl DbShared {
-    #[inline]
-    fn trace_emit(&self, build: impl FnOnce() -> TraceEvent) {
-        if let Some(hub) = self.trace.get() {
-            if hub.enabled() {
-                hub.emit(&build());
-            }
-        }
-    }
-
-    /// The winner-only hook a [`SharedDfa`] slot runs when its body is
-    /// actually compiled: bump the build counter, emit the
-    /// `profile_recompile` tracepoint, and lint for state blowup. `name`
-    /// is the profile that introduced the body; body-sharing profiles
-    /// ride on its one event.
-    fn on_compile(
-        self: &Arc<Self>,
-        name: String,
-        full_rebuild: bool,
-    ) -> impl Fn(&Dfa<RuleDecision>) + Send + Sync + 'static {
-        let shared = Arc::clone(self);
-        move |dfa| {
-            shared.profile_compiles.fetch_add(1, Ordering::Relaxed);
-            shared.trace_emit(|| TraceEvent::ProfileRecompile {
-                profile: name.clone(),
-                full_rebuild,
-            });
-            let states = dfa.stats().states;
-            if states > PROFILE_DFA_STATE_BUDGET {
-                shared.diagnostics.lock().push(LoadDiagnostic {
-                    profile: name.clone(),
-                    check: CHECK_PROFILE_DFA_BLOWUP,
-                    message: format!(
-                        "compiled DFA has {states} states (budget {PROFILE_DFA_STATE_BUDGET})"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-/// The loaded-policy database.
-pub struct PolicyDb {
-    table: Rcu<ProfileTable>,
-    revision: AtomicU64,
-    /// Routes hook evaluation through the unified per-profile DFA; off, the
-    /// bucketed index scan serves as the differential-testing oracle.
-    dfa_enabled: AtomicBool,
-    /// Lazy vs eager DFA compilation for newly-installed bodies.
-    lazy: AtomicBool,
-    /// Worker cap for the eager bulk-compile pool; 0 means
-    /// [`pipeline::default_workers`].
-    workers: AtomicUsize,
-    /// Number of shared-alphabet rebuilds (world recompiles).
-    alphabet_rebuilds: AtomicU64,
-    shared: Arc<DbShared>,
-}
-
 impl Default for PolicyDb {
     fn default() -> Self {
         PolicyDb {
             table: Rcu::new(ProfileTable::empty()),
             revision: AtomicU64::new(0),
             dfa_enabled: AtomicBool::new(true),
-            lazy: AtomicBool::new(false),
             workers: AtomicUsize::new(0),
             alphabet_rebuilds: AtomicU64::new(0),
-            shared: Arc::new(DbShared {
-                profile_compiles: AtomicU64::new(0),
-                diagnostics: Mutex::new(Vec::new()),
-                trace: OnceLock::new(),
-            }),
+            profile_compiles: AtomicU64::new(0),
+            diagnostics: Mutex::new(Vec::new()),
+            trace: OnceLock::new(),
         }
     }
 }
@@ -293,26 +223,10 @@ impl PolicyDb {
     /// (matching the attach-once lifecycle of SACK tracing); later calls
     /// with a different hub are ignored.
     pub fn set_trace_hub(&self, hub: Arc<TraceHub>) {
-        let _ = self.shared.trace.set(hub);
+        let _ = self.trace.set(hub);
     }
 
-    /// Selects eager (default) or lazy DFA compilation for profiles
-    /// installed after the call. Already-installed profiles keep their
-    /// slots; switching modes never recompiles anything.
-    pub fn set_compile_mode(&self, mode: CompileMode) {
-        self.lazy.store(mode == CompileMode::Lazy, Ordering::SeqCst);
-    }
-
-    /// The compile mode applied to newly-installed profiles.
-    pub fn compile_mode(&self) -> CompileMode {
-        if self.lazy.load(Ordering::SeqCst) {
-            CompileMode::Lazy
-        } else {
-            CompileMode::Eager
-        }
-    }
-
-    /// Caps the eager bulk-compile worker pool; `0` (the default) sizes it
+    /// Caps the bulk-compile worker pool; `0` (the default) sizes it
     /// to the machine's available parallelism.
     pub fn set_compile_workers(&self, workers: usize) {
         self.workers.store(workers, Ordering::SeqCst);
@@ -327,42 +241,12 @@ impl PolicyDb {
         }
     }
 
-    /// Looks up (or creates) the shared DFA slot for `rules` in `dedup`
-    /// and assembles the profile around it. Freshly-created slots are
-    /// pushed to `fresh` so an eager install can force them in parallel
-    /// after the whole bundle is deduplicated.
-    fn install_one(
-        &self,
-        dedup: &mut HashMap<DedupKey, Arc<SharedDfa>>,
-        fresh: &mut Vec<Arc<SharedDfa>>,
-        profile: Profile,
-        alphabet: &Arc<Alphabet>,
-        full_rebuild: bool,
-    ) -> Arc<CompiledProfile> {
-        let key = body_key(&profile.path_rules);
-        let slot = match dedup.get(&key) {
-            Some(slot) => Arc::clone(slot),
-            None => {
-                let slot = Arc::new(SharedDfa::deferred(
-                    profile.path_rules.clone(),
-                    Arc::clone(alphabet),
-                    Box::new(self.shared.on_compile(profile.name.clone(), full_rebuild)),
-                ));
-                dedup.insert(key, Arc::clone(&slot));
-                fresh.push(Arc::clone(&slot));
-                slot
-            }
-        };
-        let rules = CompiledRules::build_sharing(&profile.path_rules, slot);
-        Arc::new(CompiledProfile::from_parts(profile, rules))
-    }
-
     /// Installs `incoming` into `table`: one alphabet pre-pass for the
     /// whole bundle (rebuilt — with a world recompile — only when a new
     /// rule splits a byte class), identical rule bodies deduplicated onto
-    /// one shared DFA slot, and the distinct fresh bodies compiled across
-    /// the worker pool (eager mode) or left for first hook touch (lazy
-    /// mode). Returns the next table and the new compiled handles.
+    /// one shared DFA, and the distinct fresh bodies compiled across the
+    /// worker pool before the table publishes. Returns the next table and
+    /// the new compiled handles.
     fn install_many(
         &self,
         table: &ProfileTable,
@@ -371,66 +255,76 @@ impl PolicyDb {
         let splits = table
             .alphabet
             .would_split(incoming.iter().flat_map(Profile::globs));
-        let mut fresh: Vec<Arc<SharedDfa>> = Vec::new();
-        let (alphabet, mut profiles, mut dedup) = if splits {
+        for profile in &incoming {
+            self.lint(profile);
+        }
+        // `pending` is every profile compiled in this pass: on a split the
+        // retained profiles (sorted by name) and then `incoming`, otherwise
+        // `incoming` alone.
+        let (alphabet, mut profiles, mut dedup, mut pending) = if splits {
             // Some new rule separates bytes the current table merges:
             // rebuild the namespace alphabet over everything and recompile
-            // the world against it. Old dedup slots encode the stale byte
+            // the world against it. Old dedup entries encode the stale byte
             // classes, so the map restarts empty. Profiles about to be
             // replaced by `incoming` are skipped — their fresh form
             // installs below.
             let replaced: HashSet<&str> = incoming.iter().map(|p| p.name.as_str()).collect();
-            let alphabet = Arc::new(Alphabet::for_globs(
-                table
-                    .profiles
-                    .values()
-                    .filter(|p| !replaced.contains(p.profile().name.as_str()))
-                    .flat_map(|p| p.profile().globs())
-                    .chain(incoming.iter().flat_map(Profile::globs)),
-            ));
-            self.alphabet_rebuilds.fetch_add(1, Ordering::Relaxed);
-            let mut dedup = HashMap::new();
-            let mut retained: Vec<&Arc<CompiledProfile>> = table
+            let mut retained: Vec<Profile> = table
                 .profiles
                 .values()
                 .filter(|p| !replaced.contains(p.profile().name.as_str()))
+                .map(|p| p.profile().clone())
                 .collect();
-            retained.sort_by(|a, b| a.profile().name.cmp(&b.profile().name));
-            let profiles = retained
-                .into_iter()
-                .map(|p| {
-                    let compiled = self.install_one(
-                        &mut dedup,
-                        &mut fresh,
-                        p.profile().clone(),
-                        &alphabet,
-                        true,
-                    );
-                    (compiled.profile().name.clone(), compiled)
-                })
-                .collect();
-            (alphabet, profiles, dedup)
+            retained.sort_by(|a, b| a.name.cmp(&b.name));
+            let alphabet = Arc::new(Alphabet::for_globs(
+                retained.iter().chain(&incoming).flat_map(Profile::globs),
+            ));
+            self.alphabet_rebuilds.fetch_add(1, Ordering::Relaxed);
+            (alphabet, HashMap::new(), HashMap::new(), retained)
         } else {
             (
                 Arc::clone(&table.alphabet),
                 table.profiles.clone(),
                 table.dedup.clone(),
+                Vec::new(),
             )
         };
-        let mut handles = Vec::with_capacity(incoming.len());
-        for profile in incoming {
-            self.lint(&profile);
-            let compiled = self.install_one(&mut dedup, &mut fresh, profile, &alphabet, splits);
-            profiles.insert(compiled.profile().name.clone(), Arc::clone(&compiled));
-            handles.push(compiled);
+        let first_incoming = pending.len();
+        pending.extend(incoming);
+        let keys: Vec<DedupKey> = pending.iter().map(|p| body_key(&p.path_rules)).collect();
+        // The first profile to introduce each body the table lacks.
+        let mut fresh: Vec<usize> = Vec::new();
+        let mut queued: HashSet<&DedupKey> = HashSet::new();
+        for (i, key) in keys.iter().enumerate() {
+            if !dedup.contains_key(key) && queued.insert(key) {
+                fresh.push(i);
+            }
         }
-        if self.compile_mode() == CompileMode::Eager && !fresh.is_empty() {
-            // The alphabet pre-pass above means the builds share no
-            // mutable state; force every fresh body across the pool before
-            // the table publishes.
-            pipeline::for_each_parallel(&fresh, self.compile_workers(), |slot| {
-                slot.force();
-            });
+        // The alphabet pre-pass above means the builds share no mutable
+        // state, so they run across the pool. Sizing the pool asks
+        // `available_parallelism`, which reads cgroup files on Linux
+        // (~17 µs, more than a small profile's build), so a patch that
+        // compiles at most one body runs inline without asking.
+        let workers = if fresh.len() > 1 {
+            self.compile_workers()
+        } else {
+            1
+        };
+        let dfas = pipeline::map_parallel(&fresh, workers, |&i| {
+            build_dfa(&pending[i].path_rules, &alphabet)
+        });
+        for (&i, dfa) in fresh.iter().zip(dfas) {
+            self.record_compile(&pending[i].name, splits, &dfa);
+            dedup.insert(keys[i].clone(), Arc::new(dfa));
+        }
+        let mut handles = Vec::with_capacity(pending.len() - first_incoming);
+        for (i, (profile, key)) in pending.into_iter().zip(&keys).enumerate() {
+            let rules = CompiledRules::with_dfa(&profile.path_rules, Arc::clone(&dedup[key]));
+            let compiled = Arc::new(CompiledProfile { profile, rules });
+            profiles.insert(compiled.profile().name.clone(), Arc::clone(&compiled));
+            if i >= first_incoming {
+                handles.push(compiled);
+            }
         }
         (
             ProfileTable {
@@ -442,13 +336,39 @@ impl PolicyDb {
         )
     }
 
+    /// Accounts for one DFA build: bump the build counter, emit the
+    /// `profile_recompile` tracepoint, and lint for state blowup. `name` is
+    /// the profile that introduced the body; body-sharing profiles ride on
+    /// its one event.
+    fn record_compile(&self, name: &str, full_rebuild: bool, dfa: &Dfa<RuleDecision>) {
+        self.profile_compiles.fetch_add(1, Ordering::Relaxed);
+        if let Some(hub) = self.trace.get() {
+            if hub.enabled() {
+                hub.emit(&TraceEvent::ProfileRecompile {
+                    profile: name.to_string(),
+                    full_rebuild,
+                });
+            }
+        }
+        let states = dfa.stats().states;
+        if states > PROFILE_DFA_STATE_BUDGET {
+            self.diagnostics.lock().push(LoadDiagnostic {
+                profile: name.to_string(),
+                check: CHECK_PROFILE_DFA_BLOWUP,
+                message: format!(
+                    "compiled DFA has {states} states (budget {PROFILE_DFA_STATE_BUDGET})"
+                ),
+            });
+        }
+    }
+
     /// Source-level lints that do not need the compiled form.
     fn lint(&self, profile: &Profile) {
         let mut seen: HashSet<(String, u8, bool)> = HashSet::new();
         for rule in &profile.path_rules {
             let key = (rule.glob.to_string(), rule.perms.bits(), rule.deny);
             if !seen.insert(key) {
-                self.shared.diagnostics.lock().push(LoadDiagnostic {
+                self.diagnostics.lock().push(LoadDiagnostic {
                     profile: profile.name.clone(),
                     check: CHECK_DUPLICATE_PATH_RULE,
                     message: format!("rule `{}` appears more than once", rule.glob),
@@ -522,13 +442,27 @@ impl PolicyDb {
     }
 
     /// Finds the profile attached to executables at `exe_path`.
+    ///
+    /// When several attachments match, the most specific one wins: the
+    /// attachment glob with the longest literal prefix, and among equals
+    /// the profile whose name sorts first. The choice therefore depends
+    /// only on the loaded profiles, never on table iteration order.
     pub fn find_by_attachment(&self, exe_path: &str) -> Option<Arc<CompiledProfile>> {
-        self.table
-            .read()
+        let table = self.table.read();
+        table
             .profiles
             .values()
-            .find(|p| p.profile().attaches_to(exe_path))
-            .cloned()
+            .filter_map(|p| {
+                let glob = p.profile().attachment.as_ref()?;
+                glob.matches(exe_path)
+                    .then_some((glob.literal_prefix().len(), p))
+            })
+            .max_by(|(a_len, a), (b_len, b)| {
+                a_len
+                    .cmp(b_len)
+                    .then_with(|| b.profile().name.cmp(&a.profile().name))
+            })
+            .map(|(_, p)| Arc::clone(p))
     }
 
     /// Applies `patch` to the named profile and atomically swaps in the
@@ -614,8 +548,8 @@ impl PolicyDb {
     }
 
     /// Routes hook evaluation through the per-profile DFA (`true`, the
-    /// default) or the legacy bucketed scan (`false`) — the differential-
-    /// testing oracle switch.
+    /// default) or the rule scan (`false`) — the differential-testing
+    /// oracle switch.
     pub fn set_dfa_matcher_enabled(&self, enabled: bool) {
         self.dfa_enabled.store(enabled, Ordering::SeqCst);
     }
@@ -627,10 +561,10 @@ impl PolicyDb {
 
     /// Total DFA builds since creation. Incremental recompilation is
     /// pinned by this counter: a single-profile edit moves it by exactly
-    /// one unless the shared alphabet had to be rebuilt; dedup reuse and
-    /// still-uncompiled lazy stubs do not move it at all.
+    /// one unless the shared alphabet had to be rebuilt; dedup reuse does
+    /// not move it at all.
     pub fn compile_count(&self) -> u64 {
-        self.shared.profile_compiles.load(Ordering::Relaxed)
+        self.profile_compiles.load(Ordering::Relaxed)
     }
 
     /// Number of shared-alphabet rebuilds (each implies a world recompile).
@@ -641,7 +575,7 @@ impl PolicyDb {
     /// Drains the accumulated load diagnostics (lints fire on every
     /// compile path, including `logprof` promotions).
     pub fn take_load_diagnostics(&self) -> Vec<LoadDiagnostic> {
-        std::mem::take(&mut *self.shared.diagnostics.lock())
+        std::mem::take(&mut *self.diagnostics.lock())
     }
 }
 
@@ -694,6 +628,31 @@ mod tests {
             "media"
         );
         assert!(db.find_by_attachment("/usr/bin/other").is_none());
+    }
+
+    #[test]
+    fn overlapping_attachments_pick_the_same_profile_in_every_db() {
+        let general = "profile general /usr/bin/* { /tmp/** r, }";
+        let media = "profile media /usr/bin/media* { /media/** r, }";
+        // Equal literal prefixes (`/opt/x`): the name decides.
+        let ties = "profile zeta /opt/x* { }\nprofile alpha /opt/x? { }";
+        for _ in 0..32 {
+            for text in [format!("{general}\n{media}"), format!("{media}\n{general}")] {
+                let db = PolicyDb::new();
+                db.load_text(&text).unwrap();
+                db.load_text(ties).unwrap();
+                let attached =
+                    |exe: &str| db.find_by_attachment(exe).unwrap().profile().name.clone();
+                assert_eq!(
+                    attached("/usr/bin/media_app"),
+                    "media",
+                    "longest prefix wins"
+                );
+                assert_eq!(attached("/usr/bin/other"), "general");
+                assert_eq!(attached("/opt/xy"), "alpha", "ties break by name");
+                assert_eq!(attached("/opt/xyz"), "zeta");
+            }
+        }
     }
 
     #[test]
@@ -910,63 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_mode_defers_builds_to_first_touch() {
-        let db = PolicyDb::new();
-        db.set_compile_mode(CompileMode::Lazy);
-        assert_eq!(db.compile_mode(), CompileMode::Lazy);
-        db.load_text("profile x { /dev/car/* rw, }\nprofile y { /sys/** r, }")
-            .unwrap();
-        assert_eq!(db.compile_count(), 0, "lazy load must not build");
-        let x = db.get("x").unwrap();
-        let y = db.get("y").unwrap();
-        assert!(!x.rules().dfa_handle().is_compiled());
-        // Scan and index answer while uncompiled.
-        assert!(x.rules().evaluate("/dev/car/a").permits(FilePerms::WRITE));
-        assert_eq!(db.compile_count(), 0);
-        // First DFA touch builds exactly the touched body.
-        assert!(x
-            .rules()
-            .evaluate_dfa("/dev/car/a")
-            .permits(FilePerms::WRITE));
-        assert_eq!(db.compile_count(), 1);
-        assert!(x.rules().dfa_handle().is_compiled());
-        assert!(!y.rules().dfa_handle().is_compiled(), "y was never touched");
-        assert!(y.rules().evaluate_dfa("/sys/a").permits(FilePerms::READ));
-        assert_eq!(db.compile_count(), 2);
-    }
-
-    #[test]
-    fn lazy_stubs_recompile_on_alphabet_split_without_touch() {
-        let db = PolicyDb::new();
-        db.set_compile_mode(CompileMode::Lazy);
-        db.load_text("profile x { /dev/car/* rw, }\nprofile y { /dev/can0 r, }")
-            .unwrap();
-        let rebuilds = db.alphabet_rebuild_count();
-        // Splitting patch rebuilds the alphabet; the untouched profiles
-        // become fresh stubs against the new alphabet, still unbuilt.
-        db.patch("x", |p| {
-            p.path_rules
-                .push(PathRule::allow("/dev/c%r", FilePerms::READ).unwrap());
-        })
-        .unwrap();
-        assert_eq!(db.alphabet_rebuild_count(), rebuilds + 1);
-        assert_eq!(db.compile_count(), 0, "split must not force lazy builds");
-        let shared = db.alphabet();
-        for name in db.profile_names() {
-            let compiled = db.get(&name).unwrap();
-            assert!(Arc::ptr_eq(compiled.rules().alphabet(), &shared));
-            assert!(!compiled.rules().dfa_handle().is_compiled());
-        }
-        assert!(db
-            .get("x")
-            .unwrap()
-            .rules()
-            .evaluate_dfa("/dev/c%r")
-            .permits(FilePerms::READ));
-        assert_eq!(db.compile_count(), 1);
-    }
-
-    #[test]
     fn pinned_worker_count_compiles_eagerly() {
         let db = PolicyDb::new();
         db.set_compile_workers(2);
@@ -979,7 +881,8 @@ mod tests {
         .unwrap();
         assert_eq!(db.compile_count(), 3);
         for name in db.profile_names() {
-            assert!(db.get(&name).unwrap().rules().dfa_handle().is_compiled());
+            let compiled = db.get(&name).unwrap();
+            assert!(compiled.rules().dfa_stats().states > 0, "{name}");
         }
     }
 

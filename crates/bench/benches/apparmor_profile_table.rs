@@ -40,7 +40,7 @@ fn synthetic_profile(name: &str, n: usize) -> Profile {
 
 /// One access check against a 1000-rule profile loaded through the
 /// `PolicyDb`: the unified-DFA walk the hook takes when the matcher is
-/// enabled, versus the legacy scan it falls back to when disabled.
+/// enabled, versus the rule scan it falls back to when disabled.
 fn bench_hook_match(c: &mut Criterion) {
     let db = PolicyDb::new();
     db.load(synthetic_profile("big", 1000));
@@ -54,7 +54,7 @@ fn bench_hook_match(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(p.rules().evaluate_dfa(path)));
     });
     group.bench_with_input(BenchmarkId::from_parameter("scan"), &compiled, |b, p| {
-        b.iter(|| std::hint::black_box(p.rules().evaluate_scan(path)));
+        b.iter(|| std::hint::black_box(p.rules().evaluate(path)));
     });
     group.finish();
 }

@@ -1,20 +1,13 @@
 //! **Reload-latency benchmarks (DESIGN.md §12)** — the cost of swapping
-//! a whole profile bundle into the `PolicyDb`, swept across table sizes
-//! and compile strategies:
+//! a whole profile bundle into the `PolicyDb`, swept across table sizes:
 //!
-//! * `bulk_compile_{100,1000,10000}/{serial,parallel}` — an eager bulk
-//!   load of N distinct-bodied profiles with the worker pool pinned to 1
-//!   (the pre-pipeline serial baseline) versus sized to the host.
-//! * `lazy_reload_1000/load` — the same 1000-profile bundle loaded in
-//!   lazy mode: stubs only, zero DFA builds, the reload critical path.
-//! * `lazy_reload_1000/cold_attach` — lazy load plus the first hook
-//!   touch on one profile: the end-to-end latency from "reload starts"
-//!   to "first confined decision through a compiled DFA".
+//! * `bulk_compile_{100,1000,10000}/{serial,parallel}` — a bulk load of
+//!   N distinct-bodied profiles with the worker pool pinned to 1 (the
+//!   pre-pipeline serial baseline) versus sized to the host.
 //!
 //! `scripts/bench_gate.sh` extracts every arm and enforces the
 //! parallel-over-serial floor at 1k (normalised to the host's cores;
-//! single-core runners are exempt) and the cold-attach ceiling as a
-//! fraction of the serial 1k rebuild.
+//! single-core runners are exempt).
 //!
 //! Every generated profile has a *distinct* body — the profile index is
 //! baked into each glob — so content dedup cannot collapse the workload,
@@ -27,7 +20,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sack_apparmor::profile::{FilePerms, PathRule, Profile};
-use sack_apparmor::{CompileMode, PolicyDb};
+use sack_apparmor::PolicyDb;
 
 const RULES_PER_PROFILE: usize = 4;
 
@@ -57,7 +50,7 @@ fn eager_db(workers: usize) -> PolicyDb {
     db
 }
 
-/// Eager bulk load, serial vs parallel, across table sizes.
+/// Bulk load, serial vs parallel, across table sizes.
 fn bench_bulk_compile(c: &mut Criterion) {
     for &n in &[100usize, 1000, 10000] {
         let profiles = distinct_profiles(n);
@@ -85,38 +78,6 @@ fn bench_bulk_compile(c: &mut Criterion) {
     }
 }
 
-/// Lazy reload: stub installation only, and stub installation plus one
-/// first-touch compile (the cold-attach path a hook pays after a
-/// reload).
-fn bench_lazy_reload(c: &mut Criterion) {
-    let profiles = distinct_profiles(1000);
-    let mut group = c.benchmark_group("lazy_reload_1000");
-    group.bench_with_input(BenchmarkId::from_parameter("load"), &profiles, |b, p| {
-        b.iter(|| {
-            let db = PolicyDb::new();
-            db.set_compile_mode(CompileMode::Lazy);
-            std::hint::black_box(db.load_many(p.clone()));
-            debug_assert_eq!(db.compile_count(), 0);
-        });
-    });
-    group.bench_with_input(
-        BenchmarkId::from_parameter("cold_attach"),
-        &profiles,
-        |b, p| {
-            b.iter(|| {
-                let db = PolicyDb::new();
-                db.set_compile_mode(CompileMode::Lazy);
-                db.load_many(p.clone());
-                // First confined decision: compiles exactly this profile.
-                let compiled = db.get("p42").expect("profile loaded");
-                std::hint::black_box(compiled.rules().evaluate_dfa("/p42/dir0/sub0/x"));
-                debug_assert_eq!(db.compile_count(), 1);
-            });
-        },
-    );
-    group.finish();
-}
-
 fn config_criterion() -> Criterion {
     Criterion::default()
         .warm_up_time(Duration::from_millis(150))
@@ -127,6 +88,6 @@ fn config_criterion() -> Criterion {
 criterion_group! {
     name = profile_compile;
     config = config_criterion();
-    targets = bench_bulk_compile, bench_lazy_reload
+    targets = bench_bulk_compile
 }
 criterion_main!(profile_compile);

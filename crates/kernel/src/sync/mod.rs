@@ -53,7 +53,6 @@
 //! newer snapshot that is current again, the reader acquires that newer,
 //! live snapshot — address equality implies liveness here, not staleness.
 
-pub mod lazy;
 pub mod shim;
 
 use std::fmt;
@@ -61,7 +60,6 @@ use std::ptr;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
-pub use lazy::LazySlot;
 pub use shim::{Backend, Mutation, StdBackend};
 use shim::{RawAtomicPtr, RawAtomicUsize, RawMutex};
 

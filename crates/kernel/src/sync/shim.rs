@@ -2,9 +2,9 @@
 //! protocol code and the primitives it runs on.
 //!
 //! Every atomic word, mutex, and thread-identity read used by the
-//! `Rcu<T>` hazard-pointer protocol (and by the event ring and lazy
-//! profile slots) goes through the [`Backend`] trait defined here instead
-//! of naming `std::sync` directly. Two backends exist:
+//! `Rcu<T>` hazard-pointer protocol (and by the event ring) goes through
+//! the [`Backend`] trait defined here instead of naming `std::sync`
+//! directly. Two backends exist:
 //!
 //! * [`StdBackend`] — the default type parameter everywhere. Each trait
 //!   method is an `#[inline(always)]` forward to the `std::sync::atomic`
@@ -71,11 +71,6 @@ pub enum Mutation {
     /// anyway — writing its frame into a slot another producer already
     /// owns, so one of the two frames silently vanishes.
     RingTornPublish,
-    /// A `LazySlot` first-touch builder skips the claim CAS: two racing
-    /// compilers both build and publish, and the second publish frees
-    /// the first value while a concurrent hook may be between its
-    /// pointer load and its dereference.
-    LazyDoublePublish,
 }
 
 /// Backend view of `AtomicUsize`.
@@ -336,7 +331,6 @@ mod tests {
         assert!(!StdBackend::mutation(Mutation::RcuSkipValidation));
         assert!(!StdBackend::mutation(Mutation::RcuFreeBeforeScan));
         assert!(!StdBackend::mutation(Mutation::RingTornPublish));
-        assert!(!StdBackend::mutation(Mutation::LazyDoublePublish));
     }
 
     #[test]

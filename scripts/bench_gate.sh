@@ -12,7 +12,7 @@
 #
 # Also runs the AppArmor profile-table bench and fails if:
 #   * the compiled profile DFA is not at least MIN_AA_DFA_SPEEDUP x
-#     faster than the legacy scan on a 1000-rule profile;
+#     faster than the rule scan on a 1000-rule profile;
 #   * an incremental single-profile recompile is not at least
 #     MIN_INCR_RECOMPILE_SPEEDUP x faster than a full 100-profile
 #     table rebuild.
@@ -26,10 +26,7 @@
 #   * the parallel bulk compile of 1000 distinct profiles is not at least
 #     min(MIN_PARALLEL_COMPILE_SPEEDUP, 0.7 x cores) x faster than the
 #     1-worker serial baseline (single-core runners are exempt: there is
-#     no parallelism to buy, so the check is skipped with a notice);
-#   * the lazy cold-attach path (lazy reload of 1000 profiles plus one
-#     first-touch compile) costs more than MAX_COLD_ATTACH_FRACTION of
-#     the full serial rebuild at the same size.
+#     no parallelism to buy, so the check is skipped with a notice).
 #
 # Also runs the contended SMP sweep (DESIGN.md §9) and fails if:
 #   * DFA-walk hook throughput at the highest thread count scales below
@@ -64,7 +61,6 @@ MAX_DFA_DEGRADATION="${MAX_DFA_DEGRADATION:-1.5}"
 MIN_AA_DFA_SPEEDUP="${MIN_AA_DFA_SPEEDUP:-3.0}"
 MIN_INCR_RECOMPILE_SPEEDUP="${MIN_INCR_RECOMPILE_SPEEDUP:-10.0}"
 MIN_PARALLEL_COMPILE_SPEEDUP="${MIN_PARALLEL_COMPILE_SPEEDUP:-2.0}"
-MAX_COLD_ATTACH_FRACTION="${MAX_COLD_ATTACH_FRACTION:-0.25}"
 MAX_TRACE_OVERHEAD="${MAX_TRACE_OVERHEAD:-1.05}"
 MIN_SMP_EFFICIENCY="${MIN_SMP_EFFICIENCY:-0.7}"
 SMP_THREADS="${SMP_THREADS:-1,2,4,8}"
@@ -114,7 +110,6 @@ if [[ -f "$OUT_JSON" ]]; then
     check_recorded_gate min_aa_dfa_speedup "$MIN_AA_DFA_SPEEDUP"
     check_recorded_gate min_incr_recompile_speedup "$MIN_INCR_RECOMPILE_SPEEDUP"
     check_recorded_gate min_parallel_compile_speedup "$MIN_PARALLEL_COMPILE_SPEEDUP"
-    check_recorded_gate max_cold_attach_fraction "$MAX_COLD_ATTACH_FRACTION"
     check_recorded_gate max_trace_overhead "$MAX_TRACE_OVERHEAD"
     check_recorded_gate min_smp_efficiency "$MIN_SMP_EFFICIENCY"
     check_recorded_gate min_sds_speedup "$MIN_SDS_SPEEDUP"
@@ -171,8 +166,6 @@ PC_SERIAL_1K="$(median_of_pc 'bulk_compile_1000/serial')"
 PC_PARALLEL_1K="$(median_of_pc 'bulk_compile_1000/parallel')"
 PC_SERIAL_10K="$(median_of_pc 'bulk_compile_10000/serial')"
 PC_PARALLEL_10K="$(median_of_pc 'bulk_compile_10000/parallel')"
-PC_LAZY_LOAD_1K="$(median_of_pc 'lazy_reload_1000/load')"
-PC_COLD_ATTACH_1K="$(median_of_pc 'lazy_reload_1000/cold_attach')"
 
 echo "== bench_gate: running observer_effect ${QUICK:+(quick mode)}" >&2
 BENCH_JSON_OUT="$TMP_JSON_OBS" \
@@ -208,7 +201,7 @@ for v in DFA_SINGLE SCAN_SINGLE DFA_WSET SCAN_WSET \
          DFA_100 SCAN_100 DFA_1K SCAN_1K DFA_10K SCAN_10K \
          AA_DFA AA_SCAN RECOMPILE_INCR RECOMPILE_FULL \
          PC_SERIAL_100 PC_PARALLEL_100 PC_SERIAL_1K PC_PARALLEL_1K \
-         PC_SERIAL_10K PC_PARALLEL_10K PC_LAZY_LOAD_1K PC_COLD_ATTACH_1K \
+         PC_SERIAL_10K PC_PARALLEL_10K \
          TRACE_BASELINE TRACE_DISABLED TRACE_ENABLED TRACE_FLIGHT \
          SMP_EFF_DFA SMP_PARALLELISM SDS_SPEEDUP_100K SDS_WARM_IMPACT; do
     if [[ -z "${!v}" ]]; then
@@ -224,7 +217,6 @@ DFA_DEGRADATION="$(awk -v a="$DFA_10K" -v b="$DFA_100" 'BEGIN { printf "%.2f", a
 AA_DFA_SPEEDUP="$(awk -v a="$AA_SCAN" -v b="$AA_DFA" 'BEGIN { printf "%.2f", a / b }')"
 INCR_SPEEDUP="$(awk -v a="$RECOMPILE_FULL" -v b="$RECOMPILE_INCR" 'BEGIN { printf "%.2f", a / b }')"
 PC_SPEEDUP_1K="$(awk -v a="$PC_SERIAL_1K" -v b="$PC_PARALLEL_1K" 'BEGIN { printf "%.2f", a / b }')"
-PC_COLD_FRACTION="$(awk -v a="$PC_COLD_ATTACH_1K" -v b="$PC_SERIAL_1K" 'BEGIN { printf "%.3f", a / b }')"
 # The parallel floor is normalised to the host: min(configured, 0.7 x cores).
 # A single-core runner has no parallelism to buy, so the check is skipped
 # and the enforced floor recorded as 0.
@@ -279,10 +271,7 @@ cat > "$OUT_JSON" <<EOF
     "bulk_parallel_10000_median_ns": $PC_PARALLEL_10K,
     "parallel_speedup_1k": $PC_SPEEDUP_1K,
     "cores": $PC_CORES,
-    "enforced_min_parallel_speedup": $PC_ENFORCED_SPEEDUP,
-    "lazy_load_1000_median_ns": $PC_LAZY_LOAD_1K,
-    "cold_attach_1000_median_ns": $PC_COLD_ATTACH_1K,
-    "cold_attach_fraction": $PC_COLD_FRACTION
+    "enforced_min_parallel_speedup": $PC_ENFORCED_SPEEDUP
   },
   "tracing": {
     "warm_hook_baseline_median_ns": $TRACE_BASELINE,
@@ -300,7 +289,6 @@ cat > "$OUT_JSON" <<EOF
     "min_aa_dfa_speedup": $MIN_AA_DFA_SPEEDUP,
     "min_incr_recompile_speedup": $MIN_INCR_RECOMPILE_SPEEDUP,
     "min_parallel_compile_speedup": $MIN_PARALLEL_COMPILE_SPEEDUP,
-    "max_cold_attach_fraction": $MAX_COLD_ATTACH_FRACTION,
     "max_trace_overhead": $MAX_TRACE_OVERHEAD,
     "min_smp_efficiency": $MIN_SMP_EFFICIENCY,
     "min_sds_speedup": $MIN_SDS_SPEEDUP,
@@ -317,7 +305,6 @@ echo "   DFA 100 -> 10k:       ${DFA_DEGRADATION}x (dfa $DFA_100 ns -> $DFA_10K 
 echo "   profile DFA @1k:      ${AA_DFA_SPEEDUP}x (dfa $AA_DFA ns vs scan $AA_SCAN ns)" >&2
 echo "   incr recompile @100:  ${INCR_SPEEDUP}x (incr $RECOMPILE_INCR ns vs full $RECOMPILE_FULL ns)" >&2
 echo "   bulk compile @1k:     ${PC_SPEEDUP_1K}x parallel over serial (serial $PC_SERIAL_1K ns, parallel $PC_PARALLEL_1K ns, $PC_CORES cores)" >&2
-echo "   lazy cold attach @1k: ${PC_COLD_FRACTION}x of the serial rebuild (lazy load $PC_LAZY_LOAD_1K ns, cold attach $PC_COLD_ATTACH_1K ns)" >&2
 echo "   trace off overhead:   ${TRACE_OVERHEAD_DISABLED}x (disabled $TRACE_DISABLED ns vs baseline $TRACE_BASELINE ns)" >&2
 echo "   trace on overhead:    ${TRACE_OVERHEAD_ENABLED}x (enabled $TRACE_ENABLED ns, flight-saturated $TRACE_FLIGHT ns)" >&2
 echo "   smp dfa efficiency:   ${SMP_EFF_DFA}x linear at $SMP_MAX_THREADS threads ($SMP_PARALLELISM-way parallel host)" >&2
@@ -349,10 +336,6 @@ if [[ "$PC_CORES" -le 1 ]]; then
     echo "bench_gate: NOTICE — single-core host, parallel-compile floor not enforced (enforced_min_parallel_speedup recorded as 0)" >&2
 elif awk -v s="$PC_SPEEDUP_1K" -v m="$PC_ENFORCED_SPEEDUP" 'BEGIN { exit !(s < m) }'; then
     echo "bench_gate: FAIL — parallel bulk compile ${PC_SPEEDUP_1K}x < required ${PC_ENFORCED_SPEEDUP}x at 1k profiles on $PC_CORES cores" >&2
-    fail=1
-fi
-if awk -v f="$PC_COLD_FRACTION" -v m="$MAX_COLD_ATTACH_FRACTION" 'BEGIN { exit !(f > m) }'; then
-    echo "bench_gate: FAIL — lazy cold attach costs ${PC_COLD_FRACTION}x of the serial 1k rebuild (max ${MAX_COLD_ATTACH_FRACTION}x)" >&2
     fail=1
 fi
 if awk -v r="$TRACE_OVERHEAD_DISABLED" -v m="$MAX_TRACE_OVERHEAD" 'BEGIN { exit !(r > m) }'; then

@@ -17,8 +17,8 @@
 #                                   (keeps the executor's coverage from
 #                                   rotting)
 #   6. sack-analyze sched --smoke — bounded deterministic-schedule
-#                                   exploration of the real Rcu, lazy-slot
-#                                   and ring code (try_enqueue, drop-oldest
+#                                   exploration of the real Rcu and ring
+#                                   code (try_enqueue, drop-oldest
 #                                   force_enqueue, batch enqueue and
 #                                   drain): core scenarios pass and
 #                                   every planted mutation is caught with
@@ -35,18 +35,18 @@
 #   9. sds sweep smoke            — the event-plane sweep runner on a
 #                                   reduced grid, proving both ingestion
 #                                   paths and the warm probe execute
-#  10. profile-compile smoke      — a 2-worker parallel bulk load plus a
-#                                   lazy load with one forced first-touch
-#                                   compile, proving both pipeline paths
-#                                   execute even where the benchmark
-#                                   gate's parallel floor is exempt
+#  10. profile-compile smoke      — a 2-worker parallel bulk load whose
+#                                   every DFA decides like the rule scan,
+#                                   proving the pool executes even where
+#                                   the benchmark gate's parallel floor
+#                                   is exempt
 #  11. scripts/bench_gate.sh      — the hook-latency performance gate,
 #                                   including the ≤MAX_TRACE_OVERHEAD
 #                                   disabled-tracepoint observer gate, the
 #                                   ≥MIN_SMP_EFFICIENCY scaling gate, the
 #                                   ≥MIN_SDS_SPEEDUP batched-ingestion
-#                                   gate and the parallel-compile /
-#                                   cold-attach reload gates
+#                                   gate and the parallel-compile reload
+#                                   gate
 #  12. validate_bench_json.py     — BENCH_hook_latency.json schema check
 #                                   (all gate keys present, ratios finite)
 #
@@ -114,7 +114,7 @@ step "sds event-plane sweep smoke"
 cargo run --release --offline -p sack-lmbench --example sds_sweep -- \
     --rates 10000,100000 --events 2000
 
-step "profile-compile pipeline smoke (2-worker bulk + lazy first touch)"
+step "profile-compile pipeline smoke (2-worker bulk load)"
 cargo run --release --offline -p sack-lmbench --example profile_compile_smoke
 
 if [[ "$RUN_SANITIZE" == 1 ]]; then

@@ -13,9 +13,9 @@ catches a malformed splice before it is committed. Checks:
   * the sds block has a point per swept rate plus the two values the
     gate checks (speedup_at_100k, warm_impact), and each recorded value
     satisfies the threshold the gate block records for it;
-  * the profile_compile block has every bulk/lazy median plus the
-    normalised parallel floor, and the recorded speedup and cold-attach
-    fraction satisfy the thresholds recorded for them;
+  * the profile_compile block has every bulk median plus the
+    normalised parallel floor, and the recorded speedup satisfies the
+    thresholds recorded for it;
   * every numeric leaf in the whole document is finite (a NaN/Infinity
     ratio means a benchmark div-by-zero went unnoticed).
 
@@ -48,7 +48,6 @@ GATE_KEYS = [
     "min_aa_dfa_speedup",
     "min_incr_recompile_speedup",
     "min_parallel_compile_speedup",
-    "max_cold_attach_fraction",
     "max_trace_overhead",
     "min_smp_efficiency",
     "min_sds_speedup",
@@ -71,9 +70,6 @@ PROFILE_COMPILE_KEYS = [
     "parallel_speedup_1k",
     "cores",
     "enforced_min_parallel_speedup",
-    "lazy_load_1000_median_ns",
-    "cold_attach_1000_median_ns",
-    "cold_attach_fraction",
 ]
 
 
@@ -150,14 +146,6 @@ def validate(doc):
                 problems.append(
                     f"profile_compile.enforced_min_parallel_speedup {enforced} exceeds "
                     f"gate.min_parallel_compile_speedup {configured}"
-                )
-        fraction = pc.get("cold_attach_fraction")
-        max_fraction = gate.get("max_cold_attach_fraction")
-        if isinstance(fraction, (int, float)) and isinstance(max_fraction, (int, float)):
-            if fraction > max_fraction:
-                problems.append(
-                    f"profile_compile.cold_attach_fraction {fraction} violates "
-                    f"gate.max_cold_attach_fraction {max_fraction}"
                 )
 
     sds = doc.get("sds", {})

@@ -1,21 +1,18 @@
 //! Differential properties of the profile-compilation pipeline:
-//! **lazy == eager == serial** (DESIGN.md §12).
+//! **parallel == serial == scan** (DESIGN.md §12).
 //!
-//! Random profile corpora and the shipped vehicle bundle are loaded three
-//! ways — serial-eager (1 worker), parallel-eager (worker pool), and lazy
-//! (uncompiled stubs, first-touch compiled in randomized order) — and
-//! must be indistinguishable from the hook side:
+//! Random profile corpora and the shipped vehicle bundle are loaded with
+//! the worker pool pinned to one worker (serial) and sized to four
+//! (parallel), and every compiled DFA is checked against the rule scan:
 //!
-//! * byte-identical verdicts on random path probes, DFA vs bucketed index
-//!   vs naive scan, across all three load modes;
+//! * byte-identical verdicts on random path probes, serial DFA vs
+//!   parallel DFA vs scan;
 //! * identical audit records for the same access sequence through the
-//!   full `AppArmor` module;
+//!   full `AppArmor` module, with a third module whose hooks take the
+//!   scan (`set_dfa_matcher_enabled(false)`);
 //! * dedup pinned structurally: profiles with identical rule bodies share
-//!   one `Arc<SharedDfa>` (`Arc::ptr_eq`), and the compile counter moves
-//!   once per *distinct body*, not once per profile;
-//! * lazy compiles exactly the touched set — the counter tracks the
-//!   number of distinct bodies touched, and untouched profiles stay
-//!   uncompiled stubs.
+//!   one `Arc<Dfa>` (`Arc::ptr_eq`), and the compile counter moves once
+//!   per *distinct body*, not once per profile.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -23,7 +20,7 @@ use std::sync::Arc;
 use sack_suite::prop::{self, Rng};
 
 use sack_apparmor::profile::FilePerms;
-use sack_apparmor::{AppArmor, CompileMode, PolicyDb};
+use sack_apparmor::{AppArmor, PolicyDb};
 use sack_kernel::cred::Credentials;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectRef, SecurityModule};
 use sack_kernel::path::KPath;
@@ -87,35 +84,30 @@ fn corpus(rng: &mut Rng) -> (String, Vec<usize>) {
     (text, assignment)
 }
 
-fn three_dbs(text: &str) -> (PolicyDb, PolicyDb, PolicyDb) {
+fn two_dbs(text: &str) -> (PolicyDb, PolicyDb) {
     let serial = PolicyDb::new();
     serial.set_compile_workers(1);
     let parallel = PolicyDb::new();
     parallel.set_compile_workers(4);
-    let lazy = PolicyDb::new();
-    lazy.set_compile_mode(CompileMode::Lazy);
     let n = serial.load_text(text).unwrap();
     assert_eq!(parallel.load_text(text).unwrap(), n);
-    assert_eq!(lazy.load_text(text).unwrap(), n);
-    (serial, parallel, lazy)
+    (serial, parallel)
 }
 
 #[test]
-fn random_corpora_load_identically_serial_parallel_lazy() {
+fn random_corpora_load_identically_serial_parallel_scan() {
     prop::for_cases(25, |rng| {
         let (text, assignment) = corpus(rng);
         let nprofiles = assignment.len();
         let distinct: HashSet<usize> = assignment.iter().copied().collect();
-        let (serial, parallel, lazy) = three_dbs(&text);
+        let (serial, parallel) = two_dbs(&text);
 
-        // Dedup compiles each distinct body exactly once; lazy compiles
-        // nothing at load.
+        // Dedup compiles each distinct body exactly once.
         assert_eq!(serial.compile_count(), distinct.len() as u64);
         assert_eq!(parallel.compile_count(), distinct.len() as u64);
-        assert_eq!(lazy.compile_count(), 0);
 
-        // Structural dedup pin in every mode: same body ⇔ same slot.
-        for db in [&serial, &parallel, &lazy] {
+        // Structural dedup pin at both worker counts: same body ⇔ same DFA.
+        for db in [&serial, &parallel] {
             let handles: Vec<_> = (0..nprofiles)
                 .map(|i| Arc::clone(db.get(&format!("p{i}")).unwrap().rules().dfa_handle()))
                 .collect();
@@ -124,60 +116,25 @@ fn random_corpora_load_identically_serial_parallel_lazy() {
                     assert_eq!(
                         Arc::ptr_eq(&handles[i], &handles[j]),
                         assignment[i] == assignment[j],
-                        "p{i} vs p{j}: slot sharing must mirror body equality"
+                        "p{i} vs p{j}: DFA sharing must mirror body equality"
                     );
                 }
             }
         }
 
-        // Serial and parallel build identical tables.
+        // Serial and parallel build identical tables, and every table
+        // decides like the rule scan.
+        let probes: Vec<String> = (0..12).map(|_| probe_path(rng)).collect();
         for i in 0..nprofiles {
             let name = format!("p{i}");
             let s = serial.get(&name).unwrap();
             let p = parallel.get(&name).unwrap();
             assert_eq!(s.rules().dfa_stats(), p.rules().dfa_stats(), "{name}");
-        }
-
-        // First-touch a random subset of the lazy table in random order;
-        // every touch must agree with both eager tables and with the
-        // retained scan matcher, and the compile counter must track the
-        // touched *body* set exactly.
-        let mut order: Vec<usize> = (0..nprofiles).collect();
-        rng.shuffle(&mut order);
-        let touch_n = rng.range(1, nprofiles + 1);
-        let probes: Vec<String> = (0..12).map(|_| probe_path(rng)).collect();
-        let mut touched_bodies: HashSet<usize> = HashSet::new();
-        for &i in &order[..touch_n] {
-            let name = format!("p{i}");
-            let s = serial.get(&name).unwrap();
-            let p = parallel.get(&name).unwrap();
-            let l = lazy.get(&name).unwrap();
             for probe in &probes {
                 let want = s.rules().evaluate_dfa(probe);
                 assert_eq!(want, p.rules().evaluate_dfa(probe), "{name} @ {probe}");
-                assert_eq!(want, l.rules().evaluate(probe), "{name} @ {probe} (scan)");
-                assert_eq!(
-                    want,
-                    l.rules().evaluate_dfa(probe),
-                    "{name} @ {probe} (lazy)"
-                );
-            }
-            touched_bodies.insert(assignment[i]);
-            assert_eq!(
-                lazy.compile_count(),
-                touched_bodies.len() as u64,
-                "lazy must compile exactly the touched body set"
-            );
-        }
-
-        // Untouched bodies stay stubs.
-        for &i in &order[touch_n..] {
-            if !touched_bodies.contains(&assignment[i]) {
-                let l = lazy.get(&format!("p{i}")).unwrap();
-                assert!(
-                    !l.rules().dfa_handle().is_compiled(),
-                    "p{i}: never touched, must stay uncompiled"
-                );
+                assert_eq!(want, s.rules().evaluate(probe), "{name} @ {probe} (scan)");
+                assert_eq!(want, p.rules().evaluate(probe), "{name} @ {probe} (scan)");
             }
         }
     });
@@ -197,10 +154,11 @@ fn open(module: &AppArmor, ctx: &HookCtx, path: &str, mask: AccessMask) -> bool 
     module.file_open(ctx, &obj, mask).is_ok()
 }
 
-/// The shipped vehicle bundle driven through the full `AppArmor` module
-/// in all three load modes: one confined task per profile, a shared
-/// random access sequence, byte-identical verdicts *and* identical audit
-/// records, and the lazy compile counter pinned to the touched set.
+/// The shipped vehicle bundle driven through three full `AppArmor`
+/// modules — serial and parallel compile walking the DFA, and a third
+/// whose hooks take the rule scan: one confined task per profile,
+/// a shared random access sequence, byte-identical verdicts *and*
+/// identical audit records.
 #[test]
 fn vehicle_bundle_verdicts_and_audits_match_across_load_modes() {
     prop::for_cases(8, |rng| {
@@ -212,18 +170,17 @@ fn vehicle_bundle_verdicts_and_audits_match_across_load_modes() {
             (db, module)
         };
         let (serial_db, serial) = mk(&|db| db.set_compile_workers(1));
-        let (_parallel_db, parallel) = mk(&|db| db.set_compile_workers(4));
-        let (lazy_db, lazy) = mk(&|db| db.set_compile_mode(CompileMode::Lazy));
-        assert_eq!(lazy_db.compile_count(), 0, "lazy load must not compile");
+        let (parallel_db, parallel) = mk(&|db| db.set_compile_workers(4));
+        let (scan_db, scan) = mk(&|db| db.set_dfa_matcher_enabled(false));
+        assert_eq!(parallel_db.compile_count(), serial_db.compile_count());
+        assert_eq!(scan_db.compile_count(), serial_db.compile_count());
 
         let names = serial_db.profile_names();
-        for module in [&serial, &parallel, &lazy] {
+        for module in [&serial, &parallel, &scan] {
             for (i, name) in names.iter().enumerate() {
                 module.set_profile(Pid(9000 + i as u32), name).unwrap();
             }
         }
-        // Confining a task snapshots the profile but must not compile it.
-        assert_eq!(lazy_db.compile_count(), 0, "set_profile must not compile");
 
         let targets = [
             "/usr/bin/media_app",
@@ -235,7 +192,6 @@ fn vehicle_bundle_verdicts_and_audits_match_across_load_modes() {
             "/etc/passwd",
             "/var/secret",
         ];
-        let mut touched: HashSet<usize> = HashSet::new();
         for _ in 0..40 {
             let task = rng.below(names.len());
             let ctx = hook_ctx(9000 + task as u32, &format!("/usr/bin/{}", names[task]));
@@ -255,15 +211,7 @@ fn vehicle_bundle_verdicts_and_audits_match_across_load_modes() {
                 open(&parallel, &ctx, &path, mask),
                 "{path} (parallel)"
             );
-            assert_eq!(want, open(&lazy, &ctx, &path, mask), "{path} (lazy)");
-            touched.insert(task);
-            // The bundle's three bodies are distinct, so the lazy counter
-            // tracks exactly the set of profiles hooks have touched.
-            assert_eq!(
-                lazy_db.compile_count(),
-                touched.len() as u64,
-                "lazy must compile exactly the touched profiles"
-            );
+            assert_eq!(want, open(&scan, &ctx, &path, mask), "{path} (scan)");
         }
 
         // The three modules saw identical traffic; their audit trails
@@ -271,14 +219,14 @@ fn vehicle_bundle_verdicts_and_audits_match_across_load_modes() {
         let want = serial.take_audit_log();
         assert!(!want.is_empty(), "denied probes must produce audit records");
         assert_eq!(want, parallel.take_audit_log(), "parallel audit diverged");
-        assert_eq!(want, lazy.take_audit_log(), "lazy audit diverged");
+        assert_eq!(want, scan.take_audit_log(), "scan audit diverged");
     });
 }
 
 #[test]
 fn vehicle_bundle_probe_equivalence() {
     prop::for_cases(8, |rng| {
-        let (serial, parallel, lazy) = three_dbs(VEHICLE_APPARMOR_PROFILES);
+        let (serial, parallel) = two_dbs(VEHICLE_APPARMOR_PROFILES);
         let mut names = serial.profile_names();
         rng.shuffle(&mut names);
         let probes: Vec<String> = (0..16)
@@ -302,23 +250,18 @@ fn vehicle_bundle_probe_equivalence() {
         for name in &names {
             let s = serial.get(name).unwrap();
             let p = parallel.get(name).unwrap();
-            let l = lazy.get(name).unwrap();
             for probe in &probes {
                 let want = s.rules().evaluate_dfa(probe);
                 assert_eq!(want, p.rules().evaluate_dfa(probe), "{name} @ {probe}");
-                assert_eq!(want, l.rules().evaluate(probe), "{name} @ {probe} (scan)");
-                assert_eq!(
-                    want,
-                    l.rules().evaluate_dfa(probe),
-                    "{name} @ {probe} (lazy)"
-                );
+                assert_eq!(want, p.rules().evaluate(probe), "{name} @ {probe} (scan)");
                 assert_eq!(
                     want.permits(FilePerms::READ),
-                    l.rules().evaluate(probe).permits(FilePerms::READ)
+                    s.rules().evaluate(probe).permits(FilePerms::READ)
                 );
             }
         }
-        // The bundle's three bodies are distinct: all touched ⇒ all built.
-        assert_eq!(lazy.compile_count(), serial.compile_count());
+        // The bundle's bodies are distinct: one build per profile.
+        assert_eq!(parallel.compile_count(), serial.compile_count());
+        assert_eq!(serial.compile_count(), names.len() as u64);
     });
 }

@@ -74,8 +74,8 @@ fn simple_pattern(rng: &mut Rng) -> String {
     out
 }
 
-/// Richer patterns for index-vs-scan equivalence: adds character classes
-/// and brace alternations, which the rule index must also bucket correctly.
+/// Richer patterns for DFA-vs-scan equivalence: adds character classes
+/// and brace alternations, which the DFA must also compile correctly.
 #[allow(clippy::explicit_auto_deref)] // same inference false positive
 fn rich_pattern(rng: &mut Rng) -> String {
     let n = rng.range(1, 8);
@@ -239,12 +239,12 @@ fn file_perms_algebra() {
     });
 }
 
-/// Tentpole differential: the three `CompiledRules` evaluation strategies —
-/// `evaluate` (first-component buckets), `evaluate_scan` (naive
-/// scan-everything baseline), and `evaluate_dfa` (unified minimized DFA
-/// with build-time-resolved decisions) — must return identical
-/// `RuleDecision`s for every generated rule set, including classes and
-/// brace alternations, and for several probe paths per set.
+/// Tentpole differential: the two `CompiledRules` evaluation strategies —
+/// `evaluate` (scan every rule) and `evaluate_dfa` (the compiled DFA
+/// index: unified minimized DFA with build-time-resolved decisions) —
+/// must return identical `RuleDecision`s for every generated rule set,
+/// including classes and brace alternations, and for several probe paths
+/// per set.
 #[test]
 fn compiled_rules_dfa_index_and_scan_agree() {
     prop::check(|rng| {
@@ -270,12 +270,7 @@ fn compiled_rules_dfa_index_and_scan_agree() {
         let compiled = CompiledRules::build(&rules);
         for _ in 0..4 {
             let path = rich_path(rng);
-            let scan = compiled.evaluate_scan(&path);
-            assert_eq!(
-                compiled.evaluate(&path),
-                scan,
-                "rule index diverged from scan on `{path}` over {rules:?}"
-            );
+            let scan = compiled.evaluate(&path);
             assert_eq!(
                 compiled.evaluate_dfa(&path),
                 scan,
@@ -840,9 +835,9 @@ fn vehicle_bundle_state_dfas_agree_with_scan() {
     }
 }
 
-/// The same three-way agreement over the shipped AppArmor bundle: every
-/// profile's compiled rule set must label paths identically through the
-/// bucketed index, the naive scan, and the DFA matcher.
+/// The same agreement over the shipped AppArmor bundle: every profile's
+/// compiled rule set must label paths identically through the rule scan
+/// and the DFA index.
 #[test]
 fn vehicle_profiles_dfa_index_and_scan_agree() {
     let profiles = sack_apparmor::parse_profiles(VEHICLE_APPARMOR_PROFILES).unwrap();
@@ -851,13 +846,7 @@ fn vehicle_profiles_dfa_index_and_scan_agree() {
         let compiled = CompiledRules::build(&profile.path_rules);
         prop::check(|rng| {
             let path = vehicle_path(rng);
-            let scan = compiled.evaluate_scan(&path);
-            assert_eq!(
-                compiled.evaluate(&path),
-                scan,
-                "profile {} index diverged on `{path}`",
-                profile.name
-            );
+            let scan = compiled.evaluate(&path);
             assert_eq!(
                 compiled.evaluate_dfa(&path),
                 scan,
@@ -888,8 +877,8 @@ fn random_path_rule(rng: &mut Rng) -> Option<PathRule> {
 
 /// Differential over the `PolicyDb` load path: profiles compiled through
 /// the database — i.e. against the *namespace-shared* byte-class alphabet
-/// rather than a private one — must still agree with the naive scan and
-/// the bucketed index on every probe, and every profile's matcher must
+/// rather than a private one — must still agree with the rule scan on
+/// every probe, and every profile's matcher must
 /// literally share the database's alphabet (`Arc` identity, not just
 /// equal classes).
 #[test]
@@ -915,12 +904,7 @@ fn policy_db_profiles_share_the_alphabet_and_agree_with_scan() {
             );
             for _ in 0..3 {
                 let path = rich_path(rng);
-                let scan = compiled.rules().evaluate_scan(&path);
-                assert_eq!(
-                    compiled.rules().evaluate(&path),
-                    scan,
-                    "profile {name} index diverged on `{path}`"
-                );
+                let scan = compiled.rules().evaluate(&path);
                 assert_eq!(
                     compiled.rules().evaluate_dfa(&path),
                     scan,
@@ -945,16 +929,11 @@ fn vehicle_bundle_through_policy_db_agrees_with_scan() {
         for name in db.profile_names() {
             let compiled = db.get(&name).unwrap();
             assert!(Arc::ptr_eq(compiled.rules().alphabet(), &alphabet));
-            let scan = compiled.rules().evaluate_scan(&path);
+            let scan = compiled.rules().evaluate(&path);
             assert_eq!(
                 compiled.rules().evaluate_dfa(&path),
                 scan,
                 "profile {name} DFA diverged on `{path}`"
-            );
-            assert_eq!(
-                compiled.rules().evaluate(&path),
-                scan,
-                "profile {name} index diverged on `{path}`"
             );
         }
     });
@@ -1092,7 +1071,7 @@ fn incremental_recompile_preserves_equivalence_and_pins_untouched_profiles() {
                 );
                 for _ in 0..2 {
                     let path = rich_path(rng);
-                    let scan = compiled.rules().evaluate_scan(&path);
+                    let scan = compiled.rules().evaluate(&path);
                     assert_eq!(
                         compiled.rules().evaluate_dfa(&path),
                         scan,

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use sack_apparmor::{AppArmor, CompileMode, PolicyDb};
+use sack_apparmor::{AppArmor, PolicyDb};
 use sack_core::{Sack, TransitionOutcome};
 use sack_kernel::cred::Credentials;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectRef, SecurityModule};
@@ -252,64 +252,70 @@ fn denial_storm_under_reloads_audits_every_refusal_exactly_once() {
     assert_eq!(seqs, (0..refused).collect::<Vec<_>>());
 }
 
-/// Lazy compilation under storm: the profile database installs every
-/// bundle as uncompiled stubs, so each control-plane replacement publishes
-/// a table whose DFA the racing hooks must first-touch compile. The base
-/// grant must hold in every round (an in-flight build answers from the
-/// retained scan matcher — never blocks, never flickers), the
-/// `profile_recompile` tracepoint must fire at most once per published
-/// bundle (the at-most-once claim under maximal contention), and the
-/// quiesced table must agree with an eager serial twin.
+/// `BENCH_PROFILE` with one extra rule stamped by `round`: a body no
+/// earlier round published, so its install compiles exactly once.
+fn bench_variant(round: u64) -> String {
+    BENCH_PROFILE.replace(
+        "    network unix,",
+        &format!("    /var/round{round}/x r,\n    network unix,"),
+    )
+}
+
+/// Eager compilation under storm: every control-plane replacement
+/// publishes a bundle with a fresh rule body, compiled before the table
+/// swaps in, while the workers re-attach the current profile and drive
+/// the hook through its DFA. The base grant must hold in every round,
+/// the `profile_recompile` tracepoint must fire exactly once per
+/// published bundle (one distinct body each), and the quiesced table must
+/// agree with an eager serial twin.
 #[test]
-fn lazy_first_touch_storm_compiles_each_published_body_at_most_once() {
+fn eager_replacement_storm_compiles_each_published_body_exactly_once() {
     let db = Arc::new(PolicyDb::new());
-    db.set_compile_mode(CompileMode::Lazy);
     let hub = TraceHub::new();
     db.set_trace_hub(Arc::clone(&hub));
     hub.set_enabled(true);
     db.load_text(BENCH_PROFILE).unwrap();
-    assert_eq!(db.compile_count(), 0, "lazy load must not compile");
+    assert_eq!(db.compile_count(), 1, "the load compiles its one body");
     let apparmor = AppArmor::new(Arc::clone(&db));
-    apparmor.set_profile(Pid(7300), "bench").unwrap();
 
     const HAMMER: usize = 400;
-    let reloads = AtomicU64::new(0);
     let outcome = smp::run_with_control(
         WORKERS,
         |w| {
-            let ctx = probe_ctx(7300, BENCH_EXE);
-            let path = format!("/tmp/bench/lazy{w}");
+            let pid = Pid(7300 + w as u32);
+            let ctx = probe_ctx(pid.0, BENCH_EXE);
+            let path = format!("/tmp/bench/eager{w}");
             let mut ok = 0usize;
             for _ in 0..HAMMER {
+                // Attach whatever `bench` the table holds right now.
+                apparmor.set_profile(pid, "bench").unwrap();
                 if open(&*apparmor, &ctx, &path, AccessMask::WRITE) {
                     ok += 1;
                 }
             }
             ok
         },
-        |_round| {
-            // Atomic bundle replacement: publishes a fresh uncompiled stub
-            // for `bench` that the storm immediately first-touches.
-            db.load_text(BENCH_PROFILE).unwrap();
-            reloads.fetch_add(1, Ordering::Relaxed);
+        |round| {
+            // Atomic bundle replacement with a body no table held before.
+            db.load_text(&bench_variant(round)).unwrap();
         },
     );
 
     for (w, ok) in outcome.results.iter().enumerate() {
         assert_eq!(
             *ok, HAMMER,
-            "worker {w}: grant flickered during lazy first-touch races"
+            "worker {w}: grant flickered during profile replacements"
         );
     }
     assert!(outcome.control_rounds >= 1);
 
-    // Every published bundle carries exactly one distinct body, and racing
-    // hooks may compile each published body at most once: the claim CAS
-    // admits one winner, losers reuse or fall back.
-    let publishes = reloads.load(Ordering::Relaxed) + 1;
+    // Every published bundle carries exactly one fresh body, and the
+    // install compiles it exactly once before publishing. Rounds are
+    // numbered from 0, so the last one published `bench_variant(rounds - 1)`.
+    let publishes = outcome.control_rounds + 1;
     let fired = hub.fired(Tracepoint::ProfileRecompile);
-    assert!(
-        (1..=publishes).contains(&fired),
+    assert_eq!(
+        fired, publishes,
         "profile_recompile fired {fired} times across {publishes} published bundles"
     );
     assert_eq!(
@@ -318,12 +324,15 @@ fn lazy_first_touch_storm_compiles_each_published_body_at_most_once() {
         "every DFA build must emit exactly one tracepoint"
     );
 
-    // Quiesced: the stormed lazy table answers exactly like an eager twin
-    // that never saw any concurrency.
+    // Quiesced: the stormed table answers exactly like an eager twin that
+    // loaded the final bundle without any concurrency.
+    let last = outcome.control_rounds - 1;
     let serial_db = Arc::new(PolicyDb::new());
-    serial_db.load_text(BENCH_PROFILE).unwrap();
+    serial_db.set_compile_workers(1);
+    serial_db.load_text(&bench_variant(last)).unwrap();
     let serial = AppArmor::new(Arc::clone(&serial_db));
     serial.set_profile(Pid(7300), "bench").unwrap();
+    apparmor.set_profile(Pid(7300), "bench").unwrap();
     let ctx = probe_ctx(7300, BENCH_EXE);
     for (path, mask) in [
         ("/tmp/bench/post", AccessMask::WRITE),
@@ -332,12 +341,13 @@ fn lazy_first_touch_storm_compiles_each_published_body_at_most_once() {
         ("/dev/car/door0", AccessMask::READ),
         ("/dev/car/door0", AccessMask::WRITE),
         ("/var/secret", AccessMask::READ),
+        (&format!("/var/round{last}/x"), AccessMask::READ),
         ("/usr/lib/libc.so", AccessMask::READ),
     ] {
         assert_eq!(
             open(&*apparmor, &ctx, path, mask),
             open(&*serial, &ctx, path, mask),
-            "probe {path}: stormed lazy table diverged from eager serial twin"
+            "probe {path}: stormed table diverged from eager serial twin"
         );
     }
 }
