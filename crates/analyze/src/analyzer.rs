@@ -73,7 +73,7 @@ pub fn profile_dfa_sizes_of(db: &sack_apparmor::PolicyDb) -> Vec<ProfileDfaSize>
         out.push(ProfileDfaSize {
             profile: name,
             rules: rules.len(),
-            classes: rules.alphabet().class_count(),
+            classes: stats.classes,
             compiled: CompiledDfaSize {
                 states: stats.states,
                 transitions: stats.transitions,
@@ -167,8 +167,8 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Loads the stacked profiles through a scratch `PolicyDb` — the same
-    /// shared-alphabet compile path the kernel module uses — and records
+    /// Loads the stacked profiles through a scratch `PolicyDb` as one
+    /// bundle — the compile path the kernel module uses — and records
     /// each profile's compiled matcher size. Compile-time load
     /// diagnostics (duplicate rules, per-profile DFA blowup) surface in
     /// the report verbatim, so `sack-analyze` flags them before a bundle
@@ -178,9 +178,7 @@ impl<'a> Analyzer<'a> {
             return;
         }
         let db = sack_apparmor::PolicyDb::new();
-        for profile in self.profiles {
-            db.load(profile.clone());
-        }
+        db.load_many(self.profiles.to_vec());
         for diag in db.take_load_diagnostics() {
             report.diagnostics.push(Diagnostic::warning(
                 diag.check,

@@ -99,7 +99,8 @@ pub struct ProfileDfaSize {
     pub profile: String,
     /// Number of path rules the profile compiles.
     pub rules: usize,
-    /// Byte equivalence classes in the (namespace-shared) alphabet.
+    /// Byte equivalence classes of this profile's DFA (each DFA derives
+    /// its own from its globs).
     pub classes: usize,
     /// Table size of the body's compiled DFA.
     pub compiled: CompiledDfaSize,

@@ -6,12 +6,12 @@
 //! dialect: [`DfaBuilder`] collects rule globs (each tagged with a caller
 //! chosen `u32`), builds a combined position NFA re-using the token
 //! semantics of [`crate::glob`], determinizes it by subset construction
-//! over a compressed byte alphabet, and minimizes the result with Moore's
-//! partition refinement. Accepting states are annotated at *build time* by
-//! folding the set of matching rule tags into a caller-defined annotation
-//! (e.g. a [`crate::matcher::RuleDecision`] union, or a first-match type
-//! label for TE), so evaluation is a single O(|path|) table walk with the
-//! rule resolution already baked in.
+//! over the byte classes its own globs induce, and minimizes the result
+//! with Moore's partition refinement. Accepting states are annotated at
+//! *build time* by folding the set of matching rule tags into a
+//! caller-defined annotation (e.g. a [`crate::matcher::RuleDecision`]
+//! union, or a first-match type label for TE), so evaluation is a single
+//! O(|path|) table walk with the rule resolution already baked in.
 //!
 //! The build is two steps: [`DfaBuilder::determinize`] runs the subset
 //! construction once and annotates each state with its accepting tag set,
@@ -34,20 +34,15 @@ const DEAD: u32 = u32::MAX;
 
 /// A byte-equivalence partition of the 256-byte alphabet.
 ///
-/// Two bytes are interchangeable when every distinct consuming token (and
-/// the `/` test the wildcards use) treats them identically; transition
-/// tables then need one column per class instead of 256. An alphabet built
-/// from a *superset* of a machine's tokens is merely finer than necessary —
-/// refinement preserves the transition relation — so one table can be
-/// shared across every profile of a namespace and across every
-/// [`crate::dfa::Dfa`] built from it (real AppArmor shares `equiv` tables
-/// the same way). Sharing via `Arc` also makes the shared-alphabet
-/// invariant checkable with `Arc::ptr_eq`.
+/// Two bytes are interchangeable when every distinct consuming token of a
+/// machine's globs (and the `/` test the wildcards use) treats them
+/// identically; the transition table then needs one column per class
+/// instead of 256. Every [`DfaBuilder`] derives the partition of its own
+/// globs, as `apparmor_parser` emits one equivalence-class table per DFA,
+/// so an edit to one rule set never touches another machine. The machines
+/// [`Dfa::relabel`] derives from one determinization share its alphabet.
 #[derive(Debug, Clone)]
 pub struct Alphabet {
-    /// Distinct discriminating tokens the partition was derived from
-    /// (`**` excluded — it matches every byte and never discriminates).
-    discr: Vec<Token>,
     /// byte → equivalence class.
     classes: Box<[u16; 256]>,
     class_count: usize,
@@ -55,13 +50,13 @@ pub struct Alphabet {
 
 impl Alphabet {
     /// Builds the partition for a set of discriminating tokens.
-    fn from_tokens(discr: Vec<Token>) -> Alphabet {
+    fn from_tokens(discr: &[Token]) -> Alphabet {
         let mut sig_to_class: HashMap<Vec<bool>, u16> = HashMap::new();
         let mut classes = Box::new([0u16; 256]);
         for b in 0..=255u8 {
             let mut sig = Vec::with_capacity(discr.len() + 1);
             sig.push(b == b'/');
-            for tok in &discr {
+            for tok in discr {
                 sig.push(match tok {
                     Token::Star => b != b'/',
                     other => token_matches(other, b),
@@ -70,92 +65,10 @@ impl Alphabet {
             let next = sig_to_class.len() as u16;
             classes[b as usize] = *sig_to_class.entry(sig).or_insert(next);
         }
-        let class_count = sig_to_class.len();
         Alphabet {
-            discr,
             classes,
-            class_count,
+            class_count: sig_to_class.len(),
         }
-    }
-
-    /// Collects the distinct discriminating tokens of `globs` into `out`.
-    fn collect_tokens<'a>(globs: impl IntoIterator<Item = &'a Glob>, out: &mut Vec<Token>) {
-        for glob in globs {
-            for pat in glob.alternates() {
-                for tok in &pat.tokens {
-                    if !matches!(tok, Token::DoubleStar) && !out.contains(tok) {
-                        out.push(tok.clone());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Builds the shared alphabet for a set of globs (e.g. every path rule
-    /// of every profile in a namespace).
-    pub fn for_globs<'a>(globs: impl IntoIterator<Item = &'a Glob>) -> Alphabet {
-        let mut discr = Vec::new();
-        Self::collect_tokens(globs, &mut discr);
-        Alphabet::from_tokens(discr)
-    }
-
-    /// The empty-token alphabet: `/` vs everything else.
-    pub fn minimal() -> Alphabet {
-        Alphabet::from_tokens(Vec::new())
-    }
-
-    /// Number of equivalence classes.
-    pub fn class_count(&self) -> usize {
-        self.class_count
-    }
-
-    /// The equivalence class of `byte`.
-    pub fn class_of(&self, byte: u8) -> u16 {
-        self.classes[byte as usize]
-    }
-
-    /// True if compiling `globs` against this alphabet would need a finer
-    /// partition — i.e. some new token distinguishes two bytes currently in
-    /// the same class. When this returns `false` the existing table can be
-    /// reused as-is (the common case for rule edits that only recombine
-    /// bytes the table already separates).
-    pub fn would_split<'a>(&self, globs: impl IntoIterator<Item = &'a Glob>) -> bool {
-        let mut candidates = Vec::new();
-        Self::collect_tokens(globs, &mut candidates);
-        self.tokens_would_split(&candidates)
-    }
-
-    /// Core of [`Alphabet::would_split`]: do any of `candidates` separate
-    /// two bytes the partition currently merges?
-    fn tokens_would_split(&self, candidates: &[Token]) -> bool {
-        let candidates: Vec<&Token> = candidates
-            .iter()
-            .filter(|tok| !self.discr.contains(tok))
-            .collect();
-        if candidates.is_empty() {
-            return false;
-        }
-        // A representative byte per class, then check every byte agrees
-        // with its representative under every candidate token.
-        let mut rep: Vec<Option<u8>> = vec![None; self.class_count];
-        for b in 0..=255u8 {
-            let class = self.classes[b as usize] as usize;
-            match rep[class] {
-                None => rep[class] = Some(b),
-                Some(r) => {
-                    for tok in &candidates {
-                        let matches = |b| match tok {
-                            Token::Star => b != b'/',
-                            other => token_matches(other, b),
-                        };
-                        if matches(b) != matches(r) {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        false
     }
 }
 
@@ -200,11 +113,6 @@ impl DfaBuilder {
             self.positions.push(None);
             self.tag_of.push(tag);
         }
-    }
-
-    /// True if no globs have been added.
-    pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
     }
 
     /// Epsilon closure: a wildcard position may be skipped, so position `i`
@@ -269,53 +177,29 @@ impl DfaBuilder {
         discr
     }
 
-    /// The byte-equivalence alphabet induced by the accumulated globs
-    /// alone. [`DfaBuilder::build`] uses this; multi-machine callers build
-    /// a shared [`Alphabet`] over all their globs instead.
-    pub fn alphabet(&self) -> Alphabet {
-        Alphabet::from_tokens(self.discriminating_tokens())
-    }
-
-    /// Determinizes and minimizes the accumulated globs. `fold` maps the
-    /// set of rule tags accepting in a state to that state's annotation;
-    /// `fold(&[])` is the annotation of non-accepting (and dead) states.
+    /// Determinizes and minimizes the accumulated globs
+    /// ([`DfaBuilder::determinize`] followed by [`Dfa::relabel`]). `fold`
+    /// maps the set of rule tags accepting in a state to that state's
+    /// annotation; `fold(&[])` is the annotation of non-accepting (and
+    /// dead) states.
     pub fn build<A, F>(&self, fold: F) -> Dfa<A>
     where
         A: Clone + Eq + Hash,
         F: Fn(&[u32]) -> A,
     {
-        self.build_with_alphabet(&Arc::new(self.alphabet()), fold)
+        self.determinize().relabel(fold)
     }
 
-    /// [`DfaBuilder::build`] against a caller-supplied shared alphabet:
-    /// [`DfaBuilder::determinize`] followed by [`Dfa::relabel`].
-    ///
-    /// The alphabet must refine this machine's own partition — i.e. built
-    /// from a superset of its globs, or from a partition that
-    /// [`Alphabet::would_split`] reports as not split by them. A finer
-    /// partition only adds redundant columns; it never changes the language
-    /// or the annotations.
-    pub fn build_with_alphabet<A, F>(&self, alphabet: &Arc<Alphabet>, fold: F) -> Dfa<A>
-    where
-        A: Clone + Eq + Hash,
-        F: Fn(&[u32]) -> A,
-    {
-        self.determinize(alphabet).relabel(fold)
-    }
-
-    /// The subset construction alone: an unminimized DFA whose annotation
-    /// is each state's sorted, deduplicated set of accepting tags.
+    /// The subset construction alone, over the alphabet of the accumulated
+    /// globs: an unminimized DFA whose annotation is each state's sorted,
+    /// deduplicated set of accepting tags.
     ///
     /// One determinization can serve many machines over the same globs:
     /// each [`Dfa::relabel`] folds the tag sets into its own annotation and
     /// minimizes, which is how one policy load derives its lints and every
-    /// situation state's table from a single construction. The alphabet
-    /// requirement is that of [`DfaBuilder::build_with_alphabet`].
-    pub fn determinize(&self, alphabet: &Arc<Alphabet>) -> Dfa<Vec<u32>> {
-        debug_assert!(
-            !alphabet.tokens_would_split(&self.discriminating_tokens()),
-            "shared alphabet is coarser than this machine's tokens require"
-        );
+    /// situation state's table from a single construction.
+    pub fn determinize(&self) -> Dfa<Vec<u32>> {
+        let alphabet = Arc::new(Alphabet::from_tokens(&self.discriminating_tokens()));
         let class_count = alphabet.class_count;
         // One representative byte per class, for stepping the NFA.
         let mut rep = vec![0u8; class_count];
@@ -363,7 +247,7 @@ impl DfaBuilder {
         }
 
         Dfa {
-            alphabet: Arc::clone(alphabet),
+            alphabet,
             table,
             accepts,
             start: 0,
@@ -462,7 +346,8 @@ fn minimize<A: Clone + Eq + Hash>(
 /// final state is the pre-resolved answer for every path reaching it.
 #[derive(Debug, Clone)]
 pub struct Dfa<A> {
-    /// The (possibly shared) byte-equivalence partition.
+    /// The byte-equivalence partition, shared by every machine relabelled
+    /// from one determinization.
     alphabet: Arc<Alphabet>,
     /// `table[state * class_count + class]` → next state or [`DEAD`].
     table: Vec<u32>,
@@ -619,14 +504,13 @@ mod tests {
         for (tag, pat) in globs.iter().enumerate() {
             all.add_glob(&Glob::compile(pat).unwrap(), tag as u32);
         }
-        let alphabet = Arc::new(all.alphabet());
-        let index = all.determinize(&alphabet);
-        assert!(Arc::ptr_eq(index.alphabet(), &alphabet));
+        let index = all.determinize();
         // Each glob alone, read off the shared tag automaton, decides as
         // its private build does.
         for (tag, pat) in globs.iter().enumerate() {
             let tag = tag as u32;
             let shared = index.relabel(|tags| tags.contains(&tag));
+            assert!(Arc::ptr_eq(shared.alphabet(), index.alphabet()));
             assert!(shared.state_count() <= index.state_count());
             let mut solo = DfaBuilder::new();
             solo.add_glob(&Glob::compile(pat).unwrap(), 0);
@@ -648,7 +532,7 @@ mod tests {
         // `build` is `determinize` followed by `relabel`.
         let sum = |tags: &[u32]| tags.iter().sum::<u32>();
         assert_eq!(
-            format!("{:?}", all.build_with_alphabet(&alphabet, sum)),
+            format!("{:?}", all.build(sum)),
             format!("{:?}", index.relabel(sum))
         );
     }
@@ -660,60 +544,6 @@ mod tests {
         assert!(!dfa.eval("/anything"));
         assert!(!dfa.eval(""));
         assert_eq!(dfa.state_count(), 1);
-    }
-
-    #[test]
-    fn shared_alphabet_preserves_language() {
-        // One union alphabet over both machines' globs; each machine built
-        // against it must decide exactly as its privately-compiled twin.
-        let a = Glob::compile("/dev/car/door[0-3]").unwrap();
-        let b = Glob::compile("/sys/{kernel,fs}/**").unwrap();
-        let shared = Arc::new(Alphabet::for_globs([&a, &b]));
-        for glob in [&a, &b] {
-            let mut builder = DfaBuilder::new();
-            builder.add_glob(glob, 0);
-            let shared_dfa = builder.build_with_alphabet(&shared, |t| !t.is_empty());
-            let solo_dfa = builder.build(|t| !t.is_empty());
-            assert!(Arc::ptr_eq(shared_dfa.alphabet(), &shared));
-            for text in [
-                "/dev/car/door0",
-                "/dev/car/door4",
-                "/sys/kernel/x/y",
-                "/sys/fs/",
-                "/sys/other",
-                "",
-            ] {
-                assert_eq!(shared_dfa.eval(text), solo_dfa.eval(text), "text `{text}`");
-            }
-        }
-    }
-
-    #[test]
-    fn would_split_detects_new_discriminating_bytes() {
-        let base = Glob::compile("/dev/car/*").unwrap();
-        let alphabet = Alphabet::for_globs([&base]);
-        // Same byte vocabulary: no split needed.
-        let same = Glob::compile("/dev/rac/*").unwrap();
-        assert!(!alphabet.would_split([&same]));
-        // `**` never discriminates.
-        let doublestar = Glob::compile("/dev/**").unwrap();
-        assert!(!alphabet.would_split([&doublestar]));
-        // A byte the base never mentions lives in the catch-all class and
-        // must split it.
-        let novel = Glob::compile("/dev/ca%").unwrap();
-        assert!(alphabet.would_split([&novel]));
-        // And after rebuilding with it, no further split is needed.
-        let rebuilt = Alphabet::for_globs([&base, &novel]);
-        assert!(!rebuilt.would_split([&novel]));
-        assert!(rebuilt.class_count() > alphabet.class_count());
-    }
-
-    #[test]
-    fn minimal_alphabet_splits_slash_only() {
-        let minimal = Alphabet::minimal();
-        assert_eq!(minimal.class_count(), 2);
-        assert_ne!(minimal.class_of(b'/'), minimal.class_of(b'a'));
-        assert_eq!(minimal.class_of(b'a'), minimal.class_of(b'z'));
     }
 
     #[test]

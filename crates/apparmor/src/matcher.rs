@@ -18,7 +18,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::dfa::{Alphabet, Dfa, DfaBuilder, DfaStats};
+use crate::dfa::{Dfa, DfaBuilder, DfaStats};
 use crate::profile::{FilePerms, PathRule};
 
 /// One compiled rule.
@@ -62,14 +62,14 @@ impl fmt::Display for RuleDecision {
     }
 }
 
-/// Compiles `rules` into one unified, minimized DFA against a shared
-/// alphabet — the expensive half of a profile compile.
-pub(crate) fn build_dfa(rules: &[PathRule], alphabet: &Arc<Alphabet>) -> Dfa<RuleDecision> {
+/// Compiles `rules` into one unified, minimized DFA over the byte classes
+/// of their own globs — the expensive half of a profile compile.
+pub(crate) fn build_dfa(rules: &[PathRule]) -> Dfa<RuleDecision> {
     let mut builder = DfaBuilder::new();
     for (tag, rule) in rules.iter().enumerate() {
         builder.add_glob(&rule.glob, tag as u32);
     }
-    builder.build_with_alphabet(alphabet, |tags| {
+    builder.build(|tags| {
         let mut decision = RuleDecision::default();
         for &tag in tags {
             let rule = &rules[tag as usize];
@@ -90,20 +90,9 @@ pub struct CompiledRules {
 }
 
 impl CompiledRules {
-    /// Compiles a rule list, deriving a private alphabet from the rules
-    /// alone.
+    /// Compiles a rule list into its DFA.
     pub fn build(rules: &[PathRule]) -> CompiledRules {
-        let alphabet = Alphabet::for_globs(rules.iter().map(|r| &r.glob));
-        Self::build_with_alphabet(rules, &Arc::new(alphabet))
-    }
-
-    /// Compiles a rule list against a shared byte-class alphabet (one table
-    /// for every profile of a namespace). The alphabet must refine what the
-    /// rules require — the `PolicyDb` guarantees this by rebuilding the
-    /// shared table whenever [`Alphabet::would_split`] says a new rule
-    /// separates bytes it currently merges.
-    pub fn build_with_alphabet(rules: &[PathRule], alphabet: &Arc<Alphabet>) -> CompiledRules {
-        Self::with_dfa(rules, Arc::new(build_dfa(rules, alphabet)))
+        Self::with_dfa(rules, Arc::new(build_dfa(rules)))
     }
 
     /// Wraps an already-built DFA — the dedup path, where `dfa` was
@@ -119,11 +108,6 @@ impl CompiledRules {
             })
             .collect();
         CompiledRules { rules, dfa }
-    }
-
-    /// The byte-class alphabet the unified DFA is compiled against.
-    pub fn alphabet(&self) -> &Arc<Alphabet> {
-        self.dfa.alphabet()
     }
 
     /// The shared DFA — one per distinct rule body. Profiles with identical
@@ -284,12 +268,10 @@ mod tests {
     #[test]
     fn shared_handle_dedups_across_rule_sets() {
         let body = rules(&[("/etc/*", "r", false)]);
-        let alphabet = Arc::new(Alphabet::for_globs(body.iter().map(|r| &r.glob)));
-        let dfa = Arc::new(build_dfa(&body, &alphabet));
+        let dfa = Arc::new(build_dfa(&body));
         let a = CompiledRules::with_dfa(&body, Arc::clone(&dfa));
         let b = CompiledRules::with_dfa(&body, Arc::clone(&dfa));
         assert!(Arc::ptr_eq(a.dfa_handle(), b.dfa_handle()));
-        assert!(Arc::ptr_eq(a.alphabet(), &alphabet));
         assert_eq!(a.evaluate_dfa("/etc/passwd"), b.evaluate("/etc/passwd"));
         assert!(b.evaluate_dfa("/etc/passwd").permits(FilePerms::READ));
     }

@@ -78,16 +78,20 @@ impl AppArmor {
     ///
     /// `EINVAL` if the profile is not loaded.
     pub fn set_profile(&self, pid: Pid, name: &str) -> KernelResult<()> {
-        let profile = self
-            .policy
-            .get(name)
-            .ok_or_else(|| KernelError::with_context(Errno::EINVAL, "apparmor"))?;
+        // Every confinement write looks the profile up inside the update:
+        // a `refresh_confinement` between a lookup outside it and the
+        // insert would leave the task on a pre-transition snapshot.
         self.confinement.update(|map| {
             let mut next = map.clone();
+            let Some(profile) = self.policy.get(name) else {
+                return (
+                    next,
+                    Err(KernelError::with_context(Errno::EINVAL, "apparmor")),
+                );
+            };
             next.insert(pid, profile);
-            (next, ())
-        });
-        Ok(())
+            (next, Ok(()))
+        })
     }
 
     /// Removes confinement from `pid`.
@@ -136,7 +140,8 @@ impl AppArmor {
         });
     }
 
-    fn confining(&self, pid: Pid) -> Option<Arc<CompiledProfile>> {
+    /// The compiled-profile snapshot confining `pid`, if any.
+    pub fn confining(&self, pid: Pid) -> Option<Arc<CompiledProfile>> {
         self.confinement.read().get(&pid).cloned()
     }
 
@@ -278,20 +283,29 @@ impl SecurityModule for AppArmor {
 
     fn bprm_committed(&self, ctx: &HookCtx, exe: &KPath) {
         // Domain transition: attach the profile matching the new image.
-        if let Some(profile) = self.policy.find_by_attachment(exe.as_str()) {
+        // The check outside spares an unattached exec the copy-and-swap;
+        // the snapshot itself is looked up inside the update (see
+        // `set_profile`).
+        if self.policy.find_by_attachment(exe.as_str()).is_some() {
             self.confinement.update(|map| {
                 let mut next = map.clone();
-                next.insert(ctx.pid, profile);
+                if let Some(profile) = self.policy.find_by_attachment(exe.as_str()) {
+                    next.insert(ctx.pid, profile);
+                }
                 (next, ())
             });
         }
     }
 
     fn task_alloc(&self, ctx: &HookCtx, child: Pid) -> KernelResult<()> {
-        if let Some(profile) = self.confining(ctx.pid) {
+        // The child inherits the parent's entry as the update sees it, so a
+        // concurrent `refresh_confinement` reaches both or neither.
+        if self.confinement.read().contains_key(&ctx.pid) {
             self.confinement.update(|map| {
                 let mut next = map.clone();
-                next.insert(child, profile);
+                if let Some(profile) = map.get(&ctx.pid) {
+                    next.insert(child, Arc::clone(profile));
+                }
                 (next, ())
             });
         }

@@ -1,10 +1,10 @@
 //! Bounded worker pool for parallel compilation.
 //!
 //! Bulk profile loads and `SackPolicy::compile` both reduce to the same
-//! shape: N independent DFA builds against one pre-computed shared
-//! [`crate::dfa::Alphabet`]. The alphabet pre-pass means workers never
-//! race a byte-class split, so the builds are embarrassingly parallel —
-//! this module provides the one scoped worker pool both call sites use.
+//! shape: N independent DFA builds, each over its own globs and its own
+//! byte classes. The builds share no state, so they are embarrassingly
+//! parallel — this module provides the one scoped worker pool both call
+//! sites use.
 //!
 //! The pool is deliberately *not* routed through the `sync::shim` seam:
 //! compilation is control-plane work (no hook ever runs inside it), the

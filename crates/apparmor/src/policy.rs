@@ -6,22 +6,25 @@
 //! the adaptive policy enforcer patches the affected profiles and the new
 //! compiled form is swapped in atomically.
 //!
-//! The whole profile table is published as one [`Rcu`] snapshot
-//! ([`ProfileTable`]): hook-side lookups are wait-free `Arc` reads, while
-//! load/replace/remove serialize on the `Rcu` writer lock and swap in a new
-//! table. All profiles of the table share a single byte-class
-//! [`Alphabet`]; a rule edit recompiles only the touched profile, and the
-//! shared alphabet is rebuilt (with a world recompile) only when the new
-//! rules actually split a byte class — both events are counted so tests can
-//! pin the incremental behaviour.
+//! The profile table — name to compiled profile, nothing else — is
+//! published as one [`Rcu`] snapshot: hook-side lookups are wait-free
+//! `Arc` reads, while every load, replacement, patch and removal
+//! serializes on the `Rcu` writer lock and swaps in a new table whose
+//! copy clones only `Arc`s.
 //!
-//! Every install compiles eagerly, as `apparmor_parser` does before the
-//! kernel loads a profile: the distinct rule bodies of a bundle are
-//! deduplicated and each is built into its DFA across the bounded worker
-//! pool ([`pipeline::map_parallel`]) before the new table publishes, so a
-//! hook only ever walks a finished table.
+//! Every install takes one path and compiles eagerly, as `apparmor_parser`
+//! does before the kernel loads a profile. Each profile's DFA is built over
+//! the byte classes of its own globs, so an edit recompiles the edited
+//! profile and nothing else. Identical rule bodies share one DFA: a
+//! writer-side map keeps every body the database has compiled, and the
+//! bodies it lacks are built across the bounded worker pool
+//! ([`pipeline::map_parallel`]) before the new table publishes, so a hook
+//! only ever walks a finished table. Several profiles can be rewritten in
+//! one publish ([`PolicyDb::patch_many`]), which is how an enhanced-mode
+//! situation transition reaches AppArmor.
 
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -30,7 +33,7 @@ use parking_lot::Mutex;
 use sack_kernel::trace::{TraceEvent, TraceHub};
 use sack_kernel::Rcu;
 
-use crate::dfa::{Alphabet, Dfa};
+use crate::dfa::Dfa;
 use crate::matcher::{build_dfa, CompiledRules, RuleDecision};
 use crate::parser::{parse_profiles, ParseProfileError};
 use crate::pipeline;
@@ -77,20 +80,6 @@ pub struct CompiledProfile {
 }
 
 impl CompiledProfile {
-    /// Compiles a profile against a private alphabet derived from its own
-    /// rules.
-    pub fn compile(profile: Profile) -> CompiledProfile {
-        let rules = CompiledRules::build(&profile.path_rules);
-        CompiledProfile { profile, rules }
-    }
-
-    /// Compiles a profile against a shared byte-class alphabet (the
-    /// namespace-wide table maintained by [`PolicyDb`]).
-    pub fn compile_with_alphabet(profile: Profile, alphabet: &Arc<Alphabet>) -> CompiledProfile {
-        let rules = CompiledRules::build_with_alphabet(&profile.path_rules, alphabet);
-        CompiledProfile { profile, rules }
-    }
-
     /// The source profile.
     pub fn profile(&self) -> &Profile {
         &self.profile
@@ -139,41 +128,9 @@ fn body_key(rules: &[PathRule]) -> DedupKey {
         .collect()
 }
 
-/// One immutable snapshot of the loaded-profile table.
-///
-/// Cloning is shallow (`Arc` handles), so the copy-on-write updates in
-/// [`PolicyDb`] cost O(profiles) pointer clones, not recompiles.
-#[derive(Clone)]
-pub struct ProfileTable {
-    profiles: HashMap<String, Arc<CompiledProfile>>,
-    alphabet: Arc<Alphabet>,
-    /// Rule body → shared DFA, all compiled against `alphabet`. Rebuilt
-    /// from scratch on an alphabet split (old tables encode stale byte
-    /// classes); entries for since-removed bodies may linger — a finer
-    /// partition stays correct, reuse only requires an identical body
-    /// against the same alphabet.
-    dedup: HashMap<DedupKey, Arc<Dfa<RuleDecision>>>,
-}
-
-impl ProfileTable {
-    fn empty() -> ProfileTable {
-        ProfileTable {
-            profiles: HashMap::new(),
-            alphabet: Arc::new(Alphabet::minimal()),
-            dedup: HashMap::new(),
-        }
-    }
-}
-
-impl fmt::Debug for ProfileTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ProfileTable")
-            .field("profiles", &self.profiles.len())
-            .field("classes", &self.alphabet.class_count())
-            .field("bodies", &self.dedup.len())
-            .finish()
-    }
-}
+/// One immutable snapshot of the loaded profiles, by name. Copy-on-write
+/// updates clone it, which clones `Arc`s only.
+type ProfileTable = HashMap<Arc<str>, Arc<CompiledProfile>>;
 
 /// The loaded-policy database.
 pub struct PolicyDb {
@@ -185,11 +142,12 @@ pub struct PolicyDb {
     /// Worker cap for the bulk-compile pool; 0 means
     /// [`pipeline::default_workers`].
     workers: AtomicUsize,
-    /// Number of shared-alphabet rebuilds (world recompiles).
-    alphabet_rebuilds: AtomicU64,
-    /// Number of DFA builds actually performed (incremental-recompile
-    /// pin). Dedup reuse does not count.
+    /// Number of DFA builds actually performed. Dedup reuse does not count.
     profile_compiles: AtomicU64,
+    /// Rule body → its DFA, for every body ever installed. Writer-side
+    /// state: only installs touch it, under the table's writer lock, and
+    /// the hook never reads it.
+    dedup: Mutex<HashMap<DedupKey, Arc<Dfa<RuleDecision>>>>,
     diagnostics: Mutex<Vec<LoadDiagnostic>>,
     /// Tracepoint hub for `profile_recompile` events. Set once when tracing
     /// is installed on the owning [`Sack`](../../sack_core/struct.Sack.html);
@@ -200,12 +158,12 @@ pub struct PolicyDb {
 impl Default for PolicyDb {
     fn default() -> Self {
         PolicyDb {
-            table: Rcu::new(ProfileTable::empty()),
+            table: Rcu::new(ProfileTable::new()),
             revision: AtomicU64::new(0),
             dfa_enabled: AtomicBool::new(true),
             workers: AtomicUsize::new(0),
-            alphabet_rebuilds: AtomicU64::new(0),
             profile_compiles: AtomicU64::new(0),
+            dedup: Mutex::new(HashMap::new()),
             diagnostics: Mutex::new(Vec::new()),
             trace: OnceLock::new(),
         }
@@ -241,112 +199,111 @@ impl PolicyDb {
         }
     }
 
-    /// Installs `incoming` into `table`: one alphabet pre-pass for the
-    /// whole bundle (rebuilt — with a world recompile — only when a new
-    /// rule splits a byte class), identical rule bodies deduplicated onto
-    /// one shared DFA, and the distinct fresh bodies compiled across the
-    /// worker pool before the table publishes. Returns the next table and
-    /// the new compiled handles.
+    /// The one install path behind `load`, `load_many`, `load_text`,
+    /// `patch` and `patch_many`. `edit` reads the current table and returns
+    /// the profiles to install, each replacing the loaded profile of its
+    /// name; the result is one publish, and the revision moves when some
+    /// profile changed. An `Err` from `edit` leaves every profile and the
+    /// revision as they were. Returns each installed profile's handle, in
+    /// order.
+    fn install<E>(
+        &self,
+        edit: impl FnOnce(&ProfileTable) -> Result<Vec<Profile>, E>,
+    ) -> Result<Vec<Arc<CompiledProfile>>, E> {
+        let (handles, changed) = self.table.update(|table| match edit(table) {
+            Ok(incoming) => {
+                let (next, handles, changed) = self.install_many(table, incoming);
+                (next, Ok((handles, changed)))
+            }
+            Err(e) => (table.clone(), Err(e)),
+        })?;
+        if changed {
+            self.revision.fetch_add(1, Ordering::Release);
+        }
+        Ok(handles)
+    }
+
+    /// Builds the table that installs `incoming` over `table`. A profile
+    /// equal to the loaded one keeps its handle; every other profile gets a
+    /// new one whose DFA comes from the dedup map, where each body the map
+    /// lacks is first compiled across the worker pool. Returns the next
+    /// table, the handles of `incoming` in order, and whether any profile
+    /// changed.
     fn install_many(
         &self,
         table: &ProfileTable,
         incoming: Vec<Profile>,
-    ) -> (ProfileTable, Vec<Arc<CompiledProfile>>) {
-        let splits = table
-            .alphabet
-            .would_split(incoming.iter().flat_map(Profile::globs));
-        for profile in &incoming {
-            self.lint(profile);
-        }
-        // `pending` is every profile compiled in this pass: on a split the
-        // retained profiles (sorted by name) and then `incoming`, otherwise
-        // `incoming` alone.
-        let (alphabet, mut profiles, mut dedup, mut pending) = if splits {
-            // Some new rule separates bytes the current table merges:
-            // rebuild the namespace alphabet over everything and recompile
-            // the world against it. Old dedup entries encode the stale byte
-            // classes, so the map restarts empty. Profiles about to be
-            // replaced by `incoming` are skipped — their fresh form
-            // installs below.
-            let replaced: HashSet<&str> = incoming.iter().map(|p| p.name.as_str()).collect();
-            let mut retained: Vec<Profile> = table
-                .profiles
-                .values()
-                .filter(|p| !replaced.contains(p.profile().name.as_str()))
-                .map(|p| p.profile().clone())
-                .collect();
-            retained.sort_by(|a, b| a.name.cmp(&b.name));
-            let alphabet = Arc::new(Alphabet::for_globs(
-                retained.iter().chain(&incoming).flat_map(Profile::globs),
-            ));
-            self.alphabet_rebuilds.fetch_add(1, Ordering::Relaxed);
-            (alphabet, HashMap::new(), HashMap::new(), retained)
-        } else {
-            (
-                Arc::clone(&table.alphabet),
-                table.profiles.clone(),
-                table.dedup.clone(),
-                Vec::new(),
-            )
-        };
-        let first_incoming = pending.len();
-        pending.extend(incoming);
-        let keys: Vec<DedupKey> = pending.iter().map(|p| body_key(&p.path_rules)).collect();
-        // The first profile to introduce each body the table lacks.
-        let mut fresh: Vec<usize> = Vec::new();
-        let mut queued: HashSet<&DedupKey> = HashSet::new();
-        for (i, key) in keys.iter().enumerate() {
-            if !dedup.contains_key(key) && queued.insert(key) {
-                fresh.push(i);
-            }
-        }
-        // The alphabet pre-pass above means the builds share no mutable
-        // state, so they run across the pool. Sizing the pool asks
-        // `available_parallelism`, which reads cgroup files on Linux
-        // (~17 µs, more than a small profile's build), so a patch that
-        // compiles at most one body runs inline without asking.
+    ) -> (ProfileTable, Vec<Arc<CompiledProfile>>, bool) {
+        // The profiles that change the table, by index, with their bodies.
+        let changed: Vec<(usize, DedupKey)> = incoming
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| table.get(p.name.as_str()).is_none_or(|c| c.profile() != *p))
+            .map(|(i, p)| {
+                let key = body_key(&p.path_rules);
+                self.lint(&p.name, &key);
+                (i, key)
+            })
+            .collect();
+        let mut dedup = self.dedup.lock();
+        // The first profile to bring each body the map lacks.
+        let mut queued = HashSet::new();
+        let fresh: Vec<&(usize, DedupKey)> = changed
+            .iter()
+            .filter(|(_, key)| !dedup.contains_key(key) && queued.insert(key))
+            .collect();
+        // Each build reads only its own rules, so they run across the
+        // pool. Sizing the pool asks `available_parallelism`, which reads
+        // cgroup files on Linux (~17 µs, more than a small profile's
+        // build), so an install that compiles at most one body runs inline
+        // without asking.
         let workers = if fresh.len() > 1 {
             self.compile_workers()
         } else {
             1
         };
-        let dfas = pipeline::map_parallel(&fresh, workers, |&i| {
-            build_dfa(&pending[i].path_rules, &alphabet)
+        let dfas = pipeline::map_parallel(&fresh, workers, |(i, _)| {
+            build_dfa(&incoming[*i].path_rules)
         });
-        for (&i, dfa) in fresh.iter().zip(dfas) {
-            self.record_compile(&pending[i].name, splits, &dfa);
-            dedup.insert(keys[i].clone(), Arc::new(dfa));
+        for ((i, key), dfa) in fresh.into_iter().zip(dfas) {
+            self.record_compile(&incoming[*i].name, &dfa);
+            dedup.insert(key.clone(), Arc::new(dfa));
         }
-        let mut handles = Vec::with_capacity(pending.len() - first_incoming);
-        for (i, (profile, key)) in pending.into_iter().zip(&keys).enumerate() {
-            let rules = CompiledRules::with_dfa(&profile.path_rules, Arc::clone(&dedup[key]));
-            let compiled = Arc::new(CompiledProfile { profile, rules });
-            profiles.insert(compiled.profile().name.clone(), Arc::clone(&compiled));
-            if i >= first_incoming {
-                handles.push(compiled);
-            }
-        }
-        (
-            ProfileTable {
-                profiles,
-                alphabet,
-                dedup,
-            },
-            handles,
-        )
+        let any_changed = !changed.is_empty();
+        let mut changed = changed.into_iter().peekable();
+        let mut next = table.clone();
+        let handles = incoming
+            .into_iter()
+            .enumerate()
+            .map(|(i, profile)| {
+                let compiled = match changed.next_if(|(j, _)| *j == i) {
+                    Some((_, key)) => {
+                        let dfa = Arc::clone(&dedup[&key]);
+                        let rules = CompiledRules::with_dfa(&profile.path_rules, dfa);
+                        Arc::new(CompiledProfile { profile, rules })
+                    }
+                    None => Arc::clone(&table[profile.name.as_str()]),
+                };
+                next.insert(
+                    compiled.profile().name.as_str().into(),
+                    Arc::clone(&compiled),
+                );
+                compiled
+            })
+            .collect();
+        (next, handles, any_changed)
     }
 
     /// Accounts for one DFA build: bump the build counter, emit the
     /// `profile_recompile` tracepoint, and lint for state blowup. `name` is
     /// the profile that introduced the body; body-sharing profiles ride on
     /// its one event.
-    fn record_compile(&self, name: &str, full_rebuild: bool, dfa: &Dfa<RuleDecision>) {
+    fn record_compile(&self, name: &str, dfa: &Dfa<RuleDecision>) {
         self.profile_compiles.fetch_add(1, Ordering::Relaxed);
         if let Some(hub) = self.trace.get() {
             if hub.enabled() {
                 hub.emit(&TraceEvent::ProfileRecompile {
                     profile: name.to_string(),
-                    full_rebuild,
                 });
             }
         }
@@ -362,16 +319,16 @@ impl PolicyDb {
         }
     }
 
-    /// Source-level lints that do not need the compiled form.
-    fn lint(&self, profile: &Profile) {
-        let mut seen: HashSet<(String, u8, bool)> = HashSet::new();
-        for rule in &profile.path_rules {
-            let key = (rule.glob.to_string(), rule.perms.bits(), rule.deny);
-            if !seen.insert(key) {
+    /// Source-level lints that do not need the compiled form, run on a
+    /// profile's body key.
+    fn lint(&self, name: &str, body: &DedupKey) {
+        let mut seen = HashSet::new();
+        for rule in body {
+            if !seen.insert(rule) {
                 self.diagnostics.lock().push(LoadDiagnostic {
-                    profile: profile.name.clone(),
+                    profile: name.to_string(),
                     check: CHECK_DUPLICATE_PATH_RULE,
-                    message: format!("rule `{}` appears more than once", rule.glob),
+                    message: format!("rule `{}` appears more than once", rule.0),
                 });
             }
         }
@@ -379,56 +336,34 @@ impl PolicyDb {
 
     /// Loads (or replaces) a profile.
     pub fn load(&self, profile: Profile) -> Arc<CompiledProfile> {
-        let handle = self.table.update(|table| {
-            let (next, mut handles) = self.install_many(table, vec![profile]);
-            (next, handles.pop().expect("one profile installed"))
-        });
-        self.revision.fetch_add(1, Ordering::Release);
-        handle
+        let Ok(mut handles) = self.install(|_| Ok::<_, Infallible>(vec![profile]));
+        handles.pop().expect("one profile installed")
     }
 
     /// Loads a whole bundle of already-parsed profiles as one atomic
-    /// table swap (one alphabet check, one parallel compile pass).
+    /// table swap (one parallel compile pass).
     pub fn load_many(&self, profiles: Vec<Profile>) -> usize {
         let n = profiles.len();
-        if n > 0 {
-            self.table
-                .update(|table| (self.install_many(table, profiles).0, ()));
-            self.revision.fetch_add(1, Ordering::Release);
-        }
+        let Ok(_) = self.install(|_| Ok::<_, Infallible>(profiles));
         n
     }
 
     /// Parses profile-language text and loads every profile in it as one
-    /// atomic table swap (one alphabet check for the whole bundle).
+    /// atomic table swap.
     ///
     /// # Errors
     ///
     /// Syntax errors from the profile parser.
     pub fn load_text(&self, text: &str) -> Result<usize, ParseProfileError> {
-        let profiles = parse_profiles(text)?;
-        let n = profiles.len();
-        if n > 0 {
-            self.table
-                .update(|table| (self.install_many(table, profiles).0, ()));
-            self.revision.fetch_add(1, Ordering::Release);
-        }
-        Ok(n)
+        Ok(self.load_many(parse_profiles(text)?))
     }
 
     /// Removes a profile; returns whether it existed.
-    ///
-    /// The shared alphabet is *not* rebuilt on remove: a finer-than-needed
-    /// partition stays correct for every remaining profile, so removal is
-    /// always a cheap copy-on-write of the name map.
     pub fn remove(&self, name: &str) -> bool {
         let removed = self.table.update(|table| {
-            if !table.profiles.contains_key(name) {
-                return (table.clone(), false);
-            }
             let mut next = table.clone();
-            next.profiles.remove(name);
-            (next, true)
+            let removed = next.remove(name).is_some();
+            (next, removed)
         });
         if removed {
             self.revision.fetch_add(1, Ordering::Release);
@@ -438,7 +373,7 @@ impl PolicyDb {
 
     /// Looks up a compiled profile by name (wait-free snapshot read).
     pub fn get(&self, name: &str) -> Option<Arc<CompiledProfile>> {
-        self.table.read().profiles.get(name).cloned()
+        self.table.read().get(name).cloned()
     }
 
     /// Finds the profile attached to executables at `exe_path`.
@@ -450,7 +385,6 @@ impl PolicyDb {
     pub fn find_by_attachment(&self, exe_path: &str) -> Option<Arc<CompiledProfile>> {
         let table = self.table.read();
         table
-            .profiles
             .values()
             .filter_map(|p| {
                 let glob = p.profile().attachment.as_ref()?;
@@ -468,11 +402,9 @@ impl PolicyDb {
     /// Applies `patch` to the named profile and atomically swaps in the
     /// recompiled result. This models `apparmor_parser -r`.
     ///
-    /// Only the patched profile is recompiled (the shared alphabet is
-    /// rebuilt only if the edit splits a byte class), and a patch that
-    /// leaves the profile unchanged returns the existing handle without
-    /// recompiling or bumping the revision — retract loops over unaffected
-    /// profiles cost a comparison, not a compile.
+    /// Only the patched profile is recompiled, and a patch that leaves the
+    /// profile unchanged returns the existing handle without recompiling or
+    /// bumping the revision.
     ///
     /// # Errors
     ///
@@ -485,40 +417,46 @@ impl PolicyDb {
     where
         F: FnOnce(&mut Profile),
     {
-        enum Outcome {
-            Installed(Arc<CompiledProfile>),
-            Unchanged(Arc<CompiledProfile>),
-            Missing,
-        }
-        let outcome = self.table.update(|table| {
-            let Some(current) = table.profiles.get(name) else {
-                return (table.clone(), Outcome::Missing);
-            };
+        let mut handles = self.install(|table| {
+            let current = table.get(name).ok_or_else(|| UnknownProfileError {
+                name: name.to_string(),
+            })?;
             let mut profile = current.profile().clone();
             patch(&mut profile);
-            if profile == *current.profile() {
-                return (table.clone(), Outcome::Unchanged(Arc::clone(current)));
-            }
-            let (next, mut handles) = self.install_many(table, vec![profile]);
-            (
-                next,
-                Outcome::Installed(handles.pop().expect("one profile installed")),
-            )
-        });
-        match outcome {
-            Outcome::Installed(handle) => {
-                self.revision.fetch_add(1, Ordering::Release);
-                Ok(handle)
-            }
-            Outcome::Unchanged(handle) => Ok(handle),
-            Outcome::Missing => Err(UnknownProfileError {
-                name: name.to_string(),
-            }),
-        }
+            Ok(vec![profile])
+        })?;
+        Ok(handles.pop().expect("one profile installed"))
     }
 
-    /// Monotonic policy revision; bumps on every effective load/remove/
-    /// patch (a no-op patch does not count). The table is always published
+    /// Rewrites any number of loaded profiles in one table swap: `edit`
+    /// sees every loaded profile, in name order, and returns its new form,
+    /// or `None` to leave it as it is. Profiles `edit` returns unchanged
+    /// keep their handles, and the revision moves once if anything changed.
+    ///
+    /// # Errors
+    ///
+    /// [`UnknownProfileError`] naming the first of `targets` that is not
+    /// loaded. It is checked before `edit` runs, and no profile or revision
+    /// changes.
+    pub fn patch_many<F>(&self, targets: &[&str], mut edit: F) -> Result<(), UnknownProfileError>
+    where
+        F: FnMut(&Profile) -> Option<Profile>,
+    {
+        self.install(|table| {
+            if let Some(missing) = targets.iter().find(|name| !table.contains_key(**name)) {
+                return Err(UnknownProfileError {
+                    name: missing.to_string(),
+                });
+            }
+            let mut loaded: Vec<&Profile> = table.values().map(|c| c.profile()).collect();
+            loaded.sort_by(|a, b| a.name.cmp(&b.name));
+            Ok(loaded.into_iter().filter_map(&mut edit).collect())
+        })?;
+        Ok(())
+    }
+
+    /// Monotonic policy revision; bumps once per publish that changes a
+    /// profile (a no-op patch or reload does not count). The table is always published
     /// before the revision moves, mirroring the publish-before-bump
     /// ordering of SACK's `ActivePolicy` swap.
     pub fn revision(&self) -> u64 {
@@ -527,24 +465,24 @@ impl PolicyDb {
 
     /// Names of loaded profiles (sorted).
     pub fn profile_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.table.read().profiles.keys().cloned().collect();
+        let mut names: Vec<String> = self
+            .table
+            .read()
+            .keys()
+            .map(|name| name.to_string())
+            .collect();
         names.sort();
         names
     }
 
     /// Number of loaded profiles.
     pub fn len(&self) -> usize {
-        self.table.read().profiles.len()
+        self.table.read().len()
     }
 
     /// True if no profiles are loaded.
     pub fn is_empty(&self) -> bool {
-        self.table.read().profiles.is_empty()
-    }
-
-    /// The shared byte-class alphabet of the current table snapshot.
-    pub fn alphabet(&self) -> Arc<Alphabet> {
-        Arc::clone(&self.table.read().alphabet)
+        self.table.read().is_empty()
     }
 
     /// Routes hook evaluation through the per-profile DFA (`true`, the
@@ -559,17 +497,11 @@ impl PolicyDb {
         self.dfa_enabled.load(Ordering::SeqCst)
     }
 
-    /// Total DFA builds since creation. Incremental recompilation is
-    /// pinned by this counter: a single-profile edit moves it by exactly
-    /// one unless the shared alphabet had to be rebuilt; dedup reuse does
-    /// not move it at all.
+    /// Total DFA builds since creation: one per distinct rule body ever
+    /// installed, since no compiled body is dropped or rebuilt. A
+    /// single-profile edit moves it by at most one.
     pub fn compile_count(&self) -> u64 {
         self.profile_compiles.load(Ordering::Relaxed)
-    }
-
-    /// Number of shared-alphabet rebuilds (each implies a world recompile).
-    pub fn alphabet_rebuild_count(&self) -> u64 {
-        self.alphabet_rebuilds.load(Ordering::Relaxed)
     }
 
     /// Drains the accumulated load diagnostics (lints fire on every
@@ -704,71 +636,63 @@ mod tests {
     }
 
     #[test]
-    fn profiles_share_one_alphabet() {
-        let db = PolicyDb::new();
-        db.load_text(
-            "profile x { /dev/car/* rw, }\n\
-             profile y { /sys/kernel/** r, }\n\
-             profile z { /tmp/[a-z]* w, }",
-        )
-        .unwrap();
-        let shared = db.alphabet();
-        for name in db.profile_names() {
-            let compiled = db.get(&name).unwrap();
-            assert!(
-                Arc::ptr_eq(compiled.rules().alphabet(), &shared),
-                "profile {name} compiled against a private alphabet"
-            );
-        }
-    }
-
-    #[test]
-    fn patch_without_class_split_recompiles_only_touched_profile() {
+    fn patch_recompiles_only_the_touched_profile() {
         let db = PolicyDb::new();
         db.load_text("profile x { /dev/car/* rw, }\nprofile y { /dev/can0 r, }")
             .unwrap();
         let untouched = db.get("y").unwrap();
         let compiles = db.compile_count();
-        let rebuilds = db.alphabet_rebuild_count();
-        // `/dev/racecar` reuses only bytes the alphabet already separates
-        // (`r a c e` all occur in the loaded rules), so no class splits.
-        db.patch("x", |p| {
-            p.path_rules
-                .push(PathRule::allow("/dev/racecar", FilePerms::READ).unwrap());
-        })
-        .unwrap();
-        assert_eq!(db.alphabet_rebuild_count(), rebuilds, "no class split");
-        assert_eq!(db.compile_count(), compiles + 1, "only `x` recompiled");
-        assert!(
-            Arc::ptr_eq(&db.get("y").unwrap(), &untouched),
-            "untouched profile was rebuilt"
-        );
-    }
-
-    #[test]
-    fn class_splitting_patch_rebuilds_alphabet_and_world() {
-        let db = PolicyDb::new();
-        db.load_text("profile x { /dev/car/* rw, }\nprofile y { /dev/can0 r, }")
-            .unwrap();
-        let compiles = db.compile_count();
-        let rebuilds = db.alphabet_rebuild_count();
-        // `%` is not a byte any loaded rule discriminates; it must split
-        // the catch-all class and trigger a world recompile.
+        // `%` is a byte no loaded rule mentions: it splits a byte class of
+        // `x` and of nothing else.
         db.patch("x", |p| {
             p.path_rules
                 .push(PathRule::allow("/dev/c%r", FilePerms::READ).unwrap());
         })
         .unwrap();
-        assert_eq!(db.alphabet_rebuild_count(), rebuilds + 1);
-        // The untouched profile recompiled once, plus the patched one.
-        assert_eq!(db.compile_count(), compiles + 2);
-        let shared = db.alphabet();
-        for name in db.profile_names() {
-            assert!(Arc::ptr_eq(
-                db.get(&name).unwrap().rules().alphabet(),
-                &shared
-            ));
+        assert_eq!(db.compile_count(), compiles + 1, "only `x` recompiled");
+        assert!(
+            Arc::ptr_eq(&db.get("y").unwrap(), &untouched),
+            "untouched profile was rebuilt"
+        );
+        assert!(db
+            .get("x")
+            .unwrap()
+            .rules()
+            .evaluate_dfa("/dev/c%r")
+            .permits(FilePerms::READ));
+    }
+
+    /// A replacement that changes only a number in a literal compiles that
+    /// one body, however often it repeats, and never touches a bystander.
+    #[test]
+    fn replacements_beside_a_bystander_compile_once_each() {
+        let db = PolicyDb::new();
+        db.load_text("profile bystander { /var/log/0123456789/* r, }")
+            .unwrap();
+        let bystander = db.get("bystander").unwrap();
+        let compiles = db.compile_count();
+        for i in 0..50 {
+            db.load_text(&format!("profile p {{ /data/file{i} rw, }}"))
+                .unwrap();
         }
+        assert_eq!(db.compile_count(), compiles + 50);
+        assert!(Arc::ptr_eq(&db.get("bystander").unwrap(), &bystander));
+    }
+
+    /// Every body stays compiled: going back to an earlier body reuses
+    /// its DFA.
+    #[test]
+    fn lone_profile_replacements_compile_once_each() {
+        let db = PolicyDb::new();
+        let replace = |i: usize| {
+            db.load_text(&format!("profile p {{ /data/file{i} rw, }}"))
+                .unwrap();
+        };
+        (0..500).for_each(replace);
+        assert_eq!(db.compile_count(), 500);
+        (0..50).for_each(replace);
+        assert_eq!(db.compile_count(), 500);
+        assert_eq!(db.len(), 1);
     }
 
     #[test]
@@ -786,25 +710,10 @@ mod tests {
         assert!(Arc::ptr_eq(&handle, &before), "handle must be reused");
         assert_eq!(db.revision(), r0, "no-op patch must not bump revision");
         assert_eq!(db.compile_count(), compiles);
-    }
-
-    #[test]
-    fn remove_keeps_finer_alphabet_without_rebuild() {
-        let db = PolicyDb::new();
-        db.load_text("profile x { /dev/car/* rw, }\nprofile y { /sys/** r, }")
-            .unwrap();
-        let rebuilds = db.alphabet_rebuild_count();
-        let alphabet = db.alphabet();
-        assert!(db.remove("x"));
-        assert_eq!(db.alphabet_rebuild_count(), rebuilds);
-        assert!(Arc::ptr_eq(&db.alphabet(), &alphabet));
-        // The remaining profile still decides correctly on the finer table.
-        assert!(db
-            .get("y")
-            .unwrap()
-            .rules()
-            .evaluate_dfa("/sys/kernel")
-            .permits(FilePerms::READ));
+        // Reloading an identical profile is the same no-op.
+        let handle = db.load(before.profile().clone());
+        assert!(Arc::ptr_eq(&handle, &before));
+        assert_eq!(db.revision(), r0);
     }
 
     #[test]
@@ -884,20 +793,5 @@ mod tests {
             let compiled = db.get(&name).unwrap();
             assert!(compiled.rules().dfa_stats().states > 0, "{name}");
         }
-    }
-
-    #[test]
-    fn bulk_load_checks_alphabet_once() {
-        let db = PolicyDb::new();
-        db.load_text(
-            "profile a { /x/[0-9]* r, }\n\
-             profile b { /y/{u,v}w w, }\n\
-             profile c { /z/?q rw, }",
-        )
-        .unwrap();
-        // The initial bundle needs at most one rebuild regardless of how
-        // many profiles introduce new byte classes.
-        assert!(db.alphabet_rebuild_count() <= 1);
-        assert_eq!(db.compile_count(), 3);
     }
 }

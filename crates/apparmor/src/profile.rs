@@ -299,12 +299,6 @@ impl Profile {
             .is_some_and(|g| g.matches(exe_path))
     }
 
-    /// The globs of every path rule, in declaration order — the byte
-    /// vocabulary a shared DFA alphabet must cover for this profile.
-    pub fn globs(&self) -> impl Iterator<Item = &Glob> {
-        self.path_rules.iter().map(|r| &r.glob)
-    }
-
     /// Removes every rule tagged with `origin`; returns how many were
     /// removed. This is the primitive SACK-enhanced AppArmor uses to retract
     /// situation-specific rules.

@@ -5,9 +5,8 @@
 //!   compiled DFA versus the naive scan-every-rule baseline, at the
 //!   1k-rule profile size the paper's Table 3 sweeps.
 //! * `recompile_100profiles` — the cost of a single-rule profile edit on
-//!   a 100-profile table: incremental recompilation (only the touched
-//!   profile's DFA rebuilds; the shared alphabet is reused) versus the
-//!   full-reload baseline that recompiles the world.
+//!   a 100-profile table (only the touched profile is installed again)
+//!   versus the full-reload baseline that compiles every profile.
 //!
 //! `scripts/bench_gate.sh` extracts both groups and enforces the
 //! DFA-vs-scan and incremental-vs-full speedup floors.
@@ -20,8 +19,7 @@ use sack_apparmor::profile::{FilePerms, PathRule, Profile};
 use sack_apparmor::PolicyDb;
 
 /// A profile with `n` rules spread over `n / 8 + 1` top-level
-/// directories, drawing on a fixed byte vocabulary so that every
-/// generated profile compiles against the same byte-class alphabet.
+/// directories.
 fn synthetic_profile(name: &str, n: usize) -> Profile {
     let mut profile = Profile::new(name);
     let dirs = n / 8 + 1;
@@ -62,8 +60,11 @@ fn bench_hook_match(c: &mut Criterion) {
 /// A single-rule edit on a 100-profile table. The incremental arm
 /// patches one profile twice per iteration (push a rule, then pop it in
 /// a separate patch — two genuine edits, so the table round-trips to its
-/// starting contents); the full-reload arm rebuilds the entire table
-/// from scratch, which is what every edit cost before incremental
+/// starting contents). The database keeps every body it has compiled, so
+/// after the first iteration both bodies are resident and the arm times
+/// the install path around a DFA reuse: body key, lookup, one publish.
+/// The full-reload arm rebuilds the entire table from scratch in a fresh
+/// database, which is what every edit cost before incremental
 /// recompilation.
 fn bench_recompile(c: &mut Criterion) {
     let profiles: Vec<Profile> = (0..100)
@@ -75,8 +76,6 @@ fn bench_recompile(c: &mut Criterion) {
     for profile in &profiles {
         db.load(profile.clone());
     }
-    // The pushed rule reuses bytes already in the shared alphabet, so
-    // neither edit splits a byte class — the steady-state editing case.
     let extra = PathRule::allow("/dir0/sub999/**", FilePerms::READ).expect("pattern compiles");
     group.bench_with_input(BenchmarkId::from_parameter("incremental"), &db, |b, db| {
         b.iter(|| {

@@ -10,10 +10,8 @@
 //! single-core runners are exempt).
 //!
 //! Every generated profile has a *distinct* body — the profile index is
-//! baked into each glob — so content dedup cannot collapse the workload,
-//! and every pattern draws on one fixed byte vocabulary (letters in
-//! `p/dir/sub`, digits, `/`, `*`) so no load ever splits the shared
-//! byte-class alphabet mid-sweep.
+//! baked into each glob — so content dedup cannot collapse the workload.
+//! Each arm loads into a fresh database, so every body compiles.
 
 use std::time::Duration;
 

@@ -5,10 +5,11 @@
 //! In this mode SACK performs no per-access checks of its own; instead, on
 //! every transition it rewrites the affected AppArmor profiles — removing
 //! the rules it injected for the previous state and installing the rules
-//! mapped from the new state's permissions — then refreshes task
-//! confinement so the change takes effect immediately. The per-access cost
-//! is therefore exactly AppArmor's, which is how the paper's Table II
-//! "SACK-enhanced AppArmor" column stays within noise of the baseline.
+//! mapped from the new state's permissions — in one table publish, then
+//! refreshes task confinement so the change takes effect immediately. The
+//! per-access cost is therefore exactly AppArmor's, which is how the
+//! paper's Table II "SACK-enhanced AppArmor" column stays within noise of
+//! the baseline.
 
 use std::fmt;
 use std::sync::Arc;
@@ -62,8 +63,10 @@ impl AppArmorEnhancer {
         &self.apparmor
     }
 
-    /// Applies the rules of `state`: per target profile, retracts previously
-    /// injected rules and installs the new set, then refreshes confinement.
+    /// Applies the rules of `state` in one AppArmor publish: every loaded
+    /// profile drops the rules injected for the previous state, each target
+    /// profile gains the new state's rules, and confinement is refreshed
+    /// once.
     ///
     /// Only rules with a `subject=profile:<name>` selector can be attached
     /// to a specific profile; the policy checker's enhanced-mode validation
@@ -72,10 +75,12 @@ impl AppArmorEnhancer {
     ///
     /// # Errors
     ///
-    /// [`EnhanceError`] if a referenced profile is not loaded.
+    /// [`EnhanceError`] if a referenced profile is not loaded. Every target
+    /// is checked before anything publishes, so a failed transition leaves
+    /// every profile as it was.
     pub fn apply_state(&self, policy: &CompiledPolicy, state: StateId) -> Result<(), EnhanceError> {
         // Collect the new rules per profile.
-        let mut per_profile: Vec<(String, Vec<PathRule>)> = Vec::new();
+        let mut per_profile: Vec<(&str, Vec<PathRule>)> = Vec::new();
         for perm in policy.permissions_of(state) {
             for rule in policy.rules_of(*perm) {
                 let SubjectMatch::Profile(profile) = &rule.subject else {
@@ -89,31 +94,37 @@ impl AppArmorEnhancer {
                 };
                 match per_profile.iter_mut().find(|(name, _)| name == profile) {
                     Some((_, rules)) => rules.push(path_rule),
-                    None => per_profile.push((profile.clone(), vec![path_rule])),
+                    None => per_profile.push((profile, vec![path_rule])),
                 }
             }
         }
-
-        let db = self.apparmor.policy();
-        // Retract old SACK rules from every loaded profile (the previous
-        // state may have touched profiles the new one does not).
-        for name in db.profile_names() {
-            db.patch(&name, |p| {
-                p.remove_rules_with_origin(SACK_RULE_ORIGIN);
+        let targets: Vec<&str> = per_profile.iter().map(|(name, _)| *name).collect();
+        // The previous state may have touched profiles the new one does
+        // not, so every loaded profile is offered for the retraction.
+        self.apparmor
+            .policy()
+            .patch_many(&targets, |profile| {
+                let added = per_profile.iter().find(|(name, _)| *name == profile.name);
+                let injected = profile
+                    .path_rules
+                    .iter()
+                    .any(|r| r.origin.as_deref() == Some(SACK_RULE_ORIGIN));
+                (added.is_some() || injected).then(|| {
+                    let mut next = profile.clone();
+                    next.remove_rules_with_origin(SACK_RULE_ORIGIN);
+                    let added = added
+                        .into_iter()
+                        .flat_map(|(_, rules)| rules.iter().cloned());
+                    next.path_rules.extend(added);
+                    next
+                })
             })
-            .map_err(|e| EnhanceError::new(e.to_string()))?;
-        }
-        // Install the new state's rules.
-        for (profile, rules) in per_profile {
-            db.patch(&profile, move |p| {
-                p.path_rules.extend(rules);
-            })
-            .map_err(|_| {
+            .map_err(|e| {
                 EnhanceError::new(format!(
-                    "SACK policy targets AppArmor profile `{profile}` which is not loaded"
+                    "SACK policy targets AppArmor profile `{}` which is not loaded",
+                    e.name
                 ))
             })?;
-        }
         self.apparmor.refresh_confinement();
         Ok(())
     }
@@ -240,6 +251,57 @@ mod tests {
         let emergency = policy.space().state_id("emergency").unwrap();
         let err = enhancer.apply_state(&policy, emergency).unwrap_err();
         assert!(err.to_string().contains("rescue_daemon"));
+    }
+
+    #[test]
+    fn failed_transition_publishes_nothing() {
+        let policy = SackPolicy::parse(
+            r#"states { s0 = 0; s1 = 1; }
+               events { go; }
+               transitions { s0 -go-> s1; }
+               initial s0;
+               permissions { P0; P1; }
+               state_per { s0: P0; s1: P1; }
+               per_rules {
+                   P0: allow subject=profile:second /s0/** r;
+                   P1: allow subject=profile:first /s1/** r;
+                       allow subject=profile:second /s1/** r;
+               }"#,
+        )
+        .unwrap()
+        .compile()
+        .unwrap();
+        let db = Arc::new(PolicyDb::new());
+        db.load_text("profile first { /a r, }\nprofile second { /b r, }\nprofile third { /c r, }")
+            .unwrap();
+        let enhancer = AppArmorEnhancer::new(AppArmor::new(Arc::clone(&db)));
+        let s0 = policy.space().state_id("s0").unwrap();
+        let s1 = policy.space().state_id("s1").unwrap();
+        enhancer.apply_state(&policy, s0).unwrap();
+        // `second` now holds an injected rule that the transition into
+        // `s1` would retract, and `s1` targets `first` ahead of it.
+        assert!(db.remove("first"));
+        let revision = db.revision();
+        let before: Vec<_> = db
+            .profile_names()
+            .into_iter()
+            .map(|name| db.get(&name).unwrap())
+            .collect();
+
+        let err = enhancer.apply_state(&policy, s1).unwrap_err();
+        assert!(err.to_string().contains("`first`"), "{err}");
+        assert_eq!(db.revision(), revision);
+        assert_eq!(db.profile_names(), ["second", "third"]);
+        for old in &before {
+            let now = db.get(&old.profile().name).unwrap();
+            assert!(Arc::ptr_eq(&now, old), "{} changed", old.profile().name);
+        }
+        assert!(db
+            .get("second")
+            .unwrap()
+            .rules()
+            .evaluate_dfa("/s0/x")
+            .permits(FilePerms::READ));
     }
 
     #[test]

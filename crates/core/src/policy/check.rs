@@ -17,7 +17,6 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
 
 use sack_apparmor::glob::Glob;
 use sack_apparmor::profile::FilePerms;
@@ -601,7 +600,7 @@ fn lint_rules(policy: &SackPolicy, issues: &mut Vec<PolicyIssue>) -> RuleIndex {
     for (gi, rule) in rules.iter().enumerate() {
         builder.add_glob(&rule.object, gi as u32);
     }
-    let dfa = builder.determinize(&Arc::new(builder.alphabet()));
+    let dfa = builder.determinize();
     // The unminimized index repeats tag sets; each distinct one is enough.
     let sets: HashSet<&[u32]> = dfa
         .annotations()

@@ -77,7 +77,7 @@ impl StateDfa {
         for glob in all_globs {
             builder.add_glob(glob, marker);
         }
-        let index = builder.determinize(&Arc::new(builder.alphabet()));
+        let index = builder.determinize();
         Self::from_index(&index, rules.into_iter().zip(0..))
     }
 
@@ -443,7 +443,7 @@ mod tests {
                 for glob in &all_globs {
                     builder.add_glob(glob, MARKER);
                 }
-                let direct = builder.build_with_alphabet(table.alphabet(), |tags| {
+                let direct = builder.build(|tags| {
                     let mut annot = StateAnnot {
                         protected: !tags.is_empty(),
                         decision: RuleDecision::default(),

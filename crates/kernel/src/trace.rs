@@ -280,8 +280,6 @@ pub enum TraceEvent {
     ProfileRecompile {
         /// Profile name.
         profile: String,
-        /// True when the shared alphabet split and the whole world recompiled.
-        full_rebuild: bool,
     },
     /// A record was appended to the audit ring.
     AuditEmit {
@@ -358,13 +356,9 @@ impl fmt::Display for TraceEvent {
             }
             TraceEvent::PolicyPublish { epoch } => write!(f, "policy_publish epoch={epoch}"),
             TraceEvent::RcuEpochBump { epoch } => write!(f, "rcu_epoch_bump epoch={epoch}"),
-            TraceEvent::ProfileRecompile {
-                profile,
-                full_rebuild,
-            } => write!(
-                f,
-                "profile_recompile profile={profile} full_rebuild={full_rebuild}"
-            ),
+            TraceEvent::ProfileRecompile { profile } => {
+                write!(f, "profile_recompile profile={profile}")
+            }
             TraceEvent::AuditEmit { seq } => write!(f, "audit_emit seq={seq}"),
             TraceEvent::SdsEnqueue { depth } => write!(f, "sds_enqueue depth={depth}"),
             TraceEvent::SdsDrain { batch, transitions } => {

@@ -258,7 +258,7 @@ cat > "$OUT_JSON" <<EOF
     "dfa_speedup": $AA_DFA_SPEEDUP,
     "table_profiles": 100,
     "incremental_recompile_median_ns": $RECOMPILE_INCR,
-    "full_rebuild_median_ns": $RECOMPILE_FULL,
+    "full_reload_median_ns": $RECOMPILE_FULL,
     "incremental_speedup": $INCR_SPEEDUP
   },
   "profile_compile": {

@@ -11,43 +11,48 @@
 #                                   tests, integration, property,
 #                                   schedule-executor exploration and
 #                                   observer-effect differential suites
-#   5. sack-analyze sync-lint     — no direct std::sync/std::thread use
+#   5. sackbench tests            — the benchmark is a workspace of its
+#                                   own (src/bin/sackbench) that builds
+#                                   against the crates above and calls
+#                                   their APIs; step 4 never builds it,
+#                                   so its tests run through its manifest
+#   6. sack-analyze sync-lint     — no direct std::sync/std::thread use
 #                                   or raw spin_loop hint in the protocol
 #                                   sources outside the sync::shim seam
 #                                   (keeps the executor's coverage from
 #                                   rotting)
-#   6. sack-analyze sched --smoke — bounded deterministic-schedule
+#   7. sack-analyze sched --smoke — bounded deterministic-schedule
 #                                   exploration of the real Rcu and ring
 #                                   code (try_enqueue, drop-oldest
 #                                   force_enqueue, batch enqueue and
 #                                   drain): core scenarios pass and
 #                                   every planted mutation is caught with
 #                                   a printed counterexample
-#   7. sack-analyze trace --self-check
+#   8. sack-analyze trace --self-check
 #                                 — boots a traced kernel and proves
 #                                   every tracepoint fires, the flight
 #                                   recorder replays a denied hook_exit
 #                                   and its audit_emit behind their
 #                                   transition, and the metrics node is
 #                                   valid Prometheus
-#   8. contended sweep smoke      — the SMP sweep runner at 2 threads,
+#   9. contended sweep smoke      — the SMP sweep runner at 2 threads,
 #                                   proving the contended path executes
-#   9. sds sweep smoke            — the event-plane sweep runner on a
+#  10. sds sweep smoke            — the event-plane sweep runner on a
 #                                   reduced grid, proving both ingestion
 #                                   paths and the warm probe execute
-#  10. profile-compile smoke      — a 2-worker parallel bulk load whose
+#  11. profile-compile smoke      — a 2-worker parallel bulk load whose
 #                                   every DFA decides like the rule scan,
 #                                   proving the pool executes even where
 #                                   the benchmark gate's parallel floor
 #                                   is exempt
-#  11. scripts/bench_gate.sh      — the hook-latency performance gate,
+#  12. scripts/bench_gate.sh      — the hook-latency performance gate,
 #                                   including the ≤MAX_TRACE_OVERHEAD
 #                                   disabled-tracepoint observer gate, the
 #                                   ≥MIN_SMP_EFFICIENCY scaling gate, the
 #                                   ≥MIN_SDS_SPEEDUP batched-ingestion
 #                                   gate and the parallel-compile reload
 #                                   gate
-#  12. validate_bench_json.py     — BENCH_hook_latency.json schema check
+#  13. validate_bench_json.py     — BENCH_hook_latency.json schema check
 #                                   (all gate keys present, ratios finite)
 #
 # Usage: scripts/check.sh [--no-bench] [--sanitize]
@@ -96,6 +101,9 @@ cargo build --release --workspace
 
 step "cargo test -q"
 cargo test -q
+
+step "sackbench tests (own manifest)"
+cargo test --offline -q --manifest-path src/bin/sackbench/Cargo.toml
 
 step "sack-analyze sync-lint"
 ./target/release/sack-analyze sync-lint

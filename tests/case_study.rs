@@ -178,3 +178,35 @@ fn kernel_history_records_the_crash_time() {
     assert_eq!(crash.at, Duration::from_secs(42));
     sds.shutdown();
 }
+
+/// An enhanced transition rewrites AppArmor in one publish: each step of a
+/// walk through every vehicle state moves `PolicyDb::revision` by exactly
+/// one (every step changes some app's rules), and once every state has been
+/// visited, transitions compile nothing.
+#[test]
+fn enhanced_transitions_publish_once_each() {
+    let db = Arc::new(PolicyDb::new());
+    db.load_text(VEHICLE_APPARMOR_PROFILES).unwrap();
+    let apparmor = AppArmor::new(Arc::clone(&db));
+    let sack = Sack::enhanced_apparmor(VEHICLE_ENHANCED_POLICY, apparmor).unwrap();
+    let walk = [
+        "crash",
+        "emergency_resolved",
+        "driver_left",
+        "driver_entered",
+        "start_driving",
+        "park",
+    ];
+    let mut first_lap = 0;
+    for lap in 0..2 {
+        for event in walk {
+            let revision = db.revision();
+            sack.deliver_event(event, Duration::ZERO).unwrap();
+            assert_eq!(db.revision(), revision + 1, "lap {lap}, `{event}`");
+        }
+        if lap == 0 {
+            first_lap = db.compile_count();
+        }
+    }
+    assert_eq!(db.compile_count(), first_lap, "the second lap compiled");
+}

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use sack_apparmor::{AppArmor, PolicyDb};
+use sack_apparmor::{AppArmor, PolicyDb, Profile};
 use sack_core::{Sack, TransitionOutcome};
 use sack_kernel::cred::Credentials;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectRef, SecurityModule};
@@ -31,6 +31,7 @@ use sack_lmbench::workload::{
     synthetic_enhanced_policy, synthetic_racing_policy, BENCH_EXE, BENCH_PROFILE,
     RACING_SHARED_PREFIX,
 };
+use sack_vehicle::{VEHICLE_APPARMOR_PROFILES, VEHICLE_ENHANCED_POLICY};
 
 const STATES: usize = 4;
 const WORKERS: usize = 4;
@@ -438,4 +439,138 @@ fn profile_replacement_races_enhanced_traffic_without_torn_verdicts() {
     }
     assert!(open(&*apparmor, &ctx, "/tmp/bench/post", AccessMask::READ));
     assert!(!open(&*apparmor, &ctx, "/var/secret", AccessMask::READ));
+}
+
+/// The vehicle apps, each the name of its profile and `/usr/bin/` binary.
+const VEHICLE_APPS: [&str; 3] = ["media_app", "navi_app", "rescue_daemon"];
+
+/// A walk from `parking_with_driver` through every vehicle state and back.
+const VEHICLE_WALK: [&str; 6] = [
+    "crash",
+    "emergency_resolved",
+    "driver_left",
+    "driver_entered",
+    "start_driving",
+    "park",
+];
+
+/// The vehicle SSM with a situation rule for every app in every state.
+/// Under the shipped mapping an app's base profile is itself the whole
+/// body of the states that grant it nothing, so a half-applied transition
+/// (old rules retracted, new ones not yet installed) could not be told
+/// apart from a finished one.
+fn every_state_vehicle_policy() -> String {
+    let ssm = &VEHICLE_ENHANCED_POLICY[..VEHICLE_ENHANCED_POLICY.find("permissions").unwrap()];
+    let states = [
+        "driving",
+        "parking_with_driver",
+        "parking_without_driver",
+        "emergency",
+    ];
+    let each = |f: &dyn Fn(&str) -> String| states.map(f).concat();
+    format!(
+        "{ssm}permissions {{{}}}\nstate_per {{{}}}\nper_rules {{{}\n}}\n",
+        each(&|s| format!(" IN_{s};")),
+        each(&|s| format!(" {s}: IN_{s};")),
+        each(&|s| {
+            let rules = VEHICLE_APPS.map(|a| format!(" allow subject=profile:{a} /run/{s}/{a} r;"));
+            format!("\n    IN_{s}:{}", rules.concat())
+        }),
+    )
+}
+
+/// Exec, fork and `set_profile` race enhanced transitions on the vehicle
+/// bundle. Each looks its snapshot up inside the confinement update, so a
+/// snapshot read right after the write is the whole body of a state the
+/// walk was in while the write ran: never a transition's retracted
+/// in-between, and never the state before a transition whose confinement
+/// refresh had already finished (the lost update). Once the threads join,
+/// every task holds the table's current snapshot.
+#[test]
+fn confinement_writes_race_enhanced_transitions_without_lost_updates() {
+    let policy = every_state_vehicle_policy();
+    let build = || {
+        let db = Arc::new(PolicyDb::new());
+        db.load_text(VEHICLE_APPARMOR_PROFILES).unwrap();
+        let apparmor = AppArmor::new(Arc::clone(&db));
+        let sack = Sack::enhanced_apparmor(&policy, Arc::clone(&apparmor)).unwrap();
+        (db, apparmor, sack)
+    };
+    // `bodies[k % 6][app]`: the app's profile after `k` steps of the walk,
+    // from a serial twin.
+    let (twin_db, _, twin) = build();
+    let mut bodies: Vec<Vec<Profile>> = Vec::new();
+    for event in VEHICLE_WALK {
+        bodies.push(
+            VEHICLE_APPS
+                .iter()
+                .map(|app| twin_db.get(app).unwrap().profile().clone())
+                .collect(),
+        );
+        twin.deliver_event(event, Duration::ZERO).unwrap();
+    }
+
+    let (db, apparmor, sack) = build();
+    // Transitions begun and finished (confinement refreshed included).
+    let begun = AtomicU64::new(0);
+    let finished = AtomicU64::new(0);
+    const HAMMER: usize = 300;
+    const PIDS: u32 = 8;
+    let pid_of = |w: usize, slot: u32| Pid(9000 + 100 * w as u32 + slot);
+    // Workers report instead of panicking: a panicking worker would leave
+    // the control loop running and hang the storm.
+    let outcome = smp::run_with_control(
+        WORKERS,
+        |w| {
+            let mut torn = Vec::new();
+            for i in 0..HAMMER {
+                let app = (w + i) % VEHICLE_APPS.len();
+                let exe = format!("/usr/bin/{}", VEHICLE_APPS[app]);
+                let parent = pid_of(w, 0);
+                let child = pid_of(w, 1 + i as u32 % (PIDS - 2));
+                let admin = pid_of(w, PIDS - 1);
+                let ctx = probe_ctx(parent.0, &exe);
+                apparmor.bprm_committed(&ctx, &KPath::new(&exe).unwrap());
+                apparmor.task_alloc(&ctx, child).unwrap();
+                apparmor.set_profile(admin, VEHICLE_APPS[app]).unwrap();
+                for pid in [parent, child, admin] {
+                    let done = finished.load(Ordering::SeqCst);
+                    let snapshot = apparmor.confining(pid);
+                    let started = begun.load(Ordering::SeqCst);
+                    let fresh = snapshot.as_ref().is_some_and(|s| {
+                        (done..=started)
+                            .any(|k| bodies[k as usize % bodies.len()][app] == *s.profile())
+                    });
+                    if !fresh {
+                        torn.push(format!("{pid:?} after {done}..={started}: {snapshot:?}"));
+                    }
+                }
+            }
+            torn
+        },
+        |round| {
+            let event = VEHICLE_WALK[round as usize % VEHICLE_WALK.len()];
+            begun.fetch_add(1, Ordering::SeqCst);
+            sack.deliver_event(event, Duration::ZERO).unwrap();
+            finished.fetch_add(1, Ordering::SeqCst);
+        },
+    );
+    assert!(outcome.control_rounds >= 1);
+    for torn in &outcome.results {
+        assert!(torn.is_empty(), "stale or torn snapshots: {torn:?}");
+    }
+
+    for w in 0..WORKERS {
+        for slot in 0..PIDS {
+            let Some(snapshot) = apparmor.confining(pid_of(w, slot)) else {
+                continue;
+            };
+            let name = &snapshot.profile().name;
+            assert!(
+                Arc::ptr_eq(&snapshot, &db.get(name).unwrap()),
+                "pid {:?} kept a stale `{name}` snapshot",
+                pid_of(w, slot)
+            );
+        }
+    }
 }
