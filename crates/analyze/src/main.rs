@@ -193,11 +193,6 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
         scenarios::rcu_read_write(1, 2),
         scenarios::rcu_read_write(2, 1),
         scenarios::profile_publish(),
-        scenarios::ring_produce_drain(),
-        scenarios::ring_force_enqueue_drain(),
-        scenarios::ring_force_enqueue_producers(),
-        scenarios::ring_batch_drain(),
-        scenarios::ring_batch_vs_dequeuers(),
     ];
     println!("== exhaustive exploration (seed {:#x}) ==", cfg.seed);
     for scenario in &core {
@@ -228,7 +223,7 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
     }
 
     println!("== planted mutations (each must be caught) ==");
-    let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 4] = [
+    let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 2] = [
         (
             "rcu skip hazard re-validation",
             scenarios::rcu_read_write(1, 2),
@@ -238,16 +233,6 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
             "rcu free before hazard scan",
             scenarios::rcu_read_write(2, 1),
             Some(Mutation::RcuFreeBeforeScan),
-        ),
-        (
-            "ring publish after lost claim",
-            scenarios::ring_produce_drain(),
-            Some(Mutation::RingTornPublish),
-        ),
-        (
-            "ring lost claim, drop-oldest",
-            scenarios::ring_force_enqueue_producers(),
-            Some(Mutation::RingTornPublish),
         ),
     ];
     for (label, scenario, mutation) in mutations {

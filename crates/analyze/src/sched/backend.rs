@@ -1,9 +1,9 @@
 //! [`SchedBackend`]: the executor-controlled instance of the
 //! `sack_kernel::sync::shim::Backend` seam.
 //!
-//! Every atomic load/store/CAS, every mutex lock/unlock, every spin wait
-//! and every pointer-lifecycle event performed by the **real**
-//! `Rcu`/ring code becomes a *yield point*: the calling thread
+//! Every atomic load/store/CAS, every mutex lock/unlock and every
+//! pointer-lifecycle event performed by the **real** `Rcu` code becomes a
+//! *yield point*: the calling thread
 //! announces the pending operation to the run's [`Controller`] and parks
 //! until the deterministic scheduler grants it the turn. Between grants
 //! exactly one thread runs, so the executor serialises the scenario into
@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sack_kernel::sync::shim::{RawAtomicPtr, RawAtomicU64, RawAtomicUsize, RawMutex};
+use sack_kernel::sync::shim::{RawAtomicPtr, RawAtomicUsize, RawMutex};
 use sack_kernel::sync::{Backend, Mutation};
 
 use super::executor::{Controller, OpKind};
@@ -102,7 +102,6 @@ pub struct SchedBackend;
 
 impl Backend for SchedBackend {
     type AtomicUsize = SchedAtomicUsize;
-    type AtomicU64 = SchedAtomicU64;
     type AtomicPtr<T> = SchedAtomicPtr<T>;
     type Mutex<T: Send> = SchedMutex<T>;
 
@@ -115,13 +114,6 @@ impl Backend for SchedBackend {
 
     fn mutation(m: Mutation) -> bool {
         with_ctx(|ctx| ctx.is_some_and(|c| c.controller.mutation() == Some(m)))
-    }
-
-    /// A schedule point the controller grants only after another write
-    /// (see `OpKind::Yield`). The object id is unused: a `Yield` is
-    /// dependent on every operation.
-    fn spin_wait() {
-        point(OpKind::Yield, 0, "spin_wait");
     }
 
     fn trace_alloc(addr: usize) {
@@ -192,34 +184,6 @@ impl RawAtomicUsize for SchedAtomicUsize {
         // the outcome, so classify conservatively as a write.
         point(OpKind::Write, self.obj, "AtomicUsize.compare_exchange");
         self.inner.compare_exchange(current, new, success, failure)
-    }
-}
-
-/// Executor-instrumented `AtomicU64`.
-#[derive(Debug)]
-pub struct SchedAtomicU64 {
-    obj: u64,
-    inner: AtomicU64,
-}
-
-impl RawAtomicU64 for SchedAtomicU64 {
-    fn new(v: u64) -> Self {
-        SchedAtomicU64 {
-            obj: fresh_obj(),
-            inner: AtomicU64::new(v),
-        }
-    }
-    fn load(&self, order: Ordering) -> u64 {
-        point(OpKind::Read, self.obj, "AtomicU64.load");
-        self.inner.load(order)
-    }
-    fn store(&self, v: u64, order: Ordering) {
-        point(OpKind::Write, self.obj, "AtomicU64.store");
-        self.inner.store(v, order);
-    }
-    fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
-        point(OpKind::Write, self.obj, "AtomicU64.fetch_add");
-        self.inner.fetch_add(v, order)
     }
 }
 

@@ -42,27 +42,11 @@
 //! * any panic in a scenario thread (assertion failures, the
 //!   graveyard-bound `debug_assert` in `Rcu`),
 //! * a failed end-of-schedule invariant check,
-//! * a deadlock of the scheduled threads, a livelock (every remaining
-//!   thread waits in `spin_wait` for a write no thread can make), or a
-//!   schedule that runs past the depth bound,
+//! * a deadlock of the scheduled threads, or a schedule that runs past
+//!   the depth bound (a loop waiting for another thread's write has no
+//!   schedulable form, so it shows up here),
 //! * a replay divergence: the scenario is nondeterministic, so the
 //!   exploration cannot stand for its schedule space.
-//!
-//! # Spin waits
-//!
-//! A protocol loop that cannot advance until another thread writes calls
-//! `Backend::spin_wait`, which announces an [`OpKind::Yield`]. The
-//! executor has no fairness, so without it such a loop would run to the
-//! depth bound whenever the thread it waits for is not scheduled. A
-//! `Yield` is enabled once the run's write counter (granted atomic
-//! writes and read-modify-writes, unlocks and frees) has passed the mark
-//! taken when the same thread's previous `Yield` was granted (0 before
-//! its first). Taking the mark at the grant rather than at the
-//! announcement matters: a write landing inside a failed attempt (say
-//! between the ring's failed enqueue and its failed dequeue) has already
-//! made the retry worth running, though no write may follow. For sleep
-//! sets a `Yield` is dependent on every operation, which is conservative
-//! and sound.
 //!
 //! All carry the full counterexample schedule and the seed that orders
 //! exploration, so any CI failure is reproducible from its log output.
@@ -99,9 +83,6 @@ pub enum OpKind {
     /// A writer is about to free a retired heap snapshot
     /// (`Backend::trace_free`).
     Free,
-    /// A retry loop waits for another thread's write
-    /// (`Backend::spin_wait`); see the module docs for when it is enabled.
-    Yield,
 }
 
 /// A pending operation announced at a yield point.
@@ -123,12 +104,8 @@ impl OpDesc {
 
     /// Two operations commute iff they act on different objects or are
     /// both reads. Lock/unlock pairs share the mutex object id, so they
-    /// are always dependent with each other — conservative and sound. A
-    /// `Yield` is enabled by any write, so it commutes with nothing.
+    /// are always dependent with each other — conservative and sound.
     fn independent(&self, other: &OpDesc) -> bool {
-        if self.kind == OpKind::Yield || other.kind == OpKind::Yield {
-            return false;
-        }
         self.obj != other.obj || (self.is_read() && other.is_read())
     }
 }
@@ -266,10 +243,6 @@ impl fmt::Display for SchedViolation {
                 .unwrap_or("thread");
             let t = step.thread;
             let label = step.op.label;
-            if step.op.kind == OpKind::Yield {
-                writeln!(f, "  {i:3}: [{name}:{t}] {label}")?;
-                continue;
-            }
             let obj = if step.op.obj & HEAP_OBJ != 0 {
                 format!("snapshot#{}", step.op.obj & !HEAP_OBJ)
             } else {
@@ -323,11 +296,6 @@ struct CtrlState {
     held: HashSet<u64>,
     /// Allocation sequence numbers of freed snapshots.
     freed: HashSet<u64>,
-    /// Granted writes so far (atomic writes/RMWs, unlocks, frees).
-    writes: u64,
-    /// Per thread: `writes` when its previous `Yield` was granted; its
-    /// next `Yield` is enabled once `writes` exceeds it.
-    spin_mark: Vec<u64>,
     /// Live address → allocation sequence (re-allocation overwrites).
     addr_seq: HashMap<usize, u64>,
     next_seq: u64,
@@ -353,8 +321,6 @@ impl Controller {
                 violation: None,
                 held: HashSet::new(),
                 freed: HashSet::new(),
-                writes: 0,
-                spin_mark: vec![0; threads],
                 addr_seq: HashMap::new(),
                 next_seq: 0,
                 next_obj: 0,
@@ -611,21 +577,11 @@ fn run_once(scenario: &Scenario, cfg: &SchedConfig, stack: &mut Vec<Frame>) -> R
         }
         let enabled: Vec<usize> = pending
             .iter()
-            .filter(|(t, op)| match op.kind {
-                OpKind::Lock => !st.held.contains(&op.obj),
-                OpKind::Yield => st.writes > st.spin_mark[*t],
-                _ => true,
-            })
+            .filter(|(_, op)| op.kind != OpKind::Lock || !st.held.contains(&op.obj))
             .map(|(t, _)| *t)
             .collect();
         if enabled.is_empty() {
-            let message = if pending.iter().all(|(_, op)| op.kind == OpKind::Yield) {
-                "livelock: every remaining thread spins in spin_wait and no thread \
-                 is left to write"
-                    .to_string()
-            } else {
-                "deadlock: every parked thread waits on a held mutex".to_string()
-            };
+            let message = "deadlock: every parked thread waits on a held mutex".to_string();
             st.violation = Some(message.clone());
             st.abort = true;
             ctrl.thread_cv.notify_all();
@@ -692,11 +648,7 @@ fn run_once(scenario: &Scenario, cfg: &SchedConfig, stack: &mut Vec<Frame>) -> R
             OpKind::Unlock => {
                 st.held.remove(&op.obj);
             }
-            OpKind::Yield => st.spin_mark[choice] = st.writes,
             _ => {}
-        }
-        if matches!(op.kind, OpKind::Write | OpKind::Unlock | OpKind::Free) {
-            st.writes += 1;
         }
         trace.push(Step { thread: choice, op });
         st.grant = Some(choice);
@@ -831,42 +783,6 @@ mod tests {
                 }
             }),
         }
-    }
-
-    /// Spins until either flag is set: one attempt is two loads, the
-    /// shape of the ring's failed enqueue followed by a failed dequeue.
-    fn wait_for_either(a: &Flag, b: &Flag) {
-        while a.load(SeqCst) == 0 && b.load(SeqCst) == 0 {
-            SchedBackend::spin_wait();
-        }
-    }
-
-    #[test]
-    fn a_write_before_the_spin_wait_is_not_a_livelock() {
-        // In some schedules the writer sets `a` after the waiter's first
-        // load and touches `b` before its second, so both loads fail with
-        // every write already made. Marking at the announcement would then
-        // park the waiter for a third write that never comes.
-        let scenario = flag_scenario(
-            "write-before-spin",
-            vec![wait_for_either, |a, b| {
-                a.store(1, SeqCst);
-                b.store(0, SeqCst);
-            }],
-            vec!["waiter", "writer"],
-        );
-        let stats =
-            explore(&scenario, &SchedConfig::exhaustive()).unwrap_or_else(|v| panic!("{v}"));
-        assert!(stats.complete);
-        assert!(stats.schedules > 1, "the race must be explored");
-    }
-
-    #[test]
-    fn a_lone_spinner_is_a_livelock() {
-        let scenario = flag_scenario("lone-spinner", vec![wait_for_either], vec!["waiter"]);
-        let violation = explore(&scenario, &SchedConfig::exhaustive())
-            .expect_err("nobody can release the spinner");
-        assert!(violation.message.contains("livelock"), "{violation}");
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! scheduler and rots the executor's "no schedule exists" claim. This
 //! pass scans `crates/kernel/src` for
 //! direct `std::sync` / `std::thread` (and `parking_lot` / `crossbeam` /
-//! `loom`) use, and for raw `std::hint::spin_loop` spin hints — a wait
-//! loop that does not go through `Backend::spin_wait` is one the executor
-//! cannot schedule — and flags anything that is not:
+//! `loom`) use, and for raw `std::hint::spin_loop` spin hints — the seam
+//! has no spin wait, so a loop that waits for another thread is one the
+//! executor cannot schedule — and flags anything that is not:
 //!
 //! * the shim module itself (`crates/kernel/src/sync/shim.rs`),
 //! * an allowed `std::sync` item that carries no scheduling behaviour of
@@ -335,8 +335,8 @@ mod tests {
     #[test]
     fn raw_spin_hints_are_flagged() {
         let src = "while busy() {\n    std::hint::spin_loop();\n}\n\
-                   use std::hint::spin_loop;\nspin_loop();\nB::spin_wait();\n";
-        let findings = lint_str("crates/kernel/src/ring.rs", src);
+                   use std::hint::spin_loop;\nspin_loop();\n";
+        let findings = lint_str("crates/kernel/src/sync/mod.rs", src);
         assert_eq!(
             findings.iter().map(|f| f.line).collect::<Vec<_>>(),
             [2, 4, 5],

@@ -16,8 +16,8 @@
 //!
 //! This module parses that text back into structure ([`parse_flight`]),
 //! lints it for the anomalies an operator actually chases
-//! ([`lint_flight`]: transition storms, backpressure storms,
-//! per-producer sequence gaps, ring overflow), and
+//! ([`lint_flight`]: transition storms, per-producer sequence gaps, ring
+//! overflow), and
 //! renders an annotated replay ([`render_report`]) that pairs every
 //! denial with the situation transition that preceded it.
 //!
@@ -227,11 +227,6 @@ pub fn parse_flight(text: &str) -> Result<FlightDump, String> {
 /// than the system does useful work under any of the states.
 const STORM_RUN: usize = 6;
 
-/// This many consecutive `sds_backpressure` records with a strictly
-/// climbing `dropped_total` counter are flagged as a storm: the event
-/// plane is continuously shedding frames, not absorbing a one-off burst.
-const BACKPRESSURE_STORM_RUN: usize = 3;
-
 /// Lints a parsed flight dump for the anomalies worth paging over.
 ///
 /// * `ring-overflow` (warning) — `dropped > 0`: history was lost before
@@ -244,11 +239,6 @@ const BACKPRESSURE_STORM_RUN: usize = 3;
 /// * `transition-storm` (error) — a long unbroken run of
 ///   `ssm_transition` records, including the flip-flop signature of a
 ///   flapping sensor (`a→b`, `b→a`, repeated).
-/// * `backpressure-storm` (error) — [`BACKPRESSURE_STORM_RUN`] or more
-///   consecutive `sds_backpressure` records whose `dropped_total`
-///   strictly grows: the submission ring is shedding sensor frames
-///   faster than the drain recovers. `Block`-policy records carry a
-///   constant counter and never storm.
 pub fn lint_flight(dump: &FlightDump) -> Vec<Anomaly> {
     let mut anomalies = Vec::new();
 
@@ -348,44 +338,6 @@ pub fn lint_flight(dump: &FlightDump) -> Vec<Anomaly> {
         // neither extend nor break a storm run.
     }
     flag_run(&run, &mut anomalies);
-
-    // Backpressure storms: successive sds_backpressure records whose drop
-    // counter keeps climbing mean the drop-oldest plane is shedding frames
-    // sustainedly. A lone record (one burst) or a constant counter (Block
-    // policy: waits, never drops) is healthy.
-    let drops: Vec<(&FlightRecord, u64)> = dump
-        .records
-        .iter()
-        .filter(|r| r.event == "sds_backpressure")
-        .filter_map(|r| {
-            let total = r.field("dropped_total")?.parse::<u64>().ok()?;
-            Some((r, total))
-        })
-        .collect();
-    let mut run_start = 0;
-    for i in 1..=drops.len() {
-        if i < drops.len() && drops[i].1 > drops[i - 1].1 {
-            continue;
-        }
-        let run = &drops[run_start..i];
-        if run.len() >= BACKPRESSURE_STORM_RUN {
-            let (first, first_total) = run[0];
-            let (last, last_total) = run[run.len() - 1];
-            anomalies.push(Anomaly::new(
-                IssueSeverity::Error,
-                "backpressure-storm",
-                format!(
-                    "{} consecutive sds_backpressure records (seq {}..={}) with \
-                     the drop counter climbing {first_total}→{last_total} — \
-                     producers are sustainedly outrunning the drain",
-                    run.len(),
-                    first.seq,
-                    last.seq
-                ),
-            ));
-        }
-        run_start = i;
-    }
 
     anomalies
 }
@@ -653,11 +605,8 @@ pub fn self_check() -> Result<String, String> {
         ));
     }
 
-    // Drive the sds event plane: a coalesced batch through the securityfs
-    // ring node fires sds_enqueue / sds_drain / sds_coalesce; a
-    // deliberately tiny drop-oldest plane overrun fires sds_backpressure
-    // exactly once — one burst, not a storm, so the healthy-trace lint
-    // below must stay clean.
+    // A two-event write to the securityfs ring node coalesces into one
+    // delivery and fires sds_coalesce.
     let fd = admin
         .open(&node("sds/ring"), OpenFlags::write_only())
         .map_err(|e| fail("open sds/ring", e.to_string()))?;
@@ -665,20 +614,6 @@ pub fn self_check() -> Result<String, String> {
         .write(fd, b"crash\nrescue_done\n")
         .map_err(|e| fail("write sds/ring", e.to_string()))?;
     admin.close(fd).ok();
-    {
-        use sack_core::{BackpressurePolicy, EventPlane};
-        let tiny = EventPlane::new(&sack, 2, BackpressurePolicy::DropOldest);
-        for sensor in 0..3u16 {
-            tiny.submit_name("crash", sensor, 0)
-                .map_err(|e| fail("tiny plane submit", e.to_string()))?;
-        }
-        if tiny.dropped() != 1 {
-            return Err(fail(
-                "backpressure injection",
-                format!("expected exactly 1 dropped frame, got {}", tiny.dropped()),
-            ));
-        }
-    }
 
     // The flight dump — read through securityfs, parsed by this module —
     // must replay the denial behind its situation transition, cleanly.
@@ -931,55 +866,6 @@ mod tests {
             };
             records.push(record(i, 0, i, event, fields));
         }
-        assert!(lint_flight(&dump_of(records)).is_empty());
-    }
-
-    #[test]
-    fn lint_flags_a_backpressure_storm() {
-        let records: Vec<FlightRecord> = (0..4u64)
-            .map(|i| {
-                let total = (10 + 5 * i).to_string();
-                record(
-                    i,
-                    0,
-                    i,
-                    "sds_backpressure",
-                    &[("policy", "drop-oldest"), ("dropped_total", &total)],
-                )
-            })
-            .collect();
-        let anomalies = lint_flight(&dump_of(records));
-        let storm = anomalies
-            .iter()
-            .find(|a| a.check == "backpressure-storm")
-            .unwrap();
-        assert_eq!(storm.severity, IssueSeverity::Error);
-        assert!(storm.message.contains("10→25"), "{storm}");
-    }
-
-    #[test]
-    fn lint_accepts_bounded_backpressure() {
-        // A lone drop burst is not a storm.
-        let one = vec![record(
-            0,
-            0,
-            0,
-            "sds_backpressure",
-            &[("policy", "drop-oldest"), ("dropped_total", "7")],
-        )];
-        assert!(lint_flight(&dump_of(one)).is_empty());
-        // Block-policy waits keep the counter constant: never a storm.
-        let records: Vec<FlightRecord> = (0..5u64)
-            .map(|i| {
-                record(
-                    i,
-                    0,
-                    i,
-                    "sds_backpressure",
-                    &[("policy", "block"), ("dropped_total", "0")],
-                )
-            })
-            .collect();
         assert!(lint_flight(&dump_of(records)).is_empty());
     }
 

@@ -1,5 +1,5 @@
 //! Integration gate for the deterministic-schedule executor: the real
-//! `Rcu`/`RingIn` code passes bounded-exhaustive
+//! `Rcu` code passes bounded-exhaustive
 //! exploration, and every planted bug is caught with a concrete
 //! counterexample schedule.
 
@@ -71,7 +71,6 @@ fn unmutated_runs_are_clean_where_mutations_bite() {
     for scenario in [
         scenarios::rcu_read_write(1, 2),
         scenarios::rcu_read_write(2, 1),
-        scenarios::ring_produce_drain(),
     ] {
         explore(&scenario, &cfg).unwrap_or_else(|v| panic!("{v}"));
     }
@@ -84,13 +83,13 @@ fn exploration_is_seed_deterministic() {
         seed: 0x5EED_0001,
         ..SchedConfig::exhaustive()
     };
-    let a = explore(&scenarios::ring_produce_drain(), &cfg).unwrap();
-    let b = explore(&scenarios::ring_produce_drain(), &cfg).unwrap();
+    let a = explore(&scenarios::rcu_read_write(2, 1), &cfg).unwrap();
+    let b = explore(&scenarios::rcu_read_write(2, 1), &cfg).unwrap();
     assert_eq!(a, b);
 
     let mut mcfg = cfg;
-    mcfg.mutation = Some(Mutation::RingTornPublish);
-    let a = explore(&scenarios::ring_produce_drain(), &mcfg).unwrap_err();
-    let b = explore(&scenarios::ring_produce_drain(), &mcfg).unwrap_err();
+    mcfg.mutation = Some(Mutation::RcuFreeBeforeScan);
+    let a = explore(&scenarios::rcu_read_write(2, 1), &mcfg).unwrap_err();
+    let b = explore(&scenarios::rcu_read_write(2, 1), &mcfg).unwrap_err();
     assert_eq!(a.schedule, b.schedule);
 }

@@ -77,9 +77,7 @@ pub mod trace;
 
 pub use audit::{AuditLog, AuditRecord, Denial};
 pub use enhance::{AppArmorEnhancer, EnhanceError, SACK_RULE_ORIGIN};
-pub use eventplane::{
-    BackpressurePolicy, DrainOutcome, EventFrame, EventPlane, FrameError, MAX_EVENT_NAME,
-};
+pub use eventplane::EventPlane;
 pub use policy::{
     CompiledPolicy, IssueKind, IssueSeverity, PolicyIssue, RuleProvenance, SackPolicy,
 };

@@ -8,6 +8,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use parking_lot::Mutex;
+
 use sack_apparmor::profile::FilePerms;
 use sack_apparmor::AppArmor;
 use sack_kernel::cred::Capability;
@@ -19,10 +21,10 @@ use sack_kernel::trace::{TraceEvent, TraceHub};
 
 use crate::audit::{AuditLog, Denial};
 use crate::enhance::{validate_for_enhancement, AppArmorEnhancer, EnhanceError};
-use crate::eventplane::{BackpressurePolicy, EventPlane};
+use crate::eventplane::EventPlane;
 use crate::policy::{CompiledPolicy, ParsePolicyError, PolicyIssue, SackPolicy};
 use crate::rules::SubjectCtx;
-use crate::situation::StateId;
+use crate::situation::{EventId, StateId};
 use crate::ssm::{CoalescedOutcome, Ssm, TransitionOutcome};
 use crate::stats::ShardedCounter;
 use crate::trace::SackTracing;
@@ -127,11 +129,6 @@ pub struct SackStats {
     pub cache_misses: ShardedCounter,
 }
 
-/// Process-global source of [`ActivePolicy::load_generation`] values.
-/// Starts at 1 so that generation 0 can serve as the event frames'
-/// "no hint" tag.
-static NEXT_LOAD_GENERATION: AtomicU64 = AtomicU64::new(1);
-
 /// A loaded policy with its running state machine; swapped atomically on
 /// policy reload.
 pub struct ActivePolicy {
@@ -139,14 +136,6 @@ pub struct ActivePolicy {
     pub ssm: Ssm,
     /// The compiled policy.
     pub policy: CompiledPolicy,
-    /// Process-unique generation assigned at construction. Event-id hints
-    /// resolved against this snapshot's event space carry this value
-    /// ([`crate::eventplane::EventFrame::set_hint`]), so the event plane's
-    /// drain can tell whether a submit-time hint still names the snapshot
-    /// it is about to deliver into: a policy reload swaps the whole
-    /// snapshot — generation included — in one RCU publish, and a stale
-    /// hint simply falls back to resolution by name.
-    pub load_generation: u64,
 }
 
 impl ActivePolicy {
@@ -159,11 +148,7 @@ impl ActivePolicy {
             policy.initial(),
         )
         .map_err(SackError::Ssm)?;
-        Ok(ActivePolicy {
-            ssm,
-            policy,
-            load_generation: NEXT_LOAD_GENERATION.fetch_add(1, Ordering::Relaxed),
-        })
+        Ok(ActivePolicy { ssm, policy })
     }
 }
 
@@ -201,6 +186,12 @@ pub struct Sack {
     /// counter the `stats` node, the metrics export and the event-plane
     /// tests observe.
     policy_epoch: AtomicU64,
+    /// Serialises every path that moves the SSM or publishes an enhancer
+    /// state (`deliver_event`, `deliver_coalesced`, `reload_policy`): it is
+    /// held across the SSM step, the AppArmor publish and the epoch bump,
+    /// so two concurrent deliveries publish their states in the order the
+    /// SSM took them. Hooks never take it.
+    delivery: Mutex<()>,
     /// Ablation/debug switch for the unified per-state DFA matcher
     /// (default on; off falls back to the linear scan).
     dfa_enabled: AtomicBool,
@@ -209,11 +200,8 @@ pub struct Sack {
     /// because the hot path reads it on every check: the untraced cost must
     /// stay at one acquire load + branch.
     tracing: OnceLock<Arc<SackTracing>>,
-    /// The async batched event plane behind `SACK/sds/ring`, created at
-    /// [`Sack::attach`] (or explicitly via [`Sack::install_event_plane`]).
-    /// `OnceLock` because the plane holds a `Weak` back-reference that can
-    /// only exist once the module lives in an `Arc`.
-    plane: OnceLock<Arc<EventPlane>>,
+    /// Counters of the coalesced deliveries behind `SACK/sds/ring`.
+    plane: EventPlane,
 }
 
 impl Sack {
@@ -233,9 +221,10 @@ impl Sack {
             audit: AuditLog::new(),
             kernel: OnceLock::new(),
             policy_epoch: AtomicU64::new(0),
+            delivery: Mutex::new(()),
             dfa_enabled: AtomicBool::new(true),
             tracing: OnceLock::new(),
-            plane: OnceLock::new(),
+            plane: EventPlane::default(),
         }))
     }
 
@@ -265,9 +254,10 @@ impl Sack {
             audit: AuditLog::new(),
             kernel: OnceLock::new(),
             policy_epoch: AtomicU64::new(0),
+            delivery: Mutex::new(()),
             dfa_enabled: AtomicBool::new(true),
             tracing: OnceLock::new(),
-            plane: OnceLock::new(),
+            plane: EventPlane::default(),
         }))
     }
 
@@ -336,39 +326,24 @@ impl Sack {
         self.dfa_enabled.load(Ordering::SeqCst)
     }
 
-    /// Registers the SACKfs nodes (`events`, `state`, `policy`, `stats`)
-    /// under `/sys/kernel/security/SACK/`.
+    /// Registers the SACKfs nodes (`events`, `state`, `policy`, `stats`,
+    /// `audit`, `sds/*`, `tracing/*`) under `/sys/kernel/security/SACK/`.
     ///
     /// # Errors
     ///
     /// securityfs registration errors.
     pub fn attach(self: &Arc<Self>, kernel: &Arc<Kernel>) -> Result<(), SackError> {
         self.install_tracing(Arc::clone(kernel.trace()));
-        self.install_event_plane(EventPlane::DEFAULT_CAPACITY, BackpressurePolicy::DropOldest);
         crate::sackfs::register(self, kernel)?;
         let _ = self.kernel.set(Arc::downgrade(kernel));
         Ok(())
     }
 
-    /// Creates the async batched event plane (the fast path behind
-    /// `SACK/sds/ring`). Called by [`Sack::attach`] with the default
-    /// capacity and drop-oldest policy; benches and tests that want a
-    /// different ring size or the blocking policy call it first — the first
-    /// configuration wins and later calls return the existing plane.
-    pub fn install_event_plane(
-        self: &Arc<Self>,
-        capacity: usize,
-        policy: BackpressurePolicy,
-    ) -> Arc<EventPlane> {
-        Arc::clone(
-            self.plane
-                .get_or_init(|| EventPlane::new(self, capacity, policy)),
-        )
-    }
-
-    /// The attached event plane, if one has been installed.
-    pub fn event_plane(&self) -> Option<&Arc<EventPlane>> {
-        self.plane.get()
+    /// Counters of the coalesced deliveries behind `SACK/sds/ring`.
+    /// Always `Some`; the `Option` is kept for sackbench's call site until
+    /// the benchmark's next change drops it.
+    pub fn event_plane(&self) -> Option<&EventPlane> {
+        Some(&self.plane)
     }
 
     /// Wires the sack-trace recorder to `hub`: attaches the histogram +
@@ -425,7 +400,7 @@ impl Sack {
 
     /// Delivers a situation event by name at simulated time `now`
     /// (Algorithm 1 step). This is the entry point SACKfs calls for every
-    /// `write(2)` on `/sys/kernel/security/SACK/events`.
+    /// line written to `/sys/kernel/security/SACK/events`.
     ///
     /// # Errors
     ///
@@ -433,131 +408,91 @@ impl Sack {
     /// [`SackError::Enhance`] if enhanced-mode profile patching fails.
     pub fn deliver_event(&self, name: &str, now: Duration) -> Result<TransitionOutcome, SackError> {
         self.stats.events_received.fetch_add(1, Ordering::Relaxed);
+        let _delivery = self.delivery.lock();
         let active = self.active();
-        let outcome = active.ssm.deliver_by_name(name, now).map_err(|unknown| {
+        let Some(event) = active.ssm.space().event_id(name) else {
             self.stats.events_unknown.fetch_add(1, Ordering::Relaxed);
-            SackError::UnknownEvent(unknown)
-        })?;
+            return Err(SackError::UnknownEvent(name.to_string()));
+        };
+        let outcome = active.ssm.deliver(event, now);
         if let TransitionOutcome::Transitioned { from, to } = outcome {
-            if let Some(enhancer) = &self.enhancer {
-                enhancer
-                    .apply_state(&active.policy, to)
-                    .map_err(SackError::Enhance)?;
-            }
-            self.trace_emit(|| {
-                let space = active.ssm.space();
-                TraceEvent::SsmTransition {
-                    from: space.state(from).name.clone(),
-                    to: space.state(to).name.clone(),
-                    event: name.to_string(),
-                }
-            });
-            let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
+            self.publish_transition(&active, from, to, event)?;
         }
         Ok(outcome)
     }
 
-    /// Delivers a whole drain batch of event names as **one** coalesced SSM
-    /// publish: for the entire batch, at most one transition, one
-    /// `ssm_transition` trace and one epoch bump — the amortization the
-    /// event plane exists for (DESIGN.md §11).
-    ///
-    /// Unknown names are counted in `events_unknown` and skipped rather
-    /// than failing the batch: a frame validated at submit time can still
-    /// be orphaned by a policy reload between enqueue and drain, and one
-    /// stale frame must not poison its batch-mates.
+    /// Delivers one `SACK/sds/ring` write as **one** coalesced SSM
+    /// delivery: every name resolves against one policy snapshot, then
+    /// the whole write makes at most one transition, one enhancer publish
+    /// and one epoch bump (DESIGN.md §11).
     ///
     /// # Errors
     ///
-    /// [`SackError::Enhance`] if enhanced-mode profile patching fails.
+    /// [`SackError::UnknownEvent`] for the first undeclared name, before
+    /// anything is delivered or counted; [`SackError::Enhance`] if
+    /// enhanced-mode profile patching fails.
     pub fn deliver_coalesced<S: AsRef<str>>(
         &self,
         names: &[S],
         now: Duration,
     ) -> Result<CoalescedOutcome, SackError> {
-        self.stats
-            .events_received
-            .fetch_add(names.len() as u64, Ordering::Relaxed);
+        // Held from resolution to the bump: a reload cannot swap the
+        // snapshot the ids were resolved against.
+        let _delivery = self.delivery.lock();
         let active = self.active();
         let space = active.ssm.space();
-        let mut ids = Vec::with_capacity(names.len());
-        for name in names {
-            match space.event_id(name.as_ref()) {
-                Some(id) => ids.push(id),
-                None => {
-                    self.stats.events_unknown.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        self.publish_coalesced(&active, &ids, now)
-    }
-
-    /// Frame-based twin of [`Sack::deliver_coalesced`] — the event plane's
-    /// drain entry point. A frame whose submit-time id hint was resolved
-    /// under this exact policy snapshot (generation match) skips the
-    /// name-to-id lookup entirely; any other frame — direct-API
-    /// submissions, or frames orphaned by a reload between enqueue and
-    /// drain — resolves by name as the string path does.
-    ///
-    /// # Errors
-    ///
-    /// [`SackError::Enhance`] if enhanced-mode profile patching fails.
-    pub(crate) fn deliver_coalesced_frames(
-        &self,
-        frames: &[crate::eventplane::EventFrame],
-        now: Duration,
-    ) -> Result<CoalescedOutcome, SackError> {
+        let ids = names
+            .iter()
+            .map(|name| {
+                let name = name.as_ref();
+                space
+                    .event_id(name)
+                    .ok_or_else(|| SackError::UnknownEvent(name.to_string()))
+            })
+            .collect::<Result<Vec<EventId>, SackError>>()?;
         self.stats
             .events_received
-            .fetch_add(frames.len() as u64, Ordering::Relaxed);
-        let active = self.active();
-        let space = active.ssm.space();
-        let gen = active.load_generation;
-        let mut ids = Vec::with_capacity(frames.len());
-        for frame in frames {
-            match frame.hint(gen).or_else(|| space.event_id(frame.name())) {
-                Some(id) => ids.push(id),
-                None => {
-                    self.stats.events_unknown.fetch_add(1, Ordering::Relaxed);
-                }
+            .fetch_add(ids.len() as u64, Ordering::Relaxed);
+        let outcome = active.ssm.deliver_coalesced(&ids, now);
+        if let Some(event) = outcome.last_event {
+            self.publish_transition(&active, outcome.from, outcome.to, event)?;
+            if outcome.matched >= 2 {
+                self.trace_emit(|| TraceEvent::SdsCoalesce {
+                    event: space.event(event).name.clone(),
+                    collapsed: outcome.matched,
+                });
             }
         }
-        self.publish_coalesced(&active, &ids, now)
+        self.plane.record(&outcome);
+        Ok(outcome)
     }
 
-    /// Shared tail of the coalesced-delivery paths: one dry-run SSM pass
-    /// over `ids`, then — only if the batch's net effect is a transition —
-    /// one publish, one trace, one epoch bump.
-    fn publish_coalesced(
+    /// The tail of every SSM transition, run under the delivery lock:
+    /// publish the new state's enhancer rules, trace the transition and
+    /// bump the epoch.
+    fn publish_transition(
         &self,
         active: &ActivePolicy,
-        ids: &[crate::situation::EventId],
-        now: Duration,
-    ) -> Result<CoalescedOutcome, SackError> {
-        let space = active.ssm.space();
-        let outcome = active.ssm.deliver_coalesced(ids, now);
-        if outcome.transitioned() {
-            let (from, to) = (outcome.from, outcome.to);
-            if let Some(enhancer) = &self.enhancer {
-                enhancer
-                    .apply_state(&active.policy, to)
-                    .map_err(SackError::Enhance)?;
-            }
-            self.trace_emit(|| TraceEvent::SsmTransition {
+        from: StateId,
+        to: StateId,
+        event: EventId,
+    ) -> Result<(), SackError> {
+        if let Some(enhancer) = &self.enhancer {
+            enhancer
+                .apply_state(&active.policy, to)
+                .map_err(SackError::Enhance)?;
+        }
+        self.trace_emit(|| {
+            let space = active.ssm.space();
+            TraceEvent::SsmTransition {
                 from: space.state(from).name.clone(),
                 to: space.state(to).name.clone(),
-                event: outcome
-                    .last_event
-                    .map(|e| space.event(e).name.clone())
-                    .unwrap_or_default(),
-            });
-            // Same bump as deliver_event, but once per batch instead of
-            // once per effective transition.
-            let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
-            self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
-        }
-        Ok(outcome)
+                event: space.event(event).name.clone(),
+            }
+        });
+        let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
+        Ok(())
     }
 
     /// Replaces the loaded policy atomically (a SACKfs `policy` write).
@@ -569,6 +504,7 @@ impl Sack {
     /// active.
     pub fn reload_policy(&self, text: &str) -> Result<Vec<PolicyIssue>, SackError> {
         let next = ActivePolicy::from_text(text)?;
+        let _delivery = self.delivery.lock();
         if let Some(enhancer) = &self.enhancer {
             validate_for_enhancement(&next.policy, &enhancer.apparmor().policy().profile_names())
                 .map_err(SackError::Enhance)?;

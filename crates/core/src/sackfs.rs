@@ -9,16 +9,16 @@
 //! | `policy`               | rw     | policy dump / live policy replacement      |
 //! | `stats`                | read   | module counters                            |
 //! | `audit`                | read   | denial ring with overflow accounting       |
-//! | `sds/ring`             | write  | batched frame submission (one write = one  |
-//! |                        |        | coalesced drain)                           |
-//! | `sds/stats`            | read   | event-plane counters                       |
+//! | `sds/ring`             | write  | batched events (one write = one coalesced  |
+//! |                        |        | delivery)                                  |
+//! | `sds/stats`            | read   | coalesced-delivery counters                |
 //! | `tracing/enable`       | rw     | tracepoint master switch (`0`/`1`)         |
 //! | `tracing/events`       | read   | per-tracepoint fired counts                |
 //! | `tracing/flight`       | read   | flight-recorder dump (last N events)       |
 //! | `tracing/metrics`      | read   | Prometheus text exposition                 |
 //! | `tracing/metrics_json` | read   | the same metrics as one JSON object        |
 //!
-//! Writes to `events`, `policy` and `tracing/enable` require
+//! Writes to `events`, `sds/ring`, `policy` and `tracing/enable` require
 //! `CAP_MAC_ADMIN`, matching the paper's threat model (attackers cannot
 //! obtain MAC capabilities, so they cannot forge situation events even
 //! after compromising an application).
@@ -35,7 +35,7 @@ use sack_kernel::securityfs::{require_mac_admin, securityfs_path, SecurityFsFile
 use sack_kernel::trace::{TraceHook, TraceVerdict, Tracepoint};
 use sack_kernel::types::Mode;
 
-use crate::eventplane::EventFrame;
+use crate::eventplane::EventPlane;
 use crate::sack::{Sack, SackError};
 use crate::stats::ShardedCounter;
 use crate::trace::SackTracing;
@@ -62,14 +62,7 @@ impl SecurityFsFile for EventsNode {
             .unwrap_or(Duration::ZERO);
         let text = std::str::from_utf8(data)
             .map_err(|_| KernelError::with_context(Errno::EINVAL, "sackfs"))?;
-        // A frame is a newline-terminated line. A write whose final frame
-        // lacks the terminator is a partial frame — report it instead of
-        // silently accepting a truncated event (both ingestion paths
-        // validate frames identically).
-        if !text.is_empty() && !text.ends_with('\n') {
-            return Err(KernelError::with_context(Errno::EINVAL, "sackfs"));
-        }
-        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        for line in event_lines(text)? {
             match sack.deliver_event(line, now) {
                 Ok(_) => {}
                 Err(SackError::UnknownEvent(_)) => {
@@ -212,16 +205,23 @@ impl SecurityFsFile for AuditNode {
     }
 }
 
-fn event_plane(sack: &Arc<Sack>) -> KernelResult<Arc<crate::eventplane::EventPlane>> {
-    sack.event_plane()
-        .cloned()
-        .ok_or_else(|| KernelError::with_context(Errno::EIO, "sackfs"))
+/// The event names of one write to `events` or `sds/ring`: its
+/// newline-terminated, non-blank lines, trimmed. A write whose last line
+/// lacks the terminator is a partial line and fails with `EINVAL` before
+/// anything is delivered (both nodes validate identically).
+fn event_lines(text: &str) -> KernelResult<impl Iterator<Item = &str>> {
+    if !text.is_empty() && !text.ends_with('\n') {
+        return Err(KernelError::with_context(Errno::EINVAL, "sackfs"));
+    }
+    Ok(text.lines().map(str::trim).filter(|l| !l.is_empty()))
 }
 
-/// `sds/ring`: batched frame submission into the event plane. One write is
-/// one batch: every line is validated and enqueued, then a single drain
-/// coalesces the whole batch into at most one SSM transition + epoch bump.
-/// The synchronous `events` node remains the per-frame slow/compat path.
+/// `sds/ring`: batched event delivery. One write is one
+/// [`Sack::deliver_coalesced`]: every line is validated and resolved
+/// against one policy snapshot, then the whole write makes at most one
+/// SSM transition, enhancer publish and epoch bump. An unknown name
+/// rejects the write with `EINVAL` before anything is delivered. The
+/// synchronous `events` node remains the per-event path.
 struct SdsRingNode {
     sack: Weak<Sack>,
     kernel: Weak<Kernel>,
@@ -231,43 +231,19 @@ impl SecurityFsFile for SdsRingNode {
     fn write_content(&self, ctx: &HookCtx, data: &[u8]) -> KernelResult<usize> {
         require_mac_admin(ctx)?;
         let sack = upgrade(&self.sack)?;
-        let plane = event_plane(&sack)?;
         let now = upgrade(&self.kernel)
             .map(|k| k.clock().now())
             .unwrap_or(Duration::ZERO);
         let text = std::str::from_utf8(data)
             .map_err(|_| KernelError::with_context(Errno::EINVAL, "sackfs"))?;
-        // Same frame validation as the sync path: newline-terminated lines
-        // only, and every name must be a known event. The whole batch is
-        // validated and resolved before anything enters the ring, so a bad
-        // frame rejects the write without side effects — and each accepted
-        // frame carries its resolved event id as a generation-tagged hint,
-        // so the drain never resolves the same name twice (a reload
-        // between submit and drain invalidates the tag and the drain falls
-        // back to the name).
-        if !text.is_empty() && !text.ends_with('\n') {
-            return Err(KernelError::with_context(Errno::EINVAL, "sackfs"));
+        let names: Vec<&str> = event_lines(text)?.collect();
+        match sack.deliver_coalesced(&names, now) {
+            Ok(_) => Ok(data.len()),
+            Err(SackError::UnknownEvent(_)) => {
+                Err(KernelError::with_context(Errno::EINVAL, "sackfs"))
+            }
+            Err(_) => Err(KernelError::with_context(Errno::EIO, "sackfs")),
         }
-        let active = sack.active();
-        let space = active.ssm.space();
-        let gen = active.load_generation;
-        let t_ns = now.as_nanos() as u64;
-        let mut frames: Vec<EventFrame> =
-            Vec::with_capacity(text.bytes().filter(|b| *b == b'\n').count());
-        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-            let Some(id) = space.event_id(line) else {
-                return Err(KernelError::with_context(Errno::EINVAL, "sackfs"));
-            };
-            let mut frame = EventFrame::new(line, 0, t_ns)
-                .map_err(|_| KernelError::with_context(Errno::EINVAL, "sackfs"))?;
-            frame.set_hint(id, gen);
-            frames.push(frame);
-        }
-        plane.submit_batch(&frames);
-        plane
-            .drain_all()
-            .map_err(|_| KernelError::with_context(Errno::EIO, "sackfs"))?;
-        Ok(data.len())
     }
 
     fn mode(&self) -> Mode {
@@ -277,35 +253,31 @@ impl SecurityFsFile for SdsRingNode {
     }
 }
 
-/// `sds/stats`: the event-plane counters in `name value` lines.
+/// `sds/stats`: the coalesced-delivery counters in `name value` lines.
 struct SdsStatsNode {
     sack: Weak<Sack>,
 }
 
-/// The exported event-plane counters, in node order. One table serves the
-/// `sds/stats` node, the Prometheus exposition and the JSON metrics.
-fn sds_counters(plane: &crate::eventplane::EventPlane) -> [(&'static str, u64); 7] {
+/// The exported coalesced-delivery counters, in node order. One table
+/// serves the `sds/stats` node, the Prometheus exposition and the JSON
+/// metrics.
+fn sds_counters(plane: &EventPlane) -> [(&'static str, u64); 4] {
     [
-        ("submitted", plane.submitted()),
-        ("drained", plane.drained_frames()),
-        ("drain_batches", plane.drain_batches()),
+        ("writes", plane.writes()),
+        ("frames", plane.drained_frames()),
         ("transitions", plane.transitions_published()),
         ("coalesced", plane.frames_coalesced()),
-        ("dropped", plane.dropped()),
-        ("backpressure_waits", plane.backpressure_waits()),
     ]
 }
 
 impl SecurityFsFile for SdsStatsNode {
     fn read_content(&self, _ctx: &HookCtx) -> KernelResult<Vec<u8>> {
         let sack = upgrade(&self.sack)?;
-        let plane = event_plane(&sack)?;
         let mut out = String::new();
-        let _ = writeln!(out, "policy {}", plane.policy().name());
-        let _ = writeln!(out, "capacity {}", plane.capacity());
-        let _ = writeln!(out, "depth {}", plane.depth());
-        for (name, value) in sds_counters(&plane) {
-            let _ = writeln!(out, "{name} {value}");
+        if let Some(plane) = sack.event_plane() {
+            for (name, value) in sds_counters(plane) {
+                let _ = writeln!(out, "{name} {value}");
+            }
         }
         Ok(out.into_bytes())
     }
@@ -448,11 +420,8 @@ fn render_prometheus(sack: &Arc<Sack>, tracing: &SackTracing) -> String {
     if let Some(plane) = sack.event_plane() {
         let _ = writeln!(
             out,
-            "# HELP sack_sds_depth Event-plane ring occupancy, frames."
+            "# HELP sack_sds_total Coalesced-delivery counters of SACK/sds/ring."
         );
-        let _ = writeln!(out, "# TYPE sack_sds_depth gauge");
-        let _ = writeln!(out, "sack_sds_depth {}", plane.depth());
-        let _ = writeln!(out, "# HELP sack_sds_total Event-plane counters.");
         let _ = writeln!(out, "# TYPE sack_sds_total counter");
         for (name, value) in sds_counters(plane) {
             let _ = writeln!(out, "sack_sds_total{{counter=\"{name}\"}} {value}");
@@ -560,15 +529,12 @@ fn render_metrics_json(sack: &Arc<Sack>, tracing: &SackTracing) -> String {
     }
     out.push_str("}},");
     if let Some(plane) = sack.event_plane() {
-        let _ = write!(
-            out,
-            "\"sds\":{{\"policy\":\"{}\",\"capacity\":{},\"depth\":{}",
-            plane.policy().name(),
-            plane.capacity(),
-            plane.depth()
-        );
-        for (name, value) in sds_counters(plane) {
-            let _ = write!(out, ",\"{name}\":{value}");
+        out.push_str("\"sds\":{");
+        for (i, (name, value)) in sds_counters(plane).iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{name}\":{value}");
         }
         out.push_str("},");
     }
@@ -671,7 +637,7 @@ pub fn register(sack: &Arc<Sack>, kernel: &Arc<Kernel>) -> KernelResult<()> {
             sack: Arc::downgrade(sack),
         }),
     )?;
-    // The sds subtree: the batched event plane's submission + stats nodes.
+    // The sds subtree: the coalesced event node and its counters.
     let sds_dir = securityfs_path(SACK_DIR, "sds")?;
     kernel.register_securityfs(
         &sds_dir.join("ring")?,
@@ -1247,7 +1213,7 @@ mod tests {
         let err = sds.write(fd, b"crash\nrescue_done").unwrap_err();
         assert_eq!(err.errno(), Errno::EINVAL);
         assert_eq!(sack.current_state_name(), "normal");
-        assert_eq!(sack.event_plane().unwrap().submitted(), 0);
+        assert_eq!(sack.event_plane().unwrap().drained_frames(), 0);
     }
 
     #[test]
@@ -1268,7 +1234,7 @@ mod tests {
         assert_eq!(sack.active().ssm.taken_count(), 1);
         assert_eq!(sack.policy_epoch(), epoch_before + 1, "one bump per write");
         let plane = sack.event_plane().unwrap();
-        assert_eq!(plane.submitted(), 3);
+        assert_eq!(plane.writes(), 1);
         assert_eq!(plane.drained_frames(), 3);
         assert_eq!(plane.frames_coalesced(), 2);
     }
@@ -1283,12 +1249,13 @@ mod tests {
                 OpenFlags::write_only(),
             )
             .unwrap();
-        // A bad frame anywhere in the batch rejects the whole write before
-        // any frame enters the ring.
+        // A bad name anywhere in the write rejects the whole write before
+        // any event is delivered.
         let err = sds.write(fd, b"crash\nmeteor\n").unwrap_err();
         assert_eq!(err.errno(), Errno::EINVAL);
         assert_eq!(sack.current_state_name(), "normal");
-        assert_eq!(sack.event_plane().unwrap().submitted(), 0);
+        assert_eq!(sack.event_plane().unwrap().drained_frames(), 0);
+        assert_eq!(sack.stats().events_received.load(Ordering::Relaxed), 0);
     }
 
     #[test]
@@ -1318,14 +1285,10 @@ mod tests {
             .unwrap();
         sds.write(fd, b"crash\nrescue_done\n").unwrap();
         let text = read_node(&kernel, "sds/stats");
-        assert!(text.contains("policy drop-oldest"), "{text}");
-        assert!(text.contains("capacity 1024"), "{text}");
-        assert!(text.contains("depth 0"), "{text}");
-        assert!(text.contains("submitted 2"), "{text}");
-        assert!(text.contains("drained 2"), "{text}");
-        assert!(text.contains("drain_batches 1"), "{text}");
-        assert!(text.contains("coalesced 1"), "{text}");
-        assert!(text.contains("dropped 0"), "{text}");
+        assert_eq!(
+            text, "writes 1\nframes 2\ntransitions 1\ncoalesced 1\n",
+            "{text}"
+        );
         drop(sack);
     }
 
@@ -1343,20 +1306,18 @@ mod tests {
         let text = read_node(&kernel, "tracing/metrics");
         assert_valid_prometheus(&text);
         assert!(
-            text.contains("sack_sds_total{counter=\"submitted\"} 1"),
+            text.contains("sack_sds_total{counter=\"frames\"} 1"),
             "{text}"
         );
-        assert!(text.contains("sack_sds_depth 0"), "{text}");
         assert!(
-            text.contains("sack_tracepoint_fired_total{point=\"sds_drain\"}"),
+            text.contains("sack_tracepoint_fired_total{point=\"sds_coalesce\"}"),
             "{text}"
         );
         let json = read_node(&kernel, "tracing/metrics_json");
         assert!(
-            json.contains("\"sds\":{\"policy\":\"drop-oldest\""),
+            json.contains("\"sds\":{\"writes\":1,\"frames\":1,\"transitions\":1,\"coalesced\":0}"),
             "{json}"
         );
-        assert!(json.contains("\"submitted\":1"), "{json}");
         drop(sack);
     }
 }

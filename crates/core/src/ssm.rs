@@ -273,7 +273,7 @@ impl Ssm {
     ///
     /// `transitions_delivered` counts every event in the batch;
     /// `transitions_taken` grows by at most one. This is the soundness
-    /// argument for epoch-per-drain (DESIGN.md §11): observers between
+    /// argument for epoch-per-write (DESIGN.md §11): observers between
     /// batches cannot distinguish the coalesced publish from the final
     /// state of the per-event sequence, because intermediate states were
     /// never observable outside the history anyway.

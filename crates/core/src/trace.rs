@@ -315,15 +315,9 @@ impl RecorderState {
             | TraceEvent::RcuEpochBump { .. }
             | TraceEvent::ProfileRecompile { .. }
             | TraceEvent::AuditEmit { .. }
-            | TraceEvent::SdsDrain { .. }
-            | TraceEvent::SdsCoalesce { .. }
-            | TraceEvent::SdsBackpressure { .. } => {
+            | TraceEvent::SdsCoalesce { .. } => {
                 self.flight.record(event.clone());
             }
-            // Per-frame hot path: counted by the hub, never flight-recorded
-            // (at sensor rates it would flush the whole ring between any two
-            // control-plane records).
-            TraceEvent::SdsEnqueue { .. } => {}
         }
     }
 }

@@ -37,7 +37,6 @@ pub mod ipc;
 pub mod kernel;
 pub mod lsm;
 pub mod path;
-pub mod ring;
 pub mod sched;
 pub mod securityfs;
 pub mod smp;
@@ -54,7 +53,6 @@ pub use error::{Errno, KernelError, KernelResult};
 pub use kernel::{Kernel, KernelBuilder};
 pub use lsm::{AccessMask, HookCtx, ObjectKind, ObjectRef, SecurityModule, SocketFamily};
 pub use path::KPath;
-pub use ring::{Ring, RingFull, RingIn};
 pub use sync::Rcu;
 pub use trace::{TraceEvent, TraceHook, TraceHub, TraceVerdict, Tracepoint};
 pub use types::{DeviceId, Fd, InodeId, Mode, Pid};

@@ -2,9 +2,8 @@
 //! protocol code and the primitives it runs on.
 //!
 //! Every atomic word, mutex, and thread-identity read used by the
-//! `Rcu<T>` hazard-pointer protocol (and by the event ring) goes through
-//! the [`Backend`] trait defined here instead of naming `std::sync`
-//! directly. Two backends exist:
+//! `Rcu<T>` hazard-pointer protocol goes through the [`Backend`] trait
+//! defined here instead of naming `std::sync` directly. Two backends exist:
 //!
 //! * [`StdBackend`] — the default type parameter everywhere. Each trait
 //!   method is an `#[inline(always)]` forward to the `std::sync::atomic`
@@ -12,8 +11,7 @@
 //!   is a constant `false`, and every lifecycle hook is an empty body, so
 //!   after monomorphisation a release build is instruction-for-
 //!   instruction identical to writing `std::sync` by hand. This is the
-//!   backend every production type alias (`Rcu<T>`, `Ring<T>`) resolves
-//!   to.
+//!   backend the production type alias `Rcu<T>` resolves to.
 //! * `SchedBackend` (in `sack-analyze::sched`) — every operation first
 //!   parks the calling thread at a *yield point* and waits for a
 //!   deterministic scheduler to grant it the turn, which is what lets
@@ -28,15 +26,10 @@
 //!   scenario threads to stable, deterministic slots.
 //! * [`Backend::mutation`] — compile-time-off switches that plant one
 //!   known bug in the real algorithm (skip the reader's re-validation,
-//!   free retired snapshots without scanning the hazard slots, publish
-//!   into a ring slot without winning its claim). The executor's mutation tests turn
-//!   exactly one on and assert a violating schedule is found; under
-//!   [`StdBackend`] the branch is `if false` and vanishes.
-//! * [`Backend::spin_wait`] — the one way protocol code may wait for
-//!   another thread (a full ring, a slot whose release is imminent).
-//!   Production spins with `std::hint::spin_loop()`; the executor parks
-//!   the thread until a write lands, so a retry loop is a schedulable
-//!   wait instead of an unbounded run of identical steps.
+//!   free retired snapshots without scanning the hazard slots). The
+//!   executor's mutation tests turn exactly one on and assert a violating
+//!   schedule is found; under [`StdBackend`] the branch is `if false` and
+//!   vanishes.
 //! * [`Backend::trace_alloc`] / [`Backend::trace_free`] /
 //!   [`Backend::check_acquire`] — pointer-lifecycle tracking. The
 //!   executor keeps a freed-address registry so that a protocol bug
@@ -47,10 +40,12 @@
 //! `sack-analyze sync-lint` enforces that the protocol files use this
 //! seam: any direct `std::sync::atomic` / `std::thread` / `Mutex` /
 //! `std::hint::spin_loop` use in the linted set outside this module fails
-//! CI, so executor coverage cannot silently rot as the code evolves.
+//! CI, so executor coverage cannot silently rot as the code evolves. The
+//! seam has no spin wait: a retry loop that waits for another thread has
+//! no schedulable form, so protocol code must not contain one.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A known-bad mutation of one load-bearing ingredient of the lock-free
@@ -67,10 +62,6 @@ pub enum Mutation {
     /// The `Rcu` writer frees every retired snapshot without scanning
     /// the hazard slots first.
     RcuFreeBeforeScan,
-    /// A `ring::RingIn` producer that loses the tail claim CAS publishes
-    /// anyway — writing its frame into a slot another producer already
-    /// owns, so one of the two frames silently vanishes.
-    RingTornPublish,
 }
 
 /// Backend view of `AtomicUsize`.
@@ -92,18 +83,6 @@ pub trait RawAtomicUsize: Send + Sync + std::fmt::Debug {
         success: Ordering,
         failure: Ordering,
     ) -> Result<usize, usize>;
-}
-
-/// Backend view of `AtomicU64`.
-pub trait RawAtomicU64: Send + Sync + std::fmt::Debug {
-    /// Creates the atomic with an initial value.
-    fn new(v: u64) -> Self;
-    /// Atomic load with the given ordering.
-    fn load(&self, order: Ordering) -> u64;
-    /// Atomic store with the given ordering.
-    fn store(&self, v: u64, order: Ordering);
-    /// Atomic fetch-add returning the previous value.
-    fn fetch_add(&self, v: u64, order: Ordering) -> u64;
 }
 
 /// Backend view of `AtomicPtr<T>`.
@@ -147,8 +126,6 @@ pub trait RawMutex<T: Send>: Send + Sync {
 pub trait Backend: Sized + Send + Sync + 'static {
     /// Backend `AtomicUsize`.
     type AtomicUsize: RawAtomicUsize;
-    /// Backend `AtomicU64`.
-    type AtomicU64: RawAtomicU64;
     /// Backend `AtomicPtr<T>`.
     type AtomicPtr<T>: RawAtomicPtr<T>;
     /// Backend `Mutex<T>`.
@@ -164,14 +141,6 @@ pub trait Backend: Sized + Send + Sync + 'static {
     #[must_use]
     fn mutation(_m: Mutation) -> bool {
         false
-    }
-
-    /// Waits for another thread to make progress: the retry point of a
-    /// loop that cannot advance until someone else writes. A spin hint in
-    /// production; the executor parks the caller until a write lands.
-    #[inline(always)]
-    fn spin_wait() {
-        std::hint::spin_loop();
     }
 
     /// A heap snapshot was published (its address may have been reused).
@@ -226,25 +195,6 @@ impl RawAtomicUsize for AtomicUsize {
     }
 }
 
-impl RawAtomicU64 for AtomicU64 {
-    #[inline(always)]
-    fn new(v: u64) -> Self {
-        AtomicU64::new(v)
-    }
-    #[inline(always)]
-    fn load(&self, order: Ordering) -> u64 {
-        AtomicU64::load(self, order)
-    }
-    #[inline(always)]
-    fn store(&self, v: u64, order: Ordering) {
-        AtomicU64::store(self, v, order);
-    }
-    #[inline(always)]
-    fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
-        AtomicU64::fetch_add(self, v, order)
-    }
-}
-
 impl<T> RawAtomicPtr<T> for AtomicPtr<T> {
     #[inline(always)]
     fn new(p: *mut T) -> Self {
@@ -292,7 +242,6 @@ impl<T: Send> RawMutex<T> for Mutex<T> {
 
 impl Backend for StdBackend {
     type AtomicUsize = AtomicUsize;
-    type AtomicU64 = AtomicU64;
     type AtomicPtr<T> = AtomicPtr<T>;
     type Mutex<T: Send> = Mutex<T>;
 
@@ -330,7 +279,6 @@ mod tests {
     fn std_backend_has_no_mutations() {
         assert!(!StdBackend::mutation(Mutation::RcuSkipValidation));
         assert!(!StdBackend::mutation(Mutation::RcuFreeBeforeScan));
-        assert!(!StdBackend::mutation(Mutation::RingTornPublish));
     }
 
     #[test]

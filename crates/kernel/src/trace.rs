@@ -32,10 +32,8 @@
 //! | `rcu_epoch_bump`    | the global policy epoch counter is incremented         |
 //! | `profile_recompile` | an AppArmor profile is (re)compiled to its DFA         |
 //! | `audit_emit`        | a record is appended to the audit ring                 |
-//! | `sds_enqueue`       | a sensor frame is enqueued into the submission ring    |
-//! | `sds_drain`         | a ring drain batch completes (batch size + transitions)|
-//! | `sds_coalesce`      | ≥2 frames collapsed into one SSM delivery in a drain   |
-//! | `sds_backpressure`  | the ring-full policy engaged (block or drop-oldest)    |
+//! | `sds_coalesce`      | ≥2 events of one `SACK/sds/ring` write collapsed into  |
+//! |                     | one SSM delivery                                       |
 
 use std::cell::RefCell;
 use std::fmt;
@@ -186,29 +184,21 @@ pub enum Tracepoint {
     ProfileRecompile,
     /// Audit record appended.
     AuditEmit,
-    /// Sensor frame enqueued into the SDS submission ring.
-    SdsEnqueue,
-    /// SDS ring drain batch completed.
-    SdsDrain,
-    /// Multiple frames coalesced into one SSM delivery during a drain.
+    /// Multiple events of one `SACK/sds/ring` write coalesced into one
+    /// SSM delivery.
     SdsCoalesce,
-    /// Ring-full backpressure policy engaged.
-    SdsBackpressure,
 }
 
 impl Tracepoint {
     /// Every tracepoint, in declaration order.
-    pub const ALL: [Tracepoint; 10] = [
+    pub const ALL: [Tracepoint; 7] = [
         Tracepoint::HookExit,
         Tracepoint::SsmTransition,
         Tracepoint::PolicyPublish,
         Tracepoint::RcuEpochBump,
         Tracepoint::ProfileRecompile,
         Tracepoint::AuditEmit,
-        Tracepoint::SdsEnqueue,
-        Tracepoint::SdsDrain,
         Tracepoint::SdsCoalesce,
-        Tracepoint::SdsBackpressure,
     ];
 
     /// Dense index into [`Tracepoint::ALL`].
@@ -225,10 +215,7 @@ impl Tracepoint {
             Tracepoint::RcuEpochBump => "rcu_epoch_bump",
             Tracepoint::ProfileRecompile => "profile_recompile",
             Tracepoint::AuditEmit => "audit_emit",
-            Tracepoint::SdsEnqueue => "sds_enqueue",
-            Tracepoint::SdsDrain => "sds_drain",
             Tracepoint::SdsCoalesce => "sds_coalesce",
-            Tracepoint::SdsBackpressure => "sds_backpressure",
         }
     }
 }
@@ -241,7 +228,7 @@ impl fmt::Display for Tracepoint {
 
 /// A single trace event, the payload delivered to registered callbacks.
 ///
-/// Hot-path variants (`HookExit`, `AuditEmit`, `SdsEnqueue`) carry only
+/// Hot-path variants (`HookExit`, `AuditEmit`) carry only
 /// `Copy` data; rare control-plane variants own their strings so the flight
 /// recorder can retain them without lifetimes.
 #[derive(Debug, Clone, PartialEq)]
@@ -286,36 +273,13 @@ pub enum TraceEvent {
         /// The record's monotonic sequence number.
         seq: u64,
     },
-    /// A sensor frame was enqueued into the SDS submission ring.
-    ///
-    /// Hot-path: fires once per produced frame, carries only `Copy` data,
-    /// and is **not** flight-recorded (it would flush 256 slots in ~256 µs
-    /// at sensor rates) — the fired counter and Prometheus export still see
-    /// every enqueue.
-    SdsEnqueue {
-        /// Ring occupancy observed right after the enqueue (racy snapshot).
-        depth: usize,
-    },
-    /// An SDS ring drain batch completed.
-    SdsDrain {
-        /// Frames consumed by this drain.
-        batch: usize,
-        /// SSM transitions actually published (0 or 1 per drain).
-        transitions: usize,
-    },
-    /// Two or more frames collapsed into a single SSM delivery in a drain.
+    /// Two or more events of one `SACK/sds/ring` write collapsed into a
+    /// single SSM delivery.
     SdsCoalesce {
-        /// The environmental event whose frames were collapsed.
+        /// The last matching event of the write.
         event: String,
-        /// How many frames the drain collapsed (≥ 2).
+        /// How many events matched a transition rule (≥ 2).
         collapsed: usize,
-    },
-    /// The ring-full backpressure policy engaged.
-    SdsBackpressure {
-        /// Policy label: `drop-oldest` or `block`.
-        policy: &'static str,
-        /// Cumulative frames discarded by drop-oldest since boot.
-        dropped_total: u64,
     },
 }
 
@@ -329,10 +293,7 @@ impl TraceEvent {
             TraceEvent::RcuEpochBump { .. } => Tracepoint::RcuEpochBump,
             TraceEvent::ProfileRecompile { .. } => Tracepoint::ProfileRecompile,
             TraceEvent::AuditEmit { .. } => Tracepoint::AuditEmit,
-            TraceEvent::SdsEnqueue { .. } => Tracepoint::SdsEnqueue,
-            TraceEvent::SdsDrain { .. } => Tracepoint::SdsDrain,
             TraceEvent::SdsCoalesce { .. } => Tracepoint::SdsCoalesce,
-            TraceEvent::SdsBackpressure { .. } => Tracepoint::SdsBackpressure,
         }
     }
 }
@@ -360,20 +321,9 @@ impl fmt::Display for TraceEvent {
                 write!(f, "profile_recompile profile={profile}")
             }
             TraceEvent::AuditEmit { seq } => write!(f, "audit_emit seq={seq}"),
-            TraceEvent::SdsEnqueue { depth } => write!(f, "sds_enqueue depth={depth}"),
-            TraceEvent::SdsDrain { batch, transitions } => {
-                write!(f, "sds_drain batch={batch} transitions={transitions}")
-            }
             TraceEvent::SdsCoalesce { event, collapsed } => {
                 write!(f, "sds_coalesce event={event} collapsed={collapsed}")
             }
-            TraceEvent::SdsBackpressure {
-                policy,
-                dropped_total,
-            } => write!(
-                f,
-                "sds_backpressure policy={policy} dropped_total={dropped_total}"
-            ),
         }
     }
 }
@@ -639,17 +589,17 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         let l = Arc::clone(&log);
         hub.register_all(Arc::new(move |ev| l.lock().unwrap().push(ev.clone())));
-        hub.emit(&TraceEvent::SdsEnqueue { depth: 1 });
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
         hub.emit(&TraceEvent::RcuEpochBump { epoch: 7 });
         let log = log.lock().unwrap();
         assert_eq!(
             *log,
             vec![
-                TraceEvent::SdsEnqueue { depth: 1 },
+                TraceEvent::PolicyPublish { epoch: 1 },
                 TraceEvent::RcuEpochBump { epoch: 7 }
             ]
         );
-        assert_eq!(hub.fired(Tracepoint::SdsEnqueue), 1);
+        assert_eq!(hub.fired(Tracepoint::PolicyPublish), 1);
         assert_eq!(hub.fired(Tracepoint::RcuEpochBump), 1);
         assert_eq!(hub.fired_total(), 2);
     }
@@ -667,7 +617,7 @@ mod tests {
             }),
         );
         hub.emit(&TraceEvent::AuditEmit { seq: 1 });
-        hub.emit(&TraceEvent::SdsEnqueue { depth: 1 }); // filtered out
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 }); // filtered out
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         hub.unregister(handle);
         hub.emit(&TraceEvent::AuditEmit { seq: 1 });
@@ -810,13 +760,13 @@ mod tests {
         other.set_enabled(true);
         let misses = Arc::new(AtomicU64::new(0));
         let other_hits = Arc::new(AtomicU64::new(0));
-        hub.register(Tracepoint::SdsEnqueue, counter(&misses));
+        hub.register(Tracepoint::PolicyPublish, counter(&misses));
         other.register_all(counter(&other_hits));
         let (h, o) = (Arc::clone(&hub), Arc::clone(&other));
         hub.register(
             Tracepoint::AuditEmit,
             Arc::new(move |_| {
-                h.emit(&TraceEvent::SdsEnqueue { depth: 1 });
+                h.emit(&TraceEvent::PolicyPublish { epoch: 1 });
                 o.emit(&TraceEvent::AuditEmit { seq: 1 });
             }),
         );
@@ -832,18 +782,18 @@ mod tests {
             Tracepoint::RcuEpochBump,
             Arc::new(move |_| {
                 if !once.swap(true, Ordering::SeqCst) {
-                    h.register(Tracepoint::SdsEnqueue, counter(&l));
-                    h.emit(&TraceEvent::SdsEnqueue { depth: 1 });
+                    h.register(Tracepoint::PolicyPublish, counter(&l));
+                    h.emit(&TraceEvent::PolicyPublish { epoch: 1 });
                 }
             }),
         );
         hub.emit(&TraceEvent::RcuEpochBump { epoch: 1 });
-        hub.emit(&TraceEvent::SdsEnqueue { depth: 1 });
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
         assert_eq!(misses.load(Ordering::SeqCst), 5);
         assert_eq!(late.load(Ordering::SeqCst), 2);
         assert_eq!(other_hits.load(Ordering::SeqCst), 3);
         assert_eq!(hub.fired(Tracepoint::AuditEmit), 3);
-        assert_eq!(hub.fired(Tracepoint::SdsEnqueue), 5);
+        assert_eq!(hub.fired(Tracepoint::PolicyPublish), 5);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! SDS event-plane sweep runner (DESIGN.md §11): sync-vs-batched sensor
+//! SDS event-path sweep runner (DESIGN.md §11): sync-vs-batched sensor
 //! ingestion throughput per target rate, plus the warm-hook p50 impact of
-//! an active plane.
+//! interleaved heartbeat deliveries.
 //!
 //! Usage:
 //!   cargo run --release -p sack-lmbench --example sds_sweep -- \

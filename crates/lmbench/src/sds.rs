@@ -1,4 +1,4 @@
-//! SDS event-plane latency-vs-throughput sweep (DESIGN.md §11).
+//! SDS event-path latency-vs-throughput sweep (DESIGN.md §11).
 //!
 //! Compares the two sensor-ingestion paths end to end, through securityfs:
 //!
@@ -6,23 +6,24 @@
 //!   frame pays an SSM evaluation, and every matching frame pays a
 //!   transition publish and an epoch bump;
 //! * **batched** — frames grouped into one `write(2)` to `SACK/sds/ring`
-//!   per drain tick: the whole batch coalesces into at most one publish.
+//!   per 1 ms tick: the whole batch coalesces into at most one publish.
 //!
 //! The sweep parameter is the *target sensor rate*: at `rate` events/sec a
-//! 1 ms drain tick accumulates `rate / 1000` frames, so the batch size —
+//! 1 ms tick accumulates `rate / 1000` frames, so the batch size —
 //! and with it the coalescing win — scales with the rate. Both paths push
 //! the same alternating crash/rescue frame stream (the coalescing
 //! worst-best case: every frame matches a transition rule).
 //!
-//! A separate probe measures warm-hook p50 with and without the plane
-//! draining non-matching "heartbeat" batches in the foreground, feeding
-//! the bench gate's no-regression check: coalesced drains that publish
-//! nothing must not slow the hooks running beside them.
+//! A separate probe measures warm-hook p50 with and without coalesced
+//! deliveries of non-matching "heartbeat" batches interleaved in the
+//! foreground, feeding the bench gate's no-regression check: coalesced
+//! deliveries that publish nothing must not slow the hooks running
+//! beside them.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use sack_core::{BackpressurePolicy, EventPlane, LatencyHistogram, Sack};
+use sack_core::{LatencyHistogram, Sack};
 use sack_kernel::cred::{Capability, Credentials};
 use sack_kernel::file::OpenFlags;
 use sack_kernel::kernel::{Kernel, KernelBuilder};
@@ -47,8 +48,10 @@ const SWEEP_POLICY: &str = r#"
 
 /// Hook dispatches per warm-probe measurement.
 const WARM_PROBE_ITERS: usize = 20_000;
-/// Heartbeat frames per coalesced drain in the plane-active probe.
+/// Heartbeat frames per coalesced delivery in the plane-active probe.
 const WARM_PROBE_BATCH: usize = 64;
+/// One heartbeat batch: in `normal`, `rescue_done` matches nothing.
+const HEARTBEAT: [&str; WARM_PROBE_BATCH] = ["rescue_done"; WARM_PROBE_BATCH];
 
 /// One measured rate point: sync vs batched ingestion throughput.
 #[derive(Debug, Clone)]
@@ -72,9 +75,9 @@ pub struct SdsSweep {
     pub points: Vec<SdsPoint>,
     /// Frames pushed through each path at each point.
     pub events_per_point: usize,
-    /// Warm-hook p50 with no event plane installed (nanoseconds).
+    /// Warm-hook p50 with no heartbeat deliveries (nanoseconds).
     pub warm_base_p50_ns: u64,
-    /// Warm-hook p50 while the plane drains heartbeat batches (ns).
+    /// Warm-hook p50 with heartbeat batches delivered in between (ns).
     pub warm_plane_p50_ns: u64,
 }
 
@@ -88,7 +91,7 @@ impl SdsSweep {
     }
 
     /// Warm-hook p50 ratio, plane-active over base. The bench gate
-    /// requires this ≤ `MAX_SDS_WARM_IMPACT`: coalesced drains of
+    /// requires this ≤ `MAX_SDS_WARM_IMPACT`: coalesced deliveries of
     /// non-matching batches must not slow the hook path.
     pub fn warm_impact(&self) -> f64 {
         self.warm_plane_p50_ns as f64 / (self.warm_base_p50_ns.max(1)) as f64
@@ -165,14 +168,11 @@ fn run_sds_point(rate: u64, events: usize) -> SdsPoint {
 }
 
 /// Warm-hook p50 over [`WARM_PROBE_ITERS`] dispatches. With
-/// `plane_active`, every hook is preceded by a heartbeat submission and
-/// every [`WARM_PROBE_BATCH`]th by a coalesced drain — all non-matching,
-/// so a correct plane never publishes a transition.
+/// `plane_active`, every [`WARM_PROBE_BATCH`]th hook is preceded by one
+/// coalesced delivery of a [`HEARTBEAT`] batch — all non-matching, so a
+/// correct delivery never publishes a transition.
 fn warm_p50(plane_active: bool) -> u64 {
     let sack = Sack::independent(SWEEP_POLICY).expect("sweep policy must compile");
-    let plane = plane_active.then(|| {
-        sack.install_event_plane(EventPlane::DEFAULT_CAPACITY, BackpressurePolicy::DropOldest)
-    });
     let ctx = HookCtx::new(Pid(4243), Credentials::user(1000, 1000), None);
     let path = KPath::new("/dev/car/door0").expect("probe path");
     let obj = ObjectRef::regular(&path);
@@ -180,14 +180,9 @@ fn warm_p50(plane_active: bool) -> u64 {
     sack.file_open(&ctx, &obj, AccessMask::READ)
         .expect("probe access must be granted");
     for i in 0..WARM_PROBE_ITERS {
-        if let Some(plane) = &plane {
-            // In `normal`, rescue_done matches nothing: a heartbeat.
-            plane
-                .submit_name("rescue_done", 0, i as u64)
-                .expect("heartbeat");
-            if i % WARM_PROBE_BATCH == WARM_PROBE_BATCH - 1 {
-                plane.drain_all().expect("heartbeat drain");
-            }
+        if plane_active && i % WARM_PROBE_BATCH == WARM_PROBE_BATCH - 1 {
+            sack.deliver_coalesced(&HEARTBEAT, Duration::ZERO)
+                .expect("heartbeat delivery");
         }
         let op = Instant::now();
         sack.file_open(&ctx, &obj, AccessMask::READ)

@@ -1,11 +1,11 @@
-//! Producer side of the batched event plane.
+//! Producer side of the batched event path.
 //!
 //! The synchronous [`crate::service::SdsService`] pays one `write(2)` per
 //! detected event. At sensor rates the syscall + per-event SSM evaluation
 //! dominates, so this module batches: detections accumulate in a line
 //! buffer and ship as one multi-line write to `SACK/sds/ring`, where the
-//! kernel enqueues every frame and coalesces the whole batch into at most
-//! one SSM transition + epoch bump (one write = one drain).
+//! kernel coalesces the whole write into at most one SSM transition +
+//! epoch bump (one write = one coalesced delivery).
 //!
 //! Unknown event names are filtered client-side against the event list the
 //! policy node publishes, mirroring the sync path's per-event `EINVAL`
@@ -22,7 +22,7 @@ use sack_kernel::kernel::Kernel;
 use sack_kernel::types::Fd;
 use sack_kernel::uctx::UserContext;
 
-pub use sack_core::{BackpressurePolicy, EventFrame, EventPlane, FrameError, MAX_EVENT_NAME};
+pub use sack_core::EventPlane;
 
 use crate::detector::Detector;
 use crate::sensors::SensorFrame;
@@ -39,7 +39,7 @@ const SACK_POLICY_PATH: &str = "/sys/kernel/security/SACK/policy";
 /// Detections [`queue`](RingProducer::queue) into a line buffer; once
 /// `batch` events accumulate (or on an explicit
 /// [`flush`](RingProducer::flush)) the buffer ships as one write, which the
-/// kernel drains as one coalesced batch.
+/// kernel delivers as one coalesced batch.
 pub struct RingProducer {
     proc: UserContext,
     ring_fd: Fd,
@@ -119,7 +119,7 @@ impl RingProducer {
         Ok(true)
     }
 
-    /// Ships the buffered events as one write (one kernel drain). A no-op
+    /// Ships the buffered events as one write (one coalesced delivery). A no-op
     /// on an empty buffer. Returns the number of events shipped.
     ///
     /// # Errors
@@ -274,9 +274,9 @@ mod tests {
         producer.shutdown().unwrap();
         assert_eq!(sack.current_state_name(), "emergency");
         assert_eq!(
-            sack.event_plane().unwrap().submitted(),
+            sack.event_plane().unwrap().drained_frames(),
             1,
-            "rejected event never entered the ring"
+            "rejected event never reached the kernel"
         );
     }
 

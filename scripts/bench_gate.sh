@@ -33,13 +33,13 @@
 #     MIN_SMP_EFFICIENCY x linear, normalised to
 #     min(threads, available_parallelism).
 #
-# Also runs the SDS event-plane sweep (DESIGN.md §11) and fails if:
-#   * batched ring ingestion is not at least MIN_SDS_SPEEDUP x the
-#     synchronous per-event path's throughput at 100k events/sec;
-#   * an active plane draining non-matching batches inflates the warm
-#     hook p50 beyond MAX_SDS_WARM_IMPACT x the planeless baseline
-#     (coalesced drains that publish nothing must stay off the hook
-#     path).
+# Also runs the SDS event-path sweep (DESIGN.md §11) and fails if:
+#   * batched SACK/sds/ring ingestion is not at least MIN_SDS_SPEEDUP x
+#     the synchronous per-event path's throughput at 100k events/sec;
+#   * coalesced deliveries of non-matching batches interleaved with the
+#     hooks inflate the warm hook p50 beyond MAX_SDS_WARM_IMPACT x the
+#     baseline without them (deliveries that publish nothing must stay
+#     off the hook path).
 #
 # Before rewriting BENCH_hook_latency.json the script cross-checks the
 # gate block recorded in the committed file against the thresholds it

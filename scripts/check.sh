@@ -22,12 +22,11 @@
 #                                   (keeps the executor's coverage from
 #                                   rotting)
 #   7. sack-analyze sched --smoke — bounded deterministic-schedule
-#                                   exploration of the real Rcu and ring
-#                                   code (try_enqueue, drop-oldest
-#                                   force_enqueue, batch enqueue and
-#                                   drain): core scenarios pass and
-#                                   every planted mutation is caught with
-#                                   a printed counterexample
+#                                   exploration of the real Rcu code (two
+#                                   reader/writer shapes and the profile-
+#                                   table publish): core scenarios pass
+#                                   and both planted Rcu mutations are
+#                                   caught with a printed counterexample
 #   8. sack-analyze trace --self-check
 #                                 — boots a traced kernel and proves
 #                                   every tracepoint fires, the flight
@@ -37,7 +36,7 @@
 #                                   valid Prometheus
 #   9. contended sweep smoke      — the SMP sweep runner at 2 threads,
 #                                   proving the contended path executes
-#  10. sds sweep smoke            — the event-plane sweep runner on a
+#  10. sds sweep smoke            — the event-path sweep runner on a
 #                                   reduced grid, proving both ingestion
 #                                   paths and the warm probe execute
 #  11. profile-compile smoke      — a 2-worker parallel bulk load whose

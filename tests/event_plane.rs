@@ -1,7 +1,7 @@
-//! Differential oracle for the batched sensor event plane: the ring-based
-//! ingestion path (`SACK/sds/ring`, transition coalescing, one epoch bump
-//! per drain) must be observationally equivalent to the synchronous
-//! per-event `SACK/events` path. Equivalence is checked at every drain
+//! Differential oracle for the batched sensor event path: the coalesced
+//! ingestion path (`SACK/sds/ring`, one transition and one epoch bump per
+//! write at most) must be observationally equivalent to the synchronous
+//! per-event `SACK/events` path. Equivalence is checked at every write
 //! boundary on three surfaces:
 //!
 //!   * the SSM state (coalescing may skip intermediate states but must
@@ -13,7 +13,7 @@
 //!     denied probe must audit identically on both twins).
 //!
 //! Deliberately *not* compared: transition counts and transition history.
-//! Coalescing publishes at most one transition per drain by design, so
+//! Coalescing publishes at most one transition per write by design, so
 //! those legitimately differ between the paths.
 //!
 //! Runs as a property test over random event sequences with random batch
@@ -25,7 +25,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use sack_core::eventplane::EventFrame;
 use sack_core::Sack;
 use sack_kernel::cred::{Capability, Credentials};
 use sack_kernel::file::OpenFlags;
@@ -166,9 +165,8 @@ fn random_batched_ingestion_matches_the_sync_oracle() {
                     .write(sync_fd, format!("{name}\n").as_bytes())
                     .unwrap();
             }
-            // Batched twin: the same events as one ring submission; the
-            // node's drain coalesces them into at most one published
-            // transition.
+            // Batched twin: the same events as one `SACK/sds/ring` write,
+            // coalesced into at most one published transition.
             let blob = format!("{}\n", batch.join("\n"));
             batched_sds.write(batched_fd, blob.as_bytes()).unwrap();
 
@@ -257,43 +255,70 @@ fn shipped_traces_drive_both_paths_to_identical_outcomes() {
     }
 }
 
+/// A write longer than any queue the path once had: `crash` then 1,024
+/// `park` lines in one `SACK/sds/ring` write must deliver every line,
+/// `crash` included, and land where the same lines written one by one to
+/// `SACK/events` land.
 #[test]
-fn a_reload_between_submit_and_drain_falls_back_to_name_resolution() {
-    // Frames carry a generation-tagged id hint resolved at submit time. A
-    // policy reload between submit and drain orphans those hints; the
-    // drain must then resolve by name against the *new* policy rather than
-    // trusting ids minted under the old one.
-    let world = boot_world();
-    let sack = &world.sack;
-    let plane = Arc::clone(sack.event_plane().unwrap());
+fn an_oversized_ring_write_delivers_every_line() {
+    let sync = boot_world();
+    let batched = boot_world();
+    let (sync_sds, sync_fd) = open_ingestion(&sync, SACK_EVENTS_PATH);
+    let (batched_sds, batched_fd) = open_ingestion(&batched, SACK_RING_PATH);
 
-    let stale = sack.active();
-    let gen = stale.load_generation;
-    let mut frame = EventFrame::new("crash", 0, 0).unwrap();
-    frame.set_hint(stale.ssm.space().event_id("crash").unwrap(), gen);
+    let lines: Vec<&str> = std::iter::once("crash")
+        .chain(std::iter::repeat_n("park", 1024))
+        .collect();
+    for name in &lines {
+        sync_sds
+            .write(sync_fd, format!("{name}\n").as_bytes())
+            .unwrap();
+    }
+    let blob = format!("{}\n", lines.join("\n"));
     assert_eq!(
-        plane.submit_batch(&[frame]),
-        0,
-        "ring must accept the frame"
+        batched_sds.write(batched_fd, blob.as_bytes()).unwrap(),
+        blob.len()
     );
 
-    sack.reload_policy(VEHICLE_SACK_POLICY).unwrap();
-    assert_ne!(
-        sack.active().load_generation,
-        gen,
-        "a reload must mint a fresh hint generation"
-    );
-
-    let outcome = plane.drain_all().unwrap();
-    assert_eq!(outcome.batch, 1);
-    assert_eq!(outcome.matched, 1, "the orphaned frame must still match");
-    assert!(outcome.transitioned);
-    // The reload restarted the SSM at parking_with_driver; crash moves it
-    // to emergency — proof the event was delivered under the new policy.
-    assert_eq!(sack.current_state_name(), "emergency");
+    assert_eq!(sync.sack.current_state_name(), "emergency");
+    assert_eq!(batched.sack.current_state_name(), "emergency");
+    assert_probes_agree(&sync, &batched, "after the oversized write");
+    let plane = batched.sack.event_plane().unwrap();
+    assert_eq!(plane.drained_frames(), 1025);
+    assert_eq!(plane.transitions_published(), 1);
+    assert_eq!(plane.dropped(), 0);
     assert_eq!(
-        sack.stats().events_unknown.load(Ordering::Relaxed),
-        0,
-        "a stale hint must fall back to the name, not count as unknown"
+        sync.sack.active().ssm.delivered_count(),
+        batched.sack.active().ssm.delivered_count()
     );
+}
+
+/// An event name longer than 32 bytes moves the SSM through both nodes.
+#[test]
+fn a_long_event_name_moves_the_ssm_through_both_nodes() {
+    const LONG: &str = "driver_seat_belt_unfastened_while_moving";
+    assert_eq!(LONG.len(), 40);
+    let policy = format!(
+        r#"
+        states {{ driving = 0; alert = 1; }}
+        events {{ {LONG}; }}
+        transitions {{ driving -{LONG}-> alert; }}
+        initial driving;
+        permissions {{ P; }}
+        state_per {{ alert: P; }}
+        per_rules {{ P: allow subject=* /dev/car/** r; }}
+    "#
+    );
+    for node in [SACK_EVENTS_PATH, SACK_RING_PATH] {
+        let sack = Sack::independent(&policy).unwrap();
+        let kernel = KernelBuilder::new()
+            .security_module(Arc::clone(&sack) as Arc<dyn SecurityModule>)
+            .boot();
+        sack.attach(&kernel).unwrap();
+        let sds = kernel.spawn(Credentials::user(500, 500).with_capability(Capability::MacAdmin));
+        let fd = sds.open(node, OpenFlags::write_only()).unwrap();
+        sds.write(fd, format!("{LONG}\n").as_bytes())
+            .unwrap_or_else(|e| panic!("{node}: {e:?}"));
+        assert_eq!(sack.current_state_name(), "alert", "{node}");
+    }
 }

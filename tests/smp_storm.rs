@@ -574,3 +574,70 @@ fn confinement_writes_race_enhanced_transitions_without_lost_updates() {
         }
     }
 }
+
+/// Two writers race `crash` against `emergency_resolved` on the vehicle
+/// enhanced bundle, one pair per round from `parking_with_driver`. When
+/// `crash` steps the SSM first, `emergency_resolved` can step it back and
+/// publish its AppArmor state before `crash` publishes its own. The
+/// delivery lock holds each SSM step and its publish together, so after
+/// every round `rescue_daemon`'s profile is the body of the state the SSM
+/// is in.
+#[test]
+fn concurrent_enhanced_deliveries_publish_in_ssm_order() {
+    let build = || {
+        let db = Arc::new(PolicyDb::new());
+        db.load_text(VEHICLE_APPARMOR_PROFILES).unwrap();
+        let apparmor = AppArmor::new(Arc::clone(&db));
+        let sack = Sack::enhanced_apparmor(VEHICLE_ENHANCED_POLICY, apparmor).unwrap();
+        (db, sack)
+    };
+    let rescue_body = |db: &PolicyDb| db.get("rescue_daemon").unwrap().profile().clone();
+    let (twin_db, twin) = build();
+    let parked = rescue_body(&twin_db);
+    twin.deliver_event("crash", Duration::ZERO).unwrap();
+    let emergency = rescue_body(&twin_db);
+    assert_ne!(
+        parked, emergency,
+        "the door rule must tell the states apart"
+    );
+
+    let (db, sack) = build();
+    const ROUNDS: usize = 3000;
+    let barrier = std::sync::Barrier::new(3);
+    let mut mismatches = Vec::new();
+    std::thread::scope(|s| {
+        for event in ["crash", "emergency_resolved"] {
+            let (sack, barrier) = (&sack, &barrier);
+            s.spawn(move || {
+                for _ in 0..ROUNDS {
+                    barrier.wait();
+                    sack.deliver_event(event, Duration::ZERO).unwrap();
+                    barrier.wait();
+                }
+            });
+        }
+        for round in 0..ROUNDS {
+            barrier.wait();
+            barrier.wait();
+            let state = sack.current_state_name();
+            let expected = if state == "emergency" {
+                &emergency
+            } else {
+                &parked
+            };
+            if rescue_body(&db) != *expected {
+                mismatches.push(format!("round {round}: SSM in `{state}`"));
+            }
+            if state == "emergency" {
+                sack.deliver_event("emergency_resolved", Duration::ZERO)
+                    .unwrap();
+            }
+        }
+    });
+    assert!(
+        mismatches.is_empty(),
+        "{} of {ROUNDS} rounds left rescue_daemon's profile out of step with the SSM: {:?}",
+        mismatches.len(),
+        &mismatches[..mismatches.len().min(5)]
+    );
+}
