@@ -64,15 +64,14 @@ pub fn profile_dfa_sizes_of(db: &sack_apparmor::PolicyDb) -> Vec<ProfileDfaSize>
         let Some(compiled) = db.get(&name) else {
             continue;
         };
-        let rules = compiled.rules();
-        let handle = rules.dfa_handle();
+        let handle = compiled.rules().dfa_handle();
         let dfa_addr = std::sync::Arc::as_ptr(handle) as usize;
         let next_group = groups.len();
         let dedup_group = *groups.entry(dfa_addr).or_insert(next_group);
         let stats = handle.stats();
         out.push(ProfileDfaSize {
             profile: name,
-            rules: rules.len(),
+            rules: compiled.profile().path_rules.len(),
             classes: stats.classes,
             compiled: CompiledDfaSize {
                 states: stats.states,

@@ -1,15 +1,15 @@
 //! Compiled rule matching.
 //!
-//! A profile's rules compile into [`CompiledRules`]: the rule list plus
-//! one unified [`crate::dfa::Dfa`] whose accepting states carry the
-//! pre-folded [`RuleDecision`], so [`CompiledRules::evaluate_dfa`] answers
-//! in O(|path|) regardless of rule count. The DFA is built before the
-//! profile is installed, as `apparmor_parser` compiles a profile before
-//! the kernel loads it; the hook only walks it.
+//! A profile's rules compile into [`CompiledRules`]: one unified
+//! [`crate::dfa::Dfa`] whose accepting states carry the pre-folded
+//! [`RuleDecision`], so [`CompiledRules::evaluate_dfa`] answers in
+//! O(|path|) regardless of rule count. The DFA is built before the profile
+//! is installed, as `apparmor_parser` compiles a profile before the kernel
+//! loads it; the hook only walks it.
 //!
-//! [`CompiledRules::evaluate`] scans every rule and is the one other
-//! matcher: the differential-testing oracle the DFA must agree with, and
-//! the path hooks take with `PolicyDb::set_dfa_matcher_enabled(false)`.
+//! [`scan`] folds every matching rule of a rule list and is the oracle the
+//! DFA is tested against. No hook calls it: tests and benches reach it
+//! through `CompiledProfile::scan`, over the profile's own `path_rules`.
 //!
 //! The DFA sits behind an `Arc`: the `PolicyDb` hands every profile with
 //! an identical rule body the same one, so each distinct body compiles
@@ -20,14 +20,6 @@ use std::sync::Arc;
 
 use crate::dfa::{Dfa, DfaBuilder, DfaStats};
 use crate::profile::{FilePerms, PathRule};
-
-/// One compiled rule.
-#[derive(Debug, Clone)]
-struct CompiledRule {
-    glob: crate::glob::Glob,
-    perms: FilePerms,
-    deny: bool,
-}
 
 /// Outcome of evaluating rules for a path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -47,11 +39,11 @@ impl RuleDecision {
     }
 
     /// Folds one matching rule into the decision.
-    fn add(&mut self, perms: FilePerms, deny: bool) {
-        if deny {
-            self.denied = self.denied.union(perms);
+    fn add(&mut self, rule: &PathRule) {
+        if rule.deny {
+            self.denied = self.denied.union(rule.perms);
         } else {
-            self.allowed = self.allowed.union(perms);
+            self.allowed = self.allowed.union(rule.perms);
         }
     }
 }
@@ -60,6 +52,16 @@ impl fmt::Display for RuleDecision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "allow={} deny={}", self.allowed, self.denied)
     }
+}
+
+/// Evaluates `path` by scanning every rule: the oracle the DFA walk is
+/// tested against, and the ablation baseline.
+pub fn scan(rules: &[PathRule], path: &str) -> RuleDecision {
+    let mut decision = RuleDecision::default();
+    for rule in rules.iter().filter(|rule| rule.glob.matches(path)) {
+        decision.add(rule);
+    }
+    decision
 }
 
 /// Compiles `rules` into one unified, minimized DFA over the byte classes
@@ -72,42 +74,30 @@ pub(crate) fn build_dfa(rules: &[PathRule]) -> Dfa<RuleDecision> {
     builder.build(|tags| {
         let mut decision = RuleDecision::default();
         for &tag in tags {
-            let rule = &rules[tag as usize];
-            decision.add(rule.perms, rule.deny);
+            decision.add(&rules[tag as usize]);
         }
         decision
     })
 }
 
-/// An immutable rule set with its compiled DFA.
+/// A rule set's compiled DFA: all rules merged into one minimized
+/// automaton whose accepting states carry the union `RuleDecision`
+/// resolved at build time. Shared across profiles with identical rule
+/// bodies.
 pub struct CompiledRules {
-    /// The rules in source order, for the scan oracle.
-    rules: Vec<CompiledRule>,
-    /// All rules merged into one minimized DFA; accepting states carry the
-    /// union `RuleDecision` resolved at build time. Shared across profiles
-    /// with identical rule bodies.
     dfa: Arc<Dfa<RuleDecision>>,
 }
 
 impl CompiledRules {
     /// Compiles a rule list into its DFA.
     pub fn build(rules: &[PathRule]) -> CompiledRules {
-        Self::with_dfa(rules, Arc::new(build_dfa(rules)))
+        Self::from_dfa(Arc::new(build_dfa(rules)))
     }
 
     /// Wraps an already-built DFA — the dedup path, where `dfa` was
-    /// compiled for an identical rule body. The caller guarantees `dfa`
-    /// was built from exactly these rules.
-    pub(crate) fn with_dfa(rules: &[PathRule], dfa: Arc<Dfa<RuleDecision>>) -> CompiledRules {
-        let rules = rules
-            .iter()
-            .map(|rule| CompiledRule {
-                glob: rule.glob.clone(),
-                perms: rule.perms,
-                deny: rule.deny,
-            })
-            .collect();
-        CompiledRules { rules, dfa }
+    /// compiled for an identical rule body.
+    pub(crate) fn from_dfa(dfa: Arc<Dfa<RuleDecision>>) -> CompiledRules {
+        CompiledRules { dfa }
     }
 
     /// The shared DFA — one per distinct rule body. Profiles with identical
@@ -116,31 +106,9 @@ impl CompiledRules {
         &self.dfa
     }
 
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// True if there are no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Evaluates `path` by scanning every rule — the oracle the DFA walk
-    /// is tested against, and the ablation baseline.
-    pub fn evaluate(&self, path: &str) -> RuleDecision {
-        let mut decision = RuleDecision::default();
-        for rule in &self.rules {
-            if rule.glob.matches(path) {
-                decision.add(rule.perms, rule.deny);
-            }
-        }
-        decision
-    }
-
     /// Evaluates `path` with a single walk of the unified DFA — O(|path|)
-    /// independent of rule count. Produces the same decision as
-    /// [`CompiledRules::evaluate`].
+    /// independent of rule count. Produces the same decision as [`scan`]
+    /// over the rules it was built from.
     pub fn evaluate_dfa(&self, path: &str) -> RuleDecision {
         *self.dfa.eval(path)
     }
@@ -154,7 +122,6 @@ impl CompiledRules {
 impl fmt::Debug for CompiledRules {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledRules")
-            .field("rules", &self.rules.len())
             .field("states", &self.dfa.state_count())
             .finish()
     }
@@ -180,23 +147,17 @@ mod tests {
 
     #[test]
     fn allow_union_across_rules() {
-        let c = CompiledRules::build(&rules(&[
-            ("/etc/*", "r", false),
-            ("/etc/app.conf", "w", false),
-        ]));
-        let d = c.evaluate("/etc/app.conf");
+        let r = rules(&[("/etc/*", "r", false), ("/etc/app.conf", "w", false)]);
+        let d = scan(&r, "/etc/app.conf");
         assert!(d.permits(FilePerms::READ | FilePerms::WRITE));
-        assert!(!c.evaluate("/etc/other").permits(FilePerms::WRITE));
+        assert!(!scan(&r, "/etc/other").permits(FilePerms::WRITE));
     }
 
     #[test]
     fn deny_overrides_allow() {
-        let c = CompiledRules::build(&rules(&[
-            ("/dev/**", "rwi", false),
-            ("/dev/car/door*", "wi", true),
-        ]));
-        assert!(c.evaluate("/dev/audio").permits(FilePerms::WRITE));
-        let d = c.evaluate("/dev/car/door0");
+        let r = rules(&[("/dev/**", "rwi", false), ("/dev/car/door*", "wi", true)]);
+        assert!(scan(&r, "/dev/audio").permits(FilePerms::WRITE));
+        let d = scan(&r, "/dev/car/door0");
         assert!(!d.permits(FilePerms::WRITE));
         assert!(!d.permits(FilePerms::IOCTL));
         assert!(d.permits(FilePerms::READ), "read was not denied");
@@ -204,21 +165,22 @@ mod tests {
 
     #[test]
     fn unmatched_path_permits_nothing() {
-        let c = CompiledRules::build(&rules(&[("/a/*", "r", false)]));
-        assert!(!c.evaluate("/b/x").permits(FilePerms::READ));
-        assert!(c.evaluate("/b/x").permits(FilePerms::empty()));
+        let r = rules(&[("/a/*", "r", false)]);
+        assert!(!scan(&r, "/b/x").permits(FilePerms::READ));
+        assert!(scan(&r, "/b/x").permits(FilePerms::empty()));
     }
 
     /// The compiled DFA index and the rule scan decide identically.
     #[test]
     fn index_and_scan_agree() {
-        let c = CompiledRules::build(&rules(&[
+        let r = rules(&[
             ("/etc/*", "r", false),
             ("/dev/car/**", "rwi", false),
             ("/**", "r", false),
             ("/dev/car/door[0-3]", "i", true),
             ("/*", "w", false),
-        ]));
+        ]);
+        let c = CompiledRules::build(&r);
         for path in [
             "/etc/passwd",
             "/dev/car/door1",
@@ -226,18 +188,16 @@ mod tests {
             "/toplevel",
             "/a/b/c",
         ] {
-            assert_eq!(c.evaluate(path), c.evaluate_dfa(path), "path {path}");
+            assert_eq!(scan(&r, path), c.evaluate_dfa(path), "path {path}");
         }
     }
 
     #[test]
     fn dfa_resolves_deny_at_build_time() {
-        let c = CompiledRules::build(&rules(&[
-            ("/dev/**", "rwi", false),
-            ("/dev/car/door*", "wi", true),
-        ]));
+        let r = rules(&[("/dev/**", "rwi", false), ("/dev/car/door*", "wi", true)]);
+        let c = CompiledRules::build(&r);
         let d = c.evaluate_dfa("/dev/car/door0");
-        assert_eq!(d, c.evaluate("/dev/car/door0"));
+        assert_eq!(d, scan(&r, "/dev/car/door0"));
         assert!(!d.permits(FilePerms::WRITE));
         assert!(d.permits(FilePerms::READ));
         assert!(c.evaluate_dfa("/dev/audio").permits(FilePerms::WRITE));
@@ -247,21 +207,23 @@ mod tests {
 
     #[test]
     fn wildcard_first_component_matches() {
-        let c = CompiledRules::build(&rules(&[("/**", "r", false)]));
-        assert_eq!(c.len(), 1);
-        assert!(c.evaluate("/any/where").permits(FilePerms::READ));
-        assert!(c.evaluate_dfa("/any/where").permits(FilePerms::READ));
+        let r = rules(&[("/**", "r", false)]);
+        assert!(scan(&r, "/any/where").permits(FilePerms::READ));
+        assert!(CompiledRules::build(&r)
+            .evaluate_dfa("/any/where")
+            .permits(FilePerms::READ));
         // A wildcard inside the first component.
-        let c = CompiledRules::build(&rules(&[("/de*/audio", "r", false)]));
-        assert!(c.evaluate("/dev/audio").permits(FilePerms::READ));
-        assert!(c.evaluate_dfa("/dev/audio").permits(FilePerms::READ));
+        let r = rules(&[("/de*/audio", "r", false)]);
+        assert!(scan(&r, "/dev/audio").permits(FilePerms::READ));
+        assert!(CompiledRules::build(&r)
+            .evaluate_dfa("/dev/audio")
+            .permits(FilePerms::READ));
     }
 
     #[test]
     fn empty_rule_set() {
         let c = CompiledRules::build(&[]);
-        assert!(c.is_empty());
-        assert!(!c.evaluate("/x").permits(FilePerms::READ));
+        assert!(!scan(&[], "/x").permits(FilePerms::READ));
         assert!(!c.evaluate_dfa("/x").permits(FilePerms::READ));
     }
 
@@ -269,10 +231,10 @@ mod tests {
     fn shared_handle_dedups_across_rule_sets() {
         let body = rules(&[("/etc/*", "r", false)]);
         let dfa = Arc::new(build_dfa(&body));
-        let a = CompiledRules::with_dfa(&body, Arc::clone(&dfa));
-        let b = CompiledRules::with_dfa(&body, Arc::clone(&dfa));
+        let a = CompiledRules::from_dfa(Arc::clone(&dfa));
+        let b = CompiledRules::from_dfa(Arc::clone(&dfa));
         assert!(Arc::ptr_eq(a.dfa_handle(), b.dfa_handle()));
-        assert_eq!(a.evaluate_dfa("/etc/passwd"), b.evaluate("/etc/passwd"));
+        assert_eq!(a.evaluate_dfa("/etc/passwd"), scan(&body, "/etc/passwd"));
         assert!(b.evaluate_dfa("/etc/passwd").permits(FilePerms::READ));
     }
 }

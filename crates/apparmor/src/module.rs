@@ -51,7 +51,9 @@ pub struct AppArmor {
     policy: Arc<PolicyDb>,
     /// Pid → compiled-profile snapshot, RCU-published copy-on-write: hook
     /// reads are wait-free `Rcu::read` snapshots; the (rare) confinement
-    /// mutations on fork/exec/exit swap in a whole rebuilt map.
+    /// mutations on fork/exec/exit swap in a whole rebuilt map. Every
+    /// writer decides inside its `Rcu::update` and publishes nothing when
+    /// the map would not change.
     confinement: Rcu<HashMap<Pid, Arc<CompiledProfile>>>,
     audit: Mutex<Vec<AuditEvent>>,
 }
@@ -82,25 +84,19 @@ impl AppArmor {
         // a `refresh_confinement` between a lookup outside it and the
         // insert would leave the task on a pre-transition snapshot.
         self.confinement.update(|map| {
-            let mut next = map.clone();
             let Some(profile) = self.policy.get(name) else {
                 return (
-                    next,
+                    None,
                     Err(KernelError::with_context(Errno::EINVAL, "apparmor")),
                 );
             };
-            next.insert(pid, profile);
-            (next, Ok(()))
+            (with_entry(map, pid, profile), Ok(()))
         })
     }
 
     /// Removes confinement from `pid`.
     pub fn unconfine(&self, pid: Pid) {
-        self.confinement.update(|map| {
-            let mut next = map.clone();
-            next.remove(&pid);
-            (next, ())
-        });
+        self.confinement.update(|map| (without_entry(map, pid), ()));
     }
 
     /// The name of the profile confining `pid`, if any.
@@ -126,17 +122,21 @@ impl AppArmor {
     /// profiles so confined tasks pick up the new rules.
     pub fn refresh_confinement(&self) {
         self.confinement.update(|map| {
+            let mut changed = false;
             let next = map
                 .iter()
                 .map(|(pid, compiled)| {
-                    let fresh = self
-                        .policy
-                        .get(&compiled.profile().name)
-                        .unwrap_or_else(|| Arc::clone(compiled));
+                    let fresh = match self.policy.get(&compiled.profile().name) {
+                        Some(fresh) if !Arc::ptr_eq(&fresh, compiled) => {
+                            changed = true;
+                            fresh
+                        }
+                        _ => Arc::clone(compiled),
+                    };
                     (*pid, fresh)
                 })
                 .collect();
-            (next, ())
+            (changed.then_some(next), ())
         });
     }
 
@@ -181,12 +181,11 @@ impl AppArmor {
         let Some(profile) = self.confining(ctx.pid) else {
             return Ok(());
         };
-        let decision = if self.policy.dfa_matcher_enabled() {
-            profile.rules().evaluate_dfa(obj.path.as_str())
-        } else {
-            profile.rules().evaluate(obj.path.as_str())
-        };
-        if decision.permits(requested) {
+        if profile
+            .rules()
+            .evaluate_dfa(obj.path.as_str())
+            .permits(requested)
+        {
             return Ok(());
         }
         if profile.profile().mode == ProfileMode::Complain {
@@ -260,11 +259,7 @@ impl SecurityModule for AppArmor {
         let Some(profile) = self.confining(ctx.pid) else {
             return Ok(());
         };
-        let decision = if self.policy.dfa_matcher_enabled() {
-            profile.rules().evaluate_dfa(exe.as_str())
-        } else {
-            profile.rules().evaluate(exe.as_str())
-        };
+        let decision = profile.rules().evaluate_dfa(exe.as_str());
         if decision.permits(FilePerms::EXEC) || profile.profile().mode == ProfileMode::Complain {
             Ok(())
         } else {
@@ -282,46 +277,33 @@ impl SecurityModule for AppArmor {
     }
 
     fn bprm_committed(&self, ctx: &HookCtx, exe: &KPath) {
-        // Domain transition: attach the profile matching the new image.
-        // The check outside spares an unattached exec the copy-and-swap;
-        // the snapshot itself is looked up inside the update (see
-        // `set_profile`).
-        if self.policy.find_by_attachment(exe.as_str()).is_some() {
-            self.confinement.update(|map| {
-                let mut next = map.clone();
-                if let Some(profile) = self.policy.find_by_attachment(exe.as_str()) {
-                    next.insert(ctx.pid, profile);
-                }
-                (next, ())
-            });
-        }
+        // Domain transition: attach the profile matching the new image,
+        // looked up inside the update (see `set_profile`). An unattached
+        // exec publishes nothing.
+        self.confinement.update(|map| {
+            let next = self
+                .policy
+                .find_by_attachment(exe.as_str())
+                .and_then(|profile| with_entry(map, ctx.pid, profile));
+            (next, ())
+        });
     }
 
     fn task_alloc(&self, ctx: &HookCtx, child: Pid) -> KernelResult<()> {
         // The child inherits the parent's entry as the update sees it, so a
         // concurrent `refresh_confinement` reaches both or neither.
-        if self.confinement.read().contains_key(&ctx.pid) {
-            self.confinement.update(|map| {
-                let mut next = map.clone();
-                if let Some(profile) = map.get(&ctx.pid) {
-                    next.insert(child, Arc::clone(profile));
-                }
-                (next, ())
-            });
-        }
+        self.confinement.update(|map| {
+            let next = map
+                .get(&ctx.pid)
+                .and_then(|profile| with_entry(map, child, Arc::clone(profile)));
+            (next, ())
+        });
         Ok(())
     }
 
     fn task_free(&self, pid: Pid) {
-        // Skip the copy-and-swap when the task was never confined: exits of
-        // unconfined tasks should not clone the whole map.
-        if self.confinement.read().contains_key(&pid) {
-            self.confinement.update(|map| {
-                let mut next = map.clone();
-                next.remove(&pid);
-                (next, ())
-            });
-        }
+        // An unconfined task's exit publishes nothing.
+        self.confinement.update(|map| (without_entry(map, pid), ()));
     }
 
     fn capable(&self, ctx: &HookCtx, cap: Capability) -> KernelResult<()> {
@@ -385,6 +367,35 @@ impl SecurityModule for AppArmor {
         );
         Err(KernelError::with_context(Errno::EACCES, "apparmor"))
     }
+}
+
+/// `map` with `pid` confined by `profile`, or `None` when it already is.
+fn with_entry(
+    map: &HashMap<Pid, Arc<CompiledProfile>>,
+    pid: Pid,
+    profile: Arc<CompiledProfile>,
+) -> Option<HashMap<Pid, Arc<CompiledProfile>>> {
+    if map
+        .get(&pid)
+        .is_some_and(|held| Arc::ptr_eq(held, &profile))
+    {
+        return None;
+    }
+    let mut next = map.clone();
+    next.insert(pid, profile);
+    Some(next)
+}
+
+/// `map` without `pid`, or `None` when `pid` is not confined.
+fn without_entry(
+    map: &HashMap<Pid, Arc<CompiledProfile>>,
+    pid: Pid,
+) -> Option<HashMap<Pid, Arc<CompiledProfile>>> {
+    map.contains_key(&pid).then(|| {
+        let mut next = map.clone();
+        next.remove(&pid);
+        next
+    })
 }
 
 impl fmt::Debug for AppArmor {
@@ -558,6 +569,30 @@ mod tests {
         assert!(p.read_to_vec("/tmp/b").is_err());
         aa.refresh_confinement();
         assert!(p.read_to_vec("/tmp/b").is_ok());
+    }
+
+    /// A confinement write that changes no entry publishes no map.
+    #[test]
+    fn noop_confinement_writes_publish_nothing() {
+        let aa = AppArmor::new(Arc::new(PolicyDb::new()));
+        aa.policy()
+            .load_text("profile app /usr/bin/app { /tmp/* r, }")
+            .unwrap();
+        let ctx = |pid: u32| HookCtx::new(Pid(pid), Credentials::root(), None);
+        aa.set_profile(Pid(1), "app").unwrap();
+        let generation = aa.confinement.generation();
+        assert!(aa.set_profile(Pid(1), "ghost").is_err());
+        aa.set_profile(Pid(1), "app").unwrap();
+        aa.unconfine(Pid(2));
+        aa.refresh_confinement();
+        aa.bprm_committed(&ctx(2), &KPath::new("/usr/bin/other").unwrap());
+        aa.bprm_committed(&ctx(1), &KPath::new("/usr/bin/app").unwrap());
+        aa.task_alloc(&ctx(2), Pid(3)).unwrap();
+        aa.task_free(Pid(3));
+        assert_eq!(aa.confinement.generation(), generation);
+        aa.task_alloc(&ctx(1), Pid(4)).unwrap();
+        assert_eq!(aa.current_profile(Pid(4)).as_deref(), Some("app"));
+        assert_eq!(aa.confinement.generation(), generation + 1);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -34,7 +34,7 @@ use sack_kernel::trace::{TraceEvent, TraceHub};
 use sack_kernel::Rcu;
 
 use crate::dfa::Dfa;
-use crate::matcher::{build_dfa, CompiledRules, RuleDecision};
+use crate::matcher::{self, build_dfa, CompiledRules, RuleDecision};
 use crate::parser::{parse_profiles, ParseProfileError};
 use crate::pipeline;
 use crate::profile::{PathRule, Profile};
@@ -89,13 +89,19 @@ impl CompiledProfile {
     pub fn rules(&self) -> &CompiledRules {
         &self.rules
     }
+
+    /// Evaluates `path` by scanning the profile's own rules: the oracle
+    /// [`CompiledRules::evaluate_dfa`] must agree with. No hook calls it.
+    pub fn scan(&self, path: &str) -> RuleDecision {
+        matcher::scan(&self.profile.path_rules, path)
+    }
 }
 
 impl fmt::Debug for CompiledProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledProfile")
             .field("name", &self.profile.name)
-            .field("rules", &self.rules.len())
+            .field("rules", &self.profile.path_rules.len())
             .finish()
     }
 }
@@ -136,9 +142,6 @@ type ProfileTable = HashMap<Arc<str>, Arc<CompiledProfile>>;
 pub struct PolicyDb {
     table: Rcu<ProfileTable>,
     revision: AtomicU64,
-    /// Routes hook evaluation through the unified per-profile DFA; off, the
-    /// rule scan serves as the differential-testing oracle.
-    dfa_enabled: AtomicBool,
     /// Worker cap for the bulk-compile pool; 0 means
     /// [`pipeline::default_workers`].
     workers: AtomicUsize,
@@ -160,7 +163,6 @@ impl Default for PolicyDb {
         PolicyDb {
             table: Rcu::new(ProfileTable::new()),
             revision: AtomicU64::new(0),
-            dfa_enabled: AtomicBool::new(true),
             workers: AtomicUsize::new(0),
             profile_compiles: AtomicU64::new(0),
             dedup: Mutex::new(HashMap::new()),
@@ -202,20 +204,21 @@ impl PolicyDb {
     /// The one install path behind `load`, `load_many`, `load_text`,
     /// `patch` and `patch_many`. `edit` reads the current table and returns
     /// the profiles to install, each replacing the loaded profile of its
-    /// name; the result is one publish, and the revision moves when some
-    /// profile changed. An `Err` from `edit` leaves every profile and the
-    /// revision as they were. Returns each installed profile's handle, in
-    /// order.
+    /// name; the result is one publish and one revision bump when some
+    /// profile changed, and no publish at all otherwise. An `Err` from
+    /// `edit` leaves the table and the revision as they were. Returns each
+    /// installed profile's handle, in order.
     fn install<E>(
         &self,
         edit: impl FnOnce(&ProfileTable) -> Result<Vec<Profile>, E>,
     ) -> Result<Vec<Arc<CompiledProfile>>, E> {
         let (handles, changed) = self.table.update(|table| match edit(table) {
             Ok(incoming) => {
-                let (next, handles, changed) = self.install_many(table, incoming);
+                let (next, handles) = self.install_many(table, incoming);
+                let changed = next.is_some();
                 (next, Ok((handles, changed)))
             }
-            Err(e) => (table.clone(), Err(e)),
+            Err(e) => (None, Err(e)),
         })?;
         if changed {
             self.revision.fetch_add(1, Ordering::Release);
@@ -227,13 +230,13 @@ impl PolicyDb {
     /// equal to the loaded one keeps its handle; every other profile gets a
     /// new one whose DFA comes from the dedup map, where each body the map
     /// lacks is first compiled across the worker pool. Returns the next
-    /// table, the handles of `incoming` in order, and whether any profile
-    /// changed.
+    /// table, `None` when no profile changed, and the handles of
+    /// `incoming` in order.
     fn install_many(
         &self,
         table: &ProfileTable,
         incoming: Vec<Profile>,
-    ) -> (ProfileTable, Vec<Arc<CompiledProfile>>, bool) {
+    ) -> (Option<ProfileTable>, Vec<Arc<CompiledProfile>>) {
         // The profiles that change the table, by index, with their bodies.
         let changed: Vec<(usize, DedupKey)> = incoming
             .iter()
@@ -269,29 +272,29 @@ impl PolicyDb {
             self.record_compile(&incoming[*i].name, &dfa);
             dedup.insert(key.clone(), Arc::new(dfa));
         }
-        let any_changed = !changed.is_empty();
+        let mut next = (!changed.is_empty()).then(|| table.clone());
         let mut changed = changed.into_iter().peekable();
-        let mut next = table.clone();
         let handles = incoming
             .into_iter()
             .enumerate()
             .map(|(i, profile)| {
                 let compiled = match changed.next_if(|(j, _)| *j == i) {
                     Some((_, key)) => {
-                        let dfa = Arc::clone(&dedup[&key]);
-                        let rules = CompiledRules::with_dfa(&profile.path_rules, dfa);
+                        let rules = CompiledRules::from_dfa(Arc::clone(&dedup[&key]));
                         Arc::new(CompiledProfile { profile, rules })
                     }
                     None => Arc::clone(&table[profile.name.as_str()]),
                 };
-                next.insert(
-                    compiled.profile().name.as_str().into(),
-                    Arc::clone(&compiled),
-                );
+                if let Some(next) = next.as_mut() {
+                    next.insert(
+                        compiled.profile().name.as_str().into(),
+                        Arc::clone(&compiled),
+                    );
+                }
                 compiled
             })
             .collect();
-        (next, handles, any_changed)
+        (next, handles)
     }
 
     /// Accounts for one DFA build: bump the build counter, emit the
@@ -361,9 +364,12 @@ impl PolicyDb {
     /// Removes a profile; returns whether it existed.
     pub fn remove(&self, name: &str) -> bool {
         let removed = self.table.update(|table| {
+            if !table.contains_key(name) {
+                return (None, false);
+            }
             let mut next = table.clone();
-            let removed = next.remove(name).is_some();
-            (next, removed)
+            next.remove(name);
+            (Some(next), true)
         });
         if removed {
             self.revision.fetch_add(1, Ordering::Release);
@@ -485,18 +491,6 @@ impl PolicyDb {
         self.table.read().is_empty()
     }
 
-    /// Routes hook evaluation through the per-profile DFA (`true`, the
-    /// default) or the rule scan (`false`) — the differential-testing
-    /// oracle switch.
-    pub fn set_dfa_matcher_enabled(&self, enabled: bool) {
-        self.dfa_enabled.store(enabled, Ordering::SeqCst);
-    }
-
-    /// True if hooks evaluate through the per-profile DFA.
-    pub fn dfa_matcher_enabled(&self) -> bool {
-        self.dfa_enabled.load(Ordering::SeqCst)
-    }
-
     /// Total DFA builds since creation: one per distinct rule body ever
     /// installed, since no compiled body is dropped or rebuilt. A
     /// single-profile edit moves it by at most one.
@@ -599,7 +593,7 @@ mod tests {
         .unwrap();
         assert!(db.revision() > r0);
         let compiled = db.get("d").unwrap();
-        assert!(compiled.rules().evaluate("/new").permits(FilePerms::READ));
+        assert!(compiled.scan("/new").permits(FilePerms::READ));
     }
 
     #[test]
@@ -626,13 +620,8 @@ mod tests {
         db.load(Profile::new("d").with_rule(PathRule::allow("/old", FilePerms::READ).unwrap()));
         let old = db.get("d").unwrap();
         db.patch("d", |p| p.path_rules.clear()).unwrap();
-        assert!(old.rules().evaluate("/old").permits(FilePerms::READ));
-        assert!(!db
-            .get("d")
-            .unwrap()
-            .rules()
-            .evaluate("/old")
-            .permits(FilePerms::READ));
+        assert!(old.scan("/old").permits(FilePerms::READ));
+        assert!(!db.get("d").unwrap().scan("/old").permits(FilePerms::READ));
     }
 
     #[test]
@@ -716,12 +705,27 @@ mod tests {
         assert_eq!(db.revision(), r0);
     }
 
+    /// A write that changes no profile publishes no table: the cell's
+    /// generation stays put through a no-op patch, an identical reload, a
+    /// failed or empty `patch_many` and edits of unknown names.
     #[test]
-    fn dfa_matcher_toggle_defaults_on() {
+    fn noop_writes_publish_no_table() {
         let db = PolicyDb::new();
-        assert!(db.dfa_matcher_enabled());
-        db.set_dfa_matcher_enabled(false);
-        assert!(!db.dfa_matcher_enabled());
+        db.load_text("profile d { /a r, }\nprofile e { /b w, }")
+            .unwrap();
+        let generation = db.table.generation();
+        db.patch("d", |_| {}).unwrap();
+        db.load(db.get("d").unwrap().profile().clone());
+        db.load_text("profile d { /a r, }").unwrap();
+        let failed = db.patch_many(&["d", "ghost"], |p| Some(Profile::new(p.name.clone())));
+        assert_eq!(failed.unwrap_err().name, "ghost");
+        db.patch_many(&["d"], |_| None).unwrap();
+        assert!(db.patch("ghost", |_| {}).is_err());
+        assert!(!db.remove("ghost"));
+        assert_eq!(db.table.generation(), generation, "a no-op write published");
+        db.patch("d", |p| p.path_rules.clear()).unwrap();
+        assert!(db.remove("e"));
+        assert_eq!(db.table.generation(), generation + 2);
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! **Ablation (DESIGN.md §5.3, §7)** — the SACK hook hot path two ways on
-//! the same policy: the unified per-state DFA walk every hook takes, and
-//! the linear scan it replaced (protected-set match + per-state rule
-//! walk, still the differential oracle), plus a 100/1k/10k rule-count
-//! sweep pitting the two against each other.
+//! **Ablation (DESIGN.md §5.3, §7)** — the SACK decision two ways on the
+//! same policy: the `dfa` arm times the `file_open` hook, whose one
+//! matcher is the unified per-state DFA walk; the `scan` arm times the
+//! oracle it replaced, `CompiledPolicy::scan` (protection against every
+//! glob, then the state's rules), called directly on the same snapshot,
+//! subject and paths. A 100/1k/10k rule-count sweep pits the two against
+//! each other. The scan arm carries no hook overhead, so the ratio
+//! understates the DFA's margin over a hook that scanned.
 //!
 //! Drives the LSM hooks directly with a fabricated [`HookCtx`] so the
 //! numbers isolate the module's decision cost from VFS bookkeeping. The
@@ -14,6 +17,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use sack_apparmor::FilePerms;
+use sack_core::rules::SubjectCtx;
 use sack_core::{Sack, SackPolicy};
 use sack_kernel::cred::Credentials;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectRef, SecurityModule};
@@ -53,22 +58,36 @@ fn protected_path(i: usize) -> KPath {
     KPath::new(&format!("/protected/area0/s0/devices/dev{i}")).unwrap()
 }
 
-/// Times `file_open` on `paths` round-robin, once with the DFA matcher
-/// and once with the scan, on the same module instance.
+/// Times `paths` round-robin two ways on the same module instance:
+/// `file_open` (the DFA walk), then the scan oracle on the module's
+/// current policy snapshot and state, for the same subject.
 fn bench_matchers(c: &mut Criterion, group: &str, sack: &Sack, ctx: &HookCtx, paths: &[KPath]) {
     let mut group = c.benchmark_group(group);
-    for (arm, dfa) in [("dfa", true), ("scan", false)] {
-        sack.set_dfa_matcher_enabled(dfa);
-        let mut i = 0usize;
-        group.bench_with_input(BenchmarkId::from_parameter(arm), sack, |b, s| {
-            b.iter(|| {
-                let obj = ObjectRef::regular(&paths[i % paths.len()]);
-                i = i.wrapping_add(1);
-                criterion::black_box(s.file_open(ctx, &obj, AccessMask::READ)).unwrap();
-            });
+    let mut i = 0usize;
+    group.bench_with_input(BenchmarkId::from_parameter("dfa"), sack, |b, s| {
+        b.iter(|| {
+            let obj = ObjectRef::regular(&paths[i % paths.len()]);
+            i = i.wrapping_add(1);
+            criterion::black_box(s.file_open(ctx, &obj, AccessMask::READ)).unwrap();
         });
-    }
-    sack.set_dfa_matcher_enabled(true);
+    });
+    let active = sack.active();
+    let state = active.ssm.current();
+    let subject = SubjectCtx {
+        uid: ctx.cred.uid.0,
+        exe: ctx.exe.as_ref().map(|p| p.as_str()),
+        profile: None,
+    };
+    let mut i = 0usize;
+    group.bench_with_input(BenchmarkId::from_parameter("scan"), &active, |b, a| {
+        b.iter(|| {
+            let path = paths[i % paths.len()].as_str();
+            i = i.wrapping_add(1);
+            let decision = a.policy.scan(state, &subject, path, FilePerms::READ);
+            let decision = criterion::black_box(decision);
+            assert!(!decision.protected || decision.permitted);
+        });
+    });
     group.finish();
 }
 
@@ -100,8 +119,8 @@ fn bench_working_set(c: &mut Criterion) {
 }
 
 /// DFA walk versus linear scan as the rule count grows 100 → 1k → 10k.
-/// One policy bed per rule count; the two arms toggle the matcher on the
-/// same module instance so they see identical policy objects. Group names
+/// One policy bed per rule count; both arms read the same module
+/// instance, so they see identical policy objects. Group names
 /// (`sweepNrules`) are chosen so the gate's substring matching cannot
 /// collide across counts.
 fn bench_rule_sweep(c: &mut Criterion) {

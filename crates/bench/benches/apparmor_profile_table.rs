@@ -52,7 +52,7 @@ fn bench_hook_match(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(p.rules().evaluate_dfa(path)));
     });
     group.bench_with_input(BenchmarkId::from_parameter("scan"), &compiled, |b, p| {
-        b.iter(|| std::hint::black_box(p.rules().evaluate(path)));
+        b.iter(|| std::hint::black_box(p.scan(path)));
     });
     group.finish();
 }

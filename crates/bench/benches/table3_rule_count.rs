@@ -1,9 +1,10 @@
 //! **Table III** — overhead as the number of SACK rules grows
 //! (0 / 10 / 100 / 500 / 1000), SACK-enhanced-AppArmor configuration.
 //!
-//! The paper finds the rule count has negligible effect; here the
-//! per-access cost is an O(1) protected-set bucket lookup plus AppArmor's
-//! profile match, so the lines should stay flat.
+//! The paper finds the rule count has negligible effect; here SACK's
+//! per-access check returns before any matcher (enhanced mode leaves it to
+//! AppArmor), and AppArmor's is one walk of the profile's DFA, O(|path|)
+//! whatever the rule count, so the lines should stay flat.
 
 use std::time::Duration;
 

@@ -216,16 +216,12 @@ mod tests {
         enhancer.apply_state(&policy, emergency).unwrap();
         let compiled = apparmor.policy().get("rescue_daemon").unwrap();
         assert!(compiled
-            .rules()
-            .evaluate("/dev/car/door0")
+            .scan("/dev/car/door0")
             .permits(FilePerms::WRITE | FilePerms::IOCTL));
 
         enhancer.apply_state(&policy, normal).unwrap();
         let compiled = apparmor.policy().get("rescue_daemon").unwrap();
-        assert!(!compiled
-            .rules()
-            .evaluate("/dev/car/door0")
-            .permits(FilePerms::WRITE));
+        assert!(!compiled.scan("/dev/car/door0").permits(FilePerms::WRITE));
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub use eventplane::EventPlane;
 pub use policy::{
     CompiledPolicy, IssueKind, IssueSeverity, PolicyIssue, RuleProvenance, SackPolicy,
 };
-pub use rules::{MacRule, Permission, PermissionId, RuleEffect, StateRuleSet, SubjectMatch};
+pub use rules::{MacRule, Permission, PermissionId, RuleEffect, SubjectMatch};
 pub use sack::{ActivePolicy, EnforcementMode, Sack, SackError, SackStats};
 pub use simulate::{AccessQuery, PolicySimulator, Step, StepResult};
 pub use situation::{EventId, SituationEvent, SituationState, StateId, StateSpace};

@@ -12,9 +12,11 @@
 //! plus `events`, `transitions` and `initial` describing the situation
 //! state machine. The textual syntax (see [`parser`]) is parsed into the
 //! [`SackPolicy`] AST, validated by the [`check`] pass, and compiled into a
-//! [`CompiledPolicy`]: the state machine inputs plus one precomputed
-//! [`StateRuleSet`] per state — Algorithm 1's `g(f(SS_i))` materialized at
-//! load time so situation transitions are an O(1) pointer move.
+//! [`CompiledPolicy`]: the state machine inputs plus one [`StateDfa`] per
+//! state — Algorithm 1's `g(f(SS_i))` compiled at load time so situation
+//! transitions are an O(1) pointer move. [`CompiledPolicy::scan`] decides
+//! the same requests straight from the rules, as the oracle the tables are
+//! tested against.
 
 pub mod check;
 pub mod parser;
@@ -26,12 +28,10 @@ use std::sync::Arc;
 use sack_apparmor::glob::Glob;
 use sack_apparmor::profile::FilePerms;
 
-use crate::rules::{
-    MacRule, Permission, PermissionId, ProtectedSet, RuleEffect, StateRuleSet, SubjectMatch,
-};
+use crate::rules::{MacRule, Permission, PermissionId, RuleEffect, SubjectCtx, SubjectMatch};
 use crate::situation::{StateId, StateSpace};
 use crate::ssm::TransitionRule;
-use crate::statedfa::StateDfa;
+use crate::statedfa::{StateDecision, StateDfa};
 
 use check::RuleIndex;
 pub use check::{check_policy, render_rule, IssueKind, IssueSeverity, PolicyIssue, RuleProvenance};
@@ -280,26 +280,6 @@ impl SackPolicy {
         );
         let state_dfas: Vec<Arc<StateDfa>> =
             slot_of.iter().map(|&s| Arc::clone(&built[s])).collect();
-        // Free the index before the long-lived rule sets are built, so
-        // their many small allocations reuse its memory instead of leaving
-        // it scattered for whatever the kernel allocates next.
-        drop(index);
-
-        // Precompute g(f(SS_i)) for every state.
-        let state_rules: Vec<Arc<StateRuleSet>> = state_perms
-            .iter()
-            .map(|perms| {
-                Arc::new(StateRuleSet::build(
-                    perms.iter().flat_map(|pid| perm_rules[pid.0].iter()),
-                ))
-            })
-            .collect();
-
-        let protected = ProtectedSet::build(
-            perm_rules
-                .iter()
-                .flat_map(|rules| rules.iter().map(|r| &r.object)),
-        );
 
         Ok(CompiledPolicy {
             space,
@@ -308,9 +288,7 @@ impl SackPolicy {
             permissions,
             state_perms,
             perm_rules,
-            state_rules,
             state_dfas,
-            protected,
             warnings,
         })
     }
@@ -344,9 +322,7 @@ pub struct CompiledPolicy {
     permissions: Vec<Permission>,
     state_perms: Vec<Vec<PermissionId>>,
     perm_rules: Vec<Vec<MacRule>>,
-    state_rules: Vec<Arc<StateRuleSet>>,
     state_dfas: Vec<Arc<StateDfa>>,
-    protected: ProtectedSet,
     warnings: Vec<PolicyIssue>,
 }
 
@@ -389,19 +365,44 @@ impl CompiledPolicy {
         &self.perm_rules[perm.0]
     }
 
-    /// The precompiled rule set for a state (`g(f(SS_i))`).
-    pub fn state_rules(&self, state: StateId) -> &Arc<StateRuleSet> {
-        &self.state_rules[state.0]
-    }
-
     /// The unified decision DFA compiled for a state.
     pub fn state_dfa(&self, state: StateId) -> &Arc<StateDfa> {
         &self.state_dfas[state.0]
     }
 
-    /// The protected-object set.
-    pub fn protected(&self) -> &ProtectedSet {
-        &self.protected
+    /// Decides a request from the rules themselves: the path is protected
+    /// if any object glob of the policy matches it, and permitted if no
+    /// matching deny rule of `state`'s permissions (`g(f(SS_i))`)
+    /// intersects `requested` and the matching allow rules cover it. The
+    /// oracle [`StateDfa::decide`] must agree with; it builds nothing, and
+    /// no hook calls it.
+    pub fn scan(
+        &self,
+        state: StateId,
+        subject: &SubjectCtx<'_>,
+        path: &str,
+        requested: FilePerms,
+    ) -> StateDecision {
+        let protected = self
+            .perm_rules
+            .iter()
+            .flatten()
+            .any(|r| r.object.matches(path));
+        let matching = || {
+            self.permissions_of(state)
+                .iter()
+                .flat_map(|&pid| self.rules_of(pid))
+                .filter(|r| r.object.matches(path) && r.subject.matches(subject))
+        };
+        let denied =
+            matching().any(|r| r.effect == RuleEffect::Deny && r.perms.intersects(requested));
+        let granted = matching()
+            .filter(|r| r.effect == RuleEffect::Allow)
+            .fold(FilePerms::empty(), |granted, r| granted.union(r.perms));
+        StateDecision {
+            protected,
+            permitted: !denied && granted.contains(requested),
+        }
     }
 
     /// Non-fatal issues found at compile time.
@@ -430,7 +431,6 @@ impl fmt::Debug for CompiledPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::SubjectCtx;
 
     /// The running example from the paper: door control only in emergencies.
     pub(crate) const DOOR_POLICY: &str = r#"
@@ -521,19 +521,21 @@ per_rules {
         let compiled = SackPolicy::parse(DOOR_POLICY).unwrap().compile().unwrap();
         let normal = compiled.space().state_id("normal").unwrap();
         let emergency = compiled.space().state_id("emergency").unwrap();
+        let permits = |state, subject: &SubjectCtx<'_>, perms| {
+            compiled
+                .scan(state, subject, "/dev/car/door0", perms)
+                .permitted
+        };
         let rescue = SubjectCtx {
             uid: 0,
             exe: Some("/usr/bin/rescue_daemon"),
             profile: None,
         };
         // Write+ioctl on door devices: only in emergency, only for rescue.
-        let door = "/dev/car/door0";
-        assert!(!compiled
-            .state_rules(normal)
-            .permits(&rescue, door, FilePerms::IOCTL));
-        assert!(compiled.state_rules(emergency).permits(
+        assert!(!permits(normal, &rescue, FilePerms::IOCTL));
+        assert!(permits(
+            emergency,
             &rescue,
-            door,
             FilePerms::IOCTL | FilePerms::WRITE
         ));
         let media = SubjectCtx {
@@ -541,22 +543,30 @@ per_rules {
             exe: Some("/usr/bin/media_app"),
             profile: None,
         };
-        assert!(!compiled
-            .state_rules(emergency)
-            .permits(&media, door, FilePerms::IOCTL));
+        assert!(!permits(emergency, &media, FilePerms::IOCTL));
         // Read is allowed everywhere via NORMAL.
-        assert!(compiled
-            .state_rules(normal)
-            .permits(&media, door, FilePerms::READ));
+        assert!(permits(normal, &media, FilePerms::READ));
     }
 
     #[test]
     fn protected_set_from_rules() {
         let compiled = SackPolicy::parse(DOOR_POLICY).unwrap().compile().unwrap();
-        assert!(compiled.protected().contains("/dev/car/door0"));
-        assert!(compiled.protected().contains("/dev/car/window1"));
-        assert!(!compiled.protected().contains("/etc/passwd"));
-        assert_eq!(compiled.protected().len(), 1, "same glob deduplicated");
+        let subject = SubjectCtx {
+            uid: 1000,
+            exe: None,
+            profile: None,
+        };
+        // Protection is the same in every state, whichever rules it grants.
+        for state in 0..compiled.space().state_count() {
+            let protected = |path| {
+                compiled
+                    .scan(StateId(state), &subject, path, FilePerms::READ)
+                    .protected
+            };
+            assert!(protected("/dev/car/door0"));
+            assert!(protected("/dev/car/window1"));
+            assert!(!protected("/etc/passwd"));
+        }
     }
 
     #[test]
@@ -586,14 +596,14 @@ per_rules {
             let state = compiled.space().state_id(state_name).unwrap();
             assert!(
                 compiled
-                    .state_rules(state)
-                    .permits(&subject, "/common/x", FilePerms::READ),
+                    .scan(state, &subject, "/common/x", FilePerms::READ)
+                    .permitted,
                 "BASE missing in {state_name}"
             );
             assert_eq!(
                 compiled
-                    .state_rules(state)
-                    .permits(&subject, "/extra/x", FilePerms::WRITE),
+                    .scan(state, &subject, "/extra/x", FilePerms::WRITE)
+                    .permitted,
                 state_name == "b",
                 "EXTRA wrong in {state_name}"
             );

@@ -1,5 +1,5 @@
 //! SACK permissions and MAC rules — the `Permissions` and `Per_Rules`
-//! policy interfaces (Table I), and their compiled, per-state form.
+//! policy interfaces (Table I).
 //!
 //! SACK mediates only *protected objects*: paths matched by at least one
 //! rule anywhere in the policy. For a protected object, access is granted
@@ -153,140 +153,11 @@ impl SubjectMatch {
     }
 }
 
-/// The compiled rules active in one situation state:
-/// `MR_i = g(f(SS_i))` precomputed at policy load.
-#[derive(Debug, Default)]
-pub struct StateRuleSet {
-    allow: Vec<MacRule>,
-    deny: Vec<MacRule>,
-}
-
-impl StateRuleSet {
-    /// Builds the set from the rules of a state's granted permissions.
-    pub fn build<'a>(rules: impl IntoIterator<Item = &'a MacRule>) -> StateRuleSet {
-        let mut set = StateRuleSet::default();
-        for rule in rules {
-            match rule.effect {
-                RuleEffect::Allow => set.allow.push(rule.clone()),
-                RuleEffect::Deny => set.deny.push(rule.clone()),
-            }
-        }
-        set
-    }
-
-    /// Number of rules (allow + deny).
-    pub fn len(&self) -> usize {
-        self.allow.len() + self.deny.len()
-    }
-
-    /// True if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.allow.is_empty() && self.deny.is_empty()
-    }
-
-    /// Decides a request against this state's rules: allowed iff the
-    /// requested permissions are covered by matching allow rules and not
-    /// intersected by any matching deny rule.
-    pub fn permits(&self, subject: &SubjectCtx<'_>, path: &str, requested: FilePerms) -> bool {
-        for rule in &self.deny {
-            if rule.perms.intersects(requested)
-                && rule.object.matches(path)
-                && rule.subject.matches(subject)
-            {
-                return false;
-            }
-        }
-        let mut granted = FilePerms::empty();
-        for rule in &self.allow {
-            if rule.object.matches(path) && rule.subject.matches(subject) {
-                granted = granted.union(rule.perms);
-                if granted.contains(requested) {
-                    return true;
-                }
-            }
-        }
-        granted.contains(requested)
-    }
-}
-
-/// The set of object patterns SACK protects — accesses to paths outside
-/// this set are not mediated (SACK is a restriction framework for
-/// situation-sensitive resources, not a general confinement system).
-///
-/// Membership tests are on the `file_permission` hot path for *every* file
-/// access in the system, so patterns are bucketed by their literal first
-/// path component: an access to an unrelated subtree costs one hash lookup
-/// regardless of how many rules the policy carries (this is what keeps the
-/// paper's Table III rule-count sweep flat).
-#[derive(Debug, Default)]
-pub struct ProtectedSet {
-    buckets: std::collections::HashMap<String, Vec<Glob>>,
-    global: Vec<Glob>,
-    len: usize,
-}
-
-/// The first path component of `prefix` when it is fully literal (i.e. the
-/// prefix extends past its closing `/`).
-fn literal_first_component(prefix: &str) -> Option<&str> {
-    let rest = prefix.strip_prefix('/')?;
-    let idx = rest.find('/')?;
-    Some(&rest[..idx])
-}
-
-impl ProtectedSet {
-    /// Builds the set from every object glob in the policy.
-    pub fn build<'a>(globs: impl IntoIterator<Item = &'a Glob>) -> ProtectedSet {
-        // Dedup by source text, keeping first-seen order.
-        let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
-        let unique: Vec<Glob> = globs
-            .into_iter()
-            .filter(|glob| seen.insert(glob.source()))
-            .cloned()
-            .collect();
-        let mut set = ProtectedSet {
-            len: unique.len(),
-            ..ProtectedSet::default()
-        };
-        for glob in unique {
-            match literal_first_component(glob.literal_prefix()) {
-                Some(comp) => set.buckets.entry(comp.to_string()).or_default().push(glob),
-                None => set.global.push(glob),
-            }
-        }
-        set
-    }
-
-    /// Number of distinct patterns.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing is protected.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// True if `path` is a protected object.
-    pub fn contains(&self, path: &str) -> bool {
-        if !self.buckets.is_empty() {
-            if let Some(comp) = path
-                .strip_prefix('/')
-                .and_then(|rest| rest.split('/').next())
-            {
-                if let Some(bucket) = self.buckets.get(comp) {
-                    if bucket.iter().any(|g| g.matches(path)) {
-                        return true;
-                    }
-                }
-            }
-        }
-        self.global.iter().any(|g| g.matches(path))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{CompiledPolicy, SackPolicy};
+    use crate::situation::StateId;
 
     fn subject(exe: Option<&str>) -> SubjectCtx<'_> {
         SubjectCtx {
@@ -320,62 +191,107 @@ mod tests {
         assert!(prof.matches(&s));
     }
 
+    /// One state granting `rules` as one permission; a second permission,
+    /// granted nowhere, protects `/dev/car/**` without granting it.
+    fn one_state(rules: &str) -> CompiledPolicy {
+        SackPolicy::parse(&format!(
+            "states {{ s = 0; }} initial s; permissions {{ P; IDLE; }}
+             state_per {{ s: P; }}
+             per_rules {{ P: {rules} IDLE: allow subject=* /dev/car/** r; }}"
+        ))
+        .unwrap()
+        .compile()
+        .unwrap()
+    }
+
+    fn permits(
+        policy: &CompiledPolicy,
+        subject: &SubjectCtx<'_>,
+        path: &str,
+        requested: FilePerms,
+    ) -> bool {
+        policy.scan(StateId(0), subject, path, requested).permitted
+    }
+
     #[test]
     fn state_rules_deny_by_default() {
-        let set = StateRuleSet::build(&[]);
-        assert!(set.is_empty());
-        assert!(!set.permits(&subject(None), "/dev/car/door0", FilePerms::WRITE));
+        let policy = one_state("allow subject=* /etc/vehicle.conf r;");
+        let door = policy.scan(
+            StateId(0),
+            &subject(None),
+            "/dev/car/door0",
+            FilePerms::WRITE,
+        );
+        assert!(door.protected, "a glob of an ungranted permission protects");
+        assert!(!door.permitted);
+        assert!(!permits(
+            &policy,
+            &subject(None),
+            "/dev/car/door0",
+            FilePerms::READ
+        ));
         // Empty request is vacuously permitted.
-        assert!(set.permits(&subject(None), "/dev/car/door0", FilePerms::empty()));
+        assert!(permits(
+            &policy,
+            &subject(None),
+            "/dev/car/door0",
+            FilePerms::empty()
+        ));
     }
 
     #[test]
     fn allow_rules_accumulate() {
-        let rules = [
-            MacRule::allow_any("/dev/car/door*", FilePerms::READ).unwrap(),
-            MacRule::allow_any("/dev/car/door*", FilePerms::WRITE).unwrap(),
-        ];
-        let set = StateRuleSet::build(rules.iter());
-        assert!(set.permits(
+        let policy =
+            one_state("allow subject=* /dev/car/door* r; allow subject=* /dev/car/door* w;");
+        assert!(permits(
+            &policy,
             &subject(None),
             "/dev/car/door0",
             FilePerms::READ | FilePerms::WRITE
         ));
-        assert!(!set.permits(&subject(None), "/dev/car/door0", FilePerms::IOCTL));
+        assert!(!permits(
+            &policy,
+            &subject(None),
+            "/dev/car/door0",
+            FilePerms::IOCTL
+        ));
     }
 
     #[test]
     fn deny_overrides_allow() {
-        let rules = [
-            MacRule::allow_any("/dev/car/**", FilePerms::all()).unwrap(),
-            MacRule {
-                subject: SubjectMatch::Any,
-                object: Glob::compile("/dev/car/door0").unwrap(),
-                perms: FilePerms::WRITE,
-                effect: RuleEffect::Deny,
-            },
-        ];
-        let set = StateRuleSet::build(rules.iter());
-        assert!(!set.permits(&subject(None), "/dev/car/door0", FilePerms::WRITE));
-        assert!(set.permits(&subject(None), "/dev/car/door0", FilePerms::READ));
-        assert!(set.permits(&subject(None), "/dev/car/door1", FilePerms::WRITE));
+        let policy =
+            one_state("allow subject=* /dev/car/** rwaxmi; deny subject=* /dev/car/door0 w;");
+        assert!(!permits(
+            &policy,
+            &subject(None),
+            "/dev/car/door0",
+            FilePerms::WRITE
+        ));
+        assert!(permits(
+            &policy,
+            &subject(None),
+            "/dev/car/door0",
+            FilePerms::READ
+        ));
+        assert!(permits(
+            &policy,
+            &subject(None),
+            "/dev/car/door1",
+            FilePerms::WRITE
+        ));
     }
 
     #[test]
     fn subject_restricted_rule() {
-        let rules = [MacRule::allow_exe(
-            "/usr/bin/rescue*",
-            "/dev/car/**",
-            FilePerms::WRITE | FilePerms::IOCTL,
-        )
-        .unwrap()];
-        let set = StateRuleSet::build(rules.iter());
-        assert!(set.permits(
+        let policy = one_state("allow subject=/usr/bin/rescue* /dev/car/** wi;");
+        assert!(permits(
+            &policy,
             &subject(Some("/usr/bin/rescue_daemon")),
             "/dev/car/door0",
             FilePerms::IOCTL
         ));
-        assert!(!set.permits(
+        assert!(!permits(
+            &policy,
             &subject(Some("/usr/bin/malware")),
             "/dev/car/door0",
             FilePerms::IOCTL
@@ -384,29 +300,31 @@ mod tests {
 
     #[test]
     fn protected_set_membership_and_dedup() {
-        let globs = [
-            Glob::compile("/dev/car/**").unwrap(),
-            Glob::compile("/etc/vehicle.conf").unwrap(),
-            Glob::compile("/dev/car/**").unwrap(),
-        ];
-        let set = ProtectedSet::build(globs.iter());
-        assert_eq!(set.len(), 2, "duplicate patterns are deduplicated");
-        assert!(set.contains("/dev/car/door0"));
-        assert!(set.contains("/etc/vehicle.conf"));
-        assert!(!set.contains("/tmp/file"));
+        // The same glob twice, under two permissions, protects once.
+        let policy =
+            one_state("allow subject=* /etc/vehicle.conf r; allow subject=* /dev/car/** r;");
+        let protected = |path| {
+            policy
+                .scan(StateId(0), &subject(None), path, FilePerms::READ)
+                .protected
+        };
+        assert!(protected("/dev/car/door0"));
+        assert!(protected("/etc/vehicle.conf"));
+        assert!(!protected("/tmp/file"));
     }
 
     #[test]
     fn protected_set_handles_wildcard_first_component() {
-        let globs = [
-            Glob::compile("/**/shadow").unwrap(),
-            Glob::compile("/dev/car/**").unwrap(),
-        ];
-        let set = ProtectedSet::build(globs.iter());
-        assert!(set.contains("/etc/shadow"), "global pattern still matches");
-        assert!(set.contains("/a/b/shadow"));
-        assert!(set.contains("/dev/car/door0"));
-        assert!(!set.contains("/dev/audio"));
+        let policy = one_state("allow subject=* /**/shadow r;");
+        let protected = |path| {
+            policy
+                .scan(StateId(0), &subject(None), path, FilePerms::READ)
+                .protected
+        };
+        assert!(protected("/etc/shadow"), "global pattern still matches");
+        assert!(protected("/a/b/shadow"));
+        assert!(protected("/dev/car/door0"));
+        assert!(!protected("/dev/audio"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! transitions). Paper §III-E-3.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -174,7 +174,8 @@ pub struct Sack {
     active: Rcu<ActivePolicy>,
     enhancer: Option<AppArmorEnhancer>,
     /// Oracle resolving `subject=profile:` selectors in independent mode.
-    profile_oracle: Rcu<Option<Arc<AppArmor>>>,
+    /// Set once; a `OnceLock` so a hook without one pays no `Rcu` read.
+    profile_oracle: OnceLock<Arc<AppArmor>>,
     stats: SackStats,
     audit: AuditLog,
     /// Set once at [`Sack::attach`]; used to timestamp audit records. A
@@ -192,9 +193,6 @@ pub struct Sack {
     /// so two concurrent deliveries publish their states in the order the
     /// SSM took them. Hooks never take it.
     delivery: Mutex<()>,
-    /// Ablation/debug switch for the unified per-state DFA matcher
-    /// (default on; off falls back to the linear scan).
-    dfa_enabled: AtomicBool,
     /// sack-trace recorder, wired once at [`Sack::attach`] (or explicitly
     /// via [`Sack::install_tracing`]). A `OnceLock` rather than an `Rcu`
     /// because the hot path reads it on every check: the untraced cost must
@@ -216,13 +214,12 @@ impl Sack {
             mode: EnforcementMode::Independent,
             active: Rcu::new(active),
             enhancer: None,
-            profile_oracle: Rcu::new(None),
+            profile_oracle: OnceLock::new(),
             stats: SackStats::default(),
             audit: AuditLog::new(),
             kernel: OnceLock::new(),
             policy_epoch: AtomicU64::new(0),
             delivery: Mutex::new(()),
-            dfa_enabled: AtomicBool::new(true),
             tracing: OnceLock::new(),
             plane: EventPlane::default(),
         }))
@@ -249,13 +246,12 @@ impl Sack {
             mode: EnforcementMode::EnhancedAppArmor,
             active: Rcu::new(active),
             enhancer: Some(enhancer),
-            profile_oracle: Rcu::new(None),
+            profile_oracle: OnceLock::new(),
             stats: SackStats::default(),
             audit: AuditLog::new(),
             kernel: OnceLock::new(),
             policy_epoch: AtomicU64::new(0),
             delivery: Mutex::new(()),
-            dfa_enabled: AtomicBool::new(true),
             tracing: OnceLock::new(),
             plane: EventPlane::default(),
         }))
@@ -272,12 +268,16 @@ impl Sack {
     }
 
     /// Configures the profile oracle used to resolve `subject=profile:`
-    /// selectors in independent mode.
+    /// selectors in independent mode. Set-once: the first oracle wins and
+    /// later calls are ignored, the same rule as
+    /// [`PolicyDb::set_trace_hub`](sack_apparmor::PolicyDb::set_trace_hub).
     pub fn set_profile_oracle(&self, apparmor: Arc<AppArmor>) {
+        if self.profile_oracle.set(Arc::clone(&apparmor)).is_err() {
+            return;
+        }
         if let Some(tracing) = self.tracing.get() {
             apparmor.policy().set_trace_hub(Arc::clone(tracing.hub()));
         }
-        self.profile_oracle.store(Some(apparmor));
         let epoch = self.policy_epoch.fetch_add(1, Ordering::SeqCst) + 1;
         self.trace_emit(|| TraceEvent::RcuEpochBump { epoch });
     }
@@ -296,34 +296,6 @@ impl Sack {
     /// The current decision epoch (telemetry for tests and stats).
     pub fn policy_epoch(&self) -> u64 {
         self.policy_epoch.load(Ordering::SeqCst)
-    }
-
-    /// Enables or disables the unified per-state DFA matcher (enabled by
-    /// default). Disabled, every hook falls back to the O(rules)
-    /// protected-set + rule-scan pipeline; decisions are identical either
-    /// way (the scan is the DFA's differential oracle), only the cost
-    /// changes. Used by the ablation benchmarks.
-    ///
-    /// The switch governs the whole stacked path: any enhanced or oracle
-    /// AppArmor layer wired to this instance has its `PolicyDb` profile
-    /// DFAs toggled in the same call, so a differential run compares pure
-    /// DFA stacks against pure scan stacks.
-    pub fn set_dfa_matcher_enabled(&self, enabled: bool) {
-        self.dfa_enabled.store(enabled, Ordering::SeqCst);
-        if let Some(enhancer) = &self.enhancer {
-            enhancer
-                .apparmor()
-                .policy()
-                .set_dfa_matcher_enabled(enabled);
-        }
-        if let Some(oracle) = (*self.profile_oracle.read()).as_ref() {
-            oracle.policy().set_dfa_matcher_enabled(enabled);
-        }
-    }
-
-    /// True if the unified DFA matcher is enabled.
-    pub fn dfa_matcher_enabled(&self) -> bool {
-        self.dfa_enabled.load(Ordering::SeqCst)
     }
 
     /// Registers the SACKfs nodes (`events`, `state`, `policy`, `stats`,
@@ -361,7 +333,7 @@ impl Sack {
                 .policy()
                 .set_trace_hub(Arc::clone(tracing.hub()));
         }
-        if let Some(oracle) = (*self.profile_oracle.read()).as_ref() {
+        if let Some(oracle) = self.profile_oracle.get() {
             oracle.policy().set_trace_hub(Arc::clone(tracing.hub()));
         }
         Arc::clone(tracing)
@@ -522,13 +494,6 @@ impl Sack {
         Ok(warnings)
     }
 
-    /// The calling task's AppArmor profile, when a profile oracle is wired.
-    fn current_profile(&self, ctx: &HookCtx) -> Option<String> {
-        (*self.profile_oracle.read())
-            .as_ref()
-            .and_then(|aa| aa.current_profile(ctx.pid))
-    }
-
     /// The independent-mode access check shared by the file hooks.
     ///
     /// Every mediated hook decides afresh from the RCU policy snapshot:
@@ -536,9 +501,8 @@ impl Sack {
     /// protected-set membership and the rule decision in O(|path|),
     /// independent of rule count. A reload or transition needs no
     /// invalidation step, because the next hook reads the new snapshot.
-    /// `set_dfa_matcher_enabled(false)` falls back to the original
-    /// O(rules) scan pipeline (the differential oracle), which must decide
-    /// identically.
+    /// `CompiledPolicy::scan` is the oracle it must agree with; the hook
+    /// never runs it.
     fn check_access(
         &self,
         ctx: &HookCtx,
@@ -556,46 +520,31 @@ impl Sack {
         self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
         let active = self.active.read();
         let state: StateId = active.ssm.current();
-        let mac_override = ctx.cred.capable(Capability::MacOverride);
-        let (protected, permitted) = if self.dfa_enabled.load(Ordering::Relaxed) {
-            let profile = self.current_profile(ctx);
-            let subject = SubjectCtx {
-                uid: ctx.cred.uid.0,
-                exe: ctx.exe.as_ref().map(|p| p.as_str()),
-                profile: profile.as_deref(),
-            };
-            let decision =
-                active
-                    .policy
-                    .state_dfa(state)
-                    .decide(&subject, obj.path.as_str(), requested);
-            (decision.protected, decision.permitted)
-        } else {
-            let protected = active.policy.protected().contains(obj.path.as_str());
-            let permitted = protected && !mac_override && {
-                let profile = self.current_profile(ctx);
-                let subject = SubjectCtx {
-                    uid: ctx.cred.uid.0,
-                    exe: ctx.exe.as_ref().map(|p| p.as_str()),
-                    profile: profile.as_deref(),
-                };
-                active
-                    .policy
-                    .state_rules(state)
-                    .permits(&subject, obj.path.as_str(), requested)
-            };
-            (protected, permitted)
+        // The confining profile, borrowed from the oracle's snapshot.
+        let confining = self
+            .profile_oracle
+            .get()
+            .and_then(|aa| aa.confining(ctx.pid));
+        let subject = SubjectCtx {
+            uid: ctx.cred.uid.0,
+            exe: ctx.exe.as_ref().map(|p| p.as_str()),
+            profile: confining.as_ref().map(|p| p.profile().name.as_str()),
         };
-        if !protected {
+        let decision =
+            active
+                .policy
+                .state_dfa(state)
+                .decide(&subject, obj.path.as_str(), requested);
+        if !decision.protected {
             self.stats.unprotected.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        if mac_override {
+        if ctx.cred.capable(Capability::MacOverride) {
             self.stats.overrides.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
         self.stats.checks.fetch_add(1, Ordering::Relaxed);
-        if permitted {
+        if decision.permitted {
             return Ok(());
         }
         self.stats.denials.fetch_add(1, Ordering::Relaxed);
@@ -849,8 +798,7 @@ mod tests {
         assert!(db
             .get("svc")
             .unwrap()
-            .rules()
-            .evaluate("/v1/data")
+            .scan("/v1/data")
             .permits(FilePerms::READ));
 
         // Reload with a different object tree; the machine restarts in its
@@ -859,24 +807,12 @@ mod tests {
         sack.reload_policy(&policy_v2).unwrap();
         assert_eq!(sack.current_state_name(), "off");
         let compiled = db.get("svc").unwrap();
-        assert!(!compiled
-            .rules()
-            .evaluate("/v1/data")
-            .permits(FilePerms::READ));
-        assert!(!compiled
-            .rules()
-            .evaluate("/v2/data")
-            .permits(FilePerms::READ));
+        assert!(!compiled.scan("/v1/data").permits(FilePerms::READ));
+        assert!(!compiled.scan("/v2/data").permits(FilePerms::READ));
         sack.deliver_event("enable", Duration::ZERO).unwrap();
         let compiled = db.get("svc").unwrap();
-        assert!(compiled
-            .rules()
-            .evaluate("/v2/data")
-            .permits(FilePerms::READ));
-        assert!(!compiled
-            .rules()
-            .evaluate("/v1/data")
-            .permits(FilePerms::READ));
+        assert!(compiled.scan("/v2/data").permits(FilePerms::READ));
+        assert!(!compiled.scan("/v1/data").permits(FilePerms::READ));
     }
 
     #[test]
@@ -898,7 +834,7 @@ mod tests {
         ));
         // Old policy remains active and enforced.
         let compiled = db.get("svc").unwrap();
-        assert!(compiled.rules().evaluate("/x").permits(FilePerms::READ));
+        assert!(compiled.scan("/x").permits(FilePerms::READ));
     }
 
     #[test]
@@ -1296,6 +1232,44 @@ mod tests {
         assert_eq!(err.context(), Some("sack"));
     }
 
+    /// The profile oracle is set once: a second `set_profile_oracle` is
+    /// ignored and moves no epoch, as a second `PolicyDb::set_trace_hub`
+    /// is ignored.
+    #[test]
+    fn second_profile_oracle_is_ignored() {
+        let policy = r#"
+            states { s = 0; } initial s;
+            permissions { P; }
+            state_per { s: P; }
+            per_rules { P: allow subject=profile:trusted /secret/** r; }
+        "#;
+        let sack = Sack::independent(policy).unwrap();
+        let oracle = |confined: Option<Pid>| {
+            let db = Arc::new(sack_apparmor::PolicyDb::new());
+            db.load_text("profile trusted { /secret/** r, }").unwrap();
+            let apparmor = AppArmor::new(db);
+            if let Some(pid) = confined {
+                apparmor.set_profile(pid, "trusted").unwrap();
+            }
+            apparmor
+        };
+        sack.set_profile_oracle(oracle(Some(Pid(7))));
+        let epoch = sack.policy_epoch();
+        sack.set_profile_oracle(oracle(None));
+        assert_eq!(
+            sack.policy_epoch(),
+            epoch,
+            "an ignored oracle moved the epoch"
+        );
+        let ctx = HookCtx::new(Pid(7), Credentials::user(100, 100), None);
+        let key = KPath::new("/secret/key").unwrap();
+        assert!(
+            sack.file_open(&ctx, &ObjectRef::regular(&key), AccessMask::READ)
+                .is_ok(),
+            "the first oracle must still resolve the task's profile"
+        );
+    }
+
     #[test]
     fn negative_cache_off_audits_every_denial() {
         let (kernel, sack) = boot_independent();
@@ -1308,34 +1282,6 @@ mod tests {
         }
         assert_eq!(sack.stats().denials.load(Ordering::Relaxed), 5);
         assert_eq!(sack.audit().total(), 5);
-    }
-
-    #[test]
-    fn scan_fallback_agrees_with_dfa_matcher() {
-        let (kernel, sack) = boot_independent();
-        // Force every decision down the legacy O(rules) scan path and
-        // replay the per-state scenario: outcomes must be identical.
-        sack.set_dfa_matcher_enabled(false);
-        assert!(!sack.dfa_matcher_enabled());
-        let rescue = kernel.spawn(Credentials::user(100, 100));
-        rescue.exec("/usr/bin/rescue_daemon").unwrap();
-        assert!(rescue
-            .open("/dev/car/door0", OpenFlags::write_only())
-            .is_err());
-        assert!(rescue
-            .open("/dev/car/door0", OpenFlags::read_only())
-            .is_ok());
-        sack.deliver_event("crash", Duration::ZERO).unwrap();
-        assert!(rescue
-            .open("/dev/car/door0", OpenFlags::write_only())
-            .is_ok());
-        let media = kernel.spawn(Credentials::user(200, 200));
-        media.exec("/usr/bin/media_app").unwrap();
-        assert!(media
-            .open("/dev/car/door0", OpenFlags::write_only())
-            .is_err());
-        assert!(rescue.write_file("/tmp/scratch", b"ok").is_ok());
-        assert!(sack.stats().unprotected.load(Ordering::Relaxed) > 0);
     }
 
     #[test]

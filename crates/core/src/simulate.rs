@@ -198,29 +198,14 @@ impl PolicySimulator {
     /// Answers an access question in the current state.
     pub fn query(&self, query: &AccessQuery) -> StepResult {
         let state = self.ssm.current();
-        let state_name = self.ssm.space().state(state).name.clone();
-        if !self.policy.protected().contains(&query.path) {
-            return StepResult::Decision {
-                query: query.clone(),
-                state: state_name,
-                mediated: false,
-                allowed: true,
-            };
-        }
-        let subject = SubjectCtx {
-            uid: query.uid,
-            exe: query.exe.as_deref(),
-            profile: query.profile.as_deref(),
-        };
-        let allowed = self
+        let decision = self
             .policy
-            .state_rules(state)
-            .permits(&subject, &query.path, query.perms);
+            .scan(state, &query_subject(query), &query.path, query.perms);
         StepResult::Decision {
             query: query.clone(),
-            state: state_name,
-            mediated: true,
-            allowed,
+            state: self.ssm.space().state(state).name.clone(),
+            mediated: decision.protected,
+            allowed: !decision.protected || decision.permitted,
         }
     }
 
@@ -241,24 +226,25 @@ impl PolicySimulator {
     ///
     /// Does not disturb the simulator's current state.
     pub fn query_all_reachable_states(&self, query: &AccessQuery) -> Vec<(String, bool)> {
-        let subject = SubjectCtx {
-            uid: query.uid,
-            exe: query.exe.as_deref(),
-            profile: query.profile.as_deref(),
-        };
-        let mediated = self.policy.protected().contains(&query.path);
+        let subject = query_subject(query);
         self.ssm
             .reachable_states()
             .into_iter()
             .map(|state| {
-                let allowed = !mediated
-                    || self
-                        .policy
-                        .state_rules(state)
-                        .permits(&subject, &query.path, query.perms);
+                let decision = self.policy.scan(state, &subject, &query.path, query.perms);
+                let allowed = !decision.protected || decision.permitted;
                 (self.ssm.space().state(state).name.clone(), allowed)
             })
             .collect()
+    }
+}
+
+/// The subject a query asks about.
+fn query_subject(query: &AccessQuery) -> SubjectCtx<'_> {
+    SubjectCtx {
+        uid: query.uid,
+        exe: query.exe.as_deref(),
+        profile: query.profile.as_deref(),
     }
 }
 

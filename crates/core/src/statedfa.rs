@@ -15,12 +15,18 @@
 //!
 //! Rules with a non-wildcard subject selector (`exe:`, `uid:`, `profile:`)
 //! cannot be folded into a path-only DFA; they are kept aside in small
-//! residual scan lists consulted after the walk. Vehicle policies keep
-//! almost all rules subject-wildcarded, so the residue is empty or tiny.
+//! residual scan lists consulted after the walk. Their globs are tagged in
+//! the table like every other, so the walk alone answers "protected?".
+//! Vehicle policies keep almost all rules subject-wildcarded, so the
+//! residue is empty or tiny.
+//!
+//! The table is the only matcher a hook runs. `CompiledPolicy::scan`
+//! decides the same requests from the rules themselves, and is the oracle
+//! the differential tests hold every table to.
 //!
 //! Tables are rebuilt from scratch on every compile and published through
 //! the existing `Rcu<ActivePolicy>`, so a policy reload or situation
-//! transition swaps them atomically together with the rule sets
+//! transition swaps them atomically with the state machine
 //! (see `DESIGN.md` §7).
 
 use std::sync::Arc;
@@ -43,8 +49,8 @@ struct StateAnnot {
 /// Outcome of one [`StateDfa::decide`] walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateDecision {
-    /// True if the path matches any object glob in the policy (the
-    /// [`crate::rules::ProtectedSet`] membership test).
+    /// True if the path matches any object glob in the policy: SACK
+    /// mediates the access.
     pub protected: bool,
     /// True if the requested permissions are granted in this state.
     pub permitted: bool,
@@ -63,7 +69,8 @@ pub struct StateDfa {
 impl StateDfa {
     /// Compiles the table from this state's active rules plus every object
     /// glob in the policy (the protected-set markers), deriving a private
-    /// byte-class alphabet.
+    /// byte-class alphabet. The rules' own globs protect their paths too,
+    /// whatever `all_globs` holds.
     pub fn build<'a>(
         rules: impl IntoIterator<Item = &'a MacRule>,
         all_globs: impl IntoIterator<Item = &'a Glob>,
@@ -84,9 +91,11 @@ impl StateDfa {
     /// Relabels a tag automaton into one state's table. `rules` are the
     /// state's active rules, in state-permission order, each with the tag
     /// its object glob carries in `index`; every other tag is a
-    /// protected-set marker. `SackPolicy::compile` calls this once per
-    /// distinct permission set on the policy's one rule index, so every
-    /// state shares the index's alphabet.
+    /// protected-set marker. Any tag at all marks a path protected, so
+    /// every rule's glob, scanned or folded, is protected.
+    /// `SackPolicy::compile` calls this once per distinct permission set
+    /// on the policy's one rule index, so every state shares the index's
+    /// alphabet.
     pub(crate) fn from_index<'a>(
         index: &Dfa<Vec<u32>>,
         rules: impl IntoIterator<Item = (&'a MacRule, u32)>,
@@ -138,7 +147,7 @@ impl StateDfa {
 
     /// Decides a request with one table walk plus the (usually empty)
     /// subject-scoped residue. Produces exactly the outcome of
-    /// `ProtectedSet::contains` + `StateRuleSet::permits`.
+    /// `CompiledPolicy::scan` in this table's state.
     pub fn decide(
         &self,
         subject: &SubjectCtx<'_>,
@@ -146,19 +155,7 @@ impl StateDfa {
         requested: FilePerms,
     ) -> StateDecision {
         let annot = self.dfa.eval(path);
-        let mut protected = annot.protected;
-        let has_residue = !(self.scan_allow.is_empty() && self.scan_deny.is_empty());
-        if !protected && has_residue {
-            // Subject-scoped rule globs are part of the protected set too,
-            // but their decision cannot live in the path-only table. (The
-            // markers already cover them; this branch is unreachable when
-            // the globs were passed as `all_globs`, kept for robustness.)
-            protected = self
-                .scan_allow
-                .iter()
-                .chain(&self.scan_deny)
-                .any(|rule| rule.object.matches(path));
-        }
+        let protected = annot.protected;
         if annot.decision.denied.intersects(requested) {
             return StateDecision {
                 protected,
@@ -214,7 +211,6 @@ impl StateDfa {
 mod tests {
     use super::*;
     use crate::policy::{RuleSpec, SackPolicy, SubjectSpec};
-    use crate::rules::StateRuleSet;
     use crate::situation::StateId;
 
     fn glob(pat: &str) -> Glob {
@@ -232,28 +228,17 @@ mod tests {
 
     #[test]
     fn dfa_matches_rule_set_semantics() {
-        let rules = [
-            rule(
-                SubjectMatch::Any,
-                "/dev/car/**",
-                FilePerms::READ | FilePerms::WRITE,
-                RuleEffect::Allow,
-            ),
-            rule(
-                SubjectMatch::Any,
-                "/dev/car/door*",
-                FilePerms::WRITE,
-                RuleEffect::Deny,
-            ),
-            rule(
-                SubjectMatch::Uid(0),
-                "/dev/car/door*",
-                FilePerms::WRITE,
-                RuleEffect::Allow,
-            ),
-        ];
-        let set = StateRuleSet::build(rules.iter());
-        let dfa = StateDfa::build(rules.iter(), rules.iter().map(|r| &r.object));
+        let compiled = SackPolicy::parse(
+            "states { s = 0; } initial s; permissions { P; }
+             state_per { s: P; }
+             per_rules { P: allow subject=* /dev/car/** rw;
+                            deny subject=* /dev/car/door* w;
+                            allow uid=0 /dev/car/door* w; }",
+        )
+        .unwrap()
+        .compile()
+        .unwrap();
+        let dfa = compiled.state_dfa(StateId(0));
         let root = SubjectCtx {
             uid: 0,
             exe: None,
@@ -272,8 +257,8 @@ mod tests {
                     FilePerms::READ | FilePerms::WRITE,
                 ] {
                     assert_eq!(
-                        dfa.decide(subject, path, perms).permitted,
-                        set.permits(subject, path, perms),
+                        dfa.decide(subject, path, perms),
+                        compiled.scan(StateId(0), subject, path, perms),
                         "uid={} path={path} perms={perms}",
                         subject.uid
                     );
@@ -286,6 +271,30 @@ mod tests {
         );
         assert!(!dfa.decide(&user, "/etc/passwd", FilePerms::READ).protected);
         assert_eq!(dfa.residual_rule_count(), 1);
+    }
+
+    /// `build` needs no marker list to protect its own rules' paths: a
+    /// subject-scoped rule lives in the residue, yet its glob is tagged in
+    /// the table.
+    #[test]
+    fn build_protects_scoped_rule_paths_without_markers() {
+        let rules = [rule(
+            SubjectMatch::Uid(0),
+            "/dev/car/door*",
+            FilePerms::WRITE,
+            RuleEffect::Allow,
+        )];
+        let dfa = StateDfa::build(rules.iter(), []);
+        assert_eq!(dfa.residual_rule_count(), 1);
+        let user = SubjectCtx {
+            uid: 1000,
+            exe: None,
+            profile: None,
+        };
+        let d = dfa.decide(&user, "/dev/car/door0", FilePerms::WRITE);
+        assert!(d.protected, "a scoped rule's path must be protected");
+        assert!(!d.permitted);
+        assert!(!dfa.decide(&user, "/dev/audio", FilePerms::READ).protected);
     }
 
     #[test]

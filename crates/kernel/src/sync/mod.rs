@@ -241,12 +241,19 @@ impl<T, B: Backend, const SLOTS: usize> Rcu<T, B, SLOTS> {
     /// publishes it. The closure runs under the writer lock, so concurrent
     /// `update`s serialise and never lose each other's changes; readers are
     /// unaffected and see either the old or the new snapshot.
-    pub fn update<R>(&self, f: impl FnOnce(&T) -> (T, R)) -> R {
+    ///
+    /// A closure that returns `None` leaves the cell as it is: nothing is
+    /// published, the [`generation`](Rcu::generation) stays put and no
+    /// hazard scan runs.
+    pub fn update<R>(&self, f: impl FnOnce(&T) -> (Option<T>, R)) -> R {
         let (out, unprotected) = self.writer.with(|graveyard| {
             // SAFETY: the writer lock is held, so no other writer can retire
             // the current pointer while we borrow it.
             let cur = unsafe { &*self.current.load(SeqCst) };
             let (next, out) = f(cur);
+            let Some(next) = next else {
+                return (out, Vec::new());
+            };
             let fresh = Arc::into_raw(Arc::new(next)) as *mut T;
             B::trace_alloc(fresh as usize);
             let old = self.current.swap(fresh, SeqCst);
@@ -394,7 +401,7 @@ mod tests {
                 let cell = Arc::clone(&cell);
                 thread::spawn(move || {
                     for _ in 0..1000 {
-                        cell.update(|v| (v + 1, ()));
+                        cell.update(|v| (Some(v + 1), ()));
                     }
                 })
             })
@@ -404,6 +411,16 @@ mod tests {
         }
         assert_eq!(*cell.read(), 8000);
         assert_eq!(cell.generation(), 8000);
+    }
+
+    #[test]
+    fn update_returning_none_publishes_nothing() {
+        let cell = Rcu::new(7usize);
+        let before = cell.read();
+        assert_eq!(cell.update(|v| (None, *v * 2)), 14);
+        assert_eq!(cell.generation(), 0);
+        assert_eq!(cell.retired_count(), 0);
+        assert!(Arc::ptr_eq(&cell.read(), &before), "snapshot was swapped");
     }
 
     #[test]
@@ -441,7 +458,7 @@ mod tests {
                         // sequence is globally monotone even with two
                         // racing writers (independent `store`s would not
                         // be — each writer's counter races the other's).
-                        cell.update(|old| (vec![old[0] + 1; 16], ()));
+                        cell.update(|old| (Some(vec![old[0] + 1; 16]), ()));
                     }
                 })
             })

@@ -5,7 +5,7 @@
 //! that the parallel bulk-compile path actually executes: a 2-worker bulk
 //! load of 64 distinct-bodied profiles compiles every body exactly once
 //! through the scoped worker pool, and every profile's DFA decides like
-//! its rule scan.
+//! the scan oracle over its rules (`CompiledProfile::scan`).
 //!
 //! Exits non-zero with a message on any violation.
 
@@ -52,7 +52,7 @@ fn main() {
             let decision = compiled.rules().evaluate_dfa(&probe);
             assert_eq!(
                 decision,
-                compiled.rules().evaluate(&probe),
+                compiled.scan(&probe),
                 "smoke{i} @ {probe}: DFA and scan disagree"
             );
         }

@@ -40,7 +40,8 @@
 #                                   reduced grid, proving both ingestion
 #                                   paths and the warm probe execute
 #  11. profile-compile smoke      — a 2-worker parallel bulk load whose
-#                                   every DFA decides like the rule scan,
+#                                   every DFA decides like the scan
+#                                   oracle over its profile's rules,
 #                                   proving the pool executes even where
 #                                   the benchmark gate's parallel floor
 #                                   is exempt

@@ -109,8 +109,7 @@ fn ten_enhanced_policies_stack_with_default_apparmor() {
         // target profile without disturbing the default rules.
         let profile = apparmor.policy().get("media_app").unwrap();
         assert!(profile
-            .rules()
-            .evaluate("/usr/bin/media_app")
+            .scan("/usr/bin/media_app")
             .permits(sack_apparmor::FilePerms::EXEC));
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! * byte-identical verdicts on random path probes, serial DFA vs
 //!   parallel DFA vs scan;
-//! * identical audit records for the same access sequence through the
-//!   full `AppArmor` module, with a third module whose hooks take the
-//!   scan (`set_dfa_matcher_enabled(false)`);
+//! * verdicts equal to the scan of the confining profile, and identical
+//!   audit records, for the same access sequence through two full
+//!   `AppArmor` modules (serial and parallel compile);
 //! * dedup pinned structurally: profiles with identical rule bodies share
 //!   one `Arc<Dfa>` (`Arc::ptr_eq`), and the compile counter moves once
 //!   per *distinct body*, not once per profile.
@@ -133,8 +133,8 @@ fn random_corpora_load_identically_serial_parallel_scan() {
             for probe in &probes {
                 let want = s.rules().evaluate_dfa(probe);
                 assert_eq!(want, p.rules().evaluate_dfa(probe), "{name} @ {probe}");
-                assert_eq!(want, s.rules().evaluate(probe), "{name} @ {probe} (scan)");
-                assert_eq!(want, p.rules().evaluate(probe), "{name} @ {probe} (scan)");
+                assert_eq!(want, s.scan(probe), "{name} @ {probe} (scan)");
+                assert_eq!(want, p.scan(probe), "{name} @ {probe} (scan)");
             }
         }
     });
@@ -154,11 +154,10 @@ fn open(module: &AppArmor, ctx: &HookCtx, path: &str, mask: AccessMask) -> bool 
     module.file_open(ctx, &obj, mask).is_ok()
 }
 
-/// The shipped vehicle bundle driven through three full `AppArmor`
-/// modules — serial and parallel compile walking the DFA, and a third
-/// whose hooks take the rule scan: one confined task per profile,
-/// a shared random access sequence, byte-identical verdicts *and*
-/// identical audit records.
+/// The shipped vehicle bundle driven through two full `AppArmor` modules
+/// — serial and parallel compile, both walking the DFA: one confined task
+/// per profile, a shared random access sequence, every verdict equal to
+/// the scan of the task's profile, and identical audit records.
 #[test]
 fn vehicle_bundle_verdicts_and_audits_match_across_load_modes() {
     prop::for_cases(8, |rng| {
@@ -171,12 +170,10 @@ fn vehicle_bundle_verdicts_and_audits_match_across_load_modes() {
         };
         let (serial_db, serial) = mk(&|db| db.set_compile_workers(1));
         let (parallel_db, parallel) = mk(&|db| db.set_compile_workers(4));
-        let (scan_db, scan) = mk(&|db| db.set_dfa_matcher_enabled(false));
         assert_eq!(parallel_db.compile_count(), serial_db.compile_count());
-        assert_eq!(scan_db.compile_count(), serial_db.compile_count());
 
         let names = serial_db.profile_names();
-        for module in [&serial, &parallel, &scan] {
+        for module in [&serial, &parallel] {
             for (i, name) in names.iter().enumerate() {
                 module.set_profile(Pid(9000 + i as u32), name).unwrap();
             }
@@ -205,21 +202,23 @@ fn vehicle_bundle_verdicts_and_audits_match_across_load_modes() {
             } else {
                 AccessMask::WRITE
             };
-            let want = open(&serial, &ctx, &path, mask);
+            let profile = serial_db.get(&names[task]).unwrap();
+            let want = profile
+                .scan(&path)
+                .permits(FilePerms::from_access_mask(mask));
+            assert_eq!(want, open(&serial, &ctx, &path, mask), "{path} (serial)");
             assert_eq!(
                 want,
                 open(&parallel, &ctx, &path, mask),
                 "{path} (parallel)"
             );
-            assert_eq!(want, open(&scan, &ctx, &path, mask), "{path} (scan)");
         }
 
-        // The three modules saw identical traffic; their audit trails
-        // must be identical records, not merely equal counts.
+        // The two modules saw identical traffic; their audit trails must
+        // be identical records, not merely equal counts.
         let want = serial.take_audit_log();
         assert!(!want.is_empty(), "denied probes must produce audit records");
         assert_eq!(want, parallel.take_audit_log(), "parallel audit diverged");
-        assert_eq!(want, scan.take_audit_log(), "scan audit diverged");
     });
 }
 
@@ -253,10 +252,10 @@ fn vehicle_bundle_probe_equivalence() {
             for probe in &probes {
                 let want = s.rules().evaluate_dfa(probe);
                 assert_eq!(want, p.rules().evaluate_dfa(probe), "{name} @ {probe}");
-                assert_eq!(want, p.rules().evaluate(probe), "{name} @ {probe} (scan)");
+                assert_eq!(want, p.scan(probe), "{name} @ {probe} (scan)");
                 assert_eq!(
                     want.permits(FilePerms::READ),
-                    s.rules().evaluate(probe).permits(FilePerms::READ)
+                    s.scan(probe).permits(FilePerms::READ)
                 );
             }
         }

@@ -13,17 +13,16 @@ use std::sync::Arc;
 use sack_suite::prop::{self, Rng};
 
 use sack_apparmor::glob::Glob;
+use sack_apparmor::matcher::scan;
 use sack_apparmor::profile::{FilePerms, PathRule, Profile};
 use sack_apparmor::{AppArmor, CompiledRules, DfaBuilder, PolicyDb};
 use sack_core::policy::{
     check_policy, render_rule, IssueKind, IssueSeverity, RuleSpec, SubjectSpec,
 };
-use sack_core::rules::{MacRule, ProtectedSet, StateRuleSet, SubjectCtx};
+use sack_core::rules::SubjectCtx;
 use sack_core::situation::StateSpace;
 use sack_core::ssm::{Ssm, TransitionRule};
-use sack_core::{
-    AccessQuery, PolicySimulator, RuleEffect, Sack, SackPolicy, StateDfa, SubjectMatch,
-};
+use sack_core::{AccessQuery, PolicySimulator, RuleEffect, Sack, SackPolicy};
 use sack_kernel::cred::Credentials;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectRef, SecurityModule};
 use sack_kernel::path::KPath;
@@ -239,12 +238,11 @@ fn file_perms_algebra() {
     });
 }
 
-/// Tentpole differential: the two `CompiledRules` evaluation strategies —
-/// `evaluate` (scan every rule) and `evaluate_dfa` (the compiled DFA
-/// index: unified minimized DFA with build-time-resolved decisions) —
-/// must return identical `RuleDecision`s for every generated rule set,
-/// including classes and brace alternations, and for several probe paths
-/// per set.
+/// Tentpole differential: the rule scan oracle (`matcher::scan`) and
+/// `CompiledRules::evaluate_dfa` (the compiled DFA index: unified
+/// minimized DFA with build-time-resolved decisions) must return identical
+/// `RuleDecision`s for every generated rule set, including classes and
+/// brace alternations, and for several probe paths per set.
 #[test]
 fn compiled_rules_dfa_index_and_scan_agree() {
     prop::check(|rng| {
@@ -270,48 +268,73 @@ fn compiled_rules_dfa_index_and_scan_agree() {
         let compiled = CompiledRules::build(&rules);
         for _ in 0..4 {
             let path = rich_path(rng);
-            let scan = compiled.evaluate(&path);
             assert_eq!(
                 compiled.evaluate_dfa(&path),
-                scan,
+                scan(&rules, &path),
                 "DFA matcher diverged from scan on `{path}` over {rules:?}"
             );
         }
     });
 }
 
-/// The unified per-state table must reproduce the legacy cold path bit for
-/// bit: one `StateDfa::decide` walk equals `ProtectedSet::contains` plus
-/// `StateRuleSet::permits` for arbitrary rule sets (mixed effects, mixed
-/// subject selectors — subject-scoped rules land in the residual scan
-/// lists) and arbitrary subjects, paths and requested permissions.
-#[test]
-fn state_dfa_walk_agrees_with_protected_set_and_rule_scan() {
-    prop::check(|rng| {
-        let n_rules = rng.below(12);
-        let rules: Vec<MacRule> = (0..n_rules)
+/// A random two-state policy over the rich pattern vocabulary: each
+/// permission carries mixed effects and subject selectors, `s0` grants
+/// only `P0` and `s1` grants both, so `s0` is also protected by globs it
+/// grants nothing on.
+fn rich_policy(rng: &mut Rng) -> SackPolicy {
+    let mut policy = SackPolicy {
+        states: vec![("s0".into(), 0), ("s1".into(), 1)],
+        initial: Some("s0".into()),
+        permissions: vec!["P0".into(), "P1".into()],
+        state_per: vec![
+            ("s0".into(), vec!["P0".into()]),
+            ("s1".into(), vec!["P0".into(), "P1".into()]),
+        ],
+        ..SackPolicy::default()
+    };
+    let mut line = 0;
+    for perm in ["P0", "P1"] {
+        let rules = (0..rng.below(7))
             .filter_map(|_| {
-                let object = Glob::compile(&rich_pattern(rng)).ok()?;
-                let subject = match *rng.pick_weighted(&[(4, 0u8), (1, 1), (1, 2)]) {
-                    0 => SubjectMatch::Any,
-                    1 => SubjectMatch::Uid(if rng.bool() { 0 } else { 1000 }),
-                    _ => SubjectMatch::ExeGlob(Glob::compile("/usr/bin/*").unwrap()),
-                };
-                Some(MacRule {
-                    subject,
-                    object,
-                    perms: perms_from_bits(rng.range(1, 64) as u8),
+                let object = rich_pattern(rng);
+                Glob::compile(&object).ok()?;
+                line += 1;
+                Some(RuleSpec {
                     effect: if rng.bool() {
                         RuleEffect::Allow
                     } else {
                         RuleEffect::Deny
                     },
+                    subject: match *rng.pick_weighted(&[(4, 0u8), (1, 1), (1, 2), (1, 3)]) {
+                        0 => SubjectSpec::Any,
+                        1 => SubjectSpec::Uid(if rng.bool() { 0 } else { 1000 }),
+                        2 => SubjectSpec::Exe("/usr/bin/*".into()),
+                        _ => SubjectSpec::Profile("p".into()),
+                    },
+                    object,
+                    perms: perms_from_bits(rng.range(1, 64) as u8).to_string(),
+                    line,
                 })
             })
             .collect();
-        let set = StateRuleSet::build(rules.iter());
-        let protected = ProtectedSet::build(rules.iter().map(|r| &r.object));
-        let dfa = StateDfa::build(rules.iter(), rules.iter().map(|r| &r.object));
+        policy.per_rules.push((perm.into(), rules));
+    }
+    policy
+}
+
+/// The unified per-state table must reproduce the rule scan bit for bit:
+/// one `StateDfa::decide` walk equals `CompiledPolicy::scan` (protection
+/// by every glob of the policy, then the state's rules, deny first) for
+/// arbitrary rule sets (mixed effects, mixed subject selectors —
+/// subject-scoped rules land in the residual scan lists) and arbitrary
+/// subjects, paths and requested permissions, in every state.
+#[test]
+fn state_dfa_walk_agrees_with_protected_set_and_rule_scan() {
+    prop::check(|rng| {
+        let policy = rich_policy(rng);
+        let compiled = policy
+            .compile()
+            .unwrap_or_else(|e| panic!("{e:?}\n{policy}"));
         let subjects = [
             SubjectCtx {
                 uid: 0,
@@ -321,7 +344,7 @@ fn state_dfa_walk_agrees_with_protected_set_and_rule_scan() {
             SubjectCtx {
                 uid: 1000,
                 exe: Some("/usr/bin/app"),
-                profile: None,
+                profile: Some("p"),
             },
             SubjectCtx {
                 uid: 1000,
@@ -333,19 +356,16 @@ fn state_dfa_walk_agrees_with_protected_set_and_rule_scan() {
             let path = rich_path(rng);
             let requested = perms_from_bits(rng.range(1, 64) as u8);
             for subject in &subjects {
-                let decision = dfa.decide(subject, &path, requested);
-                assert_eq!(
-                    decision.protected,
-                    protected.contains(&path),
-                    "protected-set membership diverged on `{path}` over {rules:?}"
-                );
-                assert_eq!(
-                    decision.permitted,
-                    set.permits(subject, &path, requested),
-                    "uid={} exe={:?} path=`{path}` perms={requested} over {rules:?}",
-                    subject.uid,
-                    subject.exe
-                );
+                for index in 0..compiled.space().state_count() {
+                    let state = sack_core::StateId(index);
+                    assert_eq!(
+                        compiled.state_dfa(state).decide(subject, &path, requested),
+                        compiled.scan(state, subject, &path, requested),
+                        "s{index} uid={} exe={:?} path=`{path}` perms={requested}\n{policy}",
+                        subject.uid,
+                        subject.exe
+                    );
+                }
             }
         }
     });
@@ -555,27 +575,6 @@ fn rule_lints_equal_pairwise_reference() {
             .map(|issue| issue.message)
             .collect();
         assert_eq!(lints, reference_rule_lints(&policy), "{policy}");
-    });
-}
-
-#[test]
-fn protected_set_equals_naive_union() {
-    prop::check(|rng| {
-        let n = rng.below(10);
-        // Duplicate-heavy: about half the globs repeat an earlier one, which
-        // the set's dedup must drop without losing membership.
-        let mut globs: Vec<Glob> = Vec::new();
-        for _ in 0..n {
-            if !globs.is_empty() && rng.bool() {
-                globs.push(globs[rng.below(globs.len())].clone());
-            } else if let Ok(glob) = Glob::compile(&simple_pattern(rng)) {
-                globs.push(glob);
-            }
-        }
-        let path = path_under_test(rng);
-        let set = ProtectedSet::build(globs.iter());
-        let naive = globs.iter().any(|g| g.matches(&path));
-        assert_eq!(set.contains(&path), naive);
     });
 }
 
@@ -795,8 +794,8 @@ fn vehicle_path(rng: &mut Rng) -> String {
 
 /// Acceptance sweep over the shipped vehicle bundles: in every situation
 /// state of `VEHICLE_SACK_POLICY` and `VEHICLE_ENHANCED_POLICY`, the
-/// published `StateDfa` table must agree with the legacy protected-set +
-/// rule-scan pipeline for randomized subjects, paths, and permissions.
+/// published `StateDfa` table must agree with `CompiledPolicy::scan` for
+/// randomized subjects, paths, and permissions.
 #[test]
 fn vehicle_bundle_state_dfas_agree_with_scan() {
     for text in [VEHICLE_SACK_POLICY, VEHICLE_ENHANCED_POLICY] {
@@ -815,17 +814,9 @@ fn vehicle_bundle_state_dfas_agree_with_scan() {
             };
             for index in 0..compiled.space().state_count() {
                 let state = sack_core::StateId(index);
-                let decision = compiled.state_dfa(state).decide(&subject, &path, requested);
                 assert_eq!(
-                    decision.protected,
-                    compiled.protected().contains(&path),
-                    "protected-set membership diverged on `{path}`"
-                );
-                assert_eq!(
-                    decision.permitted,
-                    compiled
-                        .state_rules(state)
-                        .permits(&subject, &path, requested),
+                    compiled.state_dfa(state).decide(&subject, &path, requested),
+                    compiled.scan(state, &subject, &path, requested),
                     "state {index} diverged on `{path}` perms={requested} exe={:?} profile={:?}",
                     subject.exe,
                     subject.profile
@@ -846,10 +837,9 @@ fn vehicle_profiles_dfa_index_and_scan_agree() {
         let compiled = CompiledRules::build(&profile.path_rules);
         prop::check(|rng| {
             let path = vehicle_path(rng);
-            let scan = compiled.evaluate(&path);
             assert_eq!(
                 compiled.evaluate_dfa(&path),
-                scan,
+                scan(&profile.path_rules, &path),
                 "profile {} DFA diverged on `{path}`",
                 profile.name
             );
@@ -896,10 +886,9 @@ fn policy_db_profiles_agree_with_scan() {
             let compiled = db.get(&name).unwrap();
             for _ in 0..3 {
                 let path = rich_path(rng);
-                let scan = compiled.rules().evaluate(&path);
                 assert_eq!(
                     compiled.rules().evaluate_dfa(&path),
-                    scan,
+                    compiled.scan(&path),
                     "profile {name} DFA diverged on `{path}`"
                 );
             }
@@ -919,24 +908,25 @@ fn vehicle_bundle_through_policy_db_agrees_with_scan() {
         let path = vehicle_path(rng);
         for name in db.profile_names() {
             let compiled = db.get(&name).unwrap();
-            let scan = compiled.rules().evaluate(&path);
             assert_eq!(
                 compiled.rules().evaluate_dfa(&path),
-                scan,
+                compiled.scan(&path),
                 "profile {name} DFA diverged on `{path}`"
             );
         }
     });
 }
 
-/// The end-to-end stacked verdict — SACK's situation gate plus the
-/// AppArmor profile hook, sharing one `Sack::set_dfa_matcher_enabled`
-/// switch — must be bit-identical with the DFA matchers on and off,
-/// across random situation walks, subjects, paths, and access masks.
+/// The end-to-end stacked verdict against the two oracles: SACK's
+/// situation gate must answer what a `PolicySimulator` stepped with the
+/// same events answers, and the AppArmor profile hook what the scan of
+/// the confining profile answers, across random situation walks,
+/// subjects, paths, and access masks.
 #[test]
 #[allow(clippy::explicit_auto_deref)] // same inference false positive
-fn stacked_sack_apparmor_verdict_is_identical_with_dfa_on_and_off() {
+fn stacked_sack_apparmor_verdict_matches_simulator_and_profile_scan() {
     let sack = Sack::independent(VEHICLE_SACK_POLICY).unwrap();
+    let sim = PolicySimulator::new(VEHICLE_SACK_POLICY).unwrap();
     let db = Arc::new(PolicyDb::new());
     db.load_text(VEHICLE_APPARMOR_PROFILES).unwrap();
     let apparmor = AppArmor::new(Arc::clone(&db));
@@ -954,11 +944,14 @@ fn stacked_sack_apparmor_verdict_is_identical_with_dfa_on_and_off() {
             "emergency_resolved",
         ]);
         let _ = sack.deliver_event(event, std::time::Duration::ZERO);
+        sim.deliver(event);
+        assert_eq!(sack.current_state_name(), sim.state());
         let pid = if rng.bool() { confined } else { unconfined };
+        let exe = *rng.pick(&["/usr/bin/media_app", "/usr/bin/rescue_daemon"]);
         let ctx = HookCtx::new(
             pid,
             Credentials::user(1000, 1000),
-            Some(KPath::new(*rng.pick(&["/usr/bin/media_app", "/usr/bin/rescue_daemon"])).unwrap()),
+            Some(KPath::new(exe).unwrap()),
         );
         let path = KPath::new(&vehicle_path(rng)).unwrap();
         let obj = ObjectRef::regular(&path);
@@ -968,21 +961,28 @@ fn stacked_sack_apparmor_verdict_is_identical_with_dfa_on_and_off() {
             AccessMask::EXEC,
             AccessMask::APPEND,
         ]);
-        let verdict = |dfa: bool| {
-            sack.set_dfa_matcher_enabled(dfa);
-            (
-                sack.file_open(&ctx, &obj, mask).is_ok(),
-                apparmor.file_open(&ctx, &obj, mask).is_ok(),
-            )
+        let perms = FilePerms::from_access_mask(mask);
+        let confining = apparmor.confining(pid);
+        let query = AccessQuery {
+            uid: 1000,
+            exe: Some(exe.to_string()),
+            profile: confining.as_ref().map(|p| p.profile().name.clone()),
+            path: path.as_str().to_string(),
+            perms,
         };
-        let with_dfa = verdict(true);
-        let with_scan = verdict(false);
+        let expected = (
+            sim.query(&query).is_allowed(),
+            confining.is_none_or(|p| p.scan(path.as_str()).permits(perms)),
+        );
+        let verdict = (
+            sack.file_open(&ctx, &obj, mask).is_ok(),
+            apparmor.file_open(&ctx, &obj, mask).is_ok(),
+        );
         assert_eq!(
-            with_dfa,
-            with_scan,
-            "stacked verdict diverged in state `{}` for pid={pid:?} \
-             path=`{path}` mask={mask:?}",
-            sack.current_state_name()
+            verdict,
+            expected,
+            "stacked verdict diverged in state `{}` for {query:?}",
+            sim.state()
         );
     });
 }
@@ -1045,10 +1045,9 @@ fn incremental_recompile_preserves_equivalence_and_pins_untouched_profiles() {
                 let compiled = db.get(&name).unwrap();
                 for _ in 0..2 {
                     let path = rich_path(rng);
-                    let scan = compiled.rules().evaluate(&path);
                     assert_eq!(
                         compiled.rules().evaluate_dfa(&path),
-                        scan,
+                        compiled.scan(&path),
                         "profile {name} DFA diverged on `{path}` after an edit"
                     );
                 }
@@ -1212,25 +1211,29 @@ fn state_rule_set_deny_always_wins() {
             return;
         }
         let path = path_under_test(rng);
-        let allow = MacRule::allow_any("/**", FilePerms::all()).unwrap();
-        let deny = MacRule {
-            subject: sack_core::SubjectMatch::Any,
-            object: Glob::compile("/**").unwrap(),
-            perms,
-            effect: sack_core::RuleEffect::Deny,
-        };
-        let set = StateRuleSet::build([&allow, &deny]);
+        let compiled = SackPolicy::parse(&format!(
+            "states {{ s = 0; }} initial s; permissions {{ P; }} state_per {{ s: P; }}
+             per_rules {{ P: allow subject=* /** rwaxmi; deny subject=* /** {perms}; }}"
+        ))
+        .unwrap()
+        .compile()
+        .unwrap();
         let subject = SubjectCtx {
             uid: 0,
             exe: None,
             profile: None,
         };
+        let permits = |requested| {
+            compiled
+                .scan(sack_core::StateId(0), &subject, &path, requested)
+                .permitted
+        };
         // Anything intersecting the denied set is refused...
-        assert!(!set.permits(&subject, &path, perms));
+        assert!(!permits(perms));
         // ...while the complement is still granted by the broad allow.
         let rest = FilePerms::all().difference(perms);
         if !rest.is_empty() {
-            assert!(set.permits(&subject, &path, rest));
+            assert!(permits(rest));
         }
     });
 }

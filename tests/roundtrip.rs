@@ -2,8 +2,9 @@
 //! text that re-parses to an equivalent object. This is what makes the
 //! SACKfs `policy` node and `apparmor_parser`-style tooling trustworthy.
 
-use sack_apparmor::parse_profiles;
-use sack_core::SackPolicy;
+use sack_apparmor::{parse_profiles, FilePerms};
+use sack_core::rules::SubjectCtx;
+use sack_core::{SackPolicy, StateId};
 
 /// Strips positional metadata (rule line numbers) before AST comparison.
 fn normalized(mut ast: SackPolicy) -> SackPolicy {
@@ -55,9 +56,19 @@ fn brace_alternation_patterns_roundtrip() {
     .unwrap()
     .compile()
     .unwrap();
-    assert!(compiled.protected().contains("/dev/car/door0"));
-    assert!(compiled.protected().contains("/dev/car/window1"));
-    assert!(!compiled.protected().contains("/dev/car/audio"));
+    let subject = SubjectCtx {
+        uid: 1000,
+        exe: None,
+        profile: None,
+    };
+    let protected = |path| {
+        compiled
+            .scan(StateId(0), &subject, path, FilePerms::WRITE)
+            .protected
+    };
+    assert!(protected("/dev/car/door0"));
+    assert!(protected("/dev/car/window1"));
+    assert!(!protected("/dev/car/audio"));
 }
 
 #[test]
@@ -83,7 +94,10 @@ fn roundtripped_policy_compiles_identically() {
     assert_eq!(a.space().state_count(), b.space().state_count());
     assert_eq!(a.rule_count(), b.rule_count());
     assert_eq!(a.permissions().len(), b.permissions().len());
-    assert_eq!(a.protected().len(), b.protected().len());
+    for state in 0..a.space().state_count() {
+        let state = StateId(state);
+        assert_eq!(a.state_dfa(state).stats(), b.state_dfa(state).stats());
+    }
 }
 
 fn profile_fingerprint(p: &sack_apparmor::Profile) -> (String, usize, usize, usize, Vec<String>) {
