@@ -192,6 +192,8 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
     let core = [
         scenarios::rcu_read_write(1, 2),
         scenarios::rcu_read_write(2, 1),
+        scenarios::rcu_with_write(1, 2),
+        scenarios::rcu_with_write(2, 1),
         scenarios::profile_publish(),
     ];
     println!("== exhaustive exploration (seed {:#x}) ==", cfg.seed);
@@ -223,7 +225,7 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
     }
 
     println!("== planted mutations (each must be caught) ==");
-    let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 2] = [
+    let mutations: [(&str, sack_analyze::sched::Scenario, Option<Mutation>); 3] = [
         (
             "rcu skip hazard re-validation",
             scenarios::rcu_read_write(1, 2),
@@ -233,6 +235,11 @@ fn run_sched(smoke: bool) -> Result<ExitCode, String> {
             "rcu free before hazard scan",
             scenarios::rcu_read_write(2, 1),
             Some(Mutation::RcuFreeBeforeScan),
+        ),
+        (
+            "rcu with clears slot early",
+            scenarios::rcu_with_write(1, 2),
+            Some(Mutation::RcuWithEarlyRelease),
         ),
     ];
     for (label, scenario, mutation) in mutations {

@@ -34,13 +34,16 @@ mod tests {
     use super::executor::{explore, SchedConfig};
     use super::scenarios;
 
-    /// The two `Rcu` shapes: one reader against two writes (the graveyard
-    /// bound binds) and two readers against one write (the second reader
-    /// takes the all-slots-occupied fallback).
-    fn rcu_shapes() -> [super::Scenario; 2] {
+    /// The two `Rcu` shapes, each through `read` and through `with`: one
+    /// reader against two writes (the graveyard bound binds) and two
+    /// readers against one write (the second reader takes the
+    /// all-slots-occupied fallback).
+    fn rcu_shapes() -> [super::Scenario; 4] {
         [
             scenarios::rcu_read_write(1, 2),
             scenarios::rcu_read_write(2, 1),
+            scenarios::rcu_with_write(1, 2),
+            scenarios::rcu_with_write(2, 1),
         ]
     }
 
@@ -76,6 +79,28 @@ mod tests {
             )
             .expect_err("the planted bug must produce a violating schedule");
             assert!(violation.message.contains("use-after-free"), "{violation}");
+        }
+    }
+
+    #[test]
+    fn rcu_with_early_release_is_caught_in_real_code() {
+        let violation = explore(
+            &scenarios::rcu_with_write(1, 2),
+            &SchedConfig::with_mutation(Mutation::RcuWithEarlyRelease),
+        )
+        .expect_err("the planted bug must produce a violating schedule");
+        assert!(violation.message.contains("use-after-free"), "{violation}");
+        assert!(!violation.schedule.is_empty());
+        // `read` never consults the mutation: its scenarios stay clean.
+        for scenario in [
+            scenarios::rcu_read_write(1, 2),
+            scenarios::rcu_read_write(2, 1),
+        ] {
+            explore(
+                &scenario,
+                &SchedConfig::with_mutation(Mutation::RcuWithEarlyRelease),
+            )
+            .unwrap_or_else(|v| panic!("{v}"));
         }
     }
 

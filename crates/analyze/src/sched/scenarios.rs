@@ -14,6 +14,9 @@
 //!   writes the bound binds (a writer that never reclaims breaks it), and
 //!   two readers against one write drive the second reader into
 //!   `Rcu::read`'s all-slots-occupied writer-mutex fallback.
+//! * [`rcu_with_write`] — the same invariants for readers that borrow the
+//!   snapshot through `Rcu::with`, plus no snapshot freed while a closure
+//!   still holds it.
 //! * [`profile_publish`] — profile-table snapshots are never torn, and
 //!   the publish-before-bump ordering means a reader that observed the
 //!   bumped epoch can never read the old table.
@@ -57,10 +60,33 @@ fn poison_tolerant<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// bound, and (structurally) no reader acquires a freed snapshot. The
 /// `RcuSkipValidation` and `RcuFreeBeforeScan` mutations are caught here.
 pub fn rcu_read_write(readers: usize, writes: usize) -> Scenario {
+    rcu_vs_writer("read", readers, writes, |cell| *cell.read())
+}
+
+/// As [`rcu_read_write`], but each reader lends its snapshot to a
+/// `Rcu::with` closure instead of taking a strong count — the hook-path
+/// read. `with` checks the snapshot is still live as the closure ends, so
+/// the `RcuWithEarlyRelease` mutation (the announcement withdrawn before
+/// the closure returns) is caught here, as are the two `read` mutations.
+/// With two readers and one slot the second reader runs its closure on
+/// the fallback's owned snapshot.
+pub fn rcu_with_write(readers: usize, writes: usize) -> Scenario {
+    rcu_vs_writer("with", readers, writes, |cell| cell.with(|v| *v))
+}
+
+/// `readers` threads each take one snapshot through `read_op` while one
+/// writer publishes `writes` values; the shared body of the `Rcu`
+/// scenarios.
+fn rcu_vs_writer(
+    op: &str,
+    readers: usize,
+    writes: usize,
+    read_op: fn(&SRcu<u64>) -> u64,
+) -> Scenario {
     let mut threads = vec!["reader"; readers];
     threads.push("writer");
     Scenario {
-        name: format!("rcu-read-vs-write-{readers}r-{writes}w"),
+        name: format!("rcu-{op}-vs-write-{readers}r-{writes}w"),
         threads,
         make: Box::new(move || {
             let cell = Arc::new(SRcu::new_in(0u64));
@@ -71,7 +97,7 @@ pub fn rcu_read_write(readers: usize, writes: usize) -> Scenario {
                 let cell = Arc::clone(&cell);
                 let seen = Arc::clone(&seen);
                 bodies.push(Box::new(move || {
-                    let snap = *cell.read();
+                    let snap = read_op(&cell);
                     poison_tolerant(&seen).push(snap);
                 }));
             }

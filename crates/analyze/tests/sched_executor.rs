@@ -14,6 +14,8 @@ fn core_scenarios_are_exhaustively_safe() {
     for scenario in [
         scenarios::rcu_read_write(1, 2),
         scenarios::rcu_read_write(2, 1),
+        scenarios::rcu_with_write(1, 2),
+        scenarios::rcu_with_write(2, 1),
         scenarios::profile_publish(),
     ] {
         let stats = explore(&scenario, &cfg)
@@ -62,6 +64,14 @@ fn planted_rcu_free_before_scan_is_caught() {
     }
 }
 
+#[test]
+fn planted_rcu_with_early_release_is_caught() {
+    assert_caught(
+        &scenarios::rcu_with_write(1, 2),
+        Some(Mutation::RcuWithEarlyRelease),
+    );
+}
+
 /// The scenarios the planted mutations break must pass when no mutation
 /// is planted — the mutation tests are meaningful only if the unmutated
 /// runs are clean.
@@ -71,6 +81,7 @@ fn unmutated_runs_are_clean_where_mutations_bite() {
     for scenario in [
         scenarios::rcu_read_write(1, 2),
         scenarios::rcu_read_write(2, 1),
+        scenarios::rcu_with_write(1, 2),
     ] {
         explore(&scenario, &cfg).unwrap_or_else(|v| panic!("{v}"));
     }

@@ -50,10 +50,11 @@ pub struct AuditEvent {
 pub struct AppArmor {
     policy: Arc<PolicyDb>,
     /// Pid → compiled-profile snapshot, RCU-published copy-on-write: hook
-    /// reads are wait-free `Rcu::read` snapshots; the (rare) confinement
-    /// mutations on fork/exec/exit swap in a whole rebuilt map. Every
-    /// writer decides inside its `Rcu::update` and publishes nothing when
-    /// the map would not change.
+    /// reads borrow it through `Rcu::with` and take no reference count on
+    /// the map or the profile; the (rare) confinement mutations on
+    /// fork/exec/exit swap in a whole rebuilt map. Every writer decides
+    /// inside its `Rcu::update` and publishes nothing when the map would
+    /// not change.
     confinement: Rcu<HashMap<Pid, Arc<CompiledProfile>>>,
     audit: Mutex<Vec<AuditEvent>>,
 }
@@ -101,15 +102,12 @@ impl AppArmor {
 
     /// The name of the profile confining `pid`, if any.
     pub fn current_profile(&self, pid: Pid) -> Option<String> {
-        self.confinement
-            .read()
-            .get(&pid)
-            .map(|p| p.profile().name.clone())
+        self.with_confining(pid, |p| p.map(|p| p.profile().name.clone()))
     }
 
     /// Number of confined tasks.
     pub fn confined_count(&self) -> usize {
-        self.confinement.read().len()
+        self.confinement.with(HashMap::len)
     }
 
     /// Drains and returns the audit log.
@@ -140,9 +138,19 @@ impl AppArmor {
         });
     }
 
-    /// The compiled-profile snapshot confining `pid`, if any.
+    /// The compiled-profile snapshot confining `pid`, if any, as an owned
+    /// handle that outlives the call.
     pub fn confining(&self, pid: Pid) -> Option<Arc<CompiledProfile>> {
         self.confinement.read().get(&pid).cloned()
+    }
+
+    /// Runs `f` on the compiled profile confining `pid` (`None` when the
+    /// task is unconfined), lent from the confinement snapshot for the
+    /// duration of the call: the hook-path lookup, which takes no
+    /// reference count on the map or the profile.
+    pub fn with_confining<R>(&self, pid: Pid, f: impl FnOnce(Option<&CompiledProfile>) -> R) -> R {
+        self.confinement
+            .with(|map| f(map.get(&pid).map(Arc::as_ref)))
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the audit record's fields
@@ -178,38 +186,33 @@ impl AppArmor {
         if matches!(obj.kind, ObjectKind::Pipe | ObjectKind::Socket) {
             return Ok(());
         }
-        let Some(profile) = self.confining(ctx.pid) else {
-            return Ok(());
-        };
-        if profile
-            .rules()
-            .evaluate_dfa(obj.path.as_str())
-            .permits(requested)
-        {
-            return Ok(());
-        }
-        if profile.profile().mode == ProfileMode::Complain {
+        self.with_confining(ctx.pid, |profile| {
+            let Some(profile) = profile else {
+                return Ok(());
+            };
+            if profile
+                .rules()
+                .evaluate_dfa(obj.path.as_str())
+                .permits(requested)
+            {
+                return Ok(());
+            }
+            let complain = profile.profile().mode == ProfileMode::Complain;
             self.audit(
                 ctx,
-                &profile,
+                profile,
                 op,
                 obj.path.as_str(),
                 requested.to_string(),
-                true,
-                true,
+                complain,
+                complain,
             );
-            return Ok(());
-        }
-        self.audit(
-            ctx,
-            &profile,
-            op,
-            obj.path.as_str(),
-            requested.to_string(),
-            false,
-            false,
-        );
-        Err(KernelError::with_context(Errno::EACCES, "apparmor"))
+            if complain {
+                Ok(())
+            } else {
+                Err(KernelError::with_context(Errno::EACCES, "apparmor"))
+            }
+        })
     }
 }
 
@@ -256,24 +259,27 @@ impl SecurityModule for AppArmor {
 
     fn bprm_check(&self, ctx: &HookCtx, exe: &KPath) -> KernelResult<()> {
         // If the task is confined, it may only exec what its profile allows.
-        let Some(profile) = self.confining(ctx.pid) else {
-            return Ok(());
-        };
-        let decision = profile.rules().evaluate_dfa(exe.as_str());
-        if decision.permits(FilePerms::EXEC) || profile.profile().mode == ProfileMode::Complain {
-            Ok(())
-        } else {
-            self.audit(
-                ctx,
-                &profile,
-                "exec",
-                exe.as_str(),
-                "x".to_string(),
-                false,
-                false,
-            );
-            Err(KernelError::with_context(Errno::EACCES, "apparmor"))
-        }
+        self.with_confining(ctx.pid, |profile| {
+            let Some(profile) = profile else {
+                return Ok(());
+            };
+            let decision = profile.rules().evaluate_dfa(exe.as_str());
+            if decision.permits(FilePerms::EXEC) || profile.profile().mode == ProfileMode::Complain
+            {
+                Ok(())
+            } else {
+                self.audit(
+                    ctx,
+                    profile,
+                    "exec",
+                    exe.as_str(),
+                    "x".to_string(),
+                    false,
+                    false,
+                );
+                Err(KernelError::with_context(Errno::EACCES, "apparmor"))
+            }
+        })
     }
 
     fn bprm_committed(&self, ctx: &HookCtx, exe: &KPath) {
@@ -307,65 +313,55 @@ impl SecurityModule for AppArmor {
     }
 
     fn capable(&self, ctx: &HookCtx, cap: Capability) -> KernelResult<()> {
-        let Some(profile) = self.confining(ctx.pid) else {
-            return Ok(());
-        };
-        if profile.profile().capabilities.contains(&cap) {
-            return Ok(());
-        }
-        if profile.profile().mode == ProfileMode::Complain {
+        self.with_confining(ctx.pid, |profile| {
+            let Some(profile) = profile else {
+                return Ok(());
+            };
+            if profile.profile().capabilities.contains(&cap) {
+                return Ok(());
+            }
+            let complain = profile.profile().mode == ProfileMode::Complain;
             self.audit(
                 ctx,
-                &profile,
+                profile,
                 "capable",
                 cap.name(),
                 String::new(),
-                true,
-                true,
+                complain,
+                complain,
             );
-            return Ok(());
-        }
-        self.audit(
-            ctx,
-            &profile,
-            "capable",
-            cap.name(),
-            String::new(),
-            false,
-            false,
-        );
-        Err(KernelError::with_context(Errno::EPERM, "apparmor"))
+            if complain {
+                Ok(())
+            } else {
+                Err(KernelError::with_context(Errno::EPERM, "apparmor"))
+            }
+        })
     }
 
     fn socket_create(&self, ctx: &HookCtx, family: SocketFamily) -> KernelResult<()> {
-        let Some(profile) = self.confining(ctx.pid) else {
-            return Ok(());
-        };
-        if profile.profile().networks.contains(&family) {
-            return Ok(());
-        }
-        if profile.profile().mode == ProfileMode::Complain {
+        self.with_confining(ctx.pid, |profile| {
+            let Some(profile) = profile else {
+                return Ok(());
+            };
+            if profile.profile().networks.contains(&family) {
+                return Ok(());
+            }
+            let complain = profile.profile().mode == ProfileMode::Complain;
             self.audit(
                 ctx,
-                &profile,
+                profile,
                 "socket",
                 &family.to_string(),
                 String::new(),
-                true,
-                true,
+                complain,
+                complain,
             );
-            return Ok(());
-        }
-        self.audit(
-            ctx,
-            &profile,
-            "socket",
-            &family.to_string(),
-            String::new(),
-            false,
-            false,
-        );
-        Err(KernelError::with_context(Errno::EACCES, "apparmor"))
+            if complain {
+                Ok(())
+            } else {
+                Err(KernelError::with_context(Errno::EACCES, "apparmor"))
+            }
+        })
     }
 }
 

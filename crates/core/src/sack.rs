@@ -17,6 +17,7 @@ use sack_kernel::error::{Errno, KernelError, KernelResult};
 use sack_kernel::kernel::Kernel;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectKind, ObjectRef, SecurityModule};
 use sack_kernel::sync::Rcu;
+use sack_kernel::time::SimClock;
 use sack_kernel::trace::{TraceEvent, TraceHub};
 
 use crate::audit::{AuditLog, Denial};
@@ -178,20 +179,22 @@ pub struct Sack {
     profile_oracle: OnceLock<Arc<AppArmor>>,
     stats: SackStats,
     audit: AuditLog,
-    /// Set once at [`Sack::attach`]; used to timestamp audit records. A
-    /// `OnceLock` rather than an `Rcu` for the same reason as `tracing`:
-    /// every denial reads it.
-    kernel: OnceLock<std::sync::Weak<Kernel>>,
+    /// The kernel's clock, shared at [`Sack::attach`]; timestamps audit
+    /// records. A `OnceLock` rather than an `Rcu` for the same reason as
+    /// `tracing`: every denial reads it, so a timestamp is one load of the
+    /// clock and no reference count.
+    clock: OnceLock<Arc<SimClock>>,
     /// Policy epoch: bumped after every policy publish, oracle rewiring
     /// and situation transition. Hooks never read it; it is the change
     /// counter the `stats` node, the metrics export and the event-plane
     /// tests observe.
     policy_epoch: AtomicU64,
     /// Serialises every path that moves the SSM or publishes an enhancer
-    /// state (`deliver_event`, `deliver_coalesced`, `reload_policy`): it is
-    /// held across the SSM step, the AppArmor publish and the epoch bump,
-    /// so two concurrent deliveries publish their states in the order the
-    /// SSM took them. Hooks never take it.
+    /// state (`deliver_event`, `deliver_events`, `deliver_coalesced`,
+    /// `reload_policy`): it is held across name resolution, the SSM step,
+    /// the AppArmor publish and the epoch bump, so two concurrent
+    /// deliveries publish their states in the order the SSM took them.
+    /// Hooks never take it.
     delivery: Mutex<()>,
     /// sack-trace recorder, wired once at [`Sack::attach`] (or explicitly
     /// via [`Sack::install_tracing`]). A `OnceLock` rather than an `Rcu`
@@ -217,7 +220,7 @@ impl Sack {
             profile_oracle: OnceLock::new(),
             stats: SackStats::default(),
             audit: AuditLog::new(),
-            kernel: OnceLock::new(),
+            clock: OnceLock::new(),
             policy_epoch: AtomicU64::new(0),
             delivery: Mutex::new(()),
             tracing: OnceLock::new(),
@@ -249,7 +252,7 @@ impl Sack {
             profile_oracle: OnceLock::new(),
             stats: SackStats::default(),
             audit: AuditLog::new(),
-            kernel: OnceLock::new(),
+            clock: OnceLock::new(),
             policy_epoch: AtomicU64::new(0),
             delivery: Mutex::new(()),
             tracing: OnceLock::new(),
@@ -289,8 +292,8 @@ impl Sack {
 
     /// Name of the current situation state.
     pub fn current_state_name(&self) -> String {
-        let active = self.active.read();
-        active.ssm.current_name().to_string()
+        self.active
+            .with(|active| active.ssm.current_name().to_string())
     }
 
     /// The current decision epoch (telemetry for tests and stats).
@@ -307,7 +310,7 @@ impl Sack {
     pub fn attach(self: &Arc<Self>, kernel: &Arc<Kernel>) -> Result<(), SackError> {
         self.install_tracing(Arc::clone(kernel.trace()));
         crate::sackfs::register(self, kernel)?;
-        let _ = self.kernel.set(Arc::downgrade(kernel));
+        let _ = self.clock.set(Arc::clone(kernel.shared_clock()));
         Ok(())
     }
 
@@ -362,12 +365,8 @@ impl Sack {
         &self.audit
     }
 
-    pub(crate) fn now(&self) -> std::time::Duration {
-        self.kernel
-            .get()
-            .and_then(std::sync::Weak::upgrade)
-            .map(|k| k.clock().now())
-            .unwrap_or(std::time::Duration::ZERO)
+    pub(crate) fn now(&self) -> Duration {
+        self.clock.get().map_or(Duration::ZERO, |clock| clock.now())
     }
 
     /// Delivers a situation event by name at simulated time `now`
@@ -386,9 +385,47 @@ impl Sack {
             self.stats.events_unknown.fetch_add(1, Ordering::Relaxed);
             return Err(SackError::UnknownEvent(name.to_string()));
         };
+        self.step(&active, event, now)
+    }
+
+    /// Delivers one `SACK/events` write: every name resolves against one
+    /// policy snapshot under the delivery lock before any is delivered,
+    /// then each is its own SSM step, exactly as that many
+    /// [`Sack::deliver_event`] calls.
+    ///
+    /// # Errors
+    ///
+    /// [`SackError::UnknownEvent`] for the first undeclared name, before
+    /// anything is delivered (the name counts as received and unknown);
+    /// [`SackError::Enhance`] if enhanced-mode profile patching fails.
+    pub fn deliver_events<S: AsRef<str>>(
+        &self,
+        names: &[S],
+        now: Duration,
+    ) -> Result<(), SackError> {
+        let _delivery = self.delivery.lock();
+        let active = self.active();
+        let ids = resolve(&active, names).inspect_err(|_| {
+            self.stats.events_received.fetch_add(1, Ordering::Relaxed);
+            self.stats.events_unknown.fetch_add(1, Ordering::Relaxed);
+        })?;
+        for event in ids {
+            self.stats.events_received.fetch_add(1, Ordering::Relaxed);
+            self.step(&active, event, now)?;
+        }
+        Ok(())
+    }
+
+    /// One SSM step under the delivery lock, publishing its transition.
+    fn step(
+        &self,
+        active: &ActivePolicy,
+        event: EventId,
+        now: Duration,
+    ) -> Result<TransitionOutcome, SackError> {
         let outcome = active.ssm.deliver(event, now);
         if let TransitionOutcome::Transitioned { from, to } = outcome {
-            self.publish_transition(&active, from, to, event)?;
+            self.publish_transition(active, from, to, event)?;
         }
         Ok(outcome)
     }
@@ -413,15 +450,7 @@ impl Sack {
         let _delivery = self.delivery.lock();
         let active = self.active();
         let space = active.ssm.space();
-        let ids = names
-            .iter()
-            .map(|name| {
-                let name = name.as_ref();
-                space
-                    .event_id(name)
-                    .ok_or_else(|| SackError::UnknownEvent(name.to_string()))
-            })
-            .collect::<Result<Vec<EventId>, SackError>>()?;
+        let ids = resolve(&active, names)?;
         self.stats
             .events_received
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
@@ -496,10 +525,11 @@ impl Sack {
 
     /// The independent-mode access check shared by the file hooks.
     ///
-    /// Every mediated hook decides afresh from the RCU policy snapshot:
-    /// one walk of the current state's unified DFA answers both the
-    /// protected-set membership and the rule decision in O(|path|),
-    /// independent of rule count. A reload or transition needs no
+    /// Every mediated hook decides afresh from the RCU policy snapshot,
+    /// borrowed through `Rcu::with` without a reference count: one walk of
+    /// the current state's unified DFA answers both the protected-set
+    /// membership and the rule decision in O(|path|), independent of rule
+    /// count. A reload or transition needs no
     /// invalidation step, because the next hook reads the new snapshot.
     /// `CompiledPolicy::scan` is the oracle it must agree with; the hook
     /// never runs it.
@@ -518,48 +548,67 @@ impl Sack {
             return Ok(());
         }
         self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let active = self.active.read();
-        let state: StateId = active.ssm.current();
-        // The confining profile, borrowed from the oracle's snapshot.
-        let confining = self
-            .profile_oracle
-            .get()
-            .and_then(|aa| aa.confining(ctx.pid));
-        let subject = SubjectCtx {
-            uid: ctx.cred.uid.0,
-            exe: ctx.exe.as_ref().map(|p| p.as_str()),
-            profile: confining.as_ref().map(|p| p.profile().name.as_str()),
-        };
-        let decision =
-            active
-                .policy
-                .state_dfa(state)
-                .decide(&subject, obj.path.as_str(), requested);
-        if !decision.protected {
-            self.stats.unprotected.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        if ctx.cred.capable(Capability::MacOverride) {
-            self.stats.overrides.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        self.stats.checks.fetch_add(1, Ordering::Relaxed);
-        if decision.permitted {
-            return Ok(());
-        }
-        self.stats.denials.fetch_add(1, Ordering::Relaxed);
-        let seq = self.audit.push_denial(&Denial {
-            at: self.now(),
-            pid: ctx.pid,
-            uid: ctx.cred.uid.0,
-            exe: ctx.exe.as_ref().map(|p| p.as_str()),
-            path: obj.path.as_str(),
-            requested,
-            state: &active.ssm.space().state(state).name,
-        });
-        self.trace_emit(|| TraceEvent::AuditEmit { seq });
-        Err(KernelError::with_context(Errno::EACCES, "sack"))
+        self.active.with(|active| {
+            let state: StateId = active.ssm.current();
+            let dfa = active.policy.state_dfa(state);
+            let exe = ctx.exe.as_ref().map(|p| p.as_str());
+            let decide = |profile: Option<&str>| {
+                let subject = SubjectCtx {
+                    uid: ctx.cred.uid.0,
+                    exe,
+                    profile,
+                };
+                dfa.decide(&subject, obj.path.as_str(), requested)
+            };
+            // Only `subject=profile:` rules read the confining profile, so
+            // a policy without one never asks the oracle for it.
+            let decision = match self.profile_oracle.get() {
+                Some(aa) if active.policy.has_profile_subjects() => {
+                    aa.with_confining(ctx.pid, |p| decide(p.map(|p| p.profile().name.as_str())))
+                }
+                _ => decide(None),
+            };
+            if !decision.protected {
+                self.stats.unprotected.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
+            }
+            if ctx.cred.capable(Capability::MacOverride) {
+                self.stats.overrides.fetch_add(1, Ordering::Relaxed);
+                return Ok(());
+            }
+            self.stats.checks.fetch_add(1, Ordering::Relaxed);
+            if decision.permitted {
+                return Ok(());
+            }
+            self.stats.denials.fetch_add(1, Ordering::Relaxed);
+            let seq = self.audit.push_denial(&Denial {
+                at: self.now(),
+                pid: ctx.pid,
+                uid: ctx.cred.uid.0,
+                exe,
+                path: obj.path.as_str(),
+                requested,
+                state: &active.ssm.space().state(state).name,
+            });
+            self.trace_emit(|| TraceEvent::AuditEmit { seq });
+            Err(KernelError::with_context(Errno::EACCES, "sack"))
+        })
     }
+}
+
+/// Resolves every name against one policy snapshot; the first undeclared
+/// name is the error.
+fn resolve<S: AsRef<str>>(active: &ActivePolicy, names: &[S]) -> Result<Vec<EventId>, SackError> {
+    let space = active.ssm.space();
+    names
+        .iter()
+        .map(|name| {
+            let name = name.as_ref();
+            space
+                .event_id(name)
+                .ok_or_else(|| SackError::UnknownEvent(name.to_string()))
+        })
+        .collect()
 }
 
 impl SecurityModule for Sack {
@@ -1027,6 +1076,51 @@ mod tests {
         );
         assert!(load(&stats.denials) > 0);
         assert_eq!(load(&stats.denials), sack.audit().total());
+    }
+
+    /// With an oracle set, a policy without `subject=profile:` rules
+    /// decides without asking it and one with them resolves the confining
+    /// profile; both give the simulator's verdicts for a confined and an
+    /// unconfined subject in every state.
+    #[test]
+    fn verdicts_match_simulator_with_oracle_with_and_without_profile_subjects() {
+        use crate::{PolicySimulator, StepResult};
+        let uid_policy = ORACLE_POLICY.replace("subject=profile:trusted", "uid=300");
+        for (text, profile_subjects) in [(ORACLE_POLICY, true), (uid_policy.as_str(), false)] {
+            let sack = Sack::independent(text).unwrap();
+            assert_eq!(
+                sack.active().policy.has_profile_subjects(),
+                profile_subjects
+            );
+            let db = Arc::new(sack_apparmor::PolicyDb::new());
+            db.load_text("profile trusted { /secret/** r, }").unwrap();
+            let apparmor = AppArmor::new(db);
+            sack.set_profile_oracle(Arc::clone(&apparmor));
+            let ctx = |pid: u32, uid: u32, exe: &str| {
+                HookCtx::new(
+                    Pid(pid),
+                    Credentials::user(uid, uid),
+                    Some(KPath::new(exe).unwrap()),
+                )
+            };
+            let trusted = ctx(12, 300, "/usr/bin/vault");
+            apparmor.set_profile(trusted.pid, "trusted").unwrap();
+            let subjects = [
+                (ctx(10, 100, "/usr/bin/rescue_daemon"), None),
+                (ctx(11, 200, "/usr/bin/media_app"), None),
+                (trusted, Some("trusted")),
+            ];
+            let sim = PolicySimulator::new(text).unwrap();
+            assert_hooks_match_simulator(&sack, &sim, &subjects);
+            for event in ["crash", "rescue_done"] {
+                sack.deliver_event(event, Duration::ZERO).unwrap();
+                assert!(matches!(
+                    sim.deliver(event),
+                    StepResult::Transitioned { .. }
+                ));
+                assert_hooks_match_simulator(&sack, &sim, &subjects);
+            }
+        }
     }
 
     /// `cache_misses` counts exactly the hooks that reach the decision

@@ -60,18 +60,10 @@ impl SecurityFsFile for EventsNode {
         let now = upgrade(&self.kernel)
             .map(|k| k.clock().now())
             .unwrap_or(Duration::ZERO);
-        let text = std::str::from_utf8(data)
-            .map_err(|_| KernelError::with_context(Errno::EINVAL, "sackfs"))?;
-        for line in event_lines(text)? {
-            match sack.deliver_event(line, now) {
-                Ok(_) => {}
-                Err(SackError::UnknownEvent(_)) => {
-                    return Err(KernelError::with_context(Errno::EINVAL, "sackfs"))
-                }
-                Err(_) => return Err(KernelError::with_context(Errno::EIO, "sackfs")),
-            }
-        }
-        Ok(data.len())
+        // All or nothing on names: an unknown line rejects the whole write
+        // before any line moves the SSM; each known line is then its own
+        // step.
+        deliver_lines(data, |names| sack.deliver_events(names, now))
     }
 
     fn mode(&self) -> Mode {
@@ -216,6 +208,23 @@ fn event_lines(text: &str) -> KernelResult<impl Iterator<Item = &str>> {
     Ok(text.lines().map(str::trim).filter(|l| !l.is_empty()))
 }
 
+/// Splits an `events` or `sds/ring` write into its event names and hands
+/// them to `deliver`: an unknown name is `EINVAL`, any other delivery
+/// failure `EIO`.
+fn deliver_lines<T>(
+    data: &[u8],
+    deliver: impl FnOnce(&[&str]) -> Result<T, SackError>,
+) -> KernelResult<usize> {
+    let text = std::str::from_utf8(data)
+        .map_err(|_| KernelError::with_context(Errno::EINVAL, "sackfs"))?;
+    let names: Vec<&str> = event_lines(text)?.collect();
+    match deliver(&names) {
+        Ok(_) => Ok(data.len()),
+        Err(SackError::UnknownEvent(_)) => Err(KernelError::with_context(Errno::EINVAL, "sackfs")),
+        Err(_) => Err(KernelError::with_context(Errno::EIO, "sackfs")),
+    }
+}
+
 /// `sds/ring`: batched event delivery. One write is one
 /// [`Sack::deliver_coalesced`]: every line is validated and resolved
 /// against one policy snapshot, then the whole write makes at most one
@@ -234,16 +243,7 @@ impl SecurityFsFile for SdsRingNode {
         let now = upgrade(&self.kernel)
             .map(|k| k.clock().now())
             .unwrap_or(Duration::ZERO);
-        let text = std::str::from_utf8(data)
-            .map_err(|_| KernelError::with_context(Errno::EINVAL, "sackfs"))?;
-        let names: Vec<&str> = event_lines(text)?.collect();
-        match sack.deliver_coalesced(&names, now) {
-            Ok(_) => Ok(data.len()),
-            Err(SackError::UnknownEvent(_)) => {
-                Err(KernelError::with_context(Errno::EINVAL, "sackfs"))
-            }
-            Err(_) => Err(KernelError::with_context(Errno::EIO, "sackfs")),
-        }
+        deliver_lines(data, |names| sack.deliver_coalesced(names, now))
     }
 
     fn mode(&self) -> Mode {
@@ -1171,6 +1171,27 @@ mod tests {
         );
         assert!(text.contains("\"p95\":"), "{text}");
         assert!(text.contains("\"dropped_by_producer\":{"), "{text}");
+    }
+
+    #[test]
+    fn event_write_with_an_unknown_name_delivers_nothing() {
+        let (kernel, sack) = boot();
+        let sds = kernel.spawn(Credentials::root());
+        let fd = sds
+            .open("/sys/kernel/security/SACK/events", OpenFlags::write_only())
+            .unwrap();
+        let epoch = sack.policy_epoch();
+        // The known line comes first: it must not move the SSM either.
+        let err = sds.write(fd, b"crash\nno_such_event\n").unwrap_err();
+        assert_eq!(err.errno(), Errno::EINVAL);
+        assert_eq!(sack.current_state_name(), "normal", "state unchanged");
+        assert_eq!(sack.active().ssm.delivered_count(), 0);
+        assert_eq!(sack.policy_epoch(), epoch, "nothing published");
+        assert_eq!(sack.stats().events_unknown.load(Ordering::Relaxed), 1);
+        // A write of known names still steps once per line.
+        sds.write(fd, b"crash\nrescue_done\n").unwrap();
+        assert_eq!(sack.active().ssm.taken_count(), 2);
+        assert_eq!(sack.current_state_name(), "normal");
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //!   per-producer sequence number, and the overflow count
 //!   (`claimed − capacity`) says exactly how many records were overwritten.
 //!
-//! Recording into a saturated ring takes no map lookup and no lock beyond
-//! the slot's own: each thread reaches its per-recorder ledger (its next
-//! per-producer sequence number and its eviction count) through a
-//! single-entry thread-local cache, and each slot keeps the ledger of the
-//! record it holds, so an eviction is one atomic add on the evicted
-//! producer's ledger. `dropped_by_producer()` reads those ledgers, one per
-//! producer, not the slots.
+//! Recording into a saturated ring takes no map lookup, no lock beyond the
+//! slot's own and no reference count: each thread borrows its per-recorder
+//! ledger (its next per-producer sequence number) from a single-entry
+//! thread-local cache, and a slot holds nothing but its record. An eviction
+//! costs nothing at write time: `dropped_by_producer()` derives each
+//! producer's loss at read time as the records it produced minus the
+//! records of it the slots still retain.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -57,7 +57,7 @@ pub struct FlightEntry {
 }
 
 /// One producer's accounting in one recorder: registered the first time a
-/// thread records into the recorder, then reached through the thread's
+/// thread records into the recorder, then borrowed from the thread's
 /// single-entry ledger cache without touching the recorder's lock.
 #[derive(Debug)]
 struct ProducerLedger {
@@ -65,17 +65,13 @@ struct ProducerLedger {
     /// Records this producer has claimed, i.e. its next `producer_seq`.
     /// Only the owning thread writes it.
     produced: AtomicU64,
-    /// This producer's records evicted or lap-discarded before a reader saw
-    /// them.
-    evicted: AtomicU64,
 }
 
 struct FlightSlot {
     // The mutex stands in for the per-slot seqlock a real kernel ring would
     // use: it is uncontended except when a producer laps a stalled one, and
-    // it makes torn reads unrepresentable in safe Rust. The retained record
-    // keeps its producer's ledger, so evicting it is one atomic add.
-    entry: Mutex<Option<(FlightEntry, Arc<ProducerLedger>)>>,
+    // it makes torn reads unrepresentable in safe Rust.
+    entry: Mutex<Option<FlightEntry>>,
 }
 
 /// Monotonic id source for flight recorders (keys the per-thread ledger
@@ -143,28 +139,34 @@ impl FlightRecorder {
 
     /// Records an event; returns its global sequence number.
     pub fn record(&self, event: TraceEvent) -> u64 {
-        let ledger = self.ledger();
-        let seq = self.claimed.fetch_add(1, Ordering::Relaxed);
-        self.store(seq, ledger, event);
-        seq
+        self.with_ledger(|ledger| {
+            let seq = self.claimed.fetch_add(1, Ordering::Relaxed);
+            self.store(seq, ledger, event);
+            seq
+        })
     }
 
-    /// The calling thread's ledger in this recorder.
-    fn ledger(&self) -> Arc<ProducerLedger> {
+    /// Runs `f` on the calling thread's ledger in this recorder, borrowed
+    /// from the thread's ledger cache.
+    fn with_ledger<R>(&self, f: impl FnOnce(&ProducerLedger) -> R) -> R {
+        let mut f = Some(f);
         LEDGER
             .try_with(|cache| {
                 let mut cache = cache.borrow_mut();
-                match &*cache {
-                    Some((id, ledger)) if *id == self.id => Arc::clone(ledger),
+                let ledger = match &*cache {
+                    Some((id, ledger)) if *id == self.id => ledger,
                     _ => {
                         let ledger = self.register_producer(producer_id());
-                        *cache = Some((self.id, Arc::clone(&ledger)));
-                        ledger
+                        &cache.insert((self.id, ledger)).1
                     }
-                }
+                };
+                f.take().expect("runs once")(ledger)
             })
-            // Thread-local teardown: fall back to the lock every time.
-            .unwrap_or_else(|_| self.register_producer(producer_id()))
+            // Thread-local teardown: take the ledger from the recorder's
+            // list every time.
+            .unwrap_or_else(|_| {
+                f.take().expect("not run on teardown")(&self.register_producer(producer_id()))
+            })
     }
 
     /// Finds or creates `producer`'s ledger.
@@ -177,14 +179,13 @@ impl FlightRecorder {
         let ledger = Arc::new(ProducerLedger {
             producer,
             produced: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
         });
         ledgers.push(Arc::clone(&ledger));
         ledger
     }
 
     /// Writes the record claimed as `seq` into its slot.
-    fn store(&self, seq: u64, ledger: Arc<ProducerLedger>, event: TraceEvent) {
+    fn store(&self, seq: u64, ledger: &ProducerLedger, event: TraceEvent) {
         // Single writer per ledger, so a load/store pair is enough.
         let producer_seq = ledger.produced.load(Ordering::Relaxed);
         ledger.produced.store(producer_seq + 1, Ordering::Relaxed);
@@ -197,17 +198,15 @@ impl FlightRecorder {
         let cap = self.slots.len() as u64;
         let mut slot = self.slots[(seq % cap) as usize].entry.lock();
         // A producer that claimed an older sequence but got here after being
-        // lapped must not clobber the newer record.
+        // lapped must not clobber the newer record. Either way the lost
+        // record is one its producer produced and no slot retains, which is
+        // how `dropped_by_producer` charges it.
         let discarded = match slot.as_ref() {
-            Some((existing, _)) if existing.seq > seq => Some((entry, ledger)),
-            // Evicting a retained record: the loss belongs to the producer
-            // whose record is being overwritten.
-            _ => slot.replace((entry, ledger)),
+            Some(existing) if existing.seq > seq => Some(entry),
+            _ => slot.replace(entry),
         };
         drop(slot);
-        if let Some((_, owner)) = discarded {
-            owner.evicted.fetch_add(1, Ordering::Relaxed);
-        }
+        drop(discarded);
     }
 
     /// Total records ever claimed.
@@ -227,13 +226,26 @@ impl FlightRecorder {
     /// is what lets a ring-overflow detector localize the lossy producer
     /// instead of only reporting a global count.
     ///
-    /// Reads one counter per producer, never the slots.
+    /// Derived at read time: every record a producer produced is either
+    /// retained in a slot or lost, so its loss is `produced − retained`.
+    /// The slots are counted before the ledgers are read, so a write that
+    /// lands in between is never counted as retained but not produced.
     pub fn dropped_by_producer(&self) -> BTreeMap<u64, u64> {
+        let mut retained: BTreeMap<u64, u64> = BTreeMap::new();
+        for slot in self.slots.iter() {
+            if let Some(entry) = slot.entry.lock().as_ref() {
+                *retained.entry(entry.producer).or_insert(0) += 1;
+            }
+        }
         self.ledgers
             .lock()
             .iter()
-            .map(|l| (l.producer, l.evicted.load(Ordering::Relaxed)))
-            .filter(|&(_, evicted)| evicted > 0)
+            .map(|l| {
+                let produced = l.produced.load(Ordering::Relaxed);
+                let kept = retained.get(&l.producer).copied().unwrap_or(0);
+                (l.producer, produced.saturating_sub(kept))
+            })
+            .filter(|&(_, lost)| lost > 0)
             .collect()
     }
 
@@ -242,7 +254,7 @@ impl FlightRecorder {
         let mut entries: Vec<FlightEntry> = self
             .slots
             .iter()
-            .filter_map(|slot| slot.entry.lock().as_ref().map(|(e, _)| e.clone()))
+            .filter_map(|slot| slot.entry.lock().clone())
             .collect();
         entries.sort_by_key(|e| e.seq);
         entries
@@ -688,13 +700,14 @@ mod tests {
                             })
                             .collect(),
                         Op::Claim => {
-                            let ledger = ring.ledger();
-                            held = Some((ring.claimed.fetch_add(1, Ordering::Relaxed), ledger));
+                            held = Some(ring.claimed.fetch_add(1, Ordering::Relaxed));
                             Vec::new()
                         }
                         Op::Store => {
-                            let (seq, ledger) = held.take().expect("store without claim");
-                            ring.store(seq, ledger, TraceEvent::RcuEpochBump { epoch: seq });
+                            let seq = held.take().expect("store without claim");
+                            ring.with_ledger(|ledger| {
+                                ring.store(seq, ledger, TraceEvent::RcuEpochBump { epoch: seq });
+                            });
                             vec![(seq, producer)]
                         }
                     };

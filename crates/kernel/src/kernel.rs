@@ -62,7 +62,7 @@ impl KernelBuilder {
             lsm: LsmStack::with_trace(self.modules, trace),
             tasks: ProcessTable::new(),
             listeners: ListenerTable::new(),
-            clock: SimClock::new(),
+            clock: Arc::new(SimClock::new()),
         });
         for dir in ["/dev", "/etc", "/usr/bin", "/home", SECURITYFS_ROOT] {
             kernel
@@ -102,7 +102,7 @@ pub struct Kernel {
     lsm: LsmStack,
     tasks: ProcessTable,
     listeners: ListenerTable,
-    clock: SimClock,
+    clock: Arc<SimClock>,
 }
 
 impl Kernel {
@@ -138,6 +138,12 @@ impl Kernel {
 
     /// The simulated clock.
     pub fn clock(&self) -> &SimClock {
+        &self.clock
+    }
+
+    /// The simulated clock as a shared handle, for a module that
+    /// timestamps records without holding the kernel.
+    pub fn shared_clock(&self) -> &Arc<SimClock> {
         &self.clock
     }
 

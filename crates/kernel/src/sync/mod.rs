@@ -8,9 +8,12 @@
 //! it.
 //!
 //! This is what makes LSM hook dispatch lock-free on the read side: hot-path
-//! hooks (`file_open`, `file_permission`) call [`Rcu::read`] — a handful of
-//! uncontended atomic operations — instead of taking the `RwLock` that
-//! policy reloads and SSM transitions would otherwise contend on.
+//! hooks (`file_open`, `file_permission`) call [`Rcu::with`] — a slot
+//! claim, a validating load and a slot clear, writing only the reader's
+//! own cache line — instead of taking the `RwLock` that policy reloads
+//! and SSM transitions would otherwise contend on. [`Rcu::read`] additionally
+//! takes a strong count and is kept for snapshots that must outlive the
+//! call.
 //!
 //! # The synchronisation shim
 //!
@@ -28,10 +31,14 @@
 //!
 //! Readers announce the pointer they are about to take in one of
 //! [`HAZARD_SLOTS`] *hazard slots*, then re-validate that the pointer is
-//! still current before touching its strong count. Writers retire the old
-//! snapshot into a graveyard and free exactly the graveyard entries that are
-//! **not announced in any slot** at scan time (the scan runs under the
-//! writer mutex, after the retiring swap). This yields two guarantees:
+//! still current before using it. [`Rcu::read`] then takes a strong count
+//! and withdraws the announcement at once; [`Rcu::with`] keeps the
+//! announcement up until its closure returns (or unwinds), so the same
+//! invariant covers the whole closure and no strong count is touched.
+//! Writers retire the old snapshot into a graveyard and free exactly the
+//! graveyard entries that are **not announced in any slot** at scan time
+//! (the scan runs under the writer mutex, after the retiring swap). This
+//! yields two guarantees:
 //!
 //! 1. **Safety.** A reader acquires a snapshot only after validating
 //!    `current == announced` *while announced*. A writer frees a retired
@@ -49,6 +56,12 @@
 //!    reader-counter design deferred *all* reclamation while any reader was
 //!    pinned, so one stuck reader grew the graveyard without bound.)
 //!
+//! The limit of [`Rcu::with`]: a closure that blocked would hold its slot
+//! and pin one snapshot for as long as it blocked, and enough of them
+//! would pin one snapshot per slot and push every further reader onto the
+//! writer-mutex fallback. The closures on the hook path never block; a
+//! reader that must wait, or keep the snapshot, takes [`Rcu::read`].
+//!
 //! ABA on the validating load is benign: if a freed address is reused by a
 //! newer snapshot that is current again, the reader acquires that newer,
 //! live snapshot — address equality implies liveness here, not staleness.
@@ -56,6 +69,7 @@
 pub mod shim;
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
@@ -65,8 +79,8 @@ use shim::{RawAtomicPtr, RawAtomicUsize, RawMutex};
 
 /// Number of hazard announcement slots per cell — the maximum number of
 /// readers that can be simultaneously inside the pointer-load window of
-/// [`Rcu::read`] without falling back to the writer mutex, and the upper
-/// bound on retired-but-unreclaimed snapshots.
+/// [`Rcu::read`] or a [`Rcu::with`] closure without falling back to the
+/// writer mutex, and the upper bound on retired-but-unreclaimed snapshots.
 pub const HAZARD_SLOTS: usize = 64;
 
 /// A read-copy-update cell holding an `Arc<T>` snapshot.
@@ -78,6 +92,9 @@ pub const HAZARD_SLOTS: usize = 64;
 ///   If all `SLOTS` slots are occupied the reader falls back to a brief
 ///   acquisition of the writer mutex (which also makes the snapshot
 ///   stable), so `read` succeeds under any load.
+/// * [`with`](Rcu::with) announces and validates the same way but lends
+///   the snapshot to a closure instead of counting a reference, keeping the
+///   announcement until the closure is done; it shares `read`'s fallback.
 /// * [`store`](Rcu::store) / [`update`](Rcu::update) serialise writers on an
 ///   internal mutex, swap the snapshot pointer atomically, and *retire* the
 ///   previous snapshot instead of dropping it inline. Each writer then
@@ -85,8 +102,8 @@ pub const HAZARD_SLOTS: usize = 64;
 ///   has announced — see the module docs for the invariant.
 ///
 /// Readers that already hold a returned `Arc<T>` keep it alive through its
-/// own strong count; hazard announcements only protect the pointer-load
-/// window inside [`read`] itself.
+/// own strong count; hazard announcements protect the pointer-load window
+/// inside [`read`](Rcu::read) and the whole closure of [`with`](Rcu::with).
 ///
 /// The `B` parameter selects the synchronisation backend ([`StdBackend`]
 /// in production, the deterministic executor in `sack-analyze`); `SLOTS`
@@ -95,9 +112,11 @@ pub const HAZARD_SLOTS: usize = 64;
 pub struct Rcu<T, B: Backend = StdBackend, const SLOTS: usize = HAZARD_SLOTS> {
     /// Current snapshot, produced by `Arc::into_raw`. Never null.
     current: B::AtomicPtr<T>,
-    /// Hazard announcement slots. Null = free; non-null = some reader is
-    /// inside its load window and may be about to take this pointer.
-    hazards: [B::AtomicPtr<T>; SLOTS],
+    /// Hazard announcement slots, one cache line each so readers on
+    /// different CPUs never write a shared line. Null = free; non-null =
+    /// some reader is inside its load window or its [`Rcu::with`] closure
+    /// and may be using this pointer.
+    hazards: [Padded<B::AtomicPtr<T>>; SLOTS],
     /// Serialises writers; holds snapshots retired while still announced in
     /// a hazard slot, awaiting a later writer's scan (or `Drop`). Entries
     /// are `*const T` addresses stored as `usize` so the mutex payload
@@ -139,19 +158,70 @@ impl<T, B: Backend, const SLOTS: usize> Rcu<T, B, SLOTS> {
         B::trace_alloc(initial as usize);
         Rcu {
             current: RawAtomicPtr::new(initial),
-            hazards: std::array::from_fn(|_| RawAtomicPtr::new(ptr::null_mut())),
+            hazards: std::array::from_fn(|_| Padded(RawAtomicPtr::new(ptr::null_mut()))),
             writer: RawMutex::new(Vec::new()),
             generation: RawAtomicUsize::new(0),
         }
     }
 
-    /// Returns the current snapshot. Lock-free: claims a hazard slot,
-    /// announces the pointer, validates it is still current, and bumps its
-    /// strong count — no locks unless every slot is occupied.
+    /// Returns the current snapshot as an owned `Arc<T>`. Lock-free:
+    /// claims a hazard slot, announces the pointer, validates it is still
+    /// current, and bumps its strong count — no locks unless every slot is
+    /// occupied. Use it where the snapshot must outlive the call; a reader
+    /// that only needs the snapshot for the duration of a closure should
+    /// call [`Rcu::with`], which touches no strong count.
     pub fn read(&self) -> Arc<T> {
+        let Some((slot, p)) = self.announce() else {
+            return self.read_locked();
+        };
+        B::check_acquire(p as usize);
+        // SAFETY: `p` is announced and validated current, so no writer has
+        // freed it (writers free only unannounced retired pointers); its
+        // strong count is still owned by the cell or its graveyard.
+        unsafe { Arc::increment_strong_count(p) };
+        slot.store(ptr::null_mut(), SeqCst);
+        // SAFETY: we own the strong count incremented above.
+        unsafe { Arc::from_raw(p) }
+    }
+
+    /// Runs `f` on the current snapshot without taking a strong count: the
+    /// reader's hazard announcement stays in its slot until `f` returns
+    /// (or unwinds), so no writer can free the snapshot under it. This is
+    /// the hook-path read — a slot claim, one validating load and a slot
+    /// clear, writing only the reader's own cache line.
+    ///
+    /// If every slot is occupied, `f` runs on an owned snapshot taken
+    /// under the writer mutex ([`Rcu::read`]'s fallback), after the mutex
+    /// is released, so `f` may itself write to this cell.
+    pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
+        let Some((slot, p)) = self.announce() else {
+            return f(&self.read_locked());
+        };
+        let _release = Release(slot, PhantomData);
+        B::check_acquire(p as usize);
+        if B::mutation(Mutation::RcuWithEarlyRelease) {
+            // Planted bug (executor-only): withdraw the announcement before
+            // the closure is done with the snapshot, so a writer's scan no
+            // longer sees it.
+            slot.store(ptr::null_mut(), SeqCst);
+        }
+        // SAFETY: `p` is announced and validated current, and the
+        // announcement is withdrawn only when `_release` drops, after `f`
+        // returns or unwinds; a writer frees only unannounced retired
+        // pointers (see module docs).
+        let out = f(unsafe { &*p });
+        // Still live as the closure ends: an instrumented backend reports
+        // a snapshot freed while the closure held it.
+        B::check_acquire(p as usize);
+        out
+    }
+
+    /// Claims a hazard slot and announces a pointer validated as current
+    /// while announced. `None` when every slot is occupied.
+    fn announce(&self) -> Option<(&B::AtomicPtr<T>, *mut T)> {
         let start = B::thread_index() % SLOTS;
         for i in 0..SLOTS {
-            let slot = &self.hazards[(start + i) % SLOTS];
+            let slot = &self.hazards[(start + i) % SLOTS].0;
             let mut p = self.current.load(SeqCst);
             // Claim the slot by announcing the pointer we intend to take.
             // A failed exchange means another reader owns this slot.
@@ -165,15 +235,9 @@ impl<T, B: Backend, const SLOTS: usize> Rcu<T, B, SLOTS> {
                 // Planted bug (executor-only): trust the announcement
                 // without re-validating that the pointer is still current.
                 // A writer that scanned before our announcement landed may
-                // already have freed `p`.
-                B::check_acquire(p as usize);
-                // SAFETY: unsound by construction — this arm exists to be
-                // caught by the schedule executor (via `check_acquire`)
-                // before the count bump can touch freed memory.
-                unsafe { Arc::increment_strong_count(p) };
-                slot.store(ptr::null_mut(), SeqCst);
-                // SAFETY: we own the strong count incremented above.
-                return unsafe { Arc::from_raw(p) };
+                // already have freed `p`; the caller's `check_acquire`
+                // catches that before the snapshot is touched.
+                return Some((slot, p));
             }
             loop {
                 // Validate *after* announcing: if the pointer is still
@@ -181,15 +245,7 @@ impl<T, B: Backend, const SLOTS: usize> Rcu<T, B, SLOTS> {
                 // before retiring it (see module docs).
                 let cur = self.current.load(SeqCst);
                 if cur == p {
-                    B::check_acquire(p as usize);
-                    // SAFETY: `p` is announced and validated current, so no
-                    // writer has freed it (writers free only unannounced
-                    // retired pointers); its strong count is still owned by
-                    // the cell or its graveyard.
-                    unsafe { Arc::increment_strong_count(p) };
-                    slot.store(ptr::null_mut(), SeqCst);
-                    // SAFETY: we own the strong count incremented above.
-                    return unsafe { Arc::from_raw(p) };
+                    return Some((slot, p));
                 }
                 // A writer published meanwhile; re-announce the new pointer
                 // and validate again.
@@ -197,9 +253,15 @@ impl<T, B: Backend, const SLOTS: usize> Rcu<T, B, SLOTS> {
                 slot.store(p, SeqCst);
             }
         }
-        // Every slot is occupied by an in-flight reader: fall back to the
-        // writer mutex. Writers swap and reclaim only under this mutex, so
-        // while we hold it the current snapshot cannot be retired.
+        None
+    }
+
+    /// Every slot is occupied by an in-flight reader: takes an owned
+    /// snapshot under the writer mutex. Writers swap and reclaim only under
+    /// this mutex, so while it is held the current snapshot cannot be
+    /// retired.
+    #[cold]
+    fn read_locked(&self) -> Arc<T> {
         self.writer.with(|_graveyard| {
             let p = self.current.load(SeqCst);
             B::check_acquire(p as usize);
@@ -293,7 +355,7 @@ impl<T, B: Backend, const SLOTS: usize> Rcu<T, B, SLOTS> {
         } else {
             self.hazards
                 .iter()
-                .map(|slot| slot.load(SeqCst) as usize)
+                .map(|slot| slot.0.load(SeqCst) as usize)
                 .filter(|p| *p != 0)
                 .collect()
         };
@@ -321,7 +383,7 @@ impl<T, B: Backend, const SLOTS: usize> Rcu<T, B, SLOTS> {
     #[cfg(test)]
     fn test_pin_current(&self) -> usize {
         loop {
-            for (i, slot) in self.hazards.iter().enumerate() {
+            for (i, Padded(slot)) in self.hazards.iter().enumerate() {
                 let p = self.current.load(SeqCst);
                 if slot
                     .compare_exchange(ptr::null_mut(), p, SeqCst, SeqCst)
@@ -339,7 +401,21 @@ impl<T, B: Backend, const SLOTS: usize> Rcu<T, B, SLOTS> {
     /// Test hook: releases a slot claimed by [`Rcu::test_pin_current`].
     #[cfg(test)]
     fn test_unpin(&self, slot: usize) {
-        self.hazards[slot].store(ptr::null_mut(), SeqCst);
+        self.hazards[slot].0.store(ptr::null_mut(), SeqCst);
+    }
+}
+
+/// One hazard slot on its own cache line.
+#[repr(align(64))]
+struct Padded<A>(A);
+
+/// Withdraws a [`Rcu::with`] reader's announcement when dropped — after
+/// the closure returns or while it unwinds.
+struct Release<'a, T, P: RawAtomicPtr<T>>(&'a P, PhantomData<fn(T)>);
+
+impl<T, P: RawAtomicPtr<T>> Drop for Release<'_, T, P> {
+    fn drop(&mut self) {
+        self.0.store(ptr::null_mut(), SeqCst);
     }
 }
 
@@ -351,17 +427,20 @@ impl<T: Default> Default for Rcu<T> {
 
 impl<T: fmt::Debug, B: Backend, const SLOTS: usize> fmt::Debug for Rcu<T, B, SLOTS> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Rcu")
-            .field("value", &self.read())
-            .field("generation", &self.generation())
-            .finish()
+        self.with(|value| {
+            f.debug_struct("Rcu")
+                .field("value", value)
+                .field("generation", &self.generation())
+                .finish()
+        })
     }
 }
 
 impl<T, B: Backend, const SLOTS: usize> Drop for Rcu<T, B, SLOTS> {
     fn drop(&mut self) {
-        // `&mut self` proves no thread is inside `read` (that would require
-        // a live `&self` borrow), so no hazard slot is owned by a reader and
+        // `&mut self` proves no thread is inside `read` or `with` (that
+        // would require a live `&self` borrow), so no hazard slot is owned
+        // by a reader and
         // both the graveyard and the current snapshot can be released
         // unconditionally.
         for ptr in self.writer.get_mut().drain(..) {
@@ -544,6 +623,89 @@ mod tests {
     }
 
     #[test]
+    fn with_pins_one_snapshot_while_writers_publish() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let cell = Rcu::new(Counted(Arc::clone(&drops)));
+        cell.with(|held| {
+            // A closure stalled while another thread publishes 1,000 times:
+            // only the snapshot it holds survives in the graveyard.
+            thread::scope(|s| {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        cell.store(Counted(Arc::clone(&drops)));
+                    }
+                });
+            });
+            assert!(cell.retired_count() <= 1);
+            assert_eq!(drops.load(SeqCst), 999);
+            assert!(Arc::ptr_eq(&held.0, &drops), "held snapshot is intact");
+        });
+        // The closure returned: the next write drains the cell.
+        cell.store(Counted(Arc::clone(&drops)));
+        assert_eq!(cell.retired_count(), 0);
+        assert_eq!(drops.load(SeqCst), 1001);
+    }
+
+    #[test]
+    fn with_releases_its_slot_when_the_closure_panics() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let cell = Rcu::new(Counted(Arc::clone(&drops)));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cell.with(|_| panic!("hook panicked"));
+        }));
+        assert!(unwound.is_err());
+        // Had the slot stayed announced, the retired snapshot would stay
+        // in the graveyard.
+        cell.store(Counted(Arc::clone(&drops)));
+        assert_eq!(cell.retired_count(), 0);
+        assert_eq!(drops.load(SeqCst), 1);
+    }
+
+    #[test]
+    fn nested_with_on_the_same_cell() {
+        let cell = Rcu::new(5u32);
+        assert_eq!(cell.with(|a| cell.with(|b| a + b)), 10);
+        // The outer closure keeps its snapshot across a publish that the
+        // inner one already sees.
+        let (outer, inner) = cell.with(|a| {
+            cell.store(6);
+            assert_eq!(cell.retired_count(), 1);
+            cell.with(|b| (*a, *b))
+        });
+        assert_eq!((outer, inner), (5, 6));
+        cell.store(7);
+        assert_eq!(cell.retired_count(), 0, "both slots were released");
+    }
+
+    #[test]
+    fn with_fallback_does_not_hold_the_writer_mutex() {
+        let cell = Arc::new(Rcu::new(7u32));
+        let slots: Vec<usize> = (0..HAZARD_SLOTS).map(|_| cell.test_pin_current()).collect();
+        let (done, finished) = std::sync::mpsc::channel();
+        let writer = {
+            let cell = Arc::clone(&cell);
+            thread::spawn(move || {
+                // Every slot busy: the closure runs on the fallback's owned
+                // snapshot and writes to the very cell it reads.
+                let seen = cell.with(|v| {
+                    cell.store(8);
+                    *v
+                });
+                done.send(seen).unwrap();
+            })
+        };
+        let seen = finished
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a store inside the fallback closure deadlocked");
+        writer.join().unwrap();
+        assert_eq!(seen, 7);
+        assert_eq!(*cell.read(), 8);
+        for slot in slots {
+            cell.test_unpin(slot);
+        }
+    }
+
+    #[test]
     fn small_slot_instantiation_runs_the_same_protocol() {
         // The executor explores `Rcu<T, SchedBackend, 2>`; prove the
         // 2-slot instantiation behaves on the production backend too.
@@ -551,6 +713,7 @@ mod tests {
         assert_eq!(*cell.read(), 5);
         cell.store(6);
         assert_eq!(*cell.read(), 6);
+        assert_eq!(cell.with(|v| *v), 6);
         assert_eq!(cell.retired_count(), 0);
         assert_eq!(cell.generation(), 1);
     }

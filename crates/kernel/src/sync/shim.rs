@@ -26,7 +26,8 @@
 //!   scenario threads to stable, deterministic slots.
 //! * [`Backend::mutation`] — compile-time-off switches that plant one
 //!   known bug in the real algorithm (skip the reader's re-validation,
-//!   free retired snapshots without scanning the hazard slots). The
+//!   free retired snapshots without scanning the hazard slots, withdraw a
+//!   guard's announcement before its closure returns). The
 //!   executor's mutation tests turn exactly one on and assert a violating
 //!   schedule is found; under [`StdBackend`] the branch is `if false` and
 //!   vanishes.
@@ -62,6 +63,9 @@ pub enum Mutation {
     /// The `Rcu` writer frees every retired snapshot without scanning
     /// the hazard slots first.
     RcuFreeBeforeScan,
+    /// `Rcu::with` withdraws its hazard announcement before the closure
+    /// returns, so a writer may free the snapshot the closure is using.
+    RcuWithEarlyRelease,
 }
 
 /// Backend view of `AtomicUsize`.
@@ -279,6 +283,7 @@ mod tests {
     fn std_backend_has_no_mutations() {
         assert!(!StdBackend::mutation(Mutation::RcuSkipValidation));
         assert!(!StdBackend::mutation(Mutation::RcuFreeBeforeScan));
+        assert!(!StdBackend::mutation(Mutation::RcuWithEarlyRelease));
     }
 
     #[test]

@@ -23,10 +23,12 @@
 #                                   rotting)
 #   7. sack-analyze sched --smoke — bounded deterministic-schedule
 #                                   exploration of the real Rcu code (two
-#                                   reader/writer shapes and the profile-
+#                                   reader/writer shapes through `read`
+#                                   and through `with`, and the profile-
 #                                   table publish): core scenarios pass
-#                                   and both planted Rcu mutations are
-#                                   caught with a printed counterexample
+#                                   and all three planted Rcu mutations
+#                                   are caught with a printed
+#                                   counterexample
 #   8. sack-analyze trace --self-check
 #                                 — boots a traced kernel and proves
 #                                   every tracepoint fires, the flight
