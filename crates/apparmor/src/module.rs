@@ -138,12 +138,6 @@ impl AppArmor {
         });
     }
 
-    /// The compiled-profile snapshot confining `pid`, if any, as an owned
-    /// handle that outlives the call.
-    pub fn confining(&self, pid: Pid) -> Option<Arc<CompiledProfile>> {
-        self.confinement.read().get(&pid).cloned()
-    }
-
     /// Runs `f` on the compiled profile confining `pid` (`None` when the
     /// task is unconfined), lent from the confinement snapshot for the
     /// duration of the call: the hook-path lookup, which takes no

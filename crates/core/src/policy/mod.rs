@@ -280,10 +280,6 @@ impl SackPolicy {
         );
         let state_dfas: Vec<Arc<StateDfa>> =
             slot_of.iter().map(|&s| Arc::clone(&built[s])).collect();
-        let profile_subjects = perm_rules
-            .iter()
-            .flatten()
-            .any(|r| matches!(r.subject, SubjectMatch::Profile(_)));
 
         Ok(CompiledPolicy {
             space,
@@ -293,7 +289,6 @@ impl SackPolicy {
             state_perms,
             perm_rules,
             state_dfas,
-            profile_subjects,
             warnings,
         })
     }
@@ -328,7 +323,6 @@ pub struct CompiledPolicy {
     state_perms: Vec<Vec<PermissionId>>,
     perm_rules: Vec<Vec<MacRule>>,
     state_dfas: Vec<Arc<StateDfa>>,
-    profile_subjects: bool,
     warnings: Vec<PolicyIssue>,
 }
 
@@ -369,14 +363,6 @@ impl CompiledPolicy {
     /// MAC rules of a permission (`g(P_i)`).
     pub fn rules_of(&self, perm: PermissionId) -> &[MacRule] {
         &self.perm_rules[perm.0]
-    }
-
-    /// Whether any rule selects its subject by AppArmor profile
-    /// (`subject=profile:`): only then does a decision depend on the
-    /// subject's confining profile, and only then does a hook need to
-    /// resolve it.
-    pub fn has_profile_subjects(&self) -> bool {
-        self.profile_subjects
     }
 
     /// The unified decision DFA compiled for a state.
@@ -484,25 +470,6 @@ mod tests {
         assert_eq!(compiled.permissions().len(), 2);
         assert_eq!(compiled.rule_count(), 2);
         assert_eq!(compiled.space().state(compiled.initial()).name, "normal");
-    }
-
-    #[test]
-    fn profile_subject_flag_is_set_only_by_profile_rules() {
-        let door = SackPolicy::parse(DOOR_POLICY).unwrap().compile().unwrap();
-        assert!(!door.has_profile_subjects(), "exe and `*` subjects only");
-        // One profile rule sets the flag.
-        let with_profile = DOOR_POLICY.replace(
-            "allow subject=/usr/bin/rescue* /dev/car/** wi;",
-            "allow subject=/usr/bin/rescue* /dev/car/** wi;\n            \
-             CONTROL_CAR_DOORS: allow subject=profile:rescue /dev/car/** r;",
-        );
-        assert_ne!(with_profile, DOOR_POLICY);
-        let compiled = SackPolicy::parse(&with_profile).unwrap().compile().unwrap();
-        assert!(compiled.has_profile_subjects());
-        // Uid subjects do not set it.
-        let with_uid = DOOR_POLICY.replace("subject=*", "uid=0");
-        let compiled = SackPolicy::parse(&with_uid).unwrap().compile().unwrap();
-        assert!(!compiled.has_profile_subjects());
     }
 
     #[test]

@@ -310,7 +310,7 @@ impl Sack {
     pub fn attach(self: &Arc<Self>, kernel: &Arc<Kernel>) -> Result<(), SackError> {
         self.install_tracing(Arc::clone(kernel.trace()));
         crate::sackfs::register(self, kernel)?;
-        let _ = self.clock.set(Arc::clone(kernel.shared_clock()));
+        let _ = self.clock.set(Arc::clone(kernel.clock()));
         Ok(())
     }
 
@@ -560,13 +560,11 @@ impl Sack {
                 };
                 dfa.decide(&subject, obj.path.as_str(), requested)
             };
-            // Only `subject=profile:` rules read the confining profile, so
-            // a policy without one never asks the oracle for it.
             let decision = match self.profile_oracle.get() {
-                Some(aa) if active.policy.has_profile_subjects() => {
+                Some(aa) => {
                     aa.with_confining(ctx.pid, |p| decide(p.map(|p| p.profile().name.as_str())))
                 }
-                _ => decide(None),
+                None => decide(None),
             };
             if !decision.protected {
                 self.stats.unprotected.fetch_add(1, Ordering::Relaxed);
@@ -1078,20 +1076,16 @@ mod tests {
         assert_eq!(load(&stats.denials), sack.audit().total());
     }
 
-    /// With an oracle set, a policy without `subject=profile:` rules
-    /// decides without asking it and one with them resolves the confining
-    /// profile; both give the simulator's verdicts for a confined and an
+    /// With an oracle set, a policy with `subject=profile:` rules and one
+    /// without both give the simulator's verdicts for a confined and an
     /// unconfined subject in every state.
     #[test]
     fn verdicts_match_simulator_with_oracle_with_and_without_profile_subjects() {
         use crate::{PolicySimulator, StepResult};
         let uid_policy = ORACLE_POLICY.replace("subject=profile:trusted", "uid=300");
-        for (text, profile_subjects) in [(ORACLE_POLICY, true), (uid_policy.as_str(), false)] {
+        assert_ne!(uid_policy, ORACLE_POLICY);
+        for text in [ORACLE_POLICY, uid_policy.as_str()] {
             let sack = Sack::independent(text).unwrap();
-            assert_eq!(
-                sack.active().policy.has_profile_subjects(),
-                profile_subjects
-            );
             let db = Arc::new(sack_apparmor::PolicyDb::new());
             db.load_text("profile trusted { /secret/** r, }").unwrap();
             let apparmor = AppArmor::new(db);

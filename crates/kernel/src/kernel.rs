@@ -136,14 +136,9 @@ impl Kernel {
         &self.listeners
     }
 
-    /// The simulated clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// The simulated clock as a shared handle, for a module that
-    /// timestamps records without holding the kernel.
-    pub fn shared_clock(&self) -> &Arc<SimClock> {
+    /// The simulated clock, as a shared handle a module can keep to
+    /// timestamp records without holding the kernel.
+    pub fn clock(&self) -> &Arc<SimClock> {
         &self.clock
     }
 

@@ -56,11 +56,14 @@
 //!    reader-counter design deferred *all* reclamation while any reader was
 //!    pinned, so one stuck reader grew the graveyard without bound.)
 //!
-//! The limit of [`Rcu::with`]: a closure that blocked would hold its slot
-//! and pin one snapshot for as long as it blocked, and enough of them
-//! would pin one snapshot per slot and push every further reader onto the
-//! writer-mutex fallback. The closures on the hook path never block; a
-//! reader that must wait, or keep the snapshot, takes [`Rcu::read`].
+//! The limit of [`Rcu::with`]: a closure holds its slot, and pins one
+//! snapshot, for as long as it runs, so each reader waiting inside a
+//! closure pins one snapshot, and enough of them push every further reader
+//! onto the writer-mutex fallback. The closures on the hook path take only
+//! short leaf locks (SACK's audit ring and a flight-recorder slot,
+//! AppArmor's audit log) and never a lock that waits on a writer of the
+//! same cell; a reader that must wait on anything else, or keep the
+//! snapshot, takes [`Rcu::read`].
 //!
 //! ABA on the validating load is benign: if a freed address is reused by a
 //! newer snapshot that is current again, the reader acquires that newer,

@@ -962,18 +962,20 @@ fn stacked_sack_apparmor_verdict_matches_simulator_and_profile_scan() {
             AccessMask::APPEND,
         ]);
         let perms = FilePerms::from_access_mask(mask);
-        let confining = apparmor.confining(pid);
+        let (profile, apparmor_allows) = apparmor.with_confining(pid, |p| {
+            (
+                p.map(|p| p.profile().name.clone()),
+                p.is_none_or(|p| p.scan(path.as_str()).permits(perms)),
+            )
+        });
         let query = AccessQuery {
             uid: 1000,
             exe: Some(exe.to_string()),
-            profile: confining.as_ref().map(|p| p.profile().name.clone()),
+            profile,
             path: path.as_str().to_string(),
             perms,
         };
-        let expected = (
-            sim.query(&query).is_allowed(),
-            confining.is_none_or(|p| p.scan(path.as_str()).permits(perms)),
-        );
+        let expected = (sim.query(&query).is_allowed(), apparmor_allows);
         let verdict = (
             sack.file_open(&ctx, &obj, mask).is_ok(),
             apparmor.file_open(&ctx, &obj, mask).is_ok(),

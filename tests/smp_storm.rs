@@ -15,6 +15,7 @@
 //! * **Serial equivalence** — after the storm quiesces, verdicts match a
 //!   freshly-built twin that never saw any concurrency.
 
+use std::ptr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -535,11 +536,10 @@ fn confinement_writes_race_enhanced_transitions_without_lost_updates() {
                 apparmor.set_profile(admin, VEHICLE_APPS[app]).unwrap();
                 for pid in [parent, child, admin] {
                     let done = finished.load(Ordering::SeqCst);
-                    let snapshot = apparmor.confining(pid);
+                    let snapshot = apparmor.with_confining(pid, |s| s.map(|s| s.profile().clone()));
                     let started = begun.load(Ordering::SeqCst);
                     let fresh = snapshot.as_ref().is_some_and(|s| {
-                        (done..=started)
-                            .any(|k| bodies[k as usize % bodies.len()][app] == *s.profile())
+                        (done..=started).any(|k| bodies[k as usize % bodies.len()][app] == *s)
                     });
                     if !fresh {
                         torn.push(format!("{pid:?} after {done}..={started}: {snapshot:?}"));
@@ -562,15 +562,17 @@ fn confinement_writes_race_enhanced_transitions_without_lost_updates() {
 
     for w in 0..WORKERS {
         for slot in 0..PIDS {
-            let Some(snapshot) = apparmor.confining(pid_of(w, slot)) else {
-                continue;
-            };
-            let name = &snapshot.profile().name;
-            assert!(
-                Arc::ptr_eq(&snapshot, &db.get(name).unwrap()),
-                "pid {:?} kept a stale `{name}` snapshot",
-                pid_of(w, slot)
-            );
+            apparmor.with_confining(pid_of(w, slot), |snapshot| {
+                let Some(snapshot) = snapshot else {
+                    return;
+                };
+                let name = &snapshot.profile().name;
+                assert!(
+                    ptr::eq(snapshot, Arc::as_ptr(&db.get(name).unwrap())),
+                    "pid {:?} kept a stale `{name}` snapshot",
+                    pid_of(w, slot)
+                );
+            });
         }
     }
 }
