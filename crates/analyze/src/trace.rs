@@ -7,12 +7,13 @@
 //! # flight capacity=256 total=9 dropped=0
 //! seq=3 producer=0 pseq=2 ssm_transition from=normal to=emergency event=crash
 //! seq=4 producer=0 pseq=3 rcu_epoch_bump epoch=1
-//! seq=8 producer=1 pseq=0 hook_exit hook=file_open verdict=deny ns=412
-//! seq=9 producer=1 pseq=1 hook_exit hook=file_open verdict=deny
+//! seq=8 producer=1 pseq=0 hook_exit hook=file_open verdict=deny module=sack ns=412
+//! seq=9 producer=1 pseq=1 hook_exit hook=file_open verdict=deny module=apparmor
 //! ```
 //!
-//! A `hook_exit` carries `ns=` only when its dispatch was one of the
-//! sampled, timed ones.
+//! A denial is one record, its denied `hook_exit`, and `module=` names the
+//! stacked module that refused. A `hook_exit` carries `ns=` only when its
+//! dispatch was one of the sampled, timed ones.
 //!
 //! This module parses that text back into structure ([`parse_flight`]),
 //! lints it for the anomalies an operator actually chases
@@ -344,8 +345,8 @@ pub fn lint_flight(dump: &FlightDump) -> Vec<Anomaly> {
 
 /// Renders a parsed dump plus its lint findings as the `trace`
 /// subcommand's report: ring summary, the replay with every denial
-/// annotated with the situation transition that preceded it, then the
-/// anomaly list.
+/// annotated with the module that refused it and the situation
+/// transition that preceded it, then the anomaly list.
 pub fn render_report(dump: &FlightDump, anomalies: &[Anomaly]) -> String {
     let mut out = format!(
         "flight: capacity={} total={} retained={} dropped={}\n",
@@ -362,15 +363,20 @@ pub fn render_report(dump: &FlightDump, anomalies: &[Anomaly]) -> String {
         }
         let denied = record.event == "hook_exit" && record.field("verdict") == Some("deny");
         if denied {
+            let by = record
+                .field("module")
+                .map(|m| format!(" by `{m}`"))
+                .unwrap_or_default();
             match last_transition {
                 Some(t) => out.push_str(&format!(
-                    "    ^ denial in situation `{}` (entered at seq={} on event `{}`)\n",
+                    "    ^ denial{by} in situation `{}` (entered at seq={} on event `{}`)\n",
                     t.field("to").unwrap_or("?"),
                     t.seq,
                     t.field("event").unwrap_or("?"),
                 )),
-                None => out
-                    .push_str("    ^ denial with no situation transition in the retained window\n"),
+                None => out.push_str(&format!(
+                    "    ^ denial{by} with no situation transition in the retained window\n"
+                )),
             }
         }
     }
@@ -634,11 +640,22 @@ pub fn self_check() -> Result<String, String> {
                 "rescue_done transition not retained".into(),
             )
         })?;
+    // The injected denial is one record: SACK's refusal, as the denied
+    // hook_exit naming it, behind the transition into `normal`.
     let denial = dump
         .records
         .iter()
-        .find(|r| r.event == "hook_exit" && r.field("verdict") == Some("deny"))
-        .ok_or_else(|| fail("flight replay", "denied hook_exit not retained".into()))?;
+        .find(|r| {
+            r.event == "hook_exit"
+                && r.field("verdict") == Some("deny")
+                && r.field("module") == Some("sack")
+        })
+        .ok_or_else(|| {
+            fail(
+                "flight replay",
+                "denied hook_exit with module=sack not retained".into(),
+            )
+        })?;
     if denial.seq <= rescue.seq {
         return Err(fail(
             "flight replay",
@@ -646,17 +663,6 @@ pub fn self_check() -> Result<String, String> {
                 "denial (seq={}) not ordered after its transition (seq={})",
                 denial.seq, rescue.seq
             ),
-        ));
-    }
-    let audit = dump
-        .records
-        .iter()
-        .find(|r| r.event == "audit_emit")
-        .ok_or_else(|| fail("flight replay", "audit_emit not retained".into()))?;
-    if audit.seq <= rescue.seq {
-        return Err(fail(
-            "flight replay",
-            "audit_emit precedes the transition".into(),
         ));
     }
     let findings = lint_flight(&dump);
@@ -693,7 +699,7 @@ pub fn self_check() -> Result<String, String> {
     }
 
     Ok(format!(
-        "self-check passed: {} tracepoints fired, flight replayed the denial \
+        "self-check passed: {} tracepoints fired, flight replayed the `sack` denial \
          (seq={}) behind transition `{}→{}` (seq={}), {} retained record(s) \
          lint clean, metrics node valid ({samples} Prometheus samples, \
          {dispatches} dispatches counted exactly)\n",
@@ -725,6 +731,7 @@ mod tests {
         ring.record(TraceEvent::HookExit {
             hook: TraceHook::FileOpen,
             verdict: TraceVerdict::Deny,
+            module: Some("sack"),
             latency_ns: Some(412),
         });
         let dump = parse_flight(&ring.render()).unwrap();
@@ -735,6 +742,7 @@ mod tests {
         assert_eq!(dump.records[0].event, "ssm_transition");
         assert_eq!(dump.records[0].field("event"), Some("crash"));
         assert_eq!(dump.records[3].field("verdict"), Some("deny"));
+        assert_eq!(dump.records[3].field("module"), Some("sack"));
         assert_eq!(dump.records[3].field("ns"), Some("412"));
         assert!(
             lint_flight(&dump).is_empty(),
@@ -749,12 +757,13 @@ mod tests {
             ring.record(TraceEvent::HookExit {
                 hook: TraceHook::FileIoctl,
                 verdict: TraceVerdict::Deny,
+                module: Some("apparmor"),
                 latency_ns,
             });
         }
         let text = ring.render();
         assert!(
-            text.contains("pseq=1 hook_exit hook=file_ioctl verdict=deny\n"),
+            text.contains("pseq=1 hook_exit hook=file_ioctl verdict=deny module=apparmor\n"),
             "{text}"
         );
         let dump = parse_flight(&text).unwrap();
@@ -765,22 +774,34 @@ mod tests {
             assert_eq!(record.event, "hook_exit");
             assert_eq!(record.field("hook"), Some("file_ioctl"));
             assert_eq!(record.field("verdict"), Some("deny"));
+            assert_eq!(record.field("module"), Some("apparmor"));
         }
         assert_eq!(timed.field("ns"), Some("412"));
         assert_eq!(untimed.field("ns"), None);
-        assert_eq!(untimed.fields.len(), 2);
+        assert_eq!(untimed.fields.len(), 3);
         let report = render_report(&dump, &lint_flight(&dump));
-        assert_eq!(report.matches("^ denial").count(), 2, "{report}");
+        assert_eq!(
+            report.matches("^ denial by `apparmor`").count(),
+            2,
+            "{report}"
+        );
     }
 
     #[test]
     fn parse_rejects_malformed_dumps() {
         assert!(parse_flight("").is_err());
-        assert!(parse_flight("seq=0 producer=0 pseq=0 audit_emit\n").is_err());
+        assert!(parse_flight("seq=0 producer=0 pseq=0 policy_publish epoch=1\n").is_err());
         let header = "# flight capacity=4 total=1 dropped=0\n";
-        assert!(parse_flight(&format!("{header}seq=0 pseq=0 audit_emit\n")).is_err());
+        assert!(parse_flight(&format!("{header}seq=0 pseq=0 policy_publish epoch=1\n")).is_err());
         assert!(parse_flight(&format!("{header}seq=0 producer=0 pseq=0 warp_drive\n")).is_err());
-        assert!(parse_flight(&format!("{header}seq=x producer=0 pseq=0 audit_emit\n")).is_err());
+        assert!(
+            parse_flight(&format!("{header}seq=x producer=0 pseq=0 policy_publish\n")).is_err()
+        );
+        // The retired audit_emit tracepoint is no longer a known event.
+        assert!(parse_flight(&format!(
+            "{header}seq=0 producer=0 pseq=0 audit_emit seq=0\n"
+        ))
+        .is_err());
     }
 
     fn record(
@@ -814,8 +835,8 @@ mod tests {
     #[test]
     fn lint_flags_overflow_and_pseq_gap() {
         let mut dump = dump_of(vec![
-            record(0, 0, 0, "audit_emit", &[]),
-            record(1, 0, 3, "audit_emit", &[]),
+            record(0, 0, 0, "policy_publish", &[]),
+            record(1, 0, 3, "policy_publish", &[]),
         ]);
         dump.dropped = 5;
         let anomalies = lint_flight(&dump);

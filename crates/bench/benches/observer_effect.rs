@@ -15,17 +15,20 @@
 //! dispatch macro's one probe before the module's DFA walk and its
 //! `hook_exit` after it. A final `flight_saturated` group measures the denial
 //! path with the flight ring past capacity (every record an overwrite),
-//! the worst case for the EXPERIMENTS.md overhead table.
+//! the worst case for the EXPERIMENTS.md overhead table, and
+//! `flight_record` times `FlightRecorder::record` alone in that state.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use sack_core::trace::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 use sack_core::Sack;
 use sack_kernel::cred::Credentials;
 use sack_kernel::lsm::{AccessMask, HookCtx, ObjectRef, SecurityModule};
 use sack_kernel::path::KPath;
+use sack_kernel::trace::{TraceEvent, TraceHook, TraceVerdict};
 use sack_kernel::types::Pid;
 use sack_kernel::{Kernel, KernelBuilder};
 use sack_lmbench::workload::synthetic_independent_policy;
@@ -91,8 +94,8 @@ fn bench_warm_hook(c: &mut Criterion) {
 fn bench_flight_saturated(c: &mut Criterion) {
     let ctx = hook_ctx(7002);
     // A path the synthetic policy protects but never grants: every probe
-    // is a denial, so every probe appends an audit record and a flight
-    // entry (hook_exit deny + audit_emit), overwriting once saturated.
+    // is a denial, so every probe appends an audit record and one flight
+    // entry (the denied hook_exit), overwriting once saturated.
     let path = KPath::new("/protected/area0/s1/devices/dev0").unwrap();
     let obj = ObjectRef::regular(&path);
 
@@ -124,9 +127,32 @@ fn bench_flight_saturated(c: &mut Criterion) {
     group.finish();
 }
 
+/// The flight ring alone: one denied `hook_exit` recorded into a ring past
+/// capacity, so every record evicts one — the per-denial cost the
+/// `flight_saturated` arm pays inside its hook.
+fn bench_flight_record(c: &mut Criterion) {
+    let ring = FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY);
+    let event = TraceEvent::HookExit {
+        hook: TraceHook::FileOpen,
+        verdict: TraceVerdict::Deny,
+        module: Some("sack"),
+        latency_ns: None,
+    };
+    for _ in 0..ring.capacity() {
+        ring.record(event.clone());
+    }
+    let mut group = c.benchmark_group("observer_effect/flight_record");
+    group.bench_function("saturated", |b| {
+        b.iter(|| criterion::black_box(ring.record(event.clone())));
+    });
+    assert!(ring.dropped() > 0, "every timed record must evict one");
+    group.finish();
+}
+
 fn bench_observer_effect(c: &mut Criterion) {
     bench_warm_hook(c);
     bench_flight_saturated(c);
+    bench_flight_record(c);
 }
 
 fn config_criterion() -> Criterion {

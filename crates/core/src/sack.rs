@@ -579,7 +579,7 @@ impl Sack {
                 return Ok(());
             }
             self.stats.denials.fetch_add(1, Ordering::Relaxed);
-            let seq = self.audit.push_denial(&Denial {
+            self.audit.push_denial(&Denial {
                 at: self.now(),
                 pid: ctx.pid,
                 uid: ctx.cred.uid.0,
@@ -588,7 +588,6 @@ impl Sack {
                 requested,
                 state: &active.ssm.space().state(state).name,
             });
-            self.trace_emit(|| TraceEvent::AuditEmit { seq });
             Err(KernelError::with_context(Errno::EACCES, "sack"))
         })
     }

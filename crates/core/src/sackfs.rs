@@ -986,19 +986,25 @@ mod tests {
             .iter()
             .position(|l| l.contains("ssm_transition from=emergency to=normal event=rescue_done"))
             .unwrap_or_else(|| panic!("no transition in flight: {text}"));
-        let denial = lines
+        // The denial is one record: the denied hook_exit, naming SACK.
+        let denials: Vec<usize> = lines
             .iter()
-            .position(|l| l.contains("hook_exit hook=file_open verdict=deny"))
-            .unwrap_or_else(|| panic!("no denial in flight: {text}"));
-        let audit = lines
-            .iter()
-            .position(|l| l.contains("audit_emit seq=0"))
-            .unwrap_or_else(|| panic!("no audit_emit in flight: {text}"));
+            .enumerate()
+            .filter(|(_, l)| l.contains("verdict=deny"))
+            .map(|(i, _)| i)
+            .collect();
+        let [denial] = denials[..] else {
+            panic!("expected one denial record in flight: {text}");
+        };
+        assert!(
+            lines[denial].contains("hook_exit hook=file_open verdict=deny module=sack"),
+            "{text}"
+        );
         assert!(
             transition < denial,
             "transition must precede the denial it explains"
         );
-        assert!(audit < denial, "audit record lands before the hook exit");
+        assert_eq!(sack.audit().total(), 1, "the audit ring keeps the record");
     }
 
     /// A minimal Prometheus text-format check: every non-empty line is a

@@ -13,24 +13,29 @@
 //!   per thread is timed).
 //! * [`FlightRecorder`] — a bounded MPSC ring of the last N control-plane
 //!   events (SSM transitions, policy publishes, epoch bumps, recompiles,
-//!   denials), so a denial can be replayed against the situation history
-//!   that led to it. Producers claim slots with a single `fetch_add` and
-//!   write them under a per-slot mutex; entries carry both a global and a
-//!   per-producer sequence number, and the overflow count
-//!   (`claimed − capacity`) says exactly how many records were overwritten.
+//!   sds coalesces) and denials, so a denial can be replayed against the
+//!   situation history that led to it. A denial is one record: its denied
+//!   `hook_exit`, which names the stacked module that refused. Producers
+//!   claim slots with a single `fetch_add` and write them under a per-slot
+//!   lock; entries carry both a global and a per-producer sequence number,
+//!   and the overflow count (`claimed − capacity`) says exactly how many
+//!   records were overwritten.
 //!
-//! Recording into a saturated ring takes no map lookup, no lock beyond the
-//! slot's own and no reference count: each thread borrows its per-recorder
-//! ledger (its next per-producer sequence number) from a single-entry
-//! thread-local cache, and a slot holds nothing but its record. An eviction
-//! costs nothing at write time: `dropped_by_producer()` derives each
-//! producer's loss at read time as the records it produced minus the
-//! records of it the slots still retain.
+//! Recording takes no map lookup, no division, no reference count and, past
+//! the claim, one CAS: the thread's per-recorder ledger (its next
+//! per-producer sequence number) is read through a shared borrow of a
+//! single-entry thread-local cache, filled on a `#[cold]` miss; the
+//! power-of-two capacity makes a sequence's slot a mask; and the slot's
+//! test-and-set lock is released by a plain store. An eviction costs
+//! nothing at write time: `dropped_by_producer()` derives each producer's
+//! loss at read time as the records it produced minus the records of it
+//! the slots still retain.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, UnsafeCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -67,11 +72,92 @@ struct ProducerLedger {
     produced: AtomicU64,
 }
 
+/// One ring slot: its record behind a test-and-set lock, a cache line to
+/// itself so producers writing neighbouring sequences never false-share.
+///
+/// The lock stands in for the per-slot seqlock a real kernel ring would use.
+/// Taking it is one CAS and releasing it one plain release store, where a
+/// mutex pays a second atomic read-modify-write to release. It is contended
+/// only when a producer laps a stalled one, or a reader snapshots the slot
+/// being written; a waiter spins briefly, then yields, so a holder that was
+/// preempted still gets the CPU back.
+#[repr(align(64))]
 struct FlightSlot {
-    // The mutex stands in for the per-slot seqlock a real kernel ring would
-    // use: it is uncontended except when a producer laps a stalled one, and
-    // it makes torn reads unrepresentable in safe Rust.
-    entry: Mutex<Option<FlightEntry>>,
+    busy: AtomicBool,
+    entry: UnsafeCell<Option<FlightEntry>>,
+}
+
+// SAFETY: `entry` is only reached through `FlightSlot::lock`, whose guard
+// holds `busy` for as long as the reference lives.
+unsafe impl Sync for FlightSlot {}
+
+impl FlightSlot {
+    fn new() -> FlightSlot {
+        FlightSlot {
+            busy: AtomicBool::new(false),
+            entry: UnsafeCell::new(None),
+        }
+    }
+
+    #[inline]
+    fn lock(&self) -> SlotGuard<'_> {
+        if self
+            .busy
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            self.lock_contended();
+        }
+        SlotGuard { slot: self }
+    }
+
+    #[cold]
+    fn lock_contended(&self) {
+        let mut spins = 0u32;
+        loop {
+            if !self.busy.load(Ordering::Relaxed)
+                && self
+                    .busy
+                    .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                return;
+            }
+            if spins < 64 {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Exclusive access to one slot's record; releases the slot on drop.
+struct SlotGuard<'a> {
+    slot: &'a FlightSlot,
+}
+
+impl Deref for SlotGuard<'_> {
+    type Target = Option<FlightEntry>;
+    fn deref(&self) -> &Option<FlightEntry> {
+        // SAFETY: the guard holds the slot's lock.
+        unsafe { &*self.slot.entry.get() }
+    }
+}
+
+impl DerefMut for SlotGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Option<FlightEntry> {
+        // SAFETY: the guard holds the slot's lock.
+        unsafe { &mut *self.slot.entry.get() }
+    }
+}
+
+impl Drop for SlotGuard<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        self.slot.busy.store(false, Ordering::Release);
+    }
 }
 
 /// Monotonic id source for flight recorders (keys the per-thread ledger
@@ -96,16 +182,30 @@ fn producer_id() -> u64 {
     PRODUCER_ID.try_with(|p| *p).unwrap_or(0)
 }
 
+impl ProducerLedger {
+    /// Takes this producer's next `producer_seq`. Single writer per
+    /// ledger, so a load/store pair is enough.
+    #[inline]
+    fn next(&self) -> (u64, u64) {
+        let producer_seq = self.produced.load(Ordering::Relaxed);
+        self.produced.store(producer_seq + 1, Ordering::Relaxed);
+        (self.producer, producer_seq)
+    }
+}
+
 /// Bounded MPSC ring of the last N trace events.
 ///
 /// Claiming is one `fetch_add`, and the claimed global sequence *is* the
 /// record's identity; the slot write then takes that slot's (normally
-/// uncontended) mutex. Readers snapshot without stopping producers; the
-/// overflow count (`claimed − capacity`) and the per-producer sequence
-/// numbers let them say precisely what they missed.
+/// uncontended) lock with one CAS. Readers snapshot without stopping
+/// producers; the overflow count (`claimed − capacity`) and the
+/// per-producer sequence numbers let them say precisely what they missed.
 pub struct FlightRecorder {
     id: u64,
     slots: Box<[FlightSlot]>,
+    /// `capacity − 1`: the capacity is a power of two, so a sequence's slot
+    /// is `seq & mask`.
+    mask: u64,
     claimed: AtomicU64,
     // Every producer that ever recorded here. Locked only on a thread's
     // ledger-cache miss and by readers of `dropped_by_producer`.
@@ -113,64 +213,71 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates a ring retaining the last `capacity` records.
+    /// Creates a ring retaining the last `capacity` records, rounded up to
+    /// a power of two (as the kernel rounds `log_buf_len`) so that finding
+    /// a sequence's slot is a mask, not a division.
     ///
     /// # Panics
     ///
     /// Panics when `capacity` is zero.
     pub fn new(capacity: usize) -> FlightRecorder {
         assert!(capacity > 0, "flight capacity must be non-zero");
+        let capacity = capacity.next_power_of_two();
         FlightRecorder {
             id: NEXT_RECORDER.fetch_add(1, Ordering::Relaxed),
-            slots: (0..capacity)
-                .map(|_| FlightSlot {
-                    entry: Mutex::new(None),
-                })
-                .collect(),
+            slots: (0..capacity).map(|_| FlightSlot::new()).collect(),
+            mask: capacity as u64 - 1,
             claimed: AtomicU64::new(0),
             ledgers: Mutex::new(Vec::new()),
         }
     }
 
-    /// Ring capacity.
+    /// Ring capacity (a power of two).
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Records an event; returns its global sequence number.
+    #[inline]
     pub fn record(&self, event: TraceEvent) -> u64 {
-        self.with_ledger(|ledger| {
-            let seq = self.claimed.fetch_add(1, Ordering::Relaxed);
-            self.store(seq, ledger, event);
-            seq
-        })
+        let (producer, producer_seq) = self.next_producer_seq();
+        let seq = self.claimed.fetch_add(1, Ordering::Relaxed);
+        self.store(FlightEntry {
+            seq,
+            producer,
+            producer_seq,
+            event,
+        });
+        seq
     }
 
-    /// Runs `f` on the calling thread's ledger in this recorder, borrowed
-    /// from the thread's ledger cache.
-    fn with_ledger<R>(&self, f: impl FnOnce(&ProducerLedger) -> R) -> R {
-        let mut f = Some(f);
-        LEDGER
-            .try_with(|cache| {
-                let mut cache = cache.borrow_mut();
-                let ledger = match &*cache {
-                    Some((id, ledger)) if *id == self.id => ledger,
-                    _ => {
-                        let ledger = self.register_producer(producer_id());
-                        &cache.insert((self.id, ledger)).1
-                    }
-                };
-                f.take().expect("runs once")(ledger)
-            })
-            // Thread-local teardown: take the ledger from the recorder's
-            // list every time.
-            .unwrap_or_else(|_| {
-                f.take().expect("not run on teardown")(&self.register_producer(producer_id()))
-            })
+    /// The calling thread's producer id and next `producer_seq` here, read
+    /// through a shared borrow of the thread's cached ledger.
+    #[inline]
+    fn next_producer_seq(&self) -> (u64, u64) {
+        let hit = LEDGER.try_with(|cache| match &*cache.borrow() {
+            Some((id, ledger)) if *id == self.id => Some(ledger.next()),
+            _ => None,
+        });
+        match hit {
+            Ok(Some(next)) => next,
+            _ => self.next_producer_seq_cold(),
+        }
+    }
+
+    /// Ledger-cache miss: finds or registers the thread's ledger, caches it
+    /// (evicting the previous recorder's), and takes its next sequence.
+    #[cold]
+    fn next_producer_seq_cold(&self) -> (u64, u64) {
+        let ledger = self.register_producer(producer_id());
+        let next = ledger.next();
+        // Thread-local teardown: the ledger stays uncached, and the next
+        // record finds it in the recorder's list again.
+        let _ = LEDGER.try_with(|cache| *cache.borrow_mut() = Some((self.id, ledger)));
+        next
     }
 
     /// Finds or creates `producer`'s ledger.
-    #[cold]
     fn register_producer(&self, producer: u64) -> Arc<ProducerLedger> {
         let mut ledgers = self.ledgers.lock();
         if let Some(ledger) = ledgers.iter().find(|l| l.producer == producer) {
@@ -184,29 +291,20 @@ impl FlightRecorder {
         ledger
     }
 
-    /// Writes the record claimed as `seq` into its slot.
-    fn store(&self, seq: u64, ledger: &ProducerLedger, event: TraceEvent) {
-        // Single writer per ledger, so a load/store pair is enough.
-        let producer_seq = ledger.produced.load(Ordering::Relaxed);
-        ledger.produced.store(producer_seq + 1, Ordering::Relaxed);
-        let entry = FlightEntry {
-            seq,
-            producer: ledger.producer,
-            producer_seq,
-            event,
-        };
-        let cap = self.slots.len() as u64;
-        let mut slot = self.slots[(seq % cap) as usize].entry.lock();
+    /// Writes a claimed record into its slot.
+    #[inline]
+    fn store(&self, entry: FlightEntry) {
+        let seq = entry.seq;
+        let mut slot = self.slots[(seq & self.mask) as usize].lock();
         // A producer that claimed an older sequence but got here after being
         // lapped must not clobber the newer record. Either way the lost
         // record is one its producer produced and no slot retains, which is
-        // how `dropped_by_producer` charges it.
-        let discarded = match slot.as_ref() {
-            Some(existing) if existing.seq > seq => Some(entry),
-            _ => slot.replace(entry),
-        };
-        drop(slot);
-        drop(discarded);
+        // how `dropped_by_producer` charges it. The evicted record is dropped
+        // in place: a denial frees nothing, a control-plane record its few
+        // strings.
+        if !matches!(&*slot, Some(existing) if existing.seq > seq) {
+            *slot = Some(entry);
+        }
     }
 
     /// Total records ever claimed.
@@ -233,7 +331,7 @@ impl FlightRecorder {
     pub fn dropped_by_producer(&self) -> BTreeMap<u64, u64> {
         let mut retained: BTreeMap<u64, u64> = BTreeMap::new();
         for slot in self.slots.iter() {
-            if let Some(entry) = slot.entry.lock().as_ref() {
+            if let Some(entry) = slot.lock().as_ref() {
                 *retained.entry(entry.producer).or_insert(0) += 1;
             }
         }
@@ -254,7 +352,7 @@ impl FlightRecorder {
         let mut entries: Vec<FlightEntry> = self
             .slots
             .iter()
-            .filter_map(|slot| slot.entry.lock().clone())
+            .filter_map(|slot| slot.lock().clone())
             .collect();
         entries.sort_by_key(|e| e.seq);
         entries
@@ -316,6 +414,7 @@ impl RecorderState {
                 hook,
                 verdict,
                 latency_ns,
+                ..
             } => {
                 self.hist(*hook, *verdict).record_dispatch(*latency_ns);
                 if *verdict == TraceVerdict::Deny {
@@ -326,7 +425,6 @@ impl RecorderState {
             | TraceEvent::PolicyPublish { .. }
             | TraceEvent::RcuEpochBump { .. }
             | TraceEvent::ProfileRecompile { .. }
-            | TraceEvent::AuditEmit { .. }
             | TraceEvent::SdsCoalesce { .. } => {
                 self.flight.record(event.clone());
             }
@@ -705,8 +803,12 @@ mod tests {
                         }
                         Op::Store => {
                             let seq = held.take().expect("store without claim");
-                            ring.with_ledger(|ledger| {
-                                ring.store(seq, ledger, TraceEvent::RcuEpochBump { epoch: seq });
+                            let (producer, producer_seq) = ring.next_producer_seq();
+                            ring.store(FlightEntry {
+                                seq,
+                                producer,
+                                producer_seq,
+                                event: TraceEvent::RcuEpochBump { epoch: seq },
                             });
                             vec![(seq, producer)]
                         }
@@ -835,6 +937,7 @@ mod tests {
             hub.emit(&TraceEvent::HookExit {
                 hook,
                 verdict,
+                module: (verdict == TraceVerdict::Deny).then_some("sack"),
                 latency_ns: ns,
             });
         }
@@ -842,6 +945,7 @@ mod tests {
         hub.emit(&TraceEvent::HookExit {
             hook: TraceHook::Capable,
             verdict: TraceVerdict::Deny,
+            module: Some("sack"),
             latency_ns: None,
         });
         let allow = tracing.histogram(hook, TraceVerdict::Allow);
@@ -868,11 +972,13 @@ mod tests {
         hub.emit(&TraceEvent::HookExit {
             hook: TraceHook::FileOpen,
             verdict: TraceVerdict::Deny,
+            module: Some("sack"),
             latency_ns: None,
         });
         hub.emit(&TraceEvent::HookExit {
             hook: TraceHook::FileOpen,
             verdict: TraceVerdict::Allow,
+            module: None,
             latency_ns: Some(45),
         });
         let events: Vec<TraceEvent> = tracing
@@ -907,13 +1013,13 @@ mod tests {
         let hub = TraceHub::new();
         let tracing = SackTracing::attach(Arc::clone(&hub));
         hub.set_enabled(true);
-        hub.emit(&TraceEvent::AuditEmit { seq: 0 });
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
         let text = tracing.render_events();
         assert!(text.starts_with("# tracepoints enabled=1\n"));
         for point in Tracepoint::ALL {
             assert!(text.contains(point.name()), "missing {point}");
         }
         assert_eq!(text.lines().count(), 1 + Tracepoint::ALL.len());
-        assert!(text.contains("audit_emit 1\n"));
+        assert!(text.contains("policy_publish 1\n"));
     }
 }

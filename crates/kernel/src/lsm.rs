@@ -418,15 +418,17 @@ macro_rules! dispatch {
     ($self:ident, $tp:expr, $hook:ident ( $($arg:expr),* )) => {{
         let probe = $self.probe();
         let mut result = Ok(());
+        let mut refused_by = None;
         for m in &$self.modules {
             if let Err(e) = m.$hook($($arg),*) {
                 $self.stats.denials.fetch_add(1, Ordering::Relaxed);
                 result = Err(e);
+                refused_by = Some(m);
                 break;
             }
         }
         if let Some(start) = probe {
-            $self.hook_exit($tp, result.is_ok(), start);
+            $self.hook_exit($tp, refused_by.map(|m| m.name()), start);
         }
         result
     }};
@@ -577,7 +579,7 @@ impl LsmStack {
             m.bprm_committed(ctx, exe);
         }
         if let Some(start) = probe {
-            self.hook_exit(TraceHook::BprmCommitted, true, start);
+            self.hook_exit(TraceHook::BprmCommitted, None, start);
         }
     }
 
@@ -593,7 +595,7 @@ impl LsmStack {
             m.task_free(pid);
         }
         if let Some(start) = probe {
-            self.hook_exit(TraceHook::TaskFree, true, start);
+            self.hook_exit(TraceHook::TaskFree, None, start);
         }
     }
 
@@ -608,17 +610,17 @@ impl LsmStack {
         }
     }
 
-    /// Emits `hook_exit` for a traced dispatch, with its latency when the
-    /// dispatch was sampled. Notification hooks pass `allowed = true`: they
-    /// cannot deny.
-    fn hook_exit(&self, hook: TraceHook, allowed: bool, start: Option<Instant>) {
+    /// Emits `hook_exit` for a traced dispatch: denied when `refused_by`
+    /// names the module that said no, with its latency when the dispatch
+    /// was sampled. Notification hooks pass `None`: they cannot deny.
+    fn hook_exit(&self, hook: TraceHook, refused_by: Option<&'static str>, start: Option<Instant>) {
         self.trace.emit(&TraceEvent::HookExit {
             hook,
-            verdict: if allowed {
-                TraceVerdict::Allow
-            } else {
-                TraceVerdict::Deny
+            verdict: match refused_by {
+                Some(_) => TraceVerdict::Deny,
+                None => TraceVerdict::Allow,
             },
+            module: refused_by,
             latency_ns: start.map(|t0| t0.elapsed().as_nanos() as u64),
         });
     }

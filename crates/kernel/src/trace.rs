@@ -26,12 +26,12 @@
 //!
 //! | tracepoint          | fires when                                             |
 //! |---------------------|--------------------------------------------------------|
-//! | `hook_exit`         | an LSM hook dispatch finishes (verdict, sampled latency)|
+//! | `hook_exit`         | an LSM hook dispatch finishes (verdict, the refusing   |
+//! |                     | module on a denial, sampled latency)                   |
 //! | `ssm_transition`    | the situation state machine changes state              |
 //! | `policy_publish`    | a new `ActivePolicy` is published over RCU             |
 //! | `rcu_epoch_bump`    | the global policy epoch counter is incremented         |
 //! | `profile_recompile` | an AppArmor profile is (re)compiled to its DFA         |
-//! | `audit_emit`        | a record is appended to the audit ring                 |
 //! | `sds_coalesce`      | ≥2 events of one `SACK/sds/ring` write collapsed into  |
 //! |                     | one SSM delivery                                       |
 
@@ -182,8 +182,6 @@ pub enum Tracepoint {
     RcuEpochBump,
     /// AppArmor profile (re)compiled.
     ProfileRecompile,
-    /// Audit record appended.
-    AuditEmit,
     /// Multiple events of one `SACK/sds/ring` write coalesced into one
     /// SSM delivery.
     SdsCoalesce,
@@ -191,13 +189,12 @@ pub enum Tracepoint {
 
 impl Tracepoint {
     /// Every tracepoint, in declaration order.
-    pub const ALL: [Tracepoint; 7] = [
+    pub const ALL: [Tracepoint; 6] = [
         Tracepoint::HookExit,
         Tracepoint::SsmTransition,
         Tracepoint::PolicyPublish,
         Tracepoint::RcuEpochBump,
         Tracepoint::ProfileRecompile,
-        Tracepoint::AuditEmit,
         Tracepoint::SdsCoalesce,
     ];
 
@@ -214,7 +211,6 @@ impl Tracepoint {
             Tracepoint::PolicyPublish => "policy_publish",
             Tracepoint::RcuEpochBump => "rcu_epoch_bump",
             Tracepoint::ProfileRecompile => "profile_recompile",
-            Tracepoint::AuditEmit => "audit_emit",
             Tracepoint::SdsCoalesce => "sds_coalesce",
         }
     }
@@ -228,9 +224,9 @@ impl fmt::Display for Tracepoint {
 
 /// A single trace event, the payload delivered to registered callbacks.
 ///
-/// Hot-path variants (`HookExit`, `AuditEmit`) carry only
-/// `Copy` data; rare control-plane variants own their strings so the flight
-/// recorder can retain them without lifetimes.
+/// The hot-path variant (`HookExit`) carries only `Copy` data; rare
+/// control-plane variants own their strings so the flight recorder can
+/// retain them without lifetimes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// An LSM hook dispatch finished. Fires on every traced dispatch.
@@ -239,6 +235,11 @@ pub enum TraceEvent {
         hook: TraceHook,
         /// Allow or deny.
         verdict: TraceVerdict,
+        /// The stacked module that refused, by its LSM name; `None` when
+        /// every module allowed. A denial's one `hook_exit` is its trace
+        /// record: SACK keeps the rest (state, path, exe, audit sequence)
+        /// in its audit ring.
+        module: Option<&'static str>,
         /// Wall-clock nanoseconds spent in the stacked modules, on the
         /// sampled dispatches only (about one in
         /// [`crate::lsm::SAMPLE_MEAN_GAP`] per thread); `None` on the rest.
@@ -268,11 +269,6 @@ pub enum TraceEvent {
         /// Profile name.
         profile: String,
     },
-    /// A record was appended to the audit ring.
-    AuditEmit {
-        /// The record's monotonic sequence number.
-        seq: u64,
-    },
     /// Two or more events of one `SACK/sds/ring` write collapsed into a
     /// single SSM delivery.
     SdsCoalesce {
@@ -292,7 +288,6 @@ impl TraceEvent {
             TraceEvent::PolicyPublish { .. } => Tracepoint::PolicyPublish,
             TraceEvent::RcuEpochBump { .. } => Tracepoint::RcuEpochBump,
             TraceEvent::ProfileRecompile { .. } => Tracepoint::ProfileRecompile,
-            TraceEvent::AuditEmit { .. } => Tracepoint::AuditEmit,
             TraceEvent::SdsCoalesce { .. } => Tracepoint::SdsCoalesce,
         }
     }
@@ -304,9 +299,13 @@ impl fmt::Display for TraceEvent {
             TraceEvent::HookExit {
                 hook,
                 verdict,
+                module,
                 latency_ns,
             } => {
                 write!(f, "hook_exit hook={hook} verdict={verdict}")?;
+                if let Some(module) = module {
+                    write!(f, " module={module}")?;
+                }
                 match latency_ns {
                     Some(ns) => write!(f, " ns={ns}"),
                     None => Ok(()),
@@ -320,7 +319,6 @@ impl fmt::Display for TraceEvent {
             TraceEvent::ProfileRecompile { profile } => {
                 write!(f, "profile_recompile profile={profile}")
             }
-            TraceEvent::AuditEmit { seq } => write!(f, "audit_emit seq={seq}"),
             TraceEvent::SdsCoalesce { event, collapsed } => {
                 write!(f, "sds_coalesce event={event} collapsed={collapsed}")
             }
@@ -381,7 +379,7 @@ thread_local! {
 ///
 /// let hub = TraceHub::new();
 /// if hub.enabled() {
-///     hub.emit(&TraceEvent::AuditEmit { seq: 1 }); // never reached while disabled
+///     hub.emit(&TraceEvent::PolicyPublish { epoch: 1 }); // never reached while disabled
 /// }
 /// ```
 ///
@@ -577,9 +575,9 @@ mod tests {
         hub.register_all(Arc::new(move |_| {
             s.fetch_add(1, Ordering::Relaxed);
         }));
-        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
         assert_eq!(seen.load(Ordering::Relaxed), 0);
-        assert_eq!(hub.fired(Tracepoint::AuditEmit), 0);
+        assert_eq!(hub.fired(Tracepoint::PolicyPublish), 0);
     }
 
     #[test]
@@ -611,16 +609,16 @@ mod tests {
         let hits = Arc::new(AtomicU64::new(0));
         let h = Arc::clone(&hits);
         let handle = hub.register(
-            Tracepoint::AuditEmit,
+            Tracepoint::PolicyPublish,
             Arc::new(move |_| {
                 h.fetch_add(1, Ordering::Relaxed);
             }),
         );
-        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
-        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 }); // filtered out
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
+        hub.emit(&TraceEvent::RcuEpochBump { epoch: 1 }); // filtered out
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         hub.unregister(handle);
-        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
         assert_eq!(hits.load(Ordering::Relaxed), 1);
         assert_eq!(hub.callback_count(), 0);
     }
@@ -643,7 +641,7 @@ mod tests {
         })
     }
 
-    /// Thread B: emits one `audit_emit` on its hub per [`Remote::emit`] and
+    /// Thread B: emits one `policy_publish` on its hub per [`Remote::emit`] and
     /// acks it, so "B's next emit" is ordered against the caller.
     struct Remote {
         go: std::sync::mpsc::Sender<()>,
@@ -658,7 +656,7 @@ mod tests {
             let hub = Arc::clone(hub);
             let thread = std::thread::spawn(move || {
                 for () in go_rx {
-                    hub.emit(&TraceEvent::AuditEmit { seq: 1 });
+                    hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
                     done_tx.send(()).unwrap();
                 }
             });
@@ -691,7 +689,7 @@ mod tests {
         b.emit();
         b.join();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-        assert_eq!(hub.fired(Tracepoint::AuditEmit), 2);
+        assert_eq!(hub.fired(Tracepoint::PolicyPublish), 2);
     }
 
     #[test]
@@ -704,7 +702,7 @@ mod tests {
         b.emit();
         // B now caches a one-callback snapshot; A registers a second.
         let second = Arc::new(AtomicU64::new(0));
-        hub.register(Tracepoint::AuditEmit, counter(&second));
+        hub.register(Tracepoint::PolicyPublish, counter(&second));
         b.emit();
         b.join();
         assert_eq!(first.load(Ordering::SeqCst), 2);
@@ -742,13 +740,13 @@ mod tests {
             let hub = TraceHub::new();
             hub.set_enabled(true);
             hub.register_all(counter(&old_hits));
-            hub.emit(&TraceEvent::AuditEmit { seq: 1 });
+            hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
         }
         // A fresh hub (possibly at a reused address) with no callbacks
         // must not deliver through the previous hub's cached snapshot.
         let hub = TraceHub::new();
         hub.set_enabled(true);
-        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
         assert_eq!(old_hits.load(Ordering::SeqCst), 8);
     }
 
@@ -764,14 +762,18 @@ mod tests {
         other.register_all(counter(&other_hits));
         let (h, o) = (Arc::clone(&hub), Arc::clone(&other));
         hub.register(
-            Tracepoint::AuditEmit,
+            Tracepoint::ProfileRecompile,
             Arc::new(move |_| {
                 h.emit(&TraceEvent::PolicyPublish { epoch: 1 });
-                o.emit(&TraceEvent::AuditEmit { seq: 1 });
+                o.emit(&TraceEvent::ProfileRecompile {
+                    profile: "p".into(),
+                });
             }),
         );
         for _ in 0..3 {
-            hub.emit(&TraceEvent::AuditEmit { seq: 1 });
+            hub.emit(&TraceEvent::ProfileRecompile {
+                profile: "p".into(),
+            });
         }
         // Registering from inside a callback changes the generation while
         // the outer emit still holds the cached snapshot.
@@ -792,18 +794,18 @@ mod tests {
         assert_eq!(misses.load(Ordering::SeqCst), 5);
         assert_eq!(late.load(Ordering::SeqCst), 2);
         assert_eq!(other_hits.load(Ordering::SeqCst), 3);
-        assert_eq!(hub.fired(Tracepoint::AuditEmit), 3);
+        assert_eq!(hub.fired(Tracepoint::ProfileRecompile), 3);
         assert_eq!(hub.fired(Tracepoint::PolicyPublish), 5);
     }
 
     #[test]
     fn toggling_gates_counters() {
         let hub = TraceHub::new();
-        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
         hub.set_enabled(true);
-        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
         hub.set_enabled(false);
-        hub.emit(&TraceEvent::AuditEmit { seq: 1 });
-        assert_eq!(hub.fired(Tracepoint::AuditEmit), 1);
+        hub.emit(&TraceEvent::PolicyPublish { epoch: 1 });
+        assert_eq!(hub.fired(Tracepoint::PolicyPublish), 1);
     }
 }

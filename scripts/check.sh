@@ -31,9 +31,9 @@
 #                                   counterexample
 #   8. sack-analyze trace --self-check
 #                                 — boots a traced kernel and proves
-#                                   every tracepoint fires, the flight
-#                                   recorder replays a denied hook_exit
-#                                   and its audit_emit behind their
+#                                   all 6 tracepoints fire, the flight
+#                                   recorder replays the one denied
+#                                   hook_exit naming sack behind its
 #                                   transition, and the metrics node is
 #                                   valid Prometheus
 #   9. contended sweep smoke      — the SMP sweep runner at 2 threads,

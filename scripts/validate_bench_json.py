@@ -43,9 +43,7 @@ TOP_LEVEL_KEYS = [
 
 # Must match the thresholds scripts/bench_gate.sh enforces.
 GATE_KEYS = [
-    "min_dfa_speedup_1k",
     "max_dfa_degradation",
-    "min_aa_dfa_speedup",
     "min_incr_recompile_speedup",
     "min_parallel_compile_speedup",
     "max_trace_overhead",

@@ -10,23 +10,24 @@
 //!   policy churns mid-flight;
 //! * **One bump per publish** — `rcu_epoch_bump` fires once per reload or
 //!   transition;
-//! * **Audit exactly-once** — every refusal increments the denial counter
-//!   and produces exactly one audit record, so the two totals agree;
+//! * **Audit exactly-once** — every refusal increments the denial counter,
+//!   produces exactly one audit record and fires exactly one denied
+//!   `hook_exit` naming `sack`, so the three totals agree;
 //! * **Serial equivalence** — after the storm quiesces, verdicts match a
 //!   freshly-built twin that never saw any concurrency.
 
 use std::ptr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use sack_apparmor::{AppArmor, PolicyDb, Profile};
 use sack_core::{Sack, TransitionOutcome};
 use sack_kernel::cred::Credentials;
-use sack_kernel::lsm::{AccessMask, HookCtx, ObjectRef, SecurityModule};
+use sack_kernel::lsm::{AccessMask, HookCtx, LsmStack, ObjectRef, SecurityModule};
 use sack_kernel::path::KPath;
 use sack_kernel::smp;
-use sack_kernel::trace::{TraceEvent, TraceHub, Tracepoint};
+use sack_kernel::trace::{TraceEvent, TraceHub, TraceVerdict, Tracepoint};
 use sack_kernel::types::Pid;
 use sack_lmbench::workload::{
     synthetic_enhanced_policy, synthetic_racing_policy, BENCH_EXE, BENCH_PROFILE,
@@ -49,6 +50,42 @@ fn open(module: &dyn SecurityModule, ctx: &HookCtx, path: &str, mask: AccessMask
     let path = KPath::new(path).unwrap();
     let obj = ObjectRef::regular(&path);
     module.file_open(ctx, &obj, mask).is_ok()
+}
+
+/// [`open`] through the LSM dispatch, so a traced refusal fires its one
+/// denied `hook_exit`.
+fn dispatch_open(lsm: &LsmStack, ctx: &HookCtx, path: &str, mask: AccessMask) -> bool {
+    let path = KPath::new(path).unwrap();
+    lsm.file_open(ctx, &ObjectRef::regular(&path), mask).is_ok()
+}
+
+/// SACK alone behind an LSM dispatch that traces into `hub`.
+fn sack_stack(sack: &Arc<Sack>, hub: &Arc<TraceHub>) -> LsmStack {
+    LsmStack::with_trace(
+        vec![Arc::clone(sack) as Arc<dyn SecurityModule>],
+        Arc::clone(hub),
+    )
+}
+
+/// Counts the denied `hook_exit`s on `hub` that name `sack` as the
+/// refusing module.
+fn count_sack_denials(hub: &TraceHub) -> Arc<AtomicU64> {
+    let count = Arc::new(AtomicU64::new(0));
+    let c = Arc::clone(&count);
+    hub.register(
+        Tracepoint::HookExit,
+        Arc::new(move |ev| {
+            if let TraceEvent::HookExit {
+                verdict: TraceVerdict::Deny,
+                module: Some("sack"),
+                ..
+            } = ev
+            {
+                c.fetch_add(1, Ordering::Relaxed);
+            }
+        }),
+    );
+    count
 }
 
 /// Drives `sack` around the synthetic ring until it sits in state
@@ -82,6 +119,8 @@ fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
     let hub = TraceHub::new();
     sack.install_tracing(Arc::clone(&hub));
     hub.set_enabled(true);
+    let lsm = sack_stack(&sack, &hub);
+    let sack_denials = count_sack_denials(&hub);
 
     let transitions = AtomicU64::new(0);
     let reloads = AtomicU64::new(0);
@@ -97,13 +136,13 @@ fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
             let mut shared_ok = 0usize;
             let mut flapping_allowed = 0usize;
             for i in 0..HAMMER {
-                if open(&*sack, &ctx, &shared, AccessMask::READ) {
+                if dispatch_open(&lsm, &ctx, &shared, AccessMask::READ) {
                     shared_ok += 1;
                 }
                 // State-dependent path: verdict legitimately flaps with the
                 // racing control plane; only the totals are interesting.
                 let state_path = format!("/protected/area0/s{}/dev", i % STATES);
-                if open(&*sack, &ctx, &state_path, AccessMask::WRITE) {
+                if dispatch_open(&lsm, &ctx, &state_path, AccessMask::WRITE) {
                     flapping_allowed += 1;
                 }
             }
@@ -149,7 +188,7 @@ fn storm_with_racing_reloads_never_produces_a_stale_verdict() {
         refused
     );
     assert_eq!(sack.audit().total(), refused);
-    assert_eq!(hub.fired(Tracepoint::AuditEmit), refused);
+    assert_eq!(sack_denials.load(Ordering::Relaxed), refused);
 
     // The control plane is the only epoch source: one bump per transition
     // plus one per reload, each traced once.
@@ -196,18 +235,8 @@ fn denial_storm_under_reloads_audits_every_refusal_exactly_once() {
     let hub = TraceHub::new();
     sack.install_tracing(Arc::clone(&hub));
     hub.set_enabled(true);
-    let seqs = Arc::new(Mutex::new(Vec::new()));
-    {
-        let seqs = Arc::clone(&seqs);
-        hub.register(
-            Tracepoint::AuditEmit,
-            Arc::new(move |ev| {
-                if let TraceEvent::AuditEmit { seq } = ev {
-                    seqs.lock().unwrap().push(*seq);
-                }
-            }),
-        );
-    }
+    let lsm = sack_stack(&sack, &hub);
+    let sack_denials = count_sack_denials(&hub);
 
     // Protected in every state (its glob is in the policy), executable in
     // none: a guaranteed denial whatever the control plane does.
@@ -220,7 +249,7 @@ fn denial_storm_under_reloads_audits_every_refusal_exactly_once() {
             let ctx = probe_ctx(7100 + w as u32, BENCH_EXE);
             let mut denied = 0usize;
             for _ in 0..HAMMER {
-                if !open(&*sack, &ctx, DENIED, AccessMask::EXEC) {
+                if !dispatch_open(&lsm, &ctx, DENIED, AccessMask::EXEC) {
                     denied += 1;
                 }
             }
@@ -247,11 +276,15 @@ fn denial_storm_under_reloads_audits_every_refusal_exactly_once() {
     assert_eq!(outcome.results.iter().sum::<usize>() as u64, refused);
     assert_eq!(sack.stats().denials.load(Ordering::SeqCst), refused);
     assert_eq!(sack.audit().total(), refused);
-    // One record per refusal: the emitted sequence numbers are exactly
-    // 0..refused, none missing and none repeated.
-    let mut seqs = seqs.lock().unwrap().clone();
-    seqs.sort_unstable();
-    assert_eq!(seqs, (0..refused).collect::<Vec<_>>());
+    // One trace record per refusal: its denied hook_exit, naming SACK.
+    assert_eq!(sack_denials.load(Ordering::Relaxed), refused);
+    assert_eq!(hub.fired(Tracepoint::HookExit), refused);
+    // The audit ring keeps the newest records, numbered without a gap or a
+    // repeat up to the last refusal.
+    let seqs: Vec<u64> = sack.audit().records().iter().map(|r| r.seq).collect();
+    let kept = seqs.len() as u64;
+    assert!(kept > 0);
+    assert_eq!(seqs, (refused - kept..refused).collect::<Vec<_>>());
 }
 
 /// `BENCH_PROFILE` with one extra rule stamped by `round`: a body no
